@@ -31,6 +31,13 @@ __all__ = [
     "PhiCocycles",
 ]
 
+# identity_suite redraws (g1, g2, xi, eta) until the pair conditions hold,
+# and gives up after this many draws per requested sample in all; nearly
+# every draw passes, so running out means the pair conditions almost never
+# hold.  The flags themselves come from _random_generic_flag, whose own
+# rejection loop this budget does not count.
+ATTEMPT_BUDGET_PER_SAMPLE = 1000
+
 
 @dataclass(frozen=True)
 class CocycleValue:
@@ -252,14 +259,14 @@ class PhiCocycles:
 
 
 def _random_matrix(rng, d: int, field: str = "R", spread: float = 1.0) -> ScaledMatrix:
-    if field == "C":
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    else:
-        a = rng.standard_normal((d, d))
-    m = ScaledMatrix.of(a + spread * np.eye(d))
-    if np.linalg.cond(m.entries) > 1e6:
-        return _random_matrix(rng, d, field, spread)
-    return m
+    while True:
+        if field == "C":
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        else:
+            a = rng.standard_normal((d, d))
+        m = ScaledMatrix.of(a + spread * np.eye(d))
+        if np.linalg.cond(m.entries) <= 1e6:
+            return m
 
 
 def _random_generic_flag(rng, o: Form) -> Flag:
@@ -301,8 +308,12 @@ def identity_suite(o: Form, samples: int = 300, seed: int = 0, chamber: ChamberA
         "cocycle", "duality", "coboundary", "gromov_transformation",
         "cross_ratio_equality", "projection_equivariance",
     )}
-    done = 0
+    done = attempts = 0
     while done < samples:
+        if attempts == ATTEMPT_BUDGET_PER_SAMPLE * samples:
+            raise ValueError(f"identity suite found {done} of {samples} generic samples "
+                             f"in {attempts} attempts")
+        attempts += 1
         g1 = _random_matrix(rng, d, o.field_tag)
         g2 = _random_matrix(rng, d, o.field_tag)
         xi = _random_generic_flag(rng, o)

@@ -167,8 +167,7 @@ def check_r_eps_loxodromic(g: ScaledMatrix, r: float, eps: float, tol: float = G
         raise NotLoxodromicError("quantified check needs a loxodromic element")
     d = g.dim
     plus = _eigen_flag(g, tol)
-    minus_basis = _eigen_flag(g, tol).basis[:, ::-1]
-    minus = Flag.of(minus_basis)
+    minus = Flag.of(plus.basis[:, ::-1])
     for j in range(1, d):
         cj = compound(g, j)
         line = wedge_coordinates(plus.basis, j)

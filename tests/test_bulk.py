@@ -167,6 +167,131 @@ def test_bulk_long_words_match_high_precision():
         assert np.max(np.abs(lam[i] - lam_ref)) < 1e-8
 
 
+class PickWords:
+    """Test collector: Jordan and slot data of chosen words of one shell.
+
+    Also records, per word, the smallest |x^T J x| over the levels' unit top
+    eigenvectors x of the twisted square; its top eigenvalue has condition
+    about 1 / |x^T J x|.
+    """
+
+    def __init__(self, length, ranks):
+        self.length = length
+        self.ranks = ranks
+        self.words = {}
+
+    def update(self, shell: ShellData):
+        if shell.length != self.length:
+            return
+        sel = np.flatnonzero(np.isin(shell.ranks(), self.ranks))
+        if sel.size == 0:
+            return
+        part = ShellData(shell.ctx, shell.length, shell.idx_rows[sel], [c[sel] for c in shell.comps],
+                         [s[sel] for s in shell.scales], shell.logdets[sel])
+        lam, lam_ok = part.jordan_coords()
+        bo = part.bo_data()[0]
+        definite = np.full(part.count, np.inf)
+        for m, sg in zip(part.comps, part.ctx.level_signs):
+            x, _, _ = bulk._top_eig_squared((sg[:, None] * np.swapaxes(m, 1, 2)) @ (sg[:, None] * m))
+            definite = np.minimum(definite, np.abs(np.einsum("ni,i,ni->n", x, sg, x)))
+        for r, *row in zip(part.ranks(), lam, lam_ok, bo, part.bo_valid_mask(), definite):
+            self.words[int(r)] = row
+
+    def merge(self, other):
+        self.words.update(other.words)
+
+
+def pick_words(rep, words):
+    """(alphabet-index word, exact mpmath product, PickWords row) per word."""
+    import mpmath
+
+    length = len(words[0])
+    ranks = [word_rank([bulk.index_letter(i) for i in w], rep.rank) for w in words]
+    [col] = run_bulk(rep.bulk_context(), length, [(PickWords, {"length": length, "ranks": ranks})])
+    for w, r in zip(words, ranks):
+        exact = mpmath.eye(rep.dim)
+        for i in w:
+            exact = exact * mpmath.matrix(rep.letter_image(bulk.index_letter(i)).true_matrix().tolist())
+        yield w, exact, col.words[r]
+
+
+def test_bulk_jordan_matches_high_precision_on_hard_words():
+    # words whose level matrices are far from normal: the stepwise kernel
+    # stays within 4e-9 of the exact Jordan projection, squaring M would not
+    import mpmath
+
+    mpmath.mp.dps = 80
+    words = [[0, 0, 0, 2, 0, 0, 3, 1, 1, 1], [0, 0, 0, 2, 0, 3, 3, 1, 1, 1],
+             [2, 0, 0, 0, 0, 0, 0, 0, 3, 3]]
+    for _, exact, (lam, ok, *_) in pick_words(reducible_rep(power=4), words):
+        mv = mpmath.mp.eig(exact, left=False, right=False)
+        jl = sorted([float(mpmath.log(abs(v))) for v in mv], reverse=True)
+        lam_ref = np.array(jl) - np.mean(jl)
+        assert ok
+        assert np.max(np.abs(lam - lam_ref)) < 1e-8
+
+
+def test_bulk_bo_matches_high_precision_on_least_definite_words():
+    # the twisted square J M^T J M is not normal; these words attain the
+    # smallest |x^T J x| of shell 10 of two_orbit_rep (on the reducible
+    # examples it is 1 on every word), and the squared kernel still gives
+    # b_o within 2e-9 of the exact slot projection; the twisted square's
+    # eigenvalues span about e^190 here, beyond what dps 80 resolves
+    import mpmath
+
+    mpmath.mp.dps = 200
+    rep = two_orbit_rep()
+    sg = rep.bulk_context().level_signs[0]
+    jmat = mpmath.diag(sg.tolist())
+    words = [[2, 2, 0, 2, 2, 2, 2, 2, 2, 2], [3, 3, 3, 1, 2, 2, 2, 2, 2, 2],
+             [3, 1, 2, 2, 0, 2, 2, 2, 2, 2]]
+    for _, exact, (_, _, bo, bo_ok, definite) in pick_words(rep, words):
+        assert definite < 0.42
+        vals, vecs = mpmath.mp.eig(jmat * exact.T * jmat * exact)
+        order = sorted(range(3), key=lambda t: -abs(vals[t]))
+        halves = np.array([float(mpmath.log(abs(vals[t]))) for t in order]) / 2
+        halves -= halves.mean()
+        signs = []
+        for t in order:
+            v = np.array([complex(vecs[r, t]) for r in range(3)])
+            v = np.real(v / np.exp(1j * np.angle(v[np.argmax(np.abs(v))])))
+            signs.append(np.sum(sg * v**2) > 0)
+        slots = [h for h, pos in zip(halves, signs) if pos] + [h for h, pos in zip(halves, signs) if not pos]
+        assert bo_ok
+        assert np.max(np.abs(bo - slots)) < 1e-8
+
+
+def test_row_blocked_squared_kernel_matches_one_call(monkeypatch):
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((23, 4, 4))
+    whole = bulk._top_eig_squared(np.swapaxes(m, 1, 2) @ m)
+    monkeypatch.setattr(bulk, "SQUARE_BLOCK", 5)
+    blocked = bulk._top_eig_of_squares(m, lambda b: np.swapaxes(b, 1, 2) @ b)
+    for a, b in zip(whole, blocked):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("m", [3, 10])
+def test_squared_kernel_matches_eigh_on_gapped_psd(m):
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((50, m, m)))
+    vals = np.sort(rng.uniform(0.01, 0.5, (50, m)), axis=1)[:, ::-1]
+    vals[:, 0] = 1.0
+    vals *= rng.uniform(1e-3, 1e3, (50, 1))
+    mats = np.einsum("nij,nj,nkj->nik", q, vals, q)
+    _, mu, resid = bulk._top_eig_squared(mats)
+    top = np.linalg.eigh(mats)[0][:, -1]
+    np.testing.assert_allclose(mu, top, rtol=1e-12)
+    assert (resid < bulk.RESIDUAL_TOL).all()
+
+
+def test_squared_kernel_masks_opposite_sign_pair():
+    mats = np.stack([np.diag([2.0, -2.0, 1.0]), np.diag([3.0, 1.0, 0.5])])
+    _, _, resid = bulk._top_eig_squared(mats)
+    assert resid[0] > bulk.RESIDUAL_TOL
+    assert resid[1] < bulk.RESIDUAL_TOL
+
+
 def test_bulk_attractor_signs_match_flags():
     from pqcartan.flags import o_generic
     from pqcartan.freegroup import singular_flag

@@ -276,3 +276,12 @@ def test_identity_suite_runs_clean(s1):
     report = identity_suite(s1, samples=60, seed=3)
     assert report["samples"] == 60
     assert all(v < 1e-8 for v in report["max_deviations"].values())
+
+
+def test_identity_suite_caps_rejection_attempts(s1, monkeypatch):
+    from pqcartan import cocycles
+
+    monkeypatch.setattr(cocycles, "ATTEMPT_BUDGET_PER_SAMPLE", 3)
+    monkeypatch.setattr(cocycles, "_pair_is_generic", lambda o, g, xi: False)
+    with pytest.raises(ValueError, match="0 of 2 generic samples in 6 attempts"):
+        identity_suite(s1, samples=2, seed=3)

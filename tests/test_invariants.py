@@ -124,9 +124,9 @@ class ProximityCollector:
             m = shell.comps[j - 1]
             sg = shell.ctx.level_signs[j - 1]
             twisted = np.einsum("nij,j,nkj,k->nik", m, sg, m, sg)
-            x_o, _, _ = bulk._top_eig_power(twisted)
+            x_o, _, _ = bulk._top_eig_squared(twisted)
             gram = np.einsum("nij,nkj->nik", m, m)
-            x_t, _, _ = bulk._top_eig_power(gram)
+            x_t, _, _ = bulk._top_eig_squared(gram)
             inner = np.einsum("ni,ni->n", x_o, x_t)
             resid = x_o - inner[:, None] * x_t
             worst = np.maximum(worst, np.linalg.norm(resid, axis=1))
