@@ -6,24 +6,34 @@ incrementally maintained exterior powers: each level's product is kept at
 unit Frobenius norm with its own log-scale, and only well-conditioned top
 singular/eigen data of each level is ever consumed.
 
-Two kernels compute that top eigendata, both as the direction of M^64 x0
-for a fixed start vector x0, with the Rayleigh value and residual taken
-against the matrix itself.  The square-type levels (the Cartan Gram
-M^T M, the twisted square J M^T J M and the attractor Gram M M^T) use
-``_top_eig_squared``: six renormalised batched squarings and one product
-with x0, several times cheaper than 64 matrix-vector steps.  The Gram
-matrices are symmetric, so squaring them costs no accuracy.  The twisted
-square is only J-self-adjoint (its top eigenvalue has condition about
-1/|x^T J x| for the unit top eigenvector x); it uses the squared kernel
-because the two kernels agree on it to 1e-15 in log|mu|, with no
-residual mask flipped, over every word of d=3 L=9..10 and d=5 L=7..8,
-and b_o stays within 2e-9 of mpmath on the words of shell 10 of
-``two_orbit_rep`` with the smallest |x^T J x| (0.42; it is 1 on every
-word of the reducible examples).  The Jordan level reads the level
-matrix M itself, which is far from normal on long words; squaring it
-costs up to 1e-4 in the Jordan projection against mpmath, so
-``jordan_coords`` (and the level kernels in ``counting``) keep the
-stepwise ``_top_eig_power``, which stays within 4e-9.
+One product step, ``_extend``, builds every level: it multiplies a word's
+levels by a letter's unit compound, renormalises and adds the log-scales.
+``run_bulk`` applies it as a fan-out over each shell (``_children``);
+``BulkContext.shell`` applies it along arbitrary index rows, for the
+conjugacy classes (``counting.class_periods``, ``counting.default_phi``),
+the Gromov comparison and the limit flags (``freegroup.singular_flag``,
+``freegroup.attracting_flag``), so every word gets the same level data, bit
+for bit, whichever path reads it.
+
+Two kernels compute the top eigendata of a level, both as the direction of
+M^64 x0 for a fixed start vector x0, with the Rayleigh value and residual
+taken against the matrix itself.  The square-type levels (the Cartan Gram
+M^T M and the twisted square J M^T J M) use ``_top_eig_squared``: six
+renormalised batched squarings and one product with x0, several times
+cheaper than 64 matrix-vector steps.  The Gram matrix is symmetric, so
+squaring it costs no accuracy.  The twisted square is only J-self-adjoint
+(its top eigenvalue has condition about 1/|x^T J x| for the unit top
+eigenvector x); it uses the squared kernel because the two kernels agree on
+it to 1e-15 in log|mu|, with no residual mask flipped, over every word of
+d=3 L=9..10 and d=5 L=7..8, and b_o stays within 2e-9 of mpmath on the
+words of shell 10 of ``two_orbit_rep`` with the smallest |x^T J x| (0.42;
+it is 1 on every word of the reducible examples).  The Cartan kernel's top
+right singular vector v also gives the attractor: M v is along the top left
+singular vector, so ``attractor_signs`` runs no kernel of its own.  The
+Jordan level reads the level matrix M itself, which is far from normal on
+long words; squaring it costs up to 1e-4 in the Jordan projection against
+mpmath, so ``jordan_coords`` keeps the stepwise ``_top_eig_power``, which
+stays within 4e-9, and caches its vectors for the Gromov comparison.
 
 Enumeration order is canonical: shells by length, words lexicographic in
 the alphabet (g1, g1^-1, g2, g2^-1, ...).  Worker partitioning is by first
@@ -155,13 +165,33 @@ class BulkContext:
     def alphabet_size(self) -> int:
         return 2 * self.k
 
-    def successor_table(self) -> np.ndarray:
-        """Row per last-letter index: allowed next indices in alphabet order."""
-        a = self.alphabet_size
-        table = np.empty((a, a - 1), dtype=np.int8)
-        for prev in range(a):
-            table[prev] = [c for c in range(a) if c != (prev ^ 1)]
-        return table
+    def shell(self, idx_rows) -> "ShellData":
+        """ShellData of arbitrary words, given as equal-length alphabet-index rows.
+
+        Each row is seeded from its first letter and extended one letter at a
+        time by ``_extend``, the step ``run_bulk`` takes, so a word's level
+        data equals, bit for bit, what ``run_bulk`` yields for it.
+        """
+        idx_rows = np.asarray(idx_rows, dtype=np.int8)
+        first = idx_rows[:, 0]
+        shell = ShellData(self, 1, idx_rows[:, :1], [e[first] for e in self.gen_entries],
+                          [s[first] for s in self.gen_scales], self.gen_logdets[first])
+        for t in range(1, idx_rows.shape[1]):
+            shell = _extend(shell, slice(None), idx_rows[:, t])
+        return shell
+
+
+def successor_table(alphabet_size: int) -> np.ndarray:
+    """Row per last-letter index: allowed next indices in alphabet order."""
+    return np.array([[c for c in range(alphabet_size) if c != (prev ^ 1)]
+                     for prev in range(alphabet_size)], dtype=np.int8)
+
+
+def _recentred_increments(prefix: np.ndarray) -> np.ndarray:
+    """Consecutive differences of per-level prefix sums, recentred to sum zero."""
+    out = np.diff(prefix, axis=1, prepend=0.0)
+    out -= out.mean(axis=1, keepdims=True)
+    return out
 
 
 def _start_vectors(n: int, m: int) -> np.ndarray:
@@ -250,6 +280,11 @@ class ShellData:
     def count(self) -> int:
         return self.idx_rows.shape[0]
 
+    def piece(self, rows: slice) -> "ShellData":
+        """The words of a row slice, with an empty cache."""
+        return ShellData(self.ctx, self.length, self.idx_rows[rows], [c[rows] for c in self.comps],
+                         [s[rows] for s in self.scales], self.logdets[rows])
+
     def ranks(self) -> np.ndarray:
         if "ranks" not in self._cache:
             self._cache["ranks"] = _ranks_of(self.idx_rows, self.ctx.k)
@@ -260,53 +295,70 @@ class ShellData:
             self._cache["inv_ranks"] = _ranks_of(_inverse_indices(self.idx_rows), self.ctx.k)
         return self._cache["inv_ranks"]
 
+    def _line_signs(self, wedge_signs: np.ndarray) -> np.ndarray:
+        """(n, d) form signs of a flag's lines from the signs of its level-j wedges."""
+        q_ext = np.concatenate([np.ones((self.count, 1)), wedge_signs], axis=1)
+        signs = q_ext[:, 1:] * q_ext[:, :-1]
+        last = np.prod(signs, axis=1) * np.sign(np.prod(self.ctx.level_signs[0]))
+        return np.column_stack([signs, last])
+
     # -- Cartan data ---------------------------------------------------
 
     def cartan_prefixes(self) -> np.ndarray:
         """(n, d) array: prefix sums of the sorted log singular values."""
         if "at_prefix" in self._cache:
             return self._cache["at_prefix"]
-        d = self.ctx.d
-        out = np.empty((self.count, d))
-        for j in range(1, d):
-            m = self.comps[j - 1]
-            _, mu, _ = _top_eig_of_squares(m, lambda b: np.swapaxes(b, 1, 2) @ b)
-            out[:, j - 1] = 0.5 * np.log(np.maximum(mu, 1e-300)) + self.scales[j - 1]
-        out[:, d - 1] = self.logdets
+        out = np.empty((self.count, self.ctx.d))
+        rights = []
+        for j, m in enumerate(self.comps):
+            v, mu, _ = _top_eig_of_squares(m, lambda b: np.swapaxes(b, 1, 2) @ b)
+            rights.append(v)
+            out[:, j] = 0.5 * np.log(np.maximum(mu, 1e-300)) + self.scales[j]
+        out[:, -1] = self.logdets
         self._cache["at_prefix"] = out
+        self._cache["at_right"] = rights
         return out
 
     def cartan_coords(self) -> np.ndarray:
         """(n, d) recentered descending log singular values."""
-        if "at" in self._cache:
-            return self._cache["at"]
-        pref = self.cartan_prefixes()
-        coords = np.diff(np.concatenate([np.zeros((self.count, 1)), pref], axis=1), axis=1)
-        coords -= coords.mean(axis=1, keepdims=True)
-        self._cache["at"] = coords
-        return coords
+        if "at" not in self._cache:
+            self._cache["at"] = _recentred_increments(self.cartan_prefixes())
+        return self._cache["at"]
+
+    def attractor_signs(self) -> np.ndarray:
+        """(n, d) orbit-signature signs of the singular (Cartan) attractor flag.
+
+        Level j's attractor wedge is the top left singular vector, along M v
+        for the right one v of the Cartan kernel; only the sign of its form
+        value is read, so M v is not normalised.
+        """
+        if "u_signs" not in self._cache:
+            self.cartan_prefixes()
+            qs = []
+            for m, v, sg in zip(self.comps, self._cache["at_right"], self.ctx.level_signs):
+                u = np.einsum("nij,nj->ni", m, v)
+                qs.append(np.sign(np.einsum("ni,i,ni->n", u, sg, u)))
+            self._cache["u_signs"] = self._line_signs(np.column_stack(qs))
+        return self._cache["u_signs"]
+
+    def min_root_gap(self) -> np.ndarray:
+        """Per word: smallest simple-root value of the Cartan projection."""
+        return np.min(-np.diff(self.cartan_coords(), axis=1), axis=1)
 
     # -- twisted square / slot projection -------------------------------
 
     def _twisted_tops(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per level: top eigendata of S_j = J_j M_j^T J_j M_j (normalized)."""
-        if "s_tops" in self._cache:
-            return self._cache["s_tops"]
-        d = self.ctx.d
-        mus = np.empty((self.count, d - 1))
-        signs = np.empty((self.count, d - 1))
-        resids = np.empty((self.count, d - 1))
-        for j in range(1, d):
-            m = self.comps[j - 1]
-            sg = self.ctx.level_signs[j - 1]
-            x, mu, resid = _top_eig_of_squares(
-                m, lambda b: (sg[:, None] * np.swapaxes(b, 1, 2)) @ (sg[:, None] * b))
-            mus[:, j - 1] = mu
-            resids[:, j - 1] = resid
-            signs[:, j - 1] = np.sign(np.einsum("ni,i,ni->n", x, sg, x))
-        out = (mus, signs, resids)
-        self._cache["s_tops"] = out
-        return out
+        if "s_tops" not in self._cache:
+            mus, signs, resids = [], [], []
+            for m, sg in zip(self.comps, self.ctx.level_signs):
+                x, mu, resid = _top_eig_of_squares(
+                    m, lambda b: (sg[:, None] * np.swapaxes(b, 1, 2)) @ (sg[:, None] * b))
+                mus.append(mu)
+                resids.append(resid)
+                signs.append(np.sign(np.einsum("ni,i,ni->n", x, sg, x)))
+            self._cache["s_tops"] = tuple(np.column_stack(a) for a in (mus, signs, resids))
+        return self._cache["s_tops"]
 
     def membership_mask(self, tol: float = RESIDUAL_TOL) -> np.ndarray:
         """Words whose twisted square has a real dominant pair on every level."""
@@ -321,21 +373,17 @@ class ShellData:
         """
         if "bo" in self._cache:
             return self._cache["bo"]
-        d, p = self.ctx.d, self.ctx.p
+        p = self.ctx.p
         mus, qsigns, _ = self._twisted_tops()
         prefix = np.log(np.maximum(np.abs(mus), 1e-300)) + 2 * np.column_stack(self.scales)
         full = np.concatenate([prefix, (2 * self.logdets)[:, None]], axis=1)
-        halves = np.diff(np.concatenate([np.zeros((self.count, 1)), full], axis=1), axis=1) / 2
-        halves -= halves.mean(axis=1, keepdims=True)
+        halves = _recentred_increments(full / 2)
         gaps = -np.diff(halves, axis=1) * 2
-        q_ext = np.concatenate([np.ones((self.count, 1)), qsigns], axis=1)
-        line_signs = q_ext[:, 1:] * q_ext[:, :-1]
-        last = np.prod(line_signs, axis=1) * np.sign(np.prod(self.ctx.level_signs[0]))
-        signs = np.column_stack([line_signs, last])
+        signs = self._line_signs(qsigns)
         pos_rank = np.cumsum(signs > 0, axis=1) - 1
         neg_rank = np.cumsum(signs < 0, axis=1) - 1
         slots = np.where(signs > 0, pos_rank, p + neg_rank)
-        bo = np.full((self.count, d), np.nan)
+        bo = np.full((self.count, self.ctx.d), np.nan)
         np.put_along_axis(bo, slots.astype(np.int64), halves, axis=1)
         out = (bo, signs, gaps)
         self._cache["bo"] = out
@@ -344,91 +392,63 @@ class ShellData:
     def bo_valid_mask(self, tol: float = RESIDUAL_TOL) -> np.ndarray:
         """Members whose eigenline signs fill the signature."""
         _, signs, _ = self.bo_data()
-        p = self.ctx.p
-        return self.membership_mask(tol) & (np.sum(signs > 0, axis=1) == p)
+        return self.membership_mask(tol) & (np.sum(signs > 0, axis=1) == self.ctx.p)
 
     # -- Jordan data -----------------------------------------------------
+
+    def _jordan_tops(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per level: stepwise-kernel (vectors, Rayleigh values, residuals) of M."""
+        if "jordan_tops" not in self._cache:
+            self._cache["jordan_tops"] = [_top_eig_power(m) for m in self.comps]
+        return self._cache["jordan_tops"]
+
+    def jordan_vectors(self) -> list[np.ndarray]:
+        """Per level: (n, C_j) unit dominant eigenvectors of the level matrices."""
+        return [x for x, _, _ in self._jordan_tops()]
 
     def jordan_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """(n, d) recentered descending log eigenvalue moduli, with valid mask."""
         if "jordan" in self._cache:
             return self._cache["jordan"]
-        d = self.ctx.d
-        prefix = np.empty((self.count, d))
-        ok = np.ones(self.count, dtype=bool)
-        for j in range(1, d):
-            _, mu, resid = _top_eig_power(self.comps[j - 1])
-            prefix[:, j - 1] = np.log(np.maximum(np.abs(mu), 1e-300)) + self.scales[j - 1]
-            ok &= resid < RESIDUAL_TOL
-        prefix[:, d - 1] = self.logdets
-        coords = np.diff(np.concatenate([np.zeros((self.count, 1)), prefix], axis=1), axis=1)
-        coords -= coords.mean(axis=1, keepdims=True)
-        out = (coords, ok)
+        tops = self._jordan_tops()
+        prefix = np.column_stack([np.log(np.maximum(np.abs(mu), 1e-300)) + s
+                                  for (_, mu, _), s in zip(tops, self.scales)] + [self.logdets])
+        ok = np.logical_and.reduce([resid < RESIDUAL_TOL for _, _, resid in tops])
+        out = (_recentred_increments(prefix), ok)
         self._cache["jordan"] = out
         return out
 
-    def attractor_signs(self) -> np.ndarray:
-        """(n, d) orbit-signature signs of the singular (Cartan) attractor flag."""
-        if "u_signs" in self._cache:
-            return self._cache["u_signs"]
-        d = self.ctx.d
-        qs = np.empty((self.count, d - 1))
-        for j in range(1, d):
-            m = self.comps[j - 1]
-            x, _, _ = _top_eig_of_squares(m, lambda b: b @ np.swapaxes(b, 1, 2))  # M M^T: left singular data
-            qs[:, j - 1] = np.sign(np.einsum("ni,i,ni->n", x, self.ctx.level_signs[j - 1], x))
-        q_ext = np.concatenate([np.ones((self.count, 1)), qs], axis=1)
-        signs = q_ext[:, 1:] * q_ext[:, :-1]
-        last = np.prod(signs, axis=1) * np.sign(np.prod(self.ctx.level_signs[0]))
-        out = np.column_stack([signs, last])
-        self._cache["u_signs"] = out
-        return out
 
-    def min_root_gap(self) -> np.ndarray:
-        """Per word: smallest simple-root value of the Cartan projection."""
-        return np.min(-np.diff(self.cartan_coords(), axis=1), axis=1)
+def _extend(shell: ShellData, parents, letters: np.ndarray) -> ShellData:
+    """The words ``shell[parents]``, each followed by its letter in ``letters``.
 
-
-def _seed_subtree(ctx: BulkContext, first: int):
-    comps = [ctx.gen_entries[j][first : first + 1].copy() for j in range(ctx.d - 1)]
-    scales = [ctx.gen_scales[j][first : first + 1].copy() for j in range(ctx.d - 1)]
-    idx = np.array([[first]], dtype=np.int8)
-    logdets = ctx.gen_logdets[first : first + 1].copy()
-    return idx, comps, scales, logdets
-
-
-def _children(ctx: BulkContext, idx, comps, scales, logdets, table):
-    a = ctx.alphabet_size
-    n = idx.shape[0]
-    child_letters = table[idx[:, -1]].reshape(-1)
-    parent_rep = np.repeat(np.arange(n), a - 1)
-    new_idx = np.concatenate(
-        [idx[parent_rep], child_letters[:, None].astype(np.int8)], axis=1
-    )
-    new_comps, new_scales = [], []
+    The engine's one product step: each level is multiplied by the letter's
+    unit compound and renormalised to unit Frobenius norm, and the log-scales
+    are added.  ``parents`` is an index array (a fan-out) or a slice.
+    """
+    ctx = shell.ctx
+    comps, scales = [], []
     for j in range(ctx.d - 1):
-        prod = comps[j][parent_rep] @ ctx.gen_entries[j][child_letters]
+        prod = shell.comps[j][parents] @ ctx.gen_entries[j][letters]
         nrm = np.sqrt(np.einsum("nij,nij->n", prod, prod))
         nrm[nrm == 0.0] = 1.0
         prod /= nrm[:, None, None]
-        new_comps.append(prod)
-        new_scales.append(scales[j][parent_rep] + ctx.gen_scales[j][child_letters] + np.log(nrm))
-    new_logdets = logdets[parent_rep] + ctx.gen_logdets[child_letters]
-    return new_idx, new_comps, new_scales, new_logdets
+        comps.append(prod)
+        scales.append(shell.scales[j][parents] + ctx.gen_scales[j][letters] + np.log(nrm))
+    idx = np.concatenate([shell.idx_rows[parents], letters[:, None].astype(np.int8)], axis=1)
+    return ShellData(ctx, shell.length + 1, idx, comps, scales,
+                     shell.logdets[parents] + ctx.gen_logdets[letters])
 
 
-def _collect_chunked(ctx, length, idx, comps, scales, logdets, collectors, chunk):
-    n = idx.shape[0]
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        piece = ShellData(
-            ctx,
-            length,
-            idx[lo:hi],
-            [c_[lo:hi] for c_ in comps],
-            [s_[lo:hi] for s_ in scales],
-            logdets[lo:hi],
-        )
+def _children(shell: ShellData, table: np.ndarray) -> ShellData:
+    """Every reduced one-letter extension of every word, in canonical order."""
+    letters = table[shell.idx_rows[:, -1]].reshape(-1)
+    return _extend(shell, np.repeat(np.arange(shell.count), table.shape[1]), letters)
+
+
+def _collect_chunked(shell: ShellData, collectors, chunk: int):
+    for lo in range(0, shell.count, chunk):
+        piece = shell.piece(slice(lo, lo + chunk))
         for c in collectors:
             c.update(piece)
 
@@ -436,29 +456,19 @@ def _collect_chunked(ctx, length, idx, comps, scales, logdets, collectors, chunk
 def _run_subtree(args):
     ctx, first, length_max, collector_specs, chunk = args
     collectors = [cls(**kwargs) for cls, kwargs in collector_specs]
-    table = ctx.successor_table()
-    idx, comps, scales, logdets = _seed_subtree(ctx, first)
-    _collect_chunked(ctx, 1, idx, comps, scales, logdets, collectors, chunk)
-    fanout = ctx.alphabet_size - 1
+    table = successor_table(ctx.alphabet_size)
+    shell = ctx.shell([[first]])
+    _collect_chunked(shell, collectors, chunk)
+    parent_chunk = max(1, chunk // table.shape[1])
     for length in range(2, length_max + 1):
         if length < length_max:
-            idx, comps, scales, logdets = _children(ctx, idx, comps, scales, logdets, table)
-            _collect_chunked(ctx, length, idx, comps, scales, logdets, collectors, chunk)
+            shell = _children(shell, table)
+            _collect_chunked(shell, collectors, chunk)
         else:
             # final shell is streamed in parent slices, never materialized
-            parent_chunk = max(1, chunk // fanout)
-            n = idx.shape[0]
-            for lo in range(0, n, parent_chunk):
-                hi = min(lo + parent_chunk, n)
-                ci, cc, cs, cl = _children(
-                    ctx,
-                    idx[lo:hi],
-                    [c_[lo:hi] for c_ in comps],
-                    [s_[lo:hi] for s_ in scales],
-                    logdets[lo:hi],
-                    table,
-                )
-                _collect_chunked(ctx, length, ci, cc, cs, cl, collectors, chunk)
+            for lo in range(0, shell.count, parent_chunk):
+                _collect_chunked(_children(shell.piece(slice(lo, lo + parent_chunk)), table),
+                                 collectors, chunk)
     return collectors
 
 

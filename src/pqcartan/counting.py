@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bulk
 from .bulk import ShellData
-from .freegroup import Representation, sample_limit_set
+from .freegroup import DEFAULT_WORD_CAP, Representation, sample_limit_set
 from .weyl import ChamberA, WeylElement, chamber_from_signs, chamber_transition, iota_of_chamber
 
 __all__ = [
@@ -96,9 +96,7 @@ class FunctionalHistCollector:
         if self.kind == "phi_lambda":
             lam, ok = shell.jordan_coords()
             order = self.chamber_order if self.chamber_order is not None else tuple(range(shell.ctx.d))
-            framed = np.empty_like(lam)
-            framed[:, list(order)] = lam
-            return framed @ self.phi, ok
+            return _in_chamber(lam, order) @ self.phi, ok
         raise ValueError(f"unknown functional kind {self.kind!r}")
 
     def update(self, shell: ShellData):
@@ -213,21 +211,20 @@ class ComparisonCollector:
         return out
 
 
+def _in_chamber(sorted_vals: np.ndarray, order) -> np.ndarray:
+    """Rows of descending values placed at the chamber's lines (rank k -> line order[k])."""
+    framed = np.empty_like(sorted_vals)
+    framed[:, list(order)] = sorted_vals
+    return framed
+
+
 def _place_by_signature(at_sorted: np.ndarray, s_signs: np.ndarray, p: int) -> np.ndarray:
     """Place sorted Cartan values into slots via the predicted chamber per word."""
-    n, d = at_sorted.shape
     placed = np.empty_like(at_sorted)
-    perms: dict[bytes, np.ndarray] = {}
-    keys = s_signs.astype(np.int8).tobytes()
-    row_bytes = [keys[i * d : (i + 1) * d] for i in range(n)]
-    for i, key in enumerate(row_bytes):
-        perm = perms.get(key)
-        if perm is None:
-            signs = tuple(int(b) - 256 if b > 127 else int(b) for b in key)
-            chamber = iota_of_chamber(chamber_from_signs(signs), p)
-            perm = np.array(chamber.order)
-            perms[key] = perm
-        placed[i, perm] = at_sorted[i]
+    uniq, which = np.unique(s_signs, axis=0, return_inverse=True)
+    for u, signs in enumerate(uniq):
+        rows = which.reshape(-1) == u
+        placed[rows] = _in_chamber(at_sorted[rows], iota_of_chamber(chamber_from_signs(signs), p).order)
     return placed
 
 
@@ -258,15 +255,9 @@ def count_curve(
         spec_kwargs["chamber_order"] = chamber.order
     [col] = bulk.run_bulk(
         ctx, length_max, [(FunctionalHistCollector, spec_kwargs)],
-        threads=threads, cap=cap if cap is not None else bulk_default_cap(),
+        threads=threads, cap=cap if cap is not None else DEFAULT_WORD_CAP,
     )
     return col.curve(functional)
-
-
-def bulk_default_cap() -> int:
-    from .freegroup import DEFAULT_WORD_CAP
-
-    return DEFAULT_WORD_CAP
 
 
 def rescaled_variation(curve: CountCurve, h: float, window: tuple[float, float]) -> float:
@@ -308,18 +299,15 @@ def estimate_exponent(curve: CountCurve, window: tuple[float, float]):
 # -- conjugacy classes -------------------------------------------------------
 
 
-def _expand_indices(k: int, length: int) -> np.ndarray:
-    """(n, length) int8 alphabet-index rows of all reduced words, canonical order."""
+def _cyclically_reduced_rows(k: int, length: int) -> np.ndarray:
+    """(n, length) int8 alphabet-index rows of the cyclically reduced words, canonical order."""
     a = 2 * k
-    table = np.empty((a, a - 1), dtype=np.int8)
-    for prev in range(a):
-        table[prev] = [c for c in range(a) if c != (prev ^ 1)]
+    table = bulk.successor_table(a)
     rows = np.arange(a, dtype=np.int8)[:, None]
     for _ in range(length - 1):
-        n = rows.shape[0]
         nxt = table[rows[:, -1]].reshape(-1, 1)
         rows = np.concatenate([np.repeat(rows, a - 1, axis=0), nxt], axis=1)
-    return rows
+    return rows[rows[:, 0] != (rows[:, -1] ^ 1)]
 
 
 def _lex_leq_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -334,9 +322,7 @@ def _lex_leq_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def conjugacy_class_indices(k: int, length: int) -> np.ndarray:
     """Index rows of the minimal-rotation representatives of length-n classes."""
-    rows = _expand_indices(k, length)
-    if length >= 2:
-        rows = rows[rows[:, 0] != (rows[:, -1] ^ 1)]
+    rows = _cyclically_reduced_rows(k, length)
     keep = np.ones(rows.shape[0], dtype=bool)
     for r in range(1, length):
         rotated = np.roll(rows, -r, axis=1)
@@ -344,22 +330,13 @@ def conjugacy_class_indices(k: int, length: int) -> np.ndarray:
     return rows[keep]
 
 
-def _letters_products(rep: Representation, idx_rows: np.ndarray):
-    """Per-level normalized compound products and scales along each row."""
-    ctx = rep.bulk_context()
-    n, length = idx_rows.shape
-    comps = [np.repeat(np.eye(ctx.gen_entries[j].shape[1])[None], n, axis=0) for j in range(ctx.d - 1)]
-    scales = [np.zeros(n) for _ in range(ctx.d - 1)]
-    logdets = np.zeros(n)
-    for t in range(length):
-        li = idx_rows[:, t]
-        for j in range(ctx.d - 1):
-            comps[j] = comps[j] @ ctx.gen_entries[j][li]
-            nrm = np.sqrt(np.einsum("nij,nij->n", comps[j], comps[j]))
-            comps[j] /= nrm[:, None, None]
-            scales[j] += ctx.gen_scales[j][li] + np.log(nrm)
-        logdets += ctx.gen_logdets[li]
-    return ctx, comps, scales, logdets
+def _class_jordan(rep: Representation, chamber: ChamberA, length: int):
+    """Jordan projections of the length-n class representatives, in the chamber frame."""
+    rows = conjugacy_class_indices(rep.rank, length)
+    if rows.shape[0] == 0:
+        return None
+    lam, _ = rep.bulk_context().shell(rows).jordan_coords()
+    return _in_chamber(lam, chamber.order)
 
 
 def class_periods(rep: Representation, phi: np.ndarray, chamber: ChamberA, length_max: int):
@@ -367,20 +344,9 @@ def class_periods(rep: Representation, phi: np.ndarray, chamber: ChamberA, lengt
     values = []
     per_length_min: dict[int, float] = {}
     for length in range(1, length_max + 1):
-        rows = conjugacy_class_indices(rep.rank, length)
-        if rows.shape[0] == 0:
+        framed = _class_jordan(rep, chamber, length)
+        if framed is None:
             continue
-        ctx, comps, scales, logdets = _letters_products(rep, rows)
-        d = ctx.d
-        prefix = np.empty((rows.shape[0], d))
-        for j in range(1, d):
-            _, mu, _ = bulk._top_eig_power(comps[j - 1])
-            prefix[:, j - 1] = np.log(np.maximum(np.abs(mu), 1e-300)) + scales[j - 1]
-        prefix[:, d - 1] = logdets
-        lam = np.diff(np.concatenate([np.zeros((rows.shape[0], 1)), prefix], axis=1), axis=1)
-        lam -= lam.mean(axis=1, keepdims=True)
-        framed = np.empty_like(lam)
-        framed[:, list(chamber.order)] = lam
         vals = framed @ phi
         values.append(vals)
         per_length_min[length] = float(vals.min())
@@ -455,20 +421,9 @@ def default_phi(rep: Representation, length_max: int = 5, chamber: ChamberA | No
     chamber = chamber if chamber is not None else canonical_chamber(rep)
     dirs = []
     for length in range(1, length_max + 1):
-        rows = conjugacy_class_indices(rep.rank, length)
-        if rows.shape[0] == 0:
+        framed = _class_jordan(rep, chamber, length)
+        if framed is None:
             continue
-        _, comps, scales, logdets = _letters_products(rep, rows)
-        d = rep.dim
-        prefix = np.empty((rows.shape[0], d))
-        for j in range(1, d):
-            _, mu, _ = bulk._top_eig_power(comps[j - 1])
-            prefix[:, j - 1] = np.log(np.maximum(np.abs(mu), 1e-300)) + scales[j - 1]
-        prefix[:, d - 1] = logdets
-        lam = np.diff(np.concatenate([np.zeros((rows.shape[0], 1)), prefix], axis=1), axis=1)
-        lam -= lam.mean(axis=1, keepdims=True)
-        framed = np.empty_like(lam)
-        framed[:, list(chamber.order)] = lam
         nrm = np.linalg.norm(framed, axis=1, keepdims=True)
         dirs.append(framed / np.maximum(nrm, 1e-30))
     bary = np.concatenate(dirs).mean(axis=0)
@@ -508,9 +463,7 @@ def cone_samples(
     for signs in seen:
         target = iota_of_chamber(chamber_from_signs(signs), p)
         weyls.append(chamber_transition(target, chamber))
-        placed = np.empty_like(at_sorted)
-        placed[:, list(target.order)] = at_sorted
-        translates.append(placed)
+        translates.append(_in_chamber(at_sorted, target.order))
     at_framed = np.concatenate(translates) if translates else at_sorted
     hd = hausdorff(bo, at_framed, hausdorff_points)
     at_cloud = ConeSample(np.empty((0, rep.dim)) if not translates else translates[0], "cartan")
@@ -625,37 +578,29 @@ def gromov_comparison(
     out: dict[int, float] = {}
     counts: dict[int, int] = {}
     for length in range(length_min, length_max + 1):
-        rows = _expand_indices(rep.rank, length)
-        rows = rows[rows[:, 0] != (rows[:, -1] ^ 1)]  # cyclically reduced
+        rows = _cyclically_reduced_rows(rep.rank, length)
         mask = _cylinder_mask(rows, b_idx, inverse=False) & _cylinder_mask(rows, a_idx, inverse=True)
         rows = rows[mask]
         if rows.shape[0] == 0:
             continue
-        _, comps, scales, logdets = _letters_products(rep, rows)
-        shell = ShellData(ctx, length, rows, comps, scales, logdets)
+        shell = ctx.shell(rows)
         bo, _, _ = shell.bo_data()
         valid = shell.bo_valid_mask()
         lam, lam_ok = shell.jordan_coords()
-        framed = np.empty_like(lam)
-        framed[:, list(chamber.order)] = lam
-        inv_rows = rows[:, ::-1] ^ 1
-        _, icomps, iscales, ilogdets = _letters_products(rep, inv_rows)
-        fwd_tops = [bulk._top_eig_power(comps[j])[0] for j in range(d - 1)]
-        inv_tops = [bulk._top_eig_power(icomps[j])[0] for j in range(d - 1)]
+        framed = _in_chamber(lam, chamber.order)
+        fwd_tops = shell.jordan_vectors()
+        inv_tops = ctx.shell(rows[:, ::-1] ^ 1).jordan_vectors()
         chi = np.zeros((rows.shape[0], d))
         for j in range(1, d):
             sg = ctx.level_signs[j - 1]
             vp = fwd_tops[j - 1]
-            w = inv_tops[d - j - 1] if d - j >= 1 else None
+            w = inv_tops[d - j - 1]
             v = (hodges[j - 1] @ w.T).T * sg[None, :]
             cross = np.einsum("ni,i,ni->n", v, sg, vp)
             qv = np.einsum("ni,i,ni->n", v, sg, v)
             qp = np.einsum("ni,i,ni->n", vp, sg, vp)
             chi[:, j - 1] = 0.5 * np.log(np.maximum(cross**2, 1e-300) / np.abs(qv * qp))
-        incr = np.diff(np.concatenate([np.zeros((rows.shape[0], 1)), chi], axis=1), axis=1)
-        incr -= incr.mean(axis=1, keepdims=True)
-        coords = np.empty_like(incr)
-        coords[:, list(chamber.order)] = incr
+        coords = _in_chamber(bulk._recentred_increments(chi), chamber.order)
         bracket = coords @ phi
         dev = np.abs(bo @ phi - framed @ phi + bracket)
         keep = valid & lam_ok
@@ -723,9 +668,7 @@ class BoxMassCollector:
 
     def update(self, shell: ShellData):
         lam, ok = shell.jordan_coords()
-        framed = np.empty_like(lam)
-        framed[:, list(self.chamber_order)] = lam
-        vals = framed @ self.phi
+        vals = _in_chamber(lam, self.chamber_order) @ self.phi
         rows = shell.idx_rows
         for b, (a_idx, b_idx) in enumerate(self.boxes_idx):
             mask = ok & _cylinder_mask(rows, b_idx, False) & _cylinder_mask(rows, a_idx, True)

@@ -17,8 +17,8 @@ from . import bulk
 from .bulk import BulkContext, CapExceededError, sphere_size
 from .flags import Flag, line_hyperplane_distance, o_generic
 from .forms import Form
-from .numerics import ScaledMatrix, compound, eigen, subspace_from_wedge, wedge_coordinates
-from .projections import check_r_eps_loxodromic, is_loxodromic
+from .numerics import ScaledMatrix, subspace_from_wedge, wedge_coordinates
+from .projections import _eigen_flag, _hodge_dual, check_r_eps_loxodromic, is_loxodromic
 
 __all__ = [
     "Word",
@@ -107,6 +107,7 @@ class Representation:
     metadata: dict = field(default_factory=dict)
     certificate: dict | None = None
     ambient_basis: np.ndarray | None = None
+    _bulk: BulkContext | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def of(generators: list[ScaledMatrix], form: Form, metadata: dict | None = None) -> "Representation":
@@ -143,7 +144,9 @@ class Representation:
         return acc
 
     def bulk_context(self) -> BulkContext:
-        return BulkContext.of(self.images_std, self.form.signature[0])
+        if self._bulk is None:
+            self._bulk = BulkContext.of(self.images_std, self.form.signature[0])
+        return self._bulk
 
 
 def sphere_words(k: int, length: int):
@@ -228,17 +231,6 @@ class SchottkyRejection:
         return False
 
 
-def _fixed_flag_pair(g: ScaledMatrix, tol: float):
-    eig = eigen(g)
-    if np.min(-np.diff(eig.log_moduli)) <= tol:
-        raise ValueError("generator image is not loxodromic")
-    vecs = eig.vectors
-    if g.field == "R":
-        lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(g.dim)]
-        vecs = np.real(vecs * np.exp(-1j * np.angle(lead))[None, :])
-    return Flag.of(vecs), Flag.of(vecs[:, ::-1])
-
-
 def build_schottky(
     generators: list[ScaledMatrix],
     o: Form,
@@ -271,7 +263,8 @@ def build_schottky(
         if not is_loxodromic(g, loxodromy_tol):
             reasons.append(f"generator {i} image not loxodromic")
             continue
-        fp, fm = _fixed_flag_pair(g, loxodromy_tol)
+        fp = _eigen_flag(g, loxodromy_tol)
+        fm = Flag.of(fp.basis[:, ::-1])
         flags_plus.append(fp)
         flags_minus.append(fm)
         for name, f in (("attractor", fp), ("repellor", fm)):
@@ -294,7 +287,7 @@ def build_schottky(
             for j in range(1, d):
                 line = wedge_coordinates(plus_of[s].basis, j)
                 dual = wedge_coordinates(minus_of[tl].basis, d - j)
-                theta = _annihilator_covector(dual, d, j)
+                theta = _hodge_dual(dual, d, j)
                 dist = line_hyperplane_distance(line, theta)
                 if dist < 1e-12:
                     reasons.append(f"letters {s},{tl} share fixed data at level {j}")
@@ -321,12 +314,6 @@ def build_schottky(
     rep = Representation.of([g.power(power) for g in std_gens], o_std, meta)
     rep.certificate = {"r": eps, "eps": eps, "separation": float(sep), "power": power}
     return rep
-
-
-def _annihilator_covector(dual_wedge: np.ndarray, d: int, j: int) -> np.ndarray:
-    from .projections import _hodge_dual
-
-    return _hodge_dual(dual_wedge, d, j)
 
 
 def sl2_irreducible(a: np.ndarray, n: int) -> np.ndarray:
@@ -437,47 +424,27 @@ def flag_from_compound_tops(vectors: list[np.ndarray], d: int) -> Flag:
     return Flag.of(cols)
 
 
+def _word_levels(rep: Representation, word: Word) -> list[np.ndarray]:
+    """Unit level matrices of the word's image, from the bulk engine."""
+    shell = rep.bulk_context().shell([[bulk.letter_index(l) for l in word.letters]])
+    return [c[0] for c in shell.comps]
+
+
 def singular_flag(rep: Representation, word: Word) -> Flag:
     """Cartan attractor of the word's image, read off exterior powers."""
-    d = rep.dim
-    comps = _word_compounds(rep, word)
-    tops = []
-    for j in range(1, d):
-        m = comps[j - 1]
-        u, _, _ = np.linalg.svd(m)
-        tops.append(u[:, 0])
-    return flag_from_compound_tops(tops, d)
+    tops = [np.linalg.svd(m)[0][:, 0] for m in _word_levels(rep, word)]
+    return flag_from_compound_tops(tops, rep.dim)
 
 
 def attracting_flag(rep: Representation, word: Word) -> Flag:
     """Attracting fixed flag of the word's image, read off exterior powers."""
-    d = rep.dim
-    comps = _word_compounds(rep, word)
     tops = []
-    for j in range(1, d):
-        vals, vecs = np.linalg.eig(comps[j - 1])
-        top = int(np.argmax(np.abs(vals)))
-        v = vecs[:, top]
+    for m in _word_levels(rep, word):
+        vals, vecs = np.linalg.eig(m)
+        v = vecs[:, int(np.argmax(np.abs(vals)))]
         lead = v[int(np.argmax(np.abs(v)))]
         tops.append(np.real(v * np.exp(-1j * np.angle(lead))))
-    return flag_from_compound_tops(tops, d)
-
-
-def _word_compounds(rep: Representation, word: Word) -> list[np.ndarray]:
-    d = rep.dim
-    out = []
-    for j in range(1, d):
-        acc = ScaledMatrix.identity(int(round(_comb(d, j))), rep.form.field_tag)
-        for l in word.letters:
-            acc = acc @ compound(rep.letter_image(l), j).as_scaled()
-        out.append(acc.entries)
-    return out
-
-
-def _comb(n, r):
-    from math import comb as c
-
-    return c(n, r)
+    return flag_from_compound_tops(tops, rep.dim)
 
 
 def sample_limit_set(rep: Representation, length: int, count: int, loxodromy_tol: float = 1e-6):
@@ -526,16 +493,12 @@ def reducible_rep(p: int = 2, q: int = 1, spread: float = 1.2, angle: float = 0.
     return build_reducible_example(p, q, sl2_schottky_pair(spread, angle), power, meta)
 
 
-def two_orbit_rep(exponents=(1.3, 0.0, -1.3), exponents2=(1.45, 0.1, -1.55),
-                  power: int = 5, boost: float = 0.8, rot: float = 1.1,
-                  metadata: dict | None = None):
-    """Diagonalizable pair whose fixed flags meet two open orbits.
+def _conjugated_diagonal_pair(exponents, exponents2, power, boost, rot, metadata, recipe):
+    """Schottky pair: diag(e^exponents) and h diag(e^exponents2) h^-1, form (2,1).
 
-    Both generators have coordinate-type attracting flags of signature
-    (+,+,-) and repelling flags of signature (-,+,+); conjugating the second
-    by an isometry of the form (a boost in the (1,3)-plane composed with a
-    rotation in the (1,2)-plane) keeps the signs while separating the fixed
-    flags, so the limit set meets exactly these two orbits.
+    h = expm(boost E_13 + rot E_12) is an isometry of the form (a boost in
+    the (1,3)-plane composed with a rotation in the (1,2)-plane), so the
+    second generator keeps the line signs of the first one's fixed flags.
     """
     from scipy.linalg import expm
 
@@ -547,8 +510,22 @@ def two_orbit_rep(exponents=(1.3, 0.0, -1.3), exponents2=(1.45, 0.1, -1.55),
     core = np.diag(np.exp(np.asarray(exponents2, dtype=float)))
     g2 = ScaledMatrix.of(h @ core @ np.linalg.inv(h))
     meta = dict(metadata or {})
-    meta.setdefault("recipe", "two-orbit-diagonal")
+    meta.setdefault("recipe", recipe)
     return build_schottky([g1, g2], o, power=power, metadata=meta)
+
+
+def two_orbit_rep(exponents=(1.3, 0.0, -1.3), exponents2=(1.45, 0.1, -1.55),
+                  power: int = 5, boost: float = 0.8, rot: float = 1.1,
+                  metadata: dict | None = None):
+    """Diagonalizable pair whose fixed flags meet two open orbits.
+
+    Both generators have coordinate-type attracting flags of signature
+    (+,+,-) and repelling flags of signature (-,+,+); conjugating the second
+    by an isometry of the form keeps the signs while separating the fixed
+    flags, so the limit set meets exactly these two orbits.
+    """
+    return _conjugated_diagonal_pair(exponents, exponents2, power, boost, rot, metadata,
+                                     "two-orbit-diagonal")
 
 
 def single_orbit_rep(exponents=(1.3, -1.3, 0.0), exponents2=(1.45, -1.55, 0.1),
@@ -561,18 +538,8 @@ def single_orbit_rep(exponents=(1.3, -1.3, 0.0), exponents2=(1.45, -1.55, 0.1),
     signature (+,-,+); the limit set then meets a single open orbit while
     the group looks Zariski dense (density is assumed, never verified).
     """
-    from scipy.linalg import expm
-
-    o = Form.standard(2, 1)
-    g1 = ScaledMatrix.of(np.diag(np.exp(np.asarray(exponents, dtype=float))))
-    e_boost = np.array([[0, 0, 1.0], [0, 0, 0], [1, 0, 0]])
-    e_rot = np.array([[0, -1.0, 0], [1, 0, 0], [0, 0, 0]])
-    h = expm(boost * e_boost + rot * e_rot)
-    core = np.diag(np.exp(np.asarray(exponents2, dtype=float)))
-    g2 = ScaledMatrix.of(h @ core @ np.linalg.inv(h))
-    meta = dict(metadata or {})
-    meta.setdefault("recipe", "single-orbit-diagonal")
-    return build_schottky([g1, g2], o, power=power, metadata=meta)
+    return _conjugated_diagonal_pair(exponents, exponents2, power, boost, rot, metadata,
+                                     "single-orbit-diagonal")
 
 
 def rotation_control_rep(seed: int = 5, metadata: dict | None = None) -> Representation:

@@ -122,31 +122,38 @@ def membership(
     conditioning, and eigenline isotropy only occurs at modulus collisions,
     which the clustered projection absorbs.
     """
+    return _decompose(o, g, phase_tol, condition_cap)[0]
+
+
+def _decompose(o: Form, g: ScaledMatrix, phase_tol: float, condition_cap: float):
+    """(membership verdict, eigendata, [(cluster ranks, positive count)] or None).
+
+    The eigendata and the per-cluster signatures are returned only for
+    members; ``pq_project`` files its slots from them.
+    """
     s = twisted_square(o, g)
     try:
         eig = eigen(s, condition_cap=condition_cap)
     except Exception as exc:  # eigen failure counts as non-diagonalizable
-        return MembershipResult(False, f"non-diagonalizable ({exc})")
+        return MembershipResult(False, f"non-diagonalizable ({exc})"), None, None
     ok_phase, phase_margin = _aligned_phases(eig.phases, s.field, phase_tol)
+    margins = (phase_margin, eig.vector_condition)
     if not ok_phase:
-        return MembershipResult(False, "complex spectrum", phase_margin, eig.vector_condition)
+        return MembershipResult(False, "complex spectrum", *margins), None, None
     if not eig.diagonalizable:
-        return MembershipResult(
-            False, "non-diagonalizable", phase_margin, eig.vector_condition
-        )
-    clusters = _modulus_clusters(eig.recentered_moduli())
+        return MembershipResult(False, "non-diagonalizable", *margins), None, None
+    clusters = []
     iso_margin = np.inf
-    for idx in clusters:
+    for idx in _modulus_clusters(eig.recentered_moduli()):
         cols = eig.vectors[:, idx]
         if s.field == "R":
             cols = _realign_real(cols)
         pos, neg, margin = restricted_signature(o, cols)
         iso_margin = min(iso_margin, margin)
         if pos + neg < len(idx):
-            return MembershipResult(
-                False, "isotropic eigenline", phase_margin, eig.vector_condition, margin
-            )
-    return MembershipResult(True, None, phase_margin, eig.vector_condition, float(iso_margin))
+            return MembershipResult(False, "isotropic eigenline", *margins, margin), None, None
+        clusters.append((idx, pos))
+    return MembershipResult(True, None, *margins, float(iso_margin)), eig, clusters
 
 
 def _modulus_clusters(moduli_desc: np.ndarray, tol: float = MODULUS_CLUSTER_TOL) -> list[list[int]]:
@@ -180,30 +187,20 @@ def pq_project(
     the sign ambiguity of the signed-permutation coordinate without ever
     materializing it.
     """
-    member = membership(o, g, phase_tol, condition_cap, isotropy_tol)
+    member, eig, clusters = _decompose(o, g, phase_tol, condition_cap)
     if not member.ok:
         raise NotInBoGError(member.reason or "not in the decomposable set")
     p, q = o.signature
     d = o.dim
-    s = twisted_square(o, g)
-    eig = eigen(s, condition_cap=condition_cap)
     halves = eig.recentered_moduli() / 2.0
-    clusters = _modulus_clusters(eig.recentered_moduli())
     slots = np.empty(d)
     rank_to_slot = [0] * d
     signs = [0] * d
     next_pos, next_neg = 0, p
     min_gap = np.inf
-    iso_margin = np.inf
+    iso_margin = member.isotropy_margin
     prev_top = None
-    for idx in clusters:
-        cols = eig.vectors[:, idx]
-        if s.field == "R":
-            cols = _realign_real(cols)
-        npos, nneg, margin = restricted_signature(o, cols)
-        iso_margin = min(iso_margin, margin)
-        if npos + nneg != len(idx):
-            raise NotInBoGError("isotropic eigenline")
+    for idx, npos in clusters:
         value = float(np.mean(halves[idx]))
         if prev_top is not None:
             min_gap = min(min_gap, prev_top - 2 * value)

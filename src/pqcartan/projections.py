@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flags import Flag, flag_distance, line_hyperplane_distance
+from .flags import Flag, line_hyperplane_distance
 from .forms import Form, o_adjoint
 from .numerics import ScaledMatrix, compound, eigen, wedge_coordinates
 from .weyl import ChamberA
@@ -220,7 +220,3 @@ def _contracts(t: np.ndarray, plus_line: np.ndarray, theta: np.ndarray, eps: flo
     t_h = np.linalg.norm(t @ h_basis, 2)
     bound = t_h * (np.sqrt(max(0.0, 1 - eps**2)) + (eps / big_d) * np.sqrt(max(0.0, 1 - big_d**2)))
     return bool(bound / (abs(mu) * eps) <= eps)
-
-
-def flag_pair_distance(x: Flag, y: Flag) -> float:
-    return flag_distance(x, y)

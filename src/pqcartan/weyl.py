@@ -24,7 +24,6 @@ __all__ = [
     "embed_compatible",
     "opposition_b",
     "iota_b",
-    "chamber_flag_order",
     "chamber_from_signs",
     "iota_of_chamber",
 ]
@@ -58,10 +57,6 @@ class WeylElement:
         for i, j in enumerate(self.perm):
             inv[j] = i
         return WeylElement(tuple(inv))
-
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        """self after other: (self*other)(i) = self(other(i))."""
-        return WeylElement(tuple(self.perm[other.perm[i]] for i in range(self.dim)))
 
     def lift(self) -> np.ndarray:
         """Permutation-matrix representative in the standard maximal compact.
@@ -226,25 +221,7 @@ def chamber_from_signs(signs) -> ChamberA:
 
     Rank k receives the next unused line of the matching sign class.
     """
-    signs = list(signs)
-    p = sum(1 for s in signs if s > 0)
-    next_pos, next_neg = 0, p
-    order = []
-    for s in signs:
-        if s > 0:
-            order.append(next_pos)
-            next_pos += 1
-        elif s < 0:
-            order.append(next_neg)
-            next_neg += 1
-        else:
-            raise ValueError("signs must be +-1")
-    return ChamberA(tuple(order))
-
-
-def chamber_flag_order(chamber: ChamberA) -> tuple[int, ...]:
-    """Line order of the coordinate flag attached to the chamber."""
-    return chamber.order
+    return ChamberA(merge_to_slots(signs))
 
 
 def flag_chamber(flag_basis: np.ndarray, tol: float = 1e-9) -> ChamberA:

@@ -292,16 +292,51 @@ def test_squared_kernel_masks_opposite_sign_pair():
     assert resid[1] < bulk.RESIDUAL_TOL
 
 
-def test_bulk_attractor_signs_match_flags():
+@pytest.mark.parametrize("make_rep", [two_orbit_rep, lambda: reducible_rep(p=3, q=2, power=6)],
+                         ids=["two_orbit", "reducible_32"])
+def test_bulk_attractor_signs_match_flags(make_rep):
     from pqcartan.flags import o_generic
     from pqcartan.freegroup import singular_flag
 
-    rep = two_orbit_rep()
+    rep = make_rep()
     data = collect(rep, 3)
     for w in sphere_words(2, 3):
         i = word_rank(w.letters, 2)
         sig = o_generic(rep.form, singular_flag(rep, w)).signature.signs
         assert tuple(int(s) for s in data[3]["usigns"][i]) == sig
+
+
+class GrabLevels:
+    """Test collector: the level data of every word of one shell."""
+
+    def __init__(self, length):
+        self.length = length
+        self.parts = []
+
+    def update(self, shell: ShellData):
+        if shell.length == self.length:
+            self.parts.append(shell)
+
+    def merge(self, other):
+        self.parts.extend(other.parts)
+
+
+@pytest.mark.parametrize("make_rep", [lambda: reducible_rep(power=4),
+                                      lambda: reducible_rep(p=3, q=2, power=6)],
+                         ids=["d3", "d5"])
+def test_rows_entry_point_matches_run_bulk(make_rep):
+    rep = make_rep()
+    ctx = rep.bulk_context()
+    [col] = run_bulk(ctx, 4, [(GrabLevels, {"length": 4})])
+    for part in col.parts:
+        mine = ctx.shell(part.idx_rows)
+        assert mine.length == 4
+        assert (mine.idx_rows == part.idx_rows).all()
+        pairs = list(zip(mine.comps + mine.scales, part.comps + part.scales))
+        pairs += [(mine.logdets, part.logdets), (mine.cartan_coords(), part.cartan_coords())]
+        pairs += list(zip(mine.bo_data() + mine.jordan_coords(), part.bo_data() + part.jordan_coords()))
+        for a, b in pairs:
+            assert a.tobytes() == b.tobytes()
 
 
 def test_thread_partitions_identical():

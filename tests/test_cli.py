@@ -30,6 +30,17 @@ def test_rep_build_success(tmp_path, red_cfg):
     assert payload["summary"]["limit_signatures"] == [[1, -1, 1]]
 
 
+def test_rep_build_d5(tmp_path):
+    cfg = write_config(
+        tmp_path, "d5.json",
+        {"representation": {"recipe": "reducible-21", "params": {"p": 3, "q": 2, "power": 6}}},
+    )
+    out = tmp_path / "out"
+    assert main(["rep-build", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "summary.json").read_text())
+    assert payload["summary"]["limit_signatures"] == [[1, -1, 1, -1, 1]]
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
