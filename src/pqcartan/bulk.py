@@ -213,7 +213,7 @@ def _rayleigh(mats: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return x, mu, resid
 
 
-def _top_eig_power(mats: np.ndarray, iters: int = POWER_ITERS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _top_eig_power(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dominant eigenpair per stacked matrix by power iteration.
 
     Returns (vectors, rayleigh values, relative residuals); a residual above
@@ -221,7 +221,7 @@ def _top_eig_power(mats: np.ndarray, iters: int = POWER_ITERS) -> tuple[np.ndarr
     """
     n, m, _ = mats.shape
     x = _start_vectors(n, m)
-    for _ in range(iters):
+    for _ in range(POWER_ITERS):
         x = _normalize_rows(np.einsum("nij,nj->ni", mats, x))
     return _rayleigh(mats, x)
 
@@ -360,10 +360,10 @@ class ShellData:
             self._cache["s_tops"] = tuple(np.column_stack(a) for a in (mus, signs, resids))
         return self._cache["s_tops"]
 
-    def membership_mask(self, tol: float = RESIDUAL_TOL) -> np.ndarray:
+    def membership_mask(self) -> np.ndarray:
         """Words whose twisted square has a real dominant pair on every level."""
         mus, _, resids = self._twisted_tops()
-        return (resids < tol).all(axis=1) & (mus != 0).all(axis=1) & np.isfinite(mus).all(axis=1)
+        return (resids < RESIDUAL_TOL).all(axis=1) & (mus != 0).all(axis=1) & np.isfinite(mus).all(axis=1)
 
     def bo_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Slot coordinates, eigenline signs (rank order) and modulus gaps.
@@ -389,10 +389,10 @@ class ShellData:
         self._cache["bo"] = out
         return out
 
-    def bo_valid_mask(self, tol: float = RESIDUAL_TOL) -> np.ndarray:
+    def bo_valid_mask(self) -> np.ndarray:
         """Members whose eigenline signs fill the signature."""
         _, signs, _ = self.bo_data()
-        return self.membership_mask(tol) & (np.sum(signs > 0, axis=1) == self.ctx.p)
+        return self.membership_mask() & (np.sum(signs > 0, axis=1) == self.ctx.p)
 
     # -- Jordan data -----------------------------------------------------
 

@@ -23,6 +23,7 @@ from .cocycles import identity_suite
 from .flags import NonGenericFlagError
 from .forms import DegenerateFormError, Form
 from .freegroup import (
+    DEFAULT_WORD_CAP,
     Representation,
     SchottkyRejection,
     anosov_gap_check,
@@ -39,6 +40,8 @@ EXIT_CONFIG = 2
 EXIT_CERTIFICATION = 3
 EXIT_CAP = 4
 EXIT_DEGENERACY = 5
+
+DEFAULT_GRID_POINTS = 256
 
 
 class ConfigError(ValueError):
@@ -100,11 +103,11 @@ class _Rejection(Exception):
         self.rejection = rejection
 
 
-def _grid_from(cfg: dict, default_hi: float, points: int = 256) -> np.ndarray:
+def _grid_from(cfg: dict, default_hi: float) -> np.ndarray:
     g = cfg.get("grid", {})
     lo = float(g.get("lo", 0.0))
     hi = float(g.get("hi", default_hi))
-    n = int(g.get("points", points))
+    n = int(g.get("points", DEFAULT_GRID_POINTS))
     return np.linspace(lo, hi, n)
 
 
@@ -127,7 +130,7 @@ def cmd_rep_build(cfg: dict, args) -> dict:
 def cmd_enumerate(cfg: dict, args) -> dict:
     rep = _build_rep(cfg)
     length = int(cfg.get("length", 4))
-    cap = int(cfg.get("max_words", args.max_words))
+    cap = int(cfg["max_words"])
     rows = []
     for word, mat in enumerate_sphere(rep, length, cap=cap):
         rows.append([str(word), word.length, f"{mat.log_scale:.12g}"]
@@ -141,7 +144,7 @@ def cmd_enumerate(cfg: dict, args) -> dict:
 def cmd_project(cfg: dict, args) -> dict:
     rep = _build_rep(cfg)
     length = int(cfg.get("length", 6))
-    cap = int(cfg.get("max_words", args.max_words))
+    cap = int(cfg["max_words"])
     o = rep.form
     rows = []
     skipped = 0
@@ -192,7 +195,7 @@ def cmd_count(cfg: dict, args) -> dict:
     probe = count_curve(rep, "norm_at", min(3, length), np.linspace(0, 1, 2))
     hi = probe.shell_minima[min(3, length)] * (length + 1) / min(3, length)
     grid = _grid_from(cfg, hi)
-    cap = int(cfg.get("max_words", args.max_words))
+    cap = int(cfg["max_words"])
     curve = count_curve(rep, functional, length, grid, phi=phi, threads=args.threads, cap=cap)
     _write_csv(
         Path(args.out) / "counts.csv",
@@ -262,13 +265,9 @@ def cmd_equidistribute(cfg: dict, args) -> dict:
 
 
 def cmd_gap_check(cfg: dict, args) -> dict:
-    cfg_rep = cfg.get("representation", cfg)
-    rep = representation_from_config(cfg_rep)
-    if isinstance(rep, SchottkyRejection):
-        raise _Rejection(rep)
+    rep = _build_rep(cfg)
     length = int(cfg.get("length", 8))
-    c, cp, minima = anosov_gap_check(rep, length, threads=args.threads,
-                                     cap=int(cfg.get("max_words", args.max_words)))
+    c, cp, minima = anosov_gap_check(rep, length, threads=args.threads, cap=int(cfg["max_words"]))
     _write_csv(
         Path(args.out) / "gaps.csv",
         ["shell", "min_root_gap"],
@@ -304,7 +303,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--max-words", type=int, default=50_000_000)
+    parser.add_argument("--max-words", type=int, default=DEFAULT_WORD_CAP)
     parser.add_argument("--json-errors", action="store_true")
     args = parser.parse_args(argv)
 
@@ -320,8 +319,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        if args.max_words is not None:
-            cfg.setdefault("max_words", args.max_words)
+        cfg.setdefault("max_words", args.max_words)
         summary = SUBCOMMANDS[args.subcommand](cfg, args)
     except ConfigError as exc:
         return fail(EXIT_CONFIG, "config", str(exc))

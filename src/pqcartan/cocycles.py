@@ -324,6 +324,11 @@ def identity_suite(o: Form, samples: int = 300, seed: int = 0, chamber: ChamberA
             continue
         if not (_pair_is_generic(o, g1, eta) and transverse(xi, eta)):
             continue
+        # the projection-equivariance family projects xi for the moved form
+        # and g1.xi for the form itself
+        o_moved = o.translate(np.linalg.inv(g1.entries))
+        if not (o_generic(o_moved, xi).generic and o_generic(o, xi.translate(g1)).generic):
+            continue
         done += 1
 
         lhs = busemann_o(o, g12, xi, chamber)
@@ -353,7 +358,6 @@ def identity_suite(o: Form, samples: int = 300, seed: int = 0, chamber: ChamberA
             dev["cross_ratio_equality"], float(np.max(np.abs(gp + 0.5 * br)))
         )
 
-        o_moved = o.translate(np.linalg.inv(g1.entries))
         lhs_p = project_to_So(o_moved, xi)
         moved = xi.translate(g1)
         rhs_raw = g1.entries.conj().T @ project_to_So(o, moved) @ g1.entries

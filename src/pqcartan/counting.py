@@ -34,6 +34,12 @@ __all__ = [
     "comparison_boundedness",
 ]
 
+ENTROPY_GRID_POINTS = 256
+PHI_CLASS_LENGTH = 5
+HAUSDORFF_POINTS = 2500
+TREND_GRID_POINTS = 512
+BOX_GRID_POINTS = 64
+
 
 @dataclass
 class CountCurve:
@@ -97,6 +103,8 @@ class FunctionalHistCollector:
             lam, ok = shell.jordan_coords()
             order = self.chamber_order if self.chamber_order is not None else tuple(range(shell.ctx.d))
             return _in_chamber(lam, order) @ self.phi, ok
+        if self.kind == "min_root_gap":
+            return shell.min_root_gap(), None
         raise ValueError(f"unknown functional kind {self.kind!r}")
 
     def update(self, shell: ShellData):
@@ -121,10 +129,9 @@ class FunctionalHistCollector:
             cur = self.shell_minima.get(s)
             self.shell_minima[s] = v if cur is None else min(cur, v)
 
-    def curve(self, label: str, include_identity: bool = True) -> CountCurve:
-        counts = np.cumsum(self.bins[:-1])
-        if include_identity:
-            counts = counts + (self.grid >= 0.0)
+    def curve(self, label: str) -> CountCurve:
+        """Counts over the ball, the identity word (value zero) included."""
+        counts = np.cumsum(self.bins[:-1]) + (self.grid >= 0.0)
         return CountCurve(self.grid.copy(), counts, label, dict(self.excluded), dict(self.shell_minima))
 
 
@@ -354,13 +361,7 @@ def class_periods(rep: Representation, phi: np.ndarray, chamber: ChamberA, lengt
     return all_vals, per_length_min
 
 
-def phi_entropy(
-    rep: Representation,
-    phi,
-    length_max: int,
-    chamber: ChamberA | None = None,
-    grid=None,
-):
+def phi_entropy(rep: Representation, phi, length_max: int, chamber: ChamberA | None = None):
     """Growth rate of conjugacy classes by the functional of the Jordan projection.
 
     Refuses when the functional fails to be positive on a sampled direction,
@@ -377,9 +378,7 @@ def phi_entropy(
             f"functional non-positive on a sampled direction (class #{bad}, value {vals.min():.3g})"
         )
     hi = per_length_min[length_max]
-    if grid is None:
-        grid = np.linspace(0.0, hi, 256)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.linspace(0.0, hi, ENTROPY_GRID_POINTS)
     counts = np.searchsorted(np.sort(vals), grid, side="right")
     curve = CountCurve(grid, counts.astype(np.int64), "phi_lambda_classes",
                        shell_minima={k: v for k, v in per_length_min.items()})
@@ -407,20 +406,27 @@ def limit_signatures(rep: Representation, length: int = 6, count: int = 60):
     return seen, reports
 
 
-def canonical_chamber(rep: Representation, length: int = 6, count: int = 60) -> ChamberA:
+def canonical_chamber(rep: Representation) -> ChamberA:
     """Compatible chamber selected by the first sampled limit signature."""
-    seen, _ = limit_signatures(rep, length, count)
+    seen, _ = limit_signatures(rep)
     if not seen:
         raise ValueError("no generic limit flags sampled")
-    p = rep.form.signature[0]
-    return iota_of_chamber(chamber_from_signs(seen[0]), p)
+    return iota_of_chamber(chamber_from_signs(seen[0]), rep.form.signature[0])
 
 
-def default_phi(rep: Representation, length_max: int = 5, chamber: ChamberA | None = None) -> np.ndarray:
+def _single_orbit_chamber(rep: Representation) -> ChamberA:
+    """``canonical_chamber`` from one limit sample, which must meet a single orbit."""
+    seen, _ = limit_signatures(rep)
+    if len(seen) != 1:
+        raise ValueError(f"single-orbit hypothesis fails: signatures {seen}")
+    return iota_of_chamber(chamber_from_signs(seen[0]), rep.form.signature[0])
+
+
+def default_phi(rep: Representation, chamber: ChamberA | None = None) -> np.ndarray:
     """Barycenter functional of sampled Jordan directions, in the chamber frame."""
     chamber = chamber if chamber is not None else canonical_chamber(rep)
     dirs = []
-    for length in range(1, length_max + 1):
+    for length in range(1, PHI_CLASS_LENGTH + 1):
         framed = _class_jordan(rep, chamber, length)
         if framed is None:
             continue
@@ -434,14 +440,7 @@ def default_phi(rep: Representation, length_max: int = 5, chamber: ChamberA | No
 # -- cones -------------------------------------------------------------------
 
 
-def cone_samples(
-    rep: Representation,
-    length_min: int,
-    length_max: int,
-    threads: int = 1,
-    stride: int = 1,
-    hausdorff_points: int = 2500,
-):
+def cone_samples(rep: Representation, length_min: int, length_max: int, threads: int = 1, stride: int = 1):
     """Direction clouds of both projections plus the Weyl translate report.
 
     The set of Weyl elements is computed from the distinct orbit signatures
@@ -465,7 +464,7 @@ def cone_samples(
         weyls.append(chamber_transition(target, chamber))
         translates.append(_in_chamber(at_sorted, target.order))
     at_framed = np.concatenate(translates) if translates else at_sorted
-    hd = hausdorff(bo, at_framed, hausdorff_points)
+    hd = hausdorff(bo, at_framed)
     at_cloud = ConeSample(np.empty((0, rep.dim)) if not translates else translates[0], "cartan")
     bo_cloud = ConeSample(bo, "slot")
     return {
@@ -479,12 +478,15 @@ def cone_samples(
     }
 
 
-def hausdorff(a: np.ndarray, b: np.ndarray, max_points: int = 2500) -> float:
-    """Discrete symmetric Hausdorff distance between unit-vector clouds."""
+def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
+    """Discrete symmetric Hausdorff distance between unit-vector clouds.
+
+    Each cloud is thinned by a stride to about HAUSDORFF_POINTS points.
+    """
     if len(a) == 0 or len(b) == 0:
         return float("nan")
-    a = a[:: max(1, len(a) // max_points)]
-    b = b[:: max(1, len(b) // max_points)]
+    a = a[:: max(1, len(a) // HAUSDORFF_POINTS)]
+    b = b[:: max(1, len(b) // HAUSDORFF_POINTS)]
     d2 = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2 * (a @ b.T)
     d = np.sqrt(np.maximum(d2, 0.0))
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
@@ -565,11 +567,9 @@ def gromov_comparison(
     well-conditioned.  Words are restricted to those whose cyclic reduction
     starts in cylinder_b and whose inverse's starts in cylinder_a.
     """
-    sigs, _ = limit_signatures(rep)
-    if len(sigs) != 1:
-        raise ValueError(f"single-orbit hypothesis fails: signatures {sigs}")
+    single = _single_orbit_chamber(rep)
     phi = np.asarray(phi, dtype=float)
-    chamber = chamber if chamber is not None else canonical_chamber(rep)
+    chamber = chamber if chamber is not None else single
     ctx = rep.bulk_context()
     d = ctx.d
     a_idx = letters_to_indices(cylinder_a)
@@ -613,30 +613,21 @@ def gromov_comparison(
 # -- trend and equidistribution ----------------------------------------------
 
 
-def theorem_b_trend(
-    rep: Representation,
-    phi,
-    length_max: int,
-    class_length: int | None = None,
-    threads: int = 1,
-    grid_points: int = 512,
-):
+def theorem_b_trend(rep: Representation, phi, length_max: int, class_length: int | None = None,
+                    threads: int = 1):
     """Flatness of the exponentially rescaled directional counting function.
 
     The exact limit is out of desk reach; the contract is (a) the class
     entropy matches the slope of the directional log-counts, (b) the
     rescaled count varies mildly over the final completeness window.
     """
-    sigs, _ = limit_signatures(rep)
-    if len(sigs) != 1:
-        raise ValueError(f"single-orbit hypothesis fails: signatures {sigs}")
+    chamber = _single_orbit_chamber(rep)
     phi = np.asarray(phi, dtype=float)
-    chamber = canonical_chamber(rep)
     cls_len = class_length if class_length is not None else max(4, length_max - 2)
     h, class_curve, h_details = phi_entropy(rep, phi, cls_len, chamber)
     probe = count_curve(rep, "phi_bo", min(4, length_max), np.linspace(0, 1, 2), phi=phi)
     hi_estimate = probe.shell_minima[min(4, length_max)] * length_max / min(4, length_max)
-    grid = np.linspace(0.0, hi_estimate * 1.05, grid_points)
+    grid = np.linspace(0.0, hi_estimate * 1.05, TREND_GRID_POINTS)
     curve = count_curve(rep, "phi_bo", length_max, grid, phi=phi, threads=threads)
     t_hi = curve.complete_below()
     window = (max(t_hi - 1.0, 0.5 * t_hi), t_hi)
@@ -680,14 +671,7 @@ class BoxMassCollector:
         self.bins += other.bins
 
 
-def equidistribution_experiment(
-    rep: Representation,
-    phi,
-    length_max: int,
-    boxes,
-    threads: int = 1,
-    grid_points: int = 64,
-):
+def equidistribution_experiment(rep: Representation, phi, length_max: int, boxes, threads: int = 1):
     """Cylinder-box masses of the Jordan functional, with product-defect report.
 
     boxes are (A, B) pairs of letter tuples.  Masses are rescaled by the
@@ -695,15 +679,12 @@ def equidistribution_experiment(
     representative cylinder endpoints, the box matrix should approach a
     rank-one product, and the defect is its second-to-first singular ratio.
     """
-    sigs, _ = limit_signatures(rep)
-    if len(sigs) != 1:
-        raise ValueError(f"single-orbit hypothesis fails: signatures {sigs}")
+    chamber = _single_orbit_chamber(rep)
     phi = np.asarray(phi, dtype=float)
-    chamber = canonical_chamber(rep)
     h, _, _ = phi_entropy(rep, phi, max(4, length_max - 2), chamber)
     probe = count_curve(rep, "phi_bo", 4, np.linspace(0, 1, 2), phi=phi)
     hi = probe.shell_minima[4] * length_max / 4
-    grid = np.linspace(0.0, hi, grid_points)
+    grid = np.linspace(0.0, hi, BOX_GRID_POINTS)
     boxes_idx = [(letters_to_indices(a), letters_to_indices(b)) for a, b in boxes]
     ctx = rep.bulk_context()
     [col] = bulk.run_bulk(

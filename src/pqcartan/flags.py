@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import Form
+from .forms import DEGENERACY_RTOL, Form
 from .numerics import ScaledMatrix, wedge_coordinates
 
 __all__ = [
@@ -128,9 +128,9 @@ class GenericityReport:
     failed_level: int | None = None
 
 
-def transverse(x: Flag, y: Flag, rtol: float = TRANSVERSALITY_RTOL) -> bool:
+def transverse(x: Flag, y: Flag) -> bool:
     """Whether every x^j is linearly disjoint from y^{d-j}."""
-    return transversality_margin(x, y) > rtol
+    return transversality_margin(x, y) > TRANSVERSALITY_RTOL
 
 
 def transversality_margin(x: Flag, y: Flag) -> float:
@@ -145,7 +145,7 @@ def transversality_margin(x: Flag, y: Flag) -> float:
     return worst
 
 
-def o_generic(o: Form, x: Flag, degeneracy_rtol: float = 1e-9) -> GenericityReport:
+def o_generic(o: Form, x: Flag, degeneracy_rtol: float = DEGENERACY_RTOL) -> GenericityReport:
     """Signed Gram-Schmidt down the flag.
 
     Succeeds exactly when the form restricted to every flag subspace is
@@ -156,6 +156,7 @@ def o_generic(o: Form, x: Flag, degeneracy_rtol: float = 1e-9) -> GenericityRepo
     lines = np.array(x.basis, copy=True)
     signs = []
     margin = np.inf
+    form_norm = float(np.linalg.norm(o.gram, 2))
     for j in range(d):
         u = lines[:, j]
         for k in range(j):
@@ -166,7 +167,7 @@ def o_generic(o: Form, x: Flag, degeneracy_rtol: float = 1e-9) -> GenericityRepo
             return GenericityReport(False, None, 0.0, None, failed_level=j + 1)
         u = u / nrm
         val = o.quad(u)
-        rel = abs(val) / float(np.linalg.norm(o.gram, 2))
+        rel = abs(val) / form_norm
         margin = min(margin, rel)
         if rel < degeneracy_rtol:
             return GenericityReport(False, None, float(margin), None, failed_level=j + 1)
@@ -195,23 +196,23 @@ def flag_perp(o: Form, x: Flag) -> Flag:
     return Flag.of(o.gram_inv @ reversed_q)
 
 
-def project_to_So(o: Form, x: Flag, degeneracy_rtol: float = 1e-9) -> np.ndarray:
+def project_to_So(o: Form, x: Flag) -> np.ndarray:
     """Gram matrix (trace-normalized) of the inner product attached to a generic flag.
 
     The inner product is the one making the unit-normalized orthogonal lines
     of the flag orthonormal; it is the nearest point of the geodesic copy of
     the isometry group's symmetric space in the direction of the flag.
     """
-    b = so_point_basis(o, x, degeneracy_rtol)
+    b = so_point_basis(o, x)
     binv = np.linalg.inv(b)
     gram = binv.conj().T @ binv
     gram = (gram + gram.conj().T) / 2
     return gram * (x.dim / np.trace(gram).real)
 
 
-def so_point_basis(o: Form, x: Flag, degeneracy_rtol: float = 1e-9) -> np.ndarray:
+def so_point_basis(o: Form, x: Flag) -> np.ndarray:
     """Basis matrix whose columns are the unit-normalized orthogonal lines."""
-    rep = o_generic(o, x, degeneracy_rtol)
+    rep = o_generic(o, x)
     if not rep.generic:
         raise NonGenericFlagError(f"flag degenerates at level {rep.failed_level}")
     scales = np.array([abs(o.quad(rep.lines[:, j])) ** -0.5 for j in range(x.dim)])

@@ -29,13 +29,18 @@ __all__ = [
 ]
 
 
+SELF_ADJOINT_TOL = 1e-12
+RANK_RTOL = 1e-10
+DEGENERACY_RTOL = 1e-9
+
+
 class DegenerateFormError(ValueError):
     """Raised when a pairing degenerates below tolerance."""
 
 
-def _check_self_adjoint(gram: np.ndarray, tol: float = 1e-12) -> None:
+def _check_self_adjoint(gram: np.ndarray) -> None:
     dev = np.linalg.norm(gram - gram.conj().T) / max(np.linalg.norm(gram), 1e-30)
-    if dev > tol:
+    if dev > SELF_ADJOINT_TOL:
         raise ValueError(f"Gram matrix is not self-adjoint (relative deviation {dev:.2e})")
 
 
@@ -173,7 +178,7 @@ def sigma_o(o: Form, g: ScaledMatrix) -> ScaledMatrix:
     return o_adjoint(o, g.inv())
 
 
-def perp(o: Form, subspace: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def perp(o: Form, subspace: np.ndarray) -> np.ndarray:
     """Orthonormal-column basis of the orthogonal complement for the form.
 
     The complement of span(B) is J^{-1} applied to the Euclidean complement,
@@ -187,7 +192,7 @@ def perp(o: Form, subspace: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         raise ValueError("subspace must be given as a d x k column matrix")
     k = cols.shape[1]
     sv = np.linalg.svd(cols, compute_uv=False)
-    if sv[-1] < tol * sv[0]:
+    if sv[-1] < RANK_RTOL * sv[0]:
         raise ValueError("rank-deficient input subspace")
     q, _ = np.linalg.qr(cols, mode="complete")
     euclid_perp = q[:, k:]
@@ -220,12 +225,12 @@ def isometry_defect(o: Form, h: ScaledMatrix) -> float:
     return float(np.linalg.norm(pushed / alpha - o.gram) / np.linalg.norm(o.gram))
 
 
-def restricted_signature(o: Form, columns: np.ndarray, degeneracy_rtol: float = 1e-9):
+def restricted_signature(o: Form, columns: np.ndarray):
     """Signature of the form restricted to the span of the given columns.
 
     Returns (pos, neg, margin) where margin is the smallest |eigenvalue| of
     the restricted Gram relative to its largest; the subspace counts as
-    degenerate when the margin falls below ``degeneracy_rtol``.
+    degenerate when the margin falls below DEGENERACY_RTOL.
     """
     cols = np.asarray(columns)
     cols = cols / np.linalg.norm(cols, axis=0, keepdims=True)
@@ -236,6 +241,6 @@ def restricted_signature(o: Form, columns: np.ndarray, degeneracy_rtol: float = 
     if top == 0.0:
         return 0, 0, 0.0
     margin = float(np.min(np.abs(evals)) / top)
-    pos = int(np.sum(evals > degeneracy_rtol * top))
-    neg = int(np.sum(evals < -degeneracy_rtol * top))
+    pos = int(np.sum(evals > DEGENERACY_RTOL * top))
+    neg = int(np.sum(evals < -DEGENERACY_RTOL * top))
     return pos, neg, margin

@@ -18,7 +18,7 @@ from .bulk import BulkContext, CapExceededError, sphere_size
 from .flags import Flag, line_hyperplane_distance, o_generic
 from .forms import Form
 from .numerics import ScaledMatrix, subspace_from_wedge, wedge_coordinates
-from .projections import _eigen_flag, _hodge_dual, check_r_eps_loxodromic, is_loxodromic
+from .projections import GAP_TOL, _eigen_flag, _hodge_dual, check_r_eps_loxodromic, is_loxodromic
 
 __all__ = [
     "Word",
@@ -170,13 +170,10 @@ def sphere_words(k: int, length: int):
     yield from rec([])
 
 
-def enumerate_sphere(rep: Representation, length: int, cap: int = DEFAULT_WORD_CAP,
-                     prefix: tuple[int, ...] = ()):
+def enumerate_sphere(rep: Representation, length: int, cap: int = DEFAULT_WORD_CAP):
     """Stream (word, image) over the sphere, matrices built incrementally.
 
     Deterministic order; refuses upfront when the sphere exceeds the cap.
-    Passing a reduced ``prefix`` restricts to that subtree, which is how
-    parallel traversals partition the sphere.
     """
     n = sphere_size(rep.rank, length)
     if n > cap:
@@ -184,9 +181,6 @@ def enumerate_sphere(rep: Representation, length: int, cap: int = DEFAULT_WORD_C
     if length == 0:
         yield Word(()), ScaledMatrix.identity(rep.dim, rep.form.field_tag)
         return
-    prefix = tuple(prefix)
-    if reduce_letters(prefix) != prefix or len(prefix) > length:
-        raise ValueError("prefix must be a reduced word no longer than the sphere")
     alphabet = [bulk.index_letter(i) for i in range(2 * rep.rank)]
 
     def rec(stack: list[int], mat: ScaledMatrix):
@@ -200,10 +194,7 @@ def enumerate_sphere(rep: Representation, length: int, cap: int = DEFAULT_WORD_C
             yield from rec(stack, mat @ rep.letter_image(l))
             stack.pop()
 
-    start = ScaledMatrix.identity(rep.dim, rep.form.field_tag)
-    for l in prefix:
-        start = start @ rep.letter_image(l)
-    yield from rec(list(prefix), start)
+    yield from rec([], ScaledMatrix.identity(rep.dim, rep.form.field_tag))
 
 
 def enumerate_conjugacy_reps(k: int, length_max: int):
@@ -236,7 +227,6 @@ def build_schottky(
     o: Form,
     power: int = 1,
     metadata: dict | None = None,
-    loxodromy_tol: float = 1e-6,
 ):
     """Certified ping-pong representation from loxodromic generators.
 
@@ -260,10 +250,10 @@ def build_schottky(
     flags_plus: list[Flag] = []
     flags_minus: list[Flag] = []
     for i, g in enumerate(images):
-        if not is_loxodromic(g, loxodromy_tol):
+        if not is_loxodromic(g):
             reasons.append(f"generator {i} image not loxodromic")
             continue
-        fp = _eigen_flag(g, loxodromy_tol)
+        fp = _eigen_flag(g, GAP_TOL)
         fm = Flag.of(fp.basis[:, ::-1])
         flags_plus.append(fp)
         flags_minus.append(fm)
@@ -304,7 +294,7 @@ def build_schottky(
 
     eps = sep / 6.0
     for i, g in enumerate(images):
-        if not check_r_eps_loxodromic(g, eps, eps, loxodromy_tol):
+        if not check_r_eps_loxodromic(g, eps, eps):
             reasons.append(f"generator {i} image fails ({eps:.3g},{eps:.3g})-contraction")
     if reasons:
         return SchottkyRejection(tuple(reasons))
@@ -371,8 +361,7 @@ def build_reducible_example(
     return build_schottky(gens, o, power=power, metadata=meta)
 
 
-def anosov_gap_check(rep: Representation, length_max: int, threads: int = 1,
-                     cap: int = DEFAULT_WORD_CAP, chunk: int = bulk.DEFAULT_CHUNK):
+def anosov_gap_check(rep: Representation, length_max: int, threads: int = 1, cap: int = DEFAULT_WORD_CAP):
     """Fit the linear lower envelope of the per-shell minimal simple-root gap.
 
     Returns (c, c_prime, shell_minima): the least-squares line through the
@@ -380,32 +369,18 @@ def anosov_gap_check(rep: Representation, length_max: int, threads: int = 1,
     the word-length gap bound; finite length can only ever test a necessary
     condition, which the CLI report states explicitly.
     """
-    ctx = rep.bulk_context()
-    [col] = bulk.run_bulk(ctx, length_max, [(ShellMinGapCollector, {})],
-                          threads=threads, chunk=chunk, cap=cap)
-    shells = sorted(col.minima)
-    ys = np.array([col.minima[s] for s in shells], dtype=float)
+    from .counting import FunctionalHistCollector  # counting imports this module
+
+    [col] = bulk.run_bulk(rep.bulk_context(), length_max,
+                          [(FunctionalHistCollector, {"kind": "min_root_gap", "grid": []})],
+                          threads=threads, cap=cap)
+    minima = col.shell_minima
+    shells = sorted(minima)
+    ys = np.array([minima[s] for s in shells], dtype=float)
     xs = np.array(shells, dtype=float)
     a = np.vstack([xs, np.ones_like(xs)]).T
     slope, intercept = np.linalg.lstsq(a, ys, rcond=None)[0]
-    return float(slope), float(-intercept), {s: float(col.minima[s]) for s in shells}
-
-
-class ShellMinGapCollector:
-    """Per-shell minimum of the smallest simple-root value of the Cartan vector."""
-
-    def __init__(self):
-        self.minima: dict[int, float] = {}
-
-    def update(self, shell):
-        m = float(np.min(shell.min_root_gap()))
-        cur = self.minima.get(shell.length)
-        self.minima[shell.length] = m if cur is None else min(cur, m)
-
-    def merge(self, other: "ShellMinGapCollector"):
-        for s, v in other.minima.items():
-            cur = self.minima.get(s)
-            self.minima[s] = v if cur is None else min(cur, v)
+    return float(slope), float(-intercept), {s: float(minima[s]) for s in shells}
 
 
 def flag_from_compound_tops(vectors: list[np.ndarray], d: int) -> Flag:
@@ -447,7 +422,7 @@ def attracting_flag(rep: Representation, word: Word) -> Flag:
     return flag_from_compound_tops(tops, rep.dim)
 
 
-def sample_limit_set(rep: Representation, length: int, count: int, loxodromy_tol: float = 1e-6):
+def sample_limit_set(rep: Representation, length: int, count: int):
     """Singular flags of evenly spaced words at the given length.
 
     Returns (flags, signatures, reports): each flag classified by its orbit

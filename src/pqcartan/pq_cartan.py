@@ -113,7 +113,6 @@ def membership(
     g: ScaledMatrix,
     phase_tol: float = PHASE_TOL,
     condition_cap: float = 1e8,
-    isotropy_tol: float = ISOTROPY_TOL,
 ) -> MembershipResult:
     """Whether g admits a signed Cartan decomposition, with failure reason.
 
@@ -156,10 +155,10 @@ def _decompose(o: Form, g: ScaledMatrix, phase_tol: float, condition_cap: float)
     return MembershipResult(True, None, *margins, float(iso_margin)), eig, clusters
 
 
-def _modulus_clusters(moduli_desc: np.ndarray, tol: float = MODULUS_CLUSTER_TOL) -> list[list[int]]:
+def _modulus_clusters(moduli_desc: np.ndarray) -> list[list[int]]:
     clusters: list[list[int]] = [[0]]
     for i in range(1, len(moduli_desc)):
-        if moduli_desc[i - 1] - moduli_desc[i] <= tol:
+        if moduli_desc[i - 1] - moduli_desc[i] <= MODULUS_CLUSTER_TOL:
             clusters[-1].append(i)
         else:
             clusters.append([i])
@@ -246,7 +245,7 @@ class ChamberPrediction:
     repellor_signs: tuple[int, ...]
 
 
-def weyl_chamber_of(o: Form, g: ScaledMatrix, tol: float = GAP_TOL) -> ChamberPrediction:
+def weyl_chamber_of(o: Form, g: ScaledMatrix) -> ChamberPrediction:
     """Chamber containing the slot projection, read off the singular flags.
 
     For g with a strong singular gap and generic singular flags, the slot
@@ -257,10 +256,10 @@ def weyl_chamber_of(o: Form, g: ScaledMatrix, tol: float = GAP_TOL) -> ChamberPr
     margins; agreement with pq_project's slot assignment is the executable
     consistency check.
     """
-    if gap_margin(g) <= tol:
+    if gap_margin(g) <= GAP_TOL:
         raise ValueError("chamber prediction needs a singular-value gap")
-    u_flag = cartan_attractor(g, tol)
-    s_flag = cartan_repellor(g, tol)
+    u_flag = cartan_attractor(g)
+    s_flag = cartan_repellor(g)
     ru = o_generic(o, u_flag)
     rs = o_generic(o, s_flag)
     if not ru.generic or not rs.generic:

@@ -28,6 +28,9 @@ __all__ = [
     "iota_of_chamber",
 ]
 
+CHAMBER_TOL = 1e-10
+REFERENCE_LINE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class WeylElement:
@@ -88,10 +91,10 @@ class ChamberB:
     def dim(self) -> int:
         return self.p + self.q
 
-    def contains(self, x: np.ndarray, tol: float = 1e-10) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)
         pos, neg = x[: self.p], x[self.p :]
-        return bool(np.all(np.diff(pos) <= tol) and np.all(np.diff(neg) <= tol))
+        return bool(np.all(np.diff(pos) <= CHAMBER_TOL) and np.all(np.diff(neg) <= CHAMBER_TOL))
 
 
 @dataclass(frozen=True)
@@ -112,9 +115,9 @@ class ChamberA:
     def dim(self) -> int:
         return len(self.order)
 
-    def contains(self, x: np.ndarray, tol: float = 1e-10) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         vals = np.asarray(x, dtype=float)[list(self.order)]
-        return bool(np.all(np.diff(vals) <= tol))
+        return bool(np.all(np.diff(vals) <= CHAMBER_TOL))
 
     def place(self, descending_values: np.ndarray) -> np.ndarray:
         """Vector of this chamber with the given rank-ordered values."""
@@ -224,7 +227,7 @@ def chamber_from_signs(signs) -> ChamberA:
     return ChamberA(merge_to_slots(signs))
 
 
-def flag_chamber(flag_basis: np.ndarray, tol: float = 1e-9) -> ChamberA:
+def flag_chamber(flag_basis: np.ndarray) -> ChamberA:
     """Inverse dictionary: the chamber of a coordinate flag.
 
     Accepts only flags whose columns are reference lines (up to sign and
@@ -236,7 +239,8 @@ def flag_chamber(flag_basis: np.ndarray, tol: float = 1e-9) -> ChamberA:
     for j in range(d):
         col = b[:, j] / np.linalg.norm(b[:, j])
         i = int(np.argmax(np.abs(col)))
-        if abs(abs(col[i]) - 1.0) > tol or np.linalg.norm(col) ** 2 - col[i] ** 2 > tol:
+        off_axis = np.linalg.norm(col) ** 2 - col[i] ** 2
+        if abs(abs(col[i]) - 1.0) > REFERENCE_LINE_TOL or off_axis > REFERENCE_LINE_TOL:
             raise ValueError(f"column {j} does not span a reference line")
         order.append(i)
     return ChamberA(tuple(order))

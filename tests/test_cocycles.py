@@ -278,6 +278,14 @@ def test_identity_suite_runs_clean(s1):
     assert all(v < 1e-8 for v in report["max_deviations"].values())
 
 
+def test_identity_suite_redraws_flags_the_moved_form_degenerates(s1):
+    # seed 603 draws a flag that is generic for the form but degenerate for
+    # the form moved by g1, which the projection-equivariance family needs
+    report = identity_suite(s1, samples=100, seed=603)
+    assert report["samples"] == 100
+    assert all(v <= 1e-8 for v in report["max_deviations"].values())
+
+
 def test_identity_suite_caps_rejection_attempts(s1, monkeypatch):
     from pqcartan import cocycles
 

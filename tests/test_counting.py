@@ -68,6 +68,18 @@ def test_count_curves_monotone_and_exact(red):
     assert not curve.excluded
 
 
+def test_min_root_gap_curve_matches_gap_check(red):
+    from pqcartan.bulk import ball_size
+    from pqcartan.freegroup import anosov_gap_check
+
+    grid = np.linspace(0.0, 1e3, 9)
+    curve = count_curve(red, "min_root_gap", 6, grid, threads=2)
+    _, _, minima = anosov_gap_check(red, 6)
+    assert curve.shell_minima == minima
+    assert curve.counts[-1] == ball_size(red.rank, 6)
+    assert not curve.excluded
+
+
 def test_norm_bo_curve_invariant_under_isometry_conjugation(red, rng):
     from pqcartan.forms import sample_isometry
     from pqcartan.freegroup import Representation

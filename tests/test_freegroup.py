@@ -207,14 +207,3 @@ def test_word_str_roundtrippable():
     w = Word.of((1, -2, 1))
     assert str(w) == "a.b'.a"
     assert str(Word.of(())) == "e"
-
-
-def test_enumerate_sphere_prefix_partition():
-    rep = reducible_rep(power=4)
-    full = [w.letters for w, _ in enumerate_sphere(rep, 3)]
-    parts = []
-    for first in (1, -1, 2, -2):
-        parts.extend(w.letters for w, _ in enumerate_sphere(rep, 3, prefix=(first,)))
-    assert parts == full
-    with pytest.raises(ValueError):
-        list(enumerate_sphere(rep, 3, prefix=(1, -1)))
