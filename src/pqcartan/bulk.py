@@ -12,7 +12,8 @@ levels by a letter's unit compound, renormalises and adds the log-scales.
 ``BulkContext.shell`` applies it along arbitrary index rows, for the
 conjugacy classes (``counting.class_periods``, ``counting.default_phi``),
 the Gromov comparison and the limit flags (``freegroup.singular_flag``,
-``freegroup.attracting_flag``), so every word gets the same level data, bit
+``freegroup.attracting_flag``; ``freegroup.sample_limit_set`` reads all its
+sampled words in one batch), so every word gets the same level data, bit
 for bit, whichever path reads it.
 
 Two kernels compute the top eigendata of a level, both as the direction of
@@ -36,18 +37,21 @@ mpmath, so ``jordan_coords`` keeps the stepwise ``_top_eig_power``, which
 stays within 4e-9, and caches its vectors for the Gromov comparison.
 
 Enumeration order is canonical: shells by length, words lexicographic in
-the alphabet (g1, g1^-1, g2, g2^-1, ...).  Worker partitioning is by first
-letter and results are merged in alphabet order, so outputs are identical
-for any worker count.
+the alphabet (g1, g1^-1, g2, g2^-1, ...); ``sphere_rows`` builds a sphere's
+index rows in this order, and ``word_rank`` is a word's row number there.
+Worker partitioning is by first letter and results are merged in alphabet
+order, so outputs are identical for any worker count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import wraps
+
 import numpy as np
 
-from .numerics import minor_matrix
+from .numerics import minor_matrix, subset_table
 
 __all__ = [
     "BulkContext",
@@ -55,6 +59,7 @@ __all__ = [
     "run_bulk",
     "sphere_size",
     "ball_size",
+    "sphere_rows",
     "word_rank",
     "CapExceededError",
 ]
@@ -93,17 +98,24 @@ def index_letter(idx: int) -> int:
     return gen if idx % 2 == 0 else -gen
 
 
+def sphere_rows(k: int, length: int) -> np.ndarray:
+    """(n, length) int8 alphabet-index rows of the sphere's words, canonical order.
+
+    Needs length >= 1; row i is the word of rank i.
+    """
+    table = successor_table(2 * k)
+    rows = np.arange(2 * k, dtype=np.int8)[:, None]
+    for _ in range(length - 1):
+        nxt = table[rows[:, -1]].reshape(-1, 1)
+        rows = np.concatenate([np.repeat(rows, table.shape[1], axis=0), nxt], axis=1)
+    return rows
+
+
 def word_rank(word, k: int) -> int:
     """Rank of a reduced word inside its own shell, canonical order."""
     if not word:
         return 0
-    idx = [letter_index(l) for l in word]
-    rank = idx[0]
-    for prev, cur in zip(idx, idx[1:]):
-        banned = prev ^ 1
-        pos = cur - (1 if cur > banned else 0)
-        rank = rank * (2 * k - 1) + pos
-    return rank
+    return int(_ranks_of(np.array([[letter_index(l) for l in word]], dtype=np.int8), k)[0])
 
 
 def _inverse_indices(idx_rows: np.ndarray) -> np.ndarray:
@@ -152,13 +164,7 @@ class BulkContext:
             gen_scales.append(np.array(scales))
         logdets = np.array([np.linalg.slogdet(m)[1] for m in images_std])
         base_signs = np.array([1.0] * p + [-1.0] * (d - p))
-        level_signs = []
-        from itertools import combinations
-
-        for j in levels:
-            level_signs.append(
-                np.array([np.prod(base_signs[list(s)]) for s in combinations(range(d), j)])
-            )
+        level_signs = [np.prod(base_signs[subset_table(d, j)], axis=1) for j in levels]
         return BulkContext(k, d, p, gen_entries, gen_scales, logdets, level_signs)
 
     @property
@@ -263,6 +269,19 @@ def _top_eig_of_squares(m: np.ndarray, square) -> tuple[np.ndarray, np.ndarray, 
     return x, mu, resid
 
 
+def _memo(accessor):
+    """A ShellData accessor whose result is computed once and cached under its name."""
+    name = accessor.__name__
+
+    @wraps(accessor)
+    def cached(self):
+        if name not in self._cache:
+            self._cache[name] = accessor(self)
+        return self._cache[name]
+
+    return cached
+
+
 class ShellData:
     """Lazy per-word measurements for one shell of one subtree."""
 
@@ -285,15 +304,13 @@ class ShellData:
         return ShellData(self.ctx, self.length, self.idx_rows[rows], [c[rows] for c in self.comps],
                          [s[rows] for s in self.scales], self.logdets[rows])
 
+    @_memo
     def ranks(self) -> np.ndarray:
-        if "ranks" not in self._cache:
-            self._cache["ranks"] = _ranks_of(self.idx_rows, self.ctx.k)
-        return self._cache["ranks"]
+        return _ranks_of(self.idx_rows, self.ctx.k)
 
+    @_memo
     def inverse_ranks(self) -> np.ndarray:
-        if "inv_ranks" not in self._cache:
-            self._cache["inv_ranks"] = _ranks_of(_inverse_indices(self.idx_rows), self.ctx.k)
-        return self._cache["inv_ranks"]
+        return _ranks_of(_inverse_indices(self.idx_rows), self.ctx.k)
 
     def _line_signs(self, wedge_signs: np.ndarray) -> np.ndarray:
         """(n, d) form signs of a flag's lines from the signs of its level-j wedges."""
@@ -304,27 +321,23 @@ class ShellData:
 
     # -- Cartan data ---------------------------------------------------
 
+    @_memo
+    def _cartan_tops(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per level: top right singular vectors and top eigenvalues of M^T M."""
+        return [_top_eig_of_squares(m, lambda b: np.swapaxes(b, 1, 2) @ b)[:2] for m in self.comps]
+
+    @_memo
     def cartan_prefixes(self) -> np.ndarray:
         """(n, d) array: prefix sums of the sorted log singular values."""
-        if "at_prefix" in self._cache:
-            return self._cache["at_prefix"]
-        out = np.empty((self.count, self.ctx.d))
-        rights = []
-        for j, m in enumerate(self.comps):
-            v, mu, _ = _top_eig_of_squares(m, lambda b: np.swapaxes(b, 1, 2) @ b)
-            rights.append(v)
-            out[:, j] = 0.5 * np.log(np.maximum(mu, 1e-300)) + self.scales[j]
-        out[:, -1] = self.logdets
-        self._cache["at_prefix"] = out
-        self._cache["at_right"] = rights
-        return out
+        return np.column_stack([0.5 * np.log(np.maximum(mu, 1e-300)) + s
+                                for (_, mu), s in zip(self._cartan_tops(), self.scales)] + [self.logdets])
 
+    @_memo
     def cartan_coords(self) -> np.ndarray:
         """(n, d) recentered descending log singular values."""
-        if "at" not in self._cache:
-            self._cache["at"] = _recentred_increments(self.cartan_prefixes())
-        return self._cache["at"]
+        return _recentred_increments(self.cartan_prefixes())
 
+    @_memo
     def attractor_signs(self) -> np.ndarray:
         """(n, d) orbit-signature signs of the singular (Cartan) attractor flag.
 
@@ -332,14 +345,11 @@ class ShellData:
         for the right one v of the Cartan kernel; only the sign of its form
         value is read, so M v is not normalised.
         """
-        if "u_signs" not in self._cache:
-            self.cartan_prefixes()
-            qs = []
-            for m, v, sg in zip(self.comps, self._cache["at_right"], self.ctx.level_signs):
-                u = np.einsum("nij,nj->ni", m, v)
-                qs.append(np.sign(np.einsum("ni,i,ni->n", u, sg, u)))
-            self._cache["u_signs"] = self._line_signs(np.column_stack(qs))
-        return self._cache["u_signs"]
+        qs = []
+        for m, (v, _), sg in zip(self.comps, self._cartan_tops(), self.ctx.level_signs):
+            u = np.einsum("nij,nj->ni", m, v)
+            qs.append(np.sign(np.einsum("ni,i,ni->n", u, sg, u)))
+        return self._line_signs(np.column_stack(qs))
 
     def min_root_gap(self) -> np.ndarray:
         """Per word: smallest simple-root value of the Cartan projection."""
@@ -347,32 +357,30 @@ class ShellData:
 
     # -- twisted square / slot projection -------------------------------
 
+    @_memo
     def _twisted_tops(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per level: top eigendata of S_j = J_j M_j^T J_j M_j (normalized)."""
-        if "s_tops" not in self._cache:
-            mus, signs, resids = [], [], []
-            for m, sg in zip(self.comps, self.ctx.level_signs):
-                x, mu, resid = _top_eig_of_squares(
-                    m, lambda b: (sg[:, None] * np.swapaxes(b, 1, 2)) @ (sg[:, None] * b))
-                mus.append(mu)
-                resids.append(resid)
-                signs.append(np.sign(np.einsum("ni,i,ni->n", x, sg, x)))
-            self._cache["s_tops"] = tuple(np.column_stack(a) for a in (mus, signs, resids))
-        return self._cache["s_tops"]
+        mus, signs, resids = [], [], []
+        for m, sg in zip(self.comps, self.ctx.level_signs):
+            x, mu, resid = _top_eig_of_squares(
+                m, lambda b: (sg[:, None] * np.swapaxes(b, 1, 2)) @ (sg[:, None] * b))
+            mus.append(mu)
+            resids.append(resid)
+            signs.append(np.sign(np.einsum("ni,i,ni->n", x, sg, x)))
+        return tuple(np.column_stack(a) for a in (mus, signs, resids))
 
     def membership_mask(self) -> np.ndarray:
         """Words whose twisted square has a real dominant pair on every level."""
         mus, _, resids = self._twisted_tops()
         return (resids < RESIDUAL_TOL).all(axis=1) & (mus != 0).all(axis=1) & np.isfinite(mus).all(axis=1)
 
+    @_memo
     def bo_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Slot coordinates, eigenline signs (rank order) and modulus gaps.
 
         Signs come from prefix sign products of the level-j dominant
         eigenvectors, which are the wedges of the eigenline decomposition.
         """
-        if "bo" in self._cache:
-            return self._cache["bo"]
         p = self.ctx.p
         mus, qsigns, _ = self._twisted_tops()
         prefix = np.log(np.maximum(np.abs(mus), 1e-300)) + 2 * np.column_stack(self.scales)
@@ -385,9 +393,7 @@ class ShellData:
         slots = np.where(signs > 0, pos_rank, p + neg_rank)
         bo = np.full((self.count, self.ctx.d), np.nan)
         np.put_along_axis(bo, slots.astype(np.int64), halves, axis=1)
-        out = (bo, signs, gaps)
-        self._cache["bo"] = out
-        return out
+        return bo, signs, gaps
 
     def bo_valid_mask(self) -> np.ndarray:
         """Members whose eigenline signs fill the signature."""
@@ -396,27 +402,23 @@ class ShellData:
 
     # -- Jordan data -----------------------------------------------------
 
+    @_memo
     def _jordan_tops(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per level: stepwise-kernel (vectors, Rayleigh values, residuals) of M."""
-        if "jordan_tops" not in self._cache:
-            self._cache["jordan_tops"] = [_top_eig_power(m) for m in self.comps]
-        return self._cache["jordan_tops"]
+        return [_top_eig_power(m) for m in self.comps]
 
     def jordan_vectors(self) -> list[np.ndarray]:
         """Per level: (n, C_j) unit dominant eigenvectors of the level matrices."""
         return [x for x, _, _ in self._jordan_tops()]
 
+    @_memo
     def jordan_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """(n, d) recentered descending log eigenvalue moduli, with valid mask."""
-        if "jordan" in self._cache:
-            return self._cache["jordan"]
         tops = self._jordan_tops()
         prefix = np.column_stack([np.log(np.maximum(np.abs(mu), 1e-300)) + s
                                   for (_, mu, _), s in zip(tops, self.scales)] + [self.logdets])
         ok = np.logical_and.reduce([resid < RESIDUAL_TOL for _, _, resid in tops])
-        out = (_recentred_increments(prefix), ok)
-        self._cache["jordan"] = out
-        return out
+        return _recentred_increments(prefix), ok
 
 
 def _extend(shell: ShellData, parents, letters: np.ndarray) -> ShellData:

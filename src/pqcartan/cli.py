@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .bulk import CapExceededError
 from .cocycles import identity_suite
+from .counting import cone_samples, count_curve, default_phi, equidistribution_experiment, estimate_exponent
 from .flags import NonGenericFlagError
 from .forms import DegenerateFormError, Form
 from .freegroup import (
@@ -184,8 +185,6 @@ def cmd_cocycle_check(cfg: dict, args) -> dict:
 
 
 def cmd_count(cfg: dict, args) -> dict:
-    from .counting import count_curve, default_phi, estimate_exponent
-
     rep = _build_rep(cfg)
     length = int(cfg.get("length", 8))
     functional = cfg.get("functional", "norm_bo")
@@ -219,8 +218,6 @@ def cmd_count(cfg: dict, args) -> dict:
 
 
 def cmd_cone(cfg: dict, args) -> dict:
-    from .counting import cone_samples
-
     rep = _build_rep(cfg)
     l_min = int(cfg.get("length_min", 6))
     l_max = int(cfg.get("length_max", 9))
@@ -242,8 +239,6 @@ def cmd_cone(cfg: dict, args) -> dict:
 
 
 def cmd_equidistribute(cfg: dict, args) -> dict:
-    from .counting import default_phi, equidistribution_experiment
-
     rep = _build_rep(cfg)
     length = int(cfg.get("length", 10))
     phi = np.asarray(cfg["phi"], dtype=float) if "phi" in cfg else default_phi(rep)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flags import Flag, NonGenericFlagError, flag_perp, o_generic, transverse
-from .forms import Form, induced_form
+from .flags import Flag, NonGenericFlagError, flag_perp, o_generic, project_to_So, transverse
+from .forms import Form, induced_form, sigma_o
 from .numerics import ScaledMatrix, compound, wedge_coordinates
 from .projections import jordan
 from .weyl import ChamberA
@@ -155,8 +155,6 @@ def dual_busemann(
     Equals the opposition image of the direct value; ``duality_defect``
     measures the deviation.
     """
-    from .forms import sigma_o
-
     return busemann_o(o, sigma_o(o, g), flag_perp(o, xi), chamber)
 
 
@@ -270,8 +268,6 @@ def _random_matrix(rng, d: int, field: str = "R", spread: float = 1.0) -> Scaled
 
 
 def _random_generic_flag(rng, o: Form) -> Flag:
-    from .flags import o_generic as generic_check
-
     d = o.dim
     while True:
         if o.field_tag == "C":
@@ -282,7 +278,7 @@ def _random_generic_flag(rng, o: Form) -> Flag:
             f = Flag.of(a)
         except ValueError:
             continue
-        if generic_check(o, f, degeneracy_rtol=1e-6).generic:
+        if o_generic(o, f, degeneracy_rtol=1e-6).generic:
             return f
 
 
@@ -299,8 +295,6 @@ def identity_suite(o: Form, samples: int = 300, seed: int = 0, chamber: ChamberA
     projection.  All inputs are drawn from a seeded generator and resampled
     until generic, so reports are reproducible.
     """
-    from .flags import project_to_So
-
     rng = np.random.default_rng(seed)
     d = o.dim
     chamber = _chamber_or_default(chamber, d)

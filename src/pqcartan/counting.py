@@ -10,13 +10,14 @@ count never changes results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
 from . import bulk
 from .bulk import ShellData
-from .freegroup import DEFAULT_WORD_CAP, Representation, sample_limit_set
+from .cocycles import gromov_product
+from .freegroup import DEFAULT_WORD_CAP, Representation, Word, attracting_flag, sample_limit_set
+from .numerics import hodge_dual
 from .weyl import ChamberA, WeylElement, chamber_from_signs, chamber_transition, iota_of_chamber
 
 __all__ = [
@@ -308,12 +309,7 @@ def estimate_exponent(curve: CountCurve, window: tuple[float, float]):
 
 def _cyclically_reduced_rows(k: int, length: int) -> np.ndarray:
     """(n, length) int8 alphabet-index rows of the cyclically reduced words, canonical order."""
-    a = 2 * k
-    table = bulk.successor_table(a)
-    rows = np.arange(a, dtype=np.int8)[:, None]
-    for _ in range(length - 1):
-        nxt = table[rows[:, -1]].reshape(-1, 1)
-        rows = np.concatenate([np.repeat(rows, a - 1, axis=0), nxt], axis=1)
+    rows = bulk.sphere_rows(k, length)
     return rows[rows[:, 0] != (rows[:, -1] ^ 1)]
 
 
@@ -537,19 +533,6 @@ def letters_to_indices(letters) -> tuple[int, ...]:
 # -- Gromov-product comparison ------------------------------------------------
 
 
-def _hodge_matrix(d: int, j: int) -> np.ndarray:
-    """Matrix of the pairing sending a (d-j)-wedge to its level-j annihilator."""
-    from .projections import _hodge_dual
-
-    cols = comb(d, d - j)
-    rows_n = comb(d, j)
-    h = np.zeros((rows_n, cols))
-    eye = np.eye(cols)
-    for a in range(cols):
-        h[:, a] = _hodge_dual(eye[:, a], d, j)
-    return h
-
-
 def gromov_comparison(
     rep: Representation,
     phi,
@@ -574,7 +557,6 @@ def gromov_comparison(
     d = ctx.d
     a_idx = letters_to_indices(cylinder_a)
     b_idx = letters_to_indices(cylinder_b)
-    hodges = [_hodge_matrix(d, j) for j in range(1, d)]
     out: dict[int, float] = {}
     counts: dict[int, int] = {}
     for length in range(length_min, length_max + 1):
@@ -595,7 +577,7 @@ def gromov_comparison(
             sg = ctx.level_signs[j - 1]
             vp = fwd_tops[j - 1]
             w = inv_tops[d - j - 1]
-            v = (hodges[j - 1] @ w.T).T * sg[None, :]
+            v = hodge_dual(w, d, j) * sg
             cross = np.einsum("ni,i,ni->n", v, sg, vp)
             qv = np.einsum("ni,i,ni->n", v, sg, v)
             qp = np.einsum("ni,i,ni->n", vp, sg, vp)
@@ -723,9 +705,6 @@ def equidistribution_experiment(rep: Representation, phi, length_max: int, boxes
 
 def _box_bracket(rep: Representation, phi, chamber, cyl_a, cyl_b) -> float:
     """Bracket at representative endpoints: fixed flags of the cylinder words."""
-    from .cocycles import gromov_product
-    from .freegroup import Word, attracting_flag
-
     wa = Word.of(cyl_a)
     wb = Word.of(cyl_b)
     if wa.letters == wb.letters:

@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .numerics import ScaledMatrix, minor_matrix
 
@@ -207,6 +206,8 @@ def sample_isometry(o: Form, rng, scale: float = 0.5) -> ScaledMatrix:
     Draws a random matrix, projects it onto the -1 eigenspace of the adjoint
     map (X with adjoint(X) = -X) and exponentiates.
     """
+    from scipy.linalg import expm  # local: keeps the slow scipy.linalg import out of `import pqcartan`
+
     d = o.dim
     if o.field_tag == "C":
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
 from . import bulk
-from .bulk import BulkContext, CapExceededError, sphere_size
+from .bulk import BulkContext, CapExceededError, sphere_rows, sphere_size
 from .flags import Flag, line_hyperplane_distance, o_generic
-from .forms import Form
-from .numerics import ScaledMatrix, subspace_from_wedge, wedge_coordinates
-from .projections import GAP_TOL, _eigen_flag, _hodge_dual, check_r_eps_loxodromic, is_loxodromic
+from .forms import Form, induced_form
+from .numerics import ScaledMatrix, hodge_dual, subspace_from_wedge, wedge_coordinates
+from .projections import GAP_TOL, _eigen_flag, check_r_eps_loxodromic, is_loxodromic
 
 __all__ = [
     "Word",
@@ -149,25 +150,18 @@ class Representation:
         return self._bulk
 
 
+def _row_word(row) -> Word:
+    """The word of an alphabet-index row."""
+    return Word(tuple(bulk.index_letter(i) for i in row))
+
+
 def sphere_words(k: int, length: int):
     """All reduced words of the given length, canonical order."""
     if length == 0:
         yield Word(())
         return
-    alphabet = [bulk.index_letter(i) for i in range(2 * k)]
-
-    def rec(prefix: list[int]):
-        if len(prefix) == length:
-            yield Word(tuple(prefix))
-            return
-        for l in alphabet:
-            if prefix and l == -prefix[-1]:
-                continue
-            prefix.append(l)
-            yield from rec(prefix)
-            prefix.pop()
-
-    yield from rec([])
+    for row in sphere_rows(k, length).tolist():
+        yield _row_word(row)
 
 
 def enumerate_sphere(rep: Representation, length: int, cap: int = DEFAULT_WORD_CAP):
@@ -277,15 +271,13 @@ def build_schottky(
             for j in range(1, d):
                 line = wedge_coordinates(plus_of[s].basis, j)
                 dual = wedge_coordinates(minus_of[tl].basis, d - j)
-                theta = _hodge_dual(dual, d, j)
+                theta = hodge_dual(dual, d, j)
                 dist = line_hyperplane_distance(line, theta)
                 if dist < 1e-12:
                     reasons.append(f"letters {s},{tl} share fixed data at level {j}")
                 sep = min(sep, dist)
     for i, f in enumerate(flags_plus + flags_minus):
         for j in range(1, d):
-            from .forms import induced_form
-
             oj = induced_form(o_std, j)
             v = wedge_coordinates(f.basis, j)
             sep = min(sep, line_hyperplane_distance(v, v, oj.gram))
@@ -310,8 +302,6 @@ def sl2_irreducible(a: np.ndarray, n: int) -> np.ndarray:
     """Image of a 2x2 matrix under the dimension-n irreducible (symmetric power)."""
     if n == 1:
         return np.eye(1, dtype=a.dtype)
-    from math import comb as binom
-
     m = n - 1
     out = np.zeros((n, n), dtype=np.float64 if not np.iscomplexobj(a) else np.complex128)
     (p, q), (r, s) = a
@@ -319,9 +309,9 @@ def sl2_irreducible(a: np.ndarray, n: int) -> np.ndarray:
     for i in range(n):
         coeff = np.zeros(n, dtype=out.dtype)
         for t in range(m - i + 1):
-            c1 = binom(m - i, t) * p ** (m - i - t) * r**t
+            c1 = comb(m - i, t) * p ** (m - i - t) * r**t
             for u in range(i + 1):
-                c2 = binom(i, u) * q ** (i - u) * s**u
+                c2 = comb(i, u) * q ** (i - u) * s**u
                 coeff[t + u] += c1 * c2
         out[:, i] = coeff
     return out
@@ -369,7 +359,7 @@ def anosov_gap_check(rep: Representation, length_max: int, threads: int = 1, cap
     the word-length gap bound; finite length can only ever test a necessary
     condition, which the CLI report states explicitly.
     """
-    from .counting import FunctionalHistCollector  # counting imports this module
+    from .counting import FunctionalHistCollector  # local: counting imports this module
 
     [col] = bulk.run_bulk(rep.bulk_context(), length_max,
                           [(FunctionalHistCollector, {"kind": "min_root_gap", "grid": []})],
@@ -399,23 +389,26 @@ def flag_from_compound_tops(vectors: list[np.ndarray], d: int) -> Flag:
     return Flag.of(cols)
 
 
-def _word_levels(rep: Representation, word: Word) -> list[np.ndarray]:
-    """Unit level matrices of the word's image, from the bulk engine."""
-    shell = rep.bulk_context().shell([[bulk.letter_index(l) for l in word.letters]])
-    return [c[0] for c in shell.comps]
+def _word_row(word: Word) -> list[list[int]]:
+    """The word as a single alphabet-index row, for ``BulkContext.shell``."""
+    return [[bulk.letter_index(l) for l in word.letters]]
+
+
+def _singular_tops(rep: Representation, rows) -> list[np.ndarray]:
+    """Per level: (n, C_j) top left singular vectors of the words' level matrices."""
+    return [np.linalg.svd(m)[0][:, :, 0] for m in rep.bulk_context().shell(rows).comps]
 
 
 def singular_flag(rep: Representation, word: Word) -> Flag:
     """Cartan attractor of the word's image, read off exterior powers."""
-    tops = [np.linalg.svd(m)[0][:, 0] for m in _word_levels(rep, word)]
-    return flag_from_compound_tops(tops, rep.dim)
+    return flag_from_compound_tops([t[0] for t in _singular_tops(rep, _word_row(word))], rep.dim)
 
 
 def attracting_flag(rep: Representation, word: Word) -> Flag:
     """Attracting fixed flag of the word's image, read off exterior powers."""
     tops = []
-    for m in _word_levels(rep, word):
-        vals, vecs = np.linalg.eig(m)
+    for c in rep.bulk_context().shell(_word_row(word)).comps:
+        vals, vecs = np.linalg.eig(c[0])
         v = vecs[:, int(np.argmax(np.abs(vals)))]
         lead = v[int(np.argmax(np.abs(v)))]
         tops.append(np.real(v * np.exp(-1j * np.angle(lead))))
@@ -425,22 +418,25 @@ def attracting_flag(rep: Representation, word: Word) -> Flag:
 def sample_limit_set(rep: Representation, length: int, count: int):
     """Singular flags of evenly spaced words at the given length.
 
+    The candidates are the words of rank 0, s, 2s, ... for the stride
+    s = sphere size // count, read off the engine in one batch; they are
+    taken in order until count of them give generic flags.
     Returns (flags, signatures, reports): each flag classified by its orbit
     signature; non-generic samples are reported, never silently dropped.
     Attracting fixed flags of the cyclically reduced samples serve as a
     cross-check that the sampled flags approximate the limit set.
     """
-    n = sphere_size(rep.rank, length)
-    stride = max(1, n // max(1, count))
+    rows = sphere_rows(rep.rank, length)
+    rows = rows[:: max(1, len(rows) // max(1, count))]
+    tops = _singular_tops(rep, rows)
     flags, signatures, reports = [], [], []
-    o = rep.form
-    for i, w in enumerate(sphere_words(rep.rank, length)):
-        if i % stride != 0 or len(flags) >= count:
-            continue
-        f = singular_flag(rep, w)
-        rep_g = o_generic(o, f)
+    for i, row in enumerate(rows.tolist()):
+        if len(flags) >= count:
+            break
+        f = flag_from_compound_tops([t[i] for t in tops], rep.dim)
+        rep_g = o_generic(rep.form, f)
         if not rep_g.generic:
-            reports.append((w, f"non-generic sample at level {rep_g.failed_level}"))
+            reports.append((_row_word(row), f"non-generic sample at level {rep_g.failed_level}"))
             continue
         flags.append(f)
         signatures.append(rep_g.signature)
@@ -475,7 +471,7 @@ def _conjugated_diagonal_pair(exponents, exponents2, power, boost, rot, metadata
     the (1,3)-plane composed with a rotation in the (1,2)-plane), so the
     second generator keeps the line signs of the first one's fixed flags.
     """
-    from scipy.linalg import expm
+    from scipy.linalg import expm  # local: keeps the slow scipy.linalg import out of `import pqcartan`
 
     o = Form.standard(2, 1)
     g1 = ScaledMatrix.of(np.diag(np.exp(np.asarray(exponents, dtype=float))))

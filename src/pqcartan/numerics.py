@@ -10,6 +10,7 @@ all downstream quantities invariant under rescaling a representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -118,23 +119,43 @@ def multiply(a: ScaledMatrix, b: ScaledMatrix) -> ScaledMatrix:
     return ScaledMatrix.of(a.entries @ b.entries, a.log_scale + b.log_scale)
 
 
-def _subsets(d: int, j: int) -> list[tuple[int, ...]]:
-    return list(combinations(range(d), j))
+@lru_cache(maxsize=None)
+def subset_table(d: int, j: int) -> np.ndarray:
+    """(binom(d, j), j) read-only table of the j-subsets of range(d), lexicographic.
+
+    Row i is the index set of the i-th coordinate of the j-th exterior power.
+    """
+    table = np.array(list(combinations(range(d), j)), dtype=np.intp)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _hodge_signs(d: int, j: int) -> np.ndarray:
+    """Signs of the shuffles (complement of S, S) over the j-subsets S, lex order."""
+    subs = subset_table(d, j)
+    # entry a of S precedes the d - j - (S[a] - a) larger complement entries
+    inversions = (d - j - subs + np.arange(j)).sum(axis=1)
+    signs = 1.0 - 2.0 * (inversions % 2)
+    signs.setflags(write=False)
+    return signs
+
+
+def hodge_dual(w: np.ndarray, d: int, j: int) -> np.ndarray:
+    """Level-j covector(s) of the annihilator hyperplane of (d-j)-wedge(s) w.
+
+    Complement reverses the lexicographic subset order, so the complement of
+    the i-th j-subset is the i-th (d-j)-subset from the end.
+    """
+    return _hodge_signs(d, j) * np.conj(w[..., ::-1])
 
 
 def minor_matrix(m: np.ndarray, j: int) -> np.ndarray:
     """The j-th compound: matrix of j x j minors in lexicographic subset order."""
-    d = m.shape[0]
     if j == 1:
         return m.copy()
-    subs = _subsets(d, j)
-    c = len(subs)
-    blocks = np.empty((c, c, j, j), dtype=m.dtype)
-    for r, rows in enumerate(subs):
-        sl = m[np.ix_(rows, range(d))]
-        for s, cols in enumerate(subs):
-            blocks[r, s] = sl[:, cols]
-    return np.linalg.det(blocks.reshape(c * c, j, j)).reshape(c, c)
+    subs = subset_table(m.shape[0], j)
+    return np.linalg.det(m[subs[:, None, :, None], subs[None, :, None, :]])
 
 
 @dataclass(frozen=True)
@@ -212,15 +233,9 @@ def eigen(g: ScaledMatrix, condition_cap: float = 1e8) -> EigenData:
 
 def wedge_coordinates(columns: np.ndarray, j: int) -> np.ndarray:
     """Pluecker coordinates of the span of the first j columns (lex order)."""
-    d = columns.shape[0]
-    block = columns[:, :j]
-    subs = _subsets(d, j)
     if j == 1:
-        return block[:, 0].copy()
-    stack = np.empty((len(subs), j, j), dtype=columns.dtype)
-    for i, rows in enumerate(subs):
-        stack[i] = block[rows, :]
-    return np.linalg.det(stack)
+        return columns[:, 0].copy()
+    return np.linalg.det(columns[subset_table(columns.shape[0], j), :j])
 
 
 def subspace_from_wedge(w: np.ndarray, d: int, j: int) -> np.ndarray:
@@ -231,12 +246,12 @@ def subspace_from_wedge(w: np.ndarray, d: int, j: int) -> np.ndarray:
     """
     if j == d:
         return np.eye(d, dtype=w.dtype)
-    subs_j = {s: i for i, s in enumerate(_subsets(d, j))}
-    subs_j1 = _subsets(d, j + 1)
+    subs_j = {tuple(s): i for i, s in enumerate(subset_table(d, j).tolist())}
+    subs_j1 = subset_table(d, j + 1).tolist()
     rows = np.zeros((len(subs_j1), d), dtype=np.complex128 if np.iscomplexobj(w) else np.float64)
     for r, sup in enumerate(subs_j1):
         for pos, i in enumerate(sup):
-            rest = sup[:pos] + sup[pos + 1 :]
+            rest = tuple(sup[:pos] + sup[pos + 1 :])
             rows[r, i] = ((-1) ** pos) * w[subs_j[rest]]
     _, sv, vh = np.linalg.svd(rows)
     large = int(np.sum(sv > 1e-10 * sv[0])) if sv.size else 0

@@ -15,7 +15,7 @@ import numpy as np
 
 from .flags import Flag, line_hyperplane_distance
 from .forms import Form, o_adjoint
-from .numerics import ScaledMatrix, compound, eigen, wedge_coordinates
+from .numerics import ScaledMatrix, compound, eigen, hodge_dual, wedge_coordinates
 from .weyl import ChamberA
 
 __all__ = [
@@ -172,39 +172,13 @@ def check_r_eps_loxodromic(g: ScaledMatrix, r: float, eps: float, tol: float = G
         cj = compound(g, j)
         line = wedge_coordinates(plus.basis, j)
         dual = wedge_coordinates(minus.basis, d - j)
-        theta = _hodge_dual(dual, d, j)
+        theta = hodge_dual(dual, d, j)
         sep = line_hyperplane_distance(line, theta)
         if sep < 2 * r:
             return False
         if not _contracts(cj.entries, line, theta, eps):
             return False
     return True
-
-
-def _hodge_dual(w: np.ndarray, d: int, j: int) -> np.ndarray:
-    """Covector of the annihilator hyperplane of a (d-j)-wedge, in level-j coords."""
-    from itertools import combinations
-
-    subs_j = list(combinations(range(d), j))
-    index_cmpl = {tuple(sorted(set(range(d)) - set(s))): i for i, s in enumerate(subs_j)}
-    subs_cj = list(combinations(range(d), d - j))
-    out = np.zeros(len(subs_j), dtype=w.dtype)
-    for a, comp in enumerate(subs_cj):
-        i = index_cmpl[comp]
-        merged = list(comp) + list(subs_j[i])
-        sign = _perm_sign(merged)
-        out[i] = sign * np.conj(w[a])
-    return out
-
-
-def _perm_sign(seq) -> int:
-    seq = list(seq)
-    sign = 1
-    for i in range(len(seq)):
-        for k in range(i + 1, len(seq)):
-            if seq[i] > seq[k]:
-                sign = -sign
-    return sign
 
 
 def _contracts(t: np.ndarray, plus_line: np.ndarray, theta: np.ndarray, eps: float) -> bool:

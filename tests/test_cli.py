@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -39,6 +41,14 @@ def test_rep_build_d5(tmp_path):
     assert main(["rep-build", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads((out / "summary.json").read_text())
     assert payload["summary"]["limit_signatures"] == [[1, -1, 1, -1, 1]]
+
+
+def test_import_does_not_load_scipy_linalg():
+    # scipy.linalg is imported only where it is used (isometry sampling,
+    # the conjugated-pair recipes), so the CLI starts without paying for it
+    code = "import sys, pqcartan, pqcartan.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pqcartan.flags import flag_distance
+from pqcartan.flags import flag_distance, o_generic
 from pqcartan.forms import Form
 from pqcartan.freegroup import (
     CapExceededError,
@@ -23,7 +23,7 @@ from pqcartan.freegroup import (
     two_orbit_rep,
 )
 from pqcartan.numerics import ScaledMatrix
-from pqcartan.bulk import sphere_size, word_rank
+from pqcartan.bulk import index_letter, sphere_rows, sphere_size, word_rank
 
 
 def test_word_reduction_and_ops():
@@ -47,6 +47,16 @@ def test_sphere_order_deterministic_and_ranked():
     assert words == list(sphere_words(2, 3))
     for i, w in enumerate(words):
         assert word_rank(w.letters, 2) == i
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sphere_rows_follow_enumerate_sphere(k):
+    rep = Representation.of([ScaledMatrix.of(np.diag([2.0, 1.0, 0.5]))] * k, Form.standard(2, 1))
+    for length in range(1, 6):
+        rows = sphere_rows(k, length)
+        words = [w for w, _ in enumerate_sphere(rep, length)]
+        assert rows.shape == (len(words), length)
+        assert [Word(tuple(index_letter(i) for i in r)) for r in rows.tolist()] == words
 
 
 def test_enumerate_sphere_cap():
@@ -160,6 +170,27 @@ def test_reducible_example_properties():
     _, sigs, bad = sample_limit_set(rep, 6, 40)
     assert not bad
     assert {s.signs for s in sigs} == {(1, -1, 1)}
+
+
+@pytest.mark.parametrize("recipe", [lambda: reducible_rep(power=4), lambda: reducible_rep(3, 2, power=6),
+                                    two_orbit_rep], ids=["reducible_21", "reducible_32", "two_orbit"])
+def test_limit_samples_are_strided_singular_flags(recipe):
+    # candidates are the words of rank 0, stride, 2 stride, ...; non-generic
+    # ones are reported, the rest give flags until count of them are found
+    rep = recipe()
+    length, count = 6, 40
+    flags, sigs, bad = sample_limit_set(rep, length, count)
+    stride = max(1, sphere_size(rep.rank, length) // count)
+    want_flags, want_bad = [], []
+    for w in list(sphere_words(rep.rank, length))[::stride]:
+        if len(want_flags) == count:
+            break
+        f = singular_flag(rep, w)
+        (want_flags if o_generic(rep.form, f).generic else want_bad).append((w, f))
+    assert [w for w, _ in bad] == [w for w, _ in want_bad]
+    assert len(flags) == len(sigs) == len(want_flags)
+    for f, (_, g) in zip(flags, want_flags):
+        assert np.array_equal(f.basis, g.basis)
 
 
 def test_reducible_rejects_trivial_sl2():

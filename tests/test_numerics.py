@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from pqcartan.numerics import (
     ScaledMatrix,
     compound,
     eigen,
+    hodge_dual,
+    minor_matrix,
     multiply,
     subspace_from_wedge,
     wedge_coordinates,
@@ -146,6 +150,30 @@ def test_wedge_and_subspace_roundtrip(rng):
         # spans agree: projection of original columns onto recovered space is identity
         proj = sub @ sub.conj().T
         assert np.linalg.norm(proj @ q[:, :j] - q[:, :j]) < 1e-9
+
+
+def test_minor_and_wedge_tables_match_subset_loops(rng):
+    for d in range(2, 7):
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for j in range(1, d):
+            subs = [list(s) for s in combinations(range(d), j)]
+            minors = [[np.linalg.det(m[np.ix_(r, c)]) for c in subs] for r in subs]
+            # one det call per minor may round differently from the batched call
+            assert np.allclose(minor_matrix(m, j), minors, rtol=1e-13, atol=1e-14)
+            assert np.allclose(wedge_coordinates(m, j), [np.linalg.det(m[r, :j]) for r in subs],
+                               rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_hodge_pairing_is_the_block_determinant(rng, field):
+    # Laplace expansion along the first d - j columns of [conj(B) | A]
+    for d in range(2, 8):
+        for j in range(1, d):
+            a, b = (rng.standard_normal((d, n)) + (1j * rng.standard_normal((d, n)) if field == "C" else 0)
+                    for n in (j, d - j))
+            pairing = hodge_dual(wedge_coordinates(b, d - j), d, j) @ wedge_coordinates(a, j)
+            block = np.linalg.det(np.hstack([b.conj(), a]))
+            assert abs(pairing - block) <= 1e-12 * abs(block), (d, j)
 
 
 def test_eigen_handles_extreme_scales():
