@@ -16,25 +16,25 @@ the Gromov comparison and the limit flags (``freegroup.singular_flag``,
 sampled words in one batch), so every word gets the same level data, bit
 for bit, whichever path reads it.
 
-Two kernels compute the top eigendata of a level, both as the direction of
-M^64 x0 for a fixed start vector x0, with the Rayleigh value and residual
-taken against the matrix itself.  The square-type levels (the Cartan Gram
-M^T M and the twisted square J M^T J M) use ``_top_eig_squared``: six
-renormalised batched squarings and one product with x0, several times
-cheaper than 64 matrix-vector steps.  The Gram matrix is symmetric, so
-squaring it costs no accuracy.  The twisted square is only J-self-adjoint
-(its top eigenvalue has condition about 1/|x^T J x| for the unit top
-eigenvector x); it uses the squared kernel because the two kernels agree on
-it to 1e-15 in log|mu|, with no residual mask flipped, over every word of
-d=3 L=9..10 and d=5 L=7..8, and b_o stays within 2e-9 of mpmath on the
-words of shell 10 of ``two_orbit_rep`` with the smallest |x^T J x| (0.42;
-it is 1 on every word of the reducible examples).  The Cartan kernel's top
-right singular vector v also gives the attractor: M v is along the top left
-singular vector, so ``attractor_signs`` runs no kernel of its own.  The
-Jordan level reads the level matrix M itself, which is far from normal on
-long words; squaring it costs up to 1e-4 in the Jordan projection against
-mpmath, so ``jordan_coords`` keeps the stepwise ``_top_eig_power``, which
-stays within 4e-9, and caches its vectors for the Gromov comparison.
+Every level also carries a tracked attractor t, a unit vector along the
+top left singular direction of M.  For an Anosov representation the prefix
+fixes that direction up to about e^(-gap |w|) (Bochi-Potrie-Sambarino), so
+``_extend`` takes t from the parent's in O(C^2): y = M^T t and z = M y give
+the residual |z - mu t| / mu of the parent's t (mu = |y|^2), and z / |z| is
+the word's t.  ``cartan_prefixes`` reads sigma_1^2 = |M^T t|^2 and
+``attractor_signs`` the form sign of t; ``_twisted_tops`` reads the twisted
+square J M^T J M at t through its conjugate M J M^T J (same eigenvalues, top
+eigenvector M x on the same prefix-stable side, J-self-adjoint, so its
+J-Rayleigh value is second-order accurate), and one vector for both keeps
+b_o bit-identical to the Cartan projection where M commutes with the form.
+Rows whose residual is at or above RESIDUAL_TOL (L <= 3 on the shipped
+examples) take the vector of the stepwise kernel ``_top_eig_power``, so a
+top pair of equal modulus stays masked; ``BulkContext`` builds these short
+shells once and ``BulkContext.shell`` starts each row from its prefix there.
+``jordan_coords`` keeps that kernel on M itself (within 4e-9 of mpmath): a
+word u c u^-1 stored as one float64 level loses lambda_1(c) once the
+conjugator's spread passes float64 resolution, so a one-step Jordan reading
+is only sound together with reading each word's cyclic core.
 
 Enumeration order is canonical: shells by length, words lexicographic in
 the alphabet (g1, g1^-1, g2, g2^-1, ...); ``sphere_rows`` builds a sphere's
@@ -46,7 +46,7 @@ order, so outputs are identical for any worker count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import wraps
 
 import numpy as np
@@ -66,10 +66,8 @@ __all__ = [
 
 DEFAULT_CHUNK = 200_000
 POWER_ITERS = 64
-SQUARINGS = POWER_ITERS.bit_length() - 1
-assert POWER_ITERS == 1 << SQUARINGS, "the squared kernel needs a power of two"
-SQUARE_BLOCK = 4096
 RESIDUAL_TOL = 1e-6
+SEED_LENGTH = 3  # shells built once per context; their words need the stepwise fallback
 
 
 class CapExceededError(RuntimeError):
@@ -139,10 +137,8 @@ class BulkContext:
     k: int
     d: int
     p: int
-    gen_entries: list[np.ndarray]  # per level: (2k, C, C)
-    gen_scales: list[np.ndarray]  # per level: (2k,)
-    gen_logdets: np.ndarray  # (2k,)
     level_signs: list[np.ndarray]  # per level: diagonal of the standard level form
+    spheres: list["ShellData"] = field(init=False, repr=False)  # shells 1..SEED_LENGTH
 
     @staticmethod
     def of(images_std: list[np.ndarray], p: int) -> "BulkContext":
@@ -164,26 +160,33 @@ class BulkContext:
             gen_scales.append(np.array(scales))
         logdets = np.array([np.linalg.slogdet(m)[1] for m in images_std])
         base_signs = np.array([1.0] * p + [-1.0] * (d - p))
-        level_signs = [np.prod(base_signs[subset_table(d, j)], axis=1) for j in levels]
-        return BulkContext(k, d, p, gen_entries, gen_scales, logdets, level_signs)
+        ctx = BulkContext(k, d, p, [np.prod(base_signs[subset_table(d, j)], axis=1) for j in levels])
+        ctx.spheres = [ShellData(ctx, 1, np.arange(2 * k, dtype=np.int8)[:, None], gen_entries, gen_scales, logdets,
+                                 [_normalize_rows(_top_pair(m, 1.0, _start_vectors(*m.shape[:2]))[0])
+                                  for m in gen_entries])]
+        for _ in range(1, SEED_LENGTH):
+            ctx.spheres.append(_children(ctx.spheres[-1], successor_table(2 * k)))
+        return ctx
 
     @property
     def alphabet_size(self) -> int:
         return 2 * self.k
 
     def shell(self, idx_rows) -> "ShellData":
-        """ShellData of arbitrary words, given as equal-length alphabet-index rows.
+        """ShellData of arbitrary reduced words, given as equal-length alphabet-index rows.
 
-        Each row is seeded from its first letter and extended one letter at a
-        time by ``_extend``, the step ``run_bulk`` takes, so a word's level
-        data equals, bit for bit, what ``run_bulk`` yields for it.
+        Each row is seeded from its prefix of up to SEED_LENGTH letters in
+        ``spheres`` and extended one letter at a time by ``_extend``, the step
+        ``run_bulk`` takes, so a word's level data equals, bit for bit, what
+        ``run_bulk`` yields for it.
         """
         idx_rows = np.asarray(idx_rows, dtype=np.int8)
-        first = idx_rows[:, 0]
-        shell = ShellData(self, 1, idx_rows[:, :1], [e[first] for e in self.gen_entries],
-                          [s[first] for s in self.gen_scales], self.gen_logdets[first])
-        for t in range(1, idx_rows.shape[1]):
-            shell = _extend(shell, slice(None), idx_rows[:, t])
+        if (idx_rows[:, 1:] == idx_rows[:, :-1] ^ 1).any():
+            raise ValueError("BulkContext.shell needs reduced words")
+        s = min(idx_rows.shape[1], SEED_LENGTH)
+        shell = self.spheres[s - 1].piece(_ranks_of(idx_rows[:, :s], self.k))
+        for t in range(s, idx_rows.shape[1]):
+            shell = _extend(shell, idx_rows[:, t:t + 1])
         return shell
 
 
@@ -211,62 +214,49 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / nrm
 
 
-def _rayleigh(mats: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, Rayleigh value, relative residual) of unit vectors x against mats."""
-    mx = np.einsum("nij,nj->ni", mats, x)
-    mu = np.einsum("ni,ni->n", x, mx)
-    resid = np.linalg.norm(mx - mu[:, None] * x, axis=1) / np.maximum(np.abs(mu), 1e-300)
-    return x, mu, resid
-
-
 def _top_eig_power(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dominant eigenpair per stacked matrix by power iteration.
 
-    Returns (vectors, rayleigh values, relative residuals); a residual above
+    Returns (vectors, Rayleigh values, relative residuals); a residual above
     tolerance means no real dominant eigenvalue was found.
     """
     n, m, _ = mats.shape
     x = _start_vectors(n, m)
     for _ in range(POWER_ITERS):
         x = _normalize_rows(np.einsum("nij,nj->ni", mats, x))
-    return _rayleigh(mats, x)
+    mx = np.einsum("nij,nj->ni", mats, x)
+    mu = np.einsum("ni,ni->n", x, mx)
+    return x, mu, np.linalg.norm(mx - mu[:, None] * x, axis=1) / np.maximum(np.abs(mu), 1e-300)
 
 
-def _top_eig_squared(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Same result as ``_top_eig_power``: the direction of mats^POWER_ITERS x0.
+def _j_rayleigh(m: np.ndarray, sg, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a^T J a / u^T J u, a = M^T J u): the J-Rayleigh value of M J M^T J at u, J = diag(sg)."""
+    a = np.einsum("nji,nj->ni", m, sg * u)
+    return np.einsum("ni,ni->n", a, sg * a) / np.einsum("ni,ni->n", u, sg * u), a
 
-    The power is formed by log2(POWER_ITERS) batched squarings, each
-    renormalised to unit Frobenius norm, and applied once to the start
-    vector.  Squaring merges eigenvalues of equal modulus and opposite sign,
-    so the Rayleigh value and the residual are taken against the unsquared
-    matrices: such a pair keeps a large residual and stays masked.  Meant
-    for the square-type levels (see the module docstring); squaring a
-    non-normal level matrix loses digits.
+
+def _read_at(m: np.ndarray, sg, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(T u, J-Rayleigh value, relative residual, M^T J u) of T = M J M^T J at unit vectors u."""
+    mu, a = _j_rayleigh(m, sg, u)
+    b = np.einsum("nij,nj->ni", m, sg * a)
+    r = b - mu[:, None] * u
+    return b, mu, np.sqrt(np.einsum("ni,ni->n", r, r)) / np.maximum(np.abs(mu), 1e-300), a
+
+
+def _top_pair(m: np.ndarray, sg, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Top eigendata of T = M J M^T J read at approximate top eigenvectors u.
+
+    Returns (T u, the J-Rayleigh value, the relative residual, M^T J u).
+    Rows whose residual is at or above tolerance (or not finite) are read at,
+    and return in place of T u, the stepwise kernel's vector for T.
     """
-    n, m, _ = mats.shape
-    p = mats
-    for _ in range(SQUARINGS):
-        p = p @ p
-        nrm = np.sqrt(np.einsum("nij,nij->n", p, p))
-        nrm[nrm == 0.0] = 1.0
-        p /= nrm[:, None, None]
-    x = _normalize_rows(np.einsum("nij,nj->ni", p, _start_vectors(n, m)))
-    return _rayleigh(mats, x)
-
-
-def _top_eig_of_squares(m: np.ndarray, square) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_top_eig_squared(square(b))`` over row blocks b of the level stack m.
-
-    A block's matrices, squarings and scaled copies are freed before the
-    next block, so the transients stay at a few SQUARE_BLOCK x m x m arrays
-    however many words a shell piece holds.
-    """
-    n, k, _ = m.shape
-    x, mu, resid = np.empty((n, k)), np.empty(n), np.empty(n)
-    for lo in range(0, n, SQUARE_BLOCK):
-        b = slice(lo, lo + SQUARE_BLOCK)
-        x[b], mu[b], resid[b] = _top_eig_squared(square(m[b]))
-    return x, mu, resid
+    b, mu, resid, a = _read_at(m, sg, u)
+    redo = np.flatnonzero(~(resid < RESIDUAL_TOL))
+    if redo.size:
+        mr = m[redo]
+        b[redo] = _top_eig_power((mr * sg) @ (np.swapaxes(mr, 1, 2) * sg))[0]
+        _, mu[redo], resid[redo], a[redo] = _read_at(mr, sg, b[redo])
+    return b, mu, resid, a
 
 
 def _memo(accessor):
@@ -286,23 +276,25 @@ class ShellData:
     """Lazy per-word measurements for one shell of one subtree."""
 
     def __init__(self, ctx: BulkContext, length: int, idx_rows: np.ndarray,
-                 comps: list[np.ndarray], scales: list[np.ndarray], logdets: np.ndarray):
+                 comps: list[np.ndarray], scales: list[np.ndarray], logdets: np.ndarray,
+                 attractors: list[np.ndarray]):
         self.ctx = ctx
         self.length = length
         self.idx_rows = idx_rows
         self.comps = comps
         self.scales = scales
         self.logdets = logdets
+        self.attractors = attractors  # per level: (n, C) tracked attractors, unit vectors
         self._cache: dict[str, object] = {}
 
     @property
     def count(self) -> int:
         return self.idx_rows.shape[0]
 
-    def piece(self, rows: slice) -> "ShellData":
-        """The words of a row slice, with an empty cache."""
+    def piece(self, rows) -> "ShellData":
+        """The words of a row slice or index array, with an empty cache."""
         return ShellData(self.ctx, self.length, self.idx_rows[rows], [c[rows] for c in self.comps],
-                         [s[rows] for s in self.scales], self.logdets[rows])
+                         [s[rows] for s in self.scales], self.logdets[rows], [t[rows] for t in self.attractors])
 
     @_memo
     def ranks(self) -> np.ndarray:
@@ -322,15 +314,13 @@ class ShellData:
     # -- Cartan data ---------------------------------------------------
 
     @_memo
-    def _cartan_tops(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per level: top right singular vectors and top eigenvalues of M^T M."""
-        return [_top_eig_of_squares(m, lambda b: np.swapaxes(b, 1, 2) @ b)[:2] for m in self.comps]
-
-    @_memo
     def cartan_prefixes(self) -> np.ndarray:
-        """(n, d) array: prefix sums of the sorted log singular values."""
-        return np.column_stack([0.5 * np.log(np.maximum(mu, 1e-300)) + s
-                                for (_, mu), s in zip(self._cartan_tops(), self.scales)] + [self.logdets])
+        """(n, d) array: prefix sums of the sorted log singular values.
+
+        sigma_1^2 of each level is read at the tracked attractor, |M^T t|^2.
+        """
+        return np.column_stack([0.5 * np.log(np.maximum(_j_rayleigh(m, 1.0, t)[0], 1e-300)) + s
+                                for m, t, s in zip(self.comps, self.attractors, self.scales)] + [self.logdets])
 
     @_memo
     def cartan_coords(self) -> np.ndarray:
@@ -341,15 +331,11 @@ class ShellData:
     def attractor_signs(self) -> np.ndarray:
         """(n, d) orbit-signature signs of the singular (Cartan) attractor flag.
 
-        Level j's attractor wedge is the top left singular vector, along M v
-        for the right one v of the Cartan kernel; only the sign of its form
-        value is read, so M v is not normalised.
+        Level j's attractor wedge is the top left singular vector: the
+        level's tracked attractor.
         """
-        qs = []
-        for m, (v, _), sg in zip(self.comps, self._cartan_tops(), self.ctx.level_signs):
-            u = np.einsum("nij,nj->ni", m, v)
-            qs.append(np.sign(np.einsum("ni,i,ni->n", u, sg, u)))
-        return self._line_signs(np.column_stack(qs))
+        return self._line_signs(np.column_stack([np.sign(np.einsum("ni,i,ni->n", t, sg, t))
+                                                 for t, sg in zip(self.attractors, self.ctx.level_signs)]))
 
     def min_root_gap(self) -> np.ndarray:
         """Per word: smallest simple-root value of the Cartan projection."""
@@ -359,15 +345,18 @@ class ShellData:
 
     @_memo
     def _twisted_tops(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per level: top eigendata of S_j = J_j M_j^T J_j M_j (normalized)."""
-        mus, signs, resids = [], [], []
-        for m, sg in zip(self.comps, self.ctx.level_signs):
-            x, mu, resid = _top_eig_of_squares(
-                m, lambda b: (sg[:, None] * np.swapaxes(b, 1, 2)) @ (sg[:, None] * b))
-            mus.append(mu)
-            resids.append(resid)
-            signs.append(np.sign(np.einsum("ni,i,ni->n", x, sg, x)))
-        return tuple(np.column_stack(a) for a in (mus, signs, resids))
+        """Per level: top eigenvalues, eigenline signs and residuals of S = J M^T J M.
+
+        Read off the conjugate T = M J M^T J = M S M^-1: the same eigenvalues,
+        and its top eigenvector M x lies, like the attractor, on the
+        prefix-stable side, so it is read at the tracked attractor.
+        With u = M x, a = M^T J u = mu J x, so x^T J x has the sign of a^T J a.
+        """
+        sgs = self.ctx.level_signs
+        tops = [_top_pair(m, sg, t) for m, sg, t in zip(self.comps, sgs, self.attractors)]
+        return (np.column_stack([mu for _, mu, _, _ in tops]),
+                np.column_stack([np.sign(np.einsum("ni,ni->n", a, sg * a)) for (*_, a), sg in zip(tops, sgs)]),
+                np.column_stack([resid for _, _, resid, _ in tops]))
 
     def membership_mask(self) -> np.ndarray:
         """Words whose twisted square has a real dominant pair on every level."""
@@ -421,31 +410,33 @@ class ShellData:
         return _recentred_increments(prefix), ok
 
 
-def _extend(shell: ShellData, parents, letters: np.ndarray) -> ShellData:
-    """The words ``shell[parents]``, each followed by its letter in ``letters``.
+def _extend(shell: ShellData, letters: np.ndarray) -> ShellData:
+    """Every word of ``shell`` followed by each letter of its row of ``letters`` (n, w), in row order.
 
     The engine's one product step: each level is multiplied by the letter's
-    unit compound and renormalised to unit Frobenius norm, and the log-scales
-    are added.  ``parents`` is an index array (a fan-out) or a slice.
+    unit compound (one broadcast product, no copy of the parents' levels)
+    and renormalised to unit Frobenius norm, the log-scales are added, and
+    the attractor takes one power step of the word's M M^T from its parent's.
     """
-    ctx = shell.ctx
-    comps, scales = [], []
+    ctx, gen = shell.ctx, shell.ctx.spheres[0]
+    w = letters.shape[1]
+    comps, scales, attractors = [], [], []
     for j in range(ctx.d - 1):
-        prod = shell.comps[j][parents] @ ctx.gen_entries[j][letters]
+        prod = (shell.comps[j][:, None] @ gen.comps[j][letters]).reshape(-1, *gen.comps[j].shape[1:])
         nrm = np.sqrt(np.einsum("nij,nij->n", prod, prod))
         nrm[nrm == 0.0] = 1.0
         prod /= nrm[:, None, None]
         comps.append(prod)
-        scales.append(shell.scales[j][parents] + ctx.gen_scales[j][letters] + np.log(nrm))
-    idx = np.concatenate([shell.idx_rows[parents], letters[:, None].astype(np.int8)], axis=1)
+        scales.append((shell.scales[j][:, None] + gen.scales[j][letters]).reshape(-1) + np.log(nrm))
+        attractors.append(_normalize_rows(_top_pair(prod, 1.0, np.repeat(shell.attractors[j], w, axis=0))[0]))
+    idx = np.concatenate([np.repeat(shell.idx_rows, w, axis=0), letters.reshape(-1, 1).astype(np.int8)], axis=1)
     return ShellData(ctx, shell.length + 1, idx, comps, scales,
-                     shell.logdets[parents] + ctx.gen_logdets[letters])
+                     (shell.logdets[:, None] + gen.logdets[letters]).reshape(-1), attractors)
 
 
 def _children(shell: ShellData, table: np.ndarray) -> ShellData:
     """Every reduced one-letter extension of every word, in canonical order."""
-    letters = table[shell.idx_rows[:, -1]].reshape(-1)
-    return _extend(shell, np.repeat(np.arange(shell.count), table.shape[1]), letters)
+    return _extend(shell, table[shell.idx_rows[:, -1]])
 
 
 def _collect_chunked(shell: ShellData, collectors, chunk: int):

@@ -167,6 +167,28 @@ def test_bulk_long_words_match_high_precision():
         assert np.max(np.abs(lam[i] - lam_ref)) < 1e-8
 
 
+@pytest.mark.parametrize("make_rep", [lambda: reducible_rep(power=4), two_orbit_rep],
+                         ids=["reducible_21", "two_orbit"])
+def test_bulk_cartan_matches_high_precision_at_length_10(make_rep):
+    # the tracked-attractor Cartan reading at L=10 against exact log singular
+    # values; M^T M spans about e^190 here, beyond what dps 80 resolves
+    import mpmath
+
+    mpmath.mp.dps = 200
+    rep = make_rep()
+    rows = bulk.sphere_rows(rep.rank, 10)[::7874]
+    shell = rep.bulk_context().shell(rows)
+    coords = shell.cartan_coords()
+    assert len(rows) == 10 and np.isfinite(coords).all() and shell.membership_mask().all()
+    for row, got in zip(rows, coords):
+        exact = mpmath.eye(rep.dim)
+        for i in row:
+            exact = exact * mpmath.matrix(rep.letter_image(bulk.index_letter(int(i))).true_matrix().tolist())
+        sv = mpmath.mp.eig(exact.T * exact, left=False, right=False)
+        logs = sorted([float(mpmath.log(abs(v))) / 2 for v in sv], reverse=True)
+        assert np.max(np.abs(got - (np.array(logs) - np.mean(logs)))) < 1e-8
+
+
 class PickWords:
     """Test collector: Jordan and slot data of chosen words of one shell.
 
@@ -186,13 +208,15 @@ class PickWords:
         sel = np.flatnonzero(np.isin(shell.ranks(), self.ranks))
         if sel.size == 0:
             return
-        part = ShellData(shell.ctx, shell.length, shell.idx_rows[sel], [c[sel] for c in shell.comps],
-                         [s[sel] for s in shell.scales], shell.logdets[sel])
+        part = shell.piece(sel)
         lam, lam_ok = part.jordan_coords()
         bo = part.bo_data()[0]
         definite = np.full(part.count, np.inf)
         for m, sg in zip(part.comps, part.ctx.level_signs):
-            x, _, _ = bulk._top_eig_squared((sg[:, None] * np.swapaxes(m, 1, 2)) @ (sg[:, None] * m))
+            vals, vecs = np.linalg.eig((sg[:, None] * np.swapaxes(m, 1, 2)) @ (sg[:, None] * m))
+            top = np.argmax(np.abs(vals), axis=1)
+            x = np.real(vecs[np.arange(part.count), :, top])
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
             definite = np.minimum(definite, np.abs(np.einsum("ni,i,ni->n", x, sg, x)))
         for r, *row in zip(part.ranks(), lam, lam_ok, bo, part.bo_valid_mask(), definite):
             self.words[int(r)] = row
@@ -234,9 +258,10 @@ def test_bulk_jordan_matches_high_precision_on_hard_words():
 def test_bulk_bo_matches_high_precision_on_least_definite_words():
     # the twisted square J M^T J M is not normal; these words attain the
     # smallest |x^T J x| of shell 10 of two_orbit_rep (on the reducible
-    # examples it is 1 on every word), and the squared kernel still gives
-    # b_o within 2e-9 of the exact slot projection; the twisted square's
-    # eigenvalues span about e^190 here, beyond what dps 80 resolves
+    # examples it is 1 on every word), and the reading from the tracked
+    # attractor still gives b_o within 2e-9 of the exact slot projection; the
+    # twisted square's eigenvalues span about e^190 here, beyond what dps 80
+    # resolves
     import mpmath
 
     mpmath.mp.dps = 200
@@ -261,35 +286,63 @@ def test_bulk_bo_matches_high_precision_on_least_definite_words():
         assert np.max(np.abs(bo - slots)) < 1e-8
 
 
-def test_row_blocked_squared_kernel_matches_one_call(monkeypatch):
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((23, 4, 4))
-    whole = bulk._top_eig_squared(np.swapaxes(m, 1, 2) @ m)
-    monkeypatch.setattr(bulk, "SQUARE_BLOCK", 5)
-    blocked = bulk._top_eig_of_squares(m, lambda b: np.swapaxes(b, 1, 2) @ b)
-    for a, b in zip(whole, blocked):
-        np.testing.assert_array_equal(a, b)
-
-
-@pytest.mark.parametrize("m", [3, 10])
-def test_squared_kernel_matches_eigh_on_gapped_psd(m):
-    rng = np.random.default_rng(7)
+def _gapped_stack(rng, m):
+    """(q, vals): 50 gapped PSD spectra q diag(vals) q^T, top eigenvector q[:, :, 0]."""
     q, _ = np.linalg.qr(rng.standard_normal((50, m, m)))
     vals = np.sort(rng.uniform(0.01, 0.5, (50, m)), axis=1)[:, ::-1]
     vals[:, 0] = 1.0
     vals *= rng.uniform(1e-3, 1e3, (50, 1))
-    mats = np.einsum("nij,nj,nkj->nik", q, vals, q)
-    _, mu, resid = bulk._top_eig_squared(mats)
-    top = np.linalg.eigh(mats)[0][:, -1]
-    np.testing.assert_allclose(mu, top, rtol=1e-12)
+    return q, vals
+
+
+@pytest.mark.parametrize("m", [3, 10])
+def test_tracked_kernel_matches_eigh_on_gapped_psd(m):
+    # one step from a tracked vector near the top eigenvector, as for a word
+    # whose prefix already fixes its attractor
+    rng = np.random.default_rng(7)
+    q, vals = _gapped_stack(rng, m)
+    mats = q * np.sqrt(vals)[:, None, :]
+    u = q[:, :, 0] + 1e-8 * rng.standard_normal((50, m))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    _, mu, resid, _ = bulk._top_pair(mats, 1.0, u)
     assert (resid < bulk.RESIDUAL_TOL).all()
+    np.testing.assert_allclose(mu, np.linalg.eigh(mats @ np.swapaxes(mats, 1, 2))[0][:, -1], rtol=1e-12)
+    np.testing.assert_allclose(mu, np.linalg.svd(mats, compute_uv=False)[:, 0] ** 2, rtol=1e-12)
 
 
-def test_squared_kernel_masks_opposite_sign_pair():
-    mats = np.stack([np.diag([2.0, -2.0, 1.0]), np.diag([3.0, 1.0, 0.5])])
-    _, _, resid = bulk._top_eig_squared(mats)
+def test_tracked_kernel_masks_opposite_sign_pair():
+    # M J M^T J = M diag(2, -2, -1) M^-1 for J = diag(1, 1, -1): a +-2 pair
+    sg = np.array([1.0, 1.0, -1.0])
+    pair = np.array([[np.sqrt(2), 0, 0], [0, 0, 1], [0, np.sqrt(2), 0]])
+    mats = np.stack([pair, np.diag([3.0, 1.0, 0.5])])
+    _, _, resid, _ = bulk._top_pair(mats, sg, bulk._start_vectors(2, 3))
     assert resid[0] > bulk.RESIDUAL_TOL
     assert resid[1] < bulk.RESIDUAL_TOL
+
+
+def test_tracked_kernel_fallback_rows_match_stepwise_kernel():
+    # rows whose tracked vector is off are read at the stepwise kernel's
+    # vector, on those rows only, and keep its value and mask
+    rng = np.random.default_rng(5)
+    q, vals = _gapped_stack(rng, 4)
+    mats = q * np.sqrt(vals)[:, None, :]
+    for sg in (1.0, np.array([1.0, 1.0, -1.0, 1.0])):
+        u = q[:, :, 0].copy()
+        far = np.arange(0, 50, 3)
+        u[far] = bulk._start_vectors(far.size, 4)
+        x, mu, resid, _ = bulk._top_pair(mats, sg, u)
+        b, mu_u, resid_u, _ = bulk._read_at(mats, sg, u)
+        redo = np.flatnonzero(~(resid_u < bulk.RESIDUAL_TOL))
+        assert set(far) <= set(redo)
+        mr = mats[redo]
+        want_x, want_mu, want_resid = bulk._top_eig_power((mr * sg) @ (np.swapaxes(mr, 1, 2) * sg))
+        np.testing.assert_array_equal(x[redo], want_x)
+        ok = want_resid < bulk.RESIDUAL_TOL
+        np.testing.assert_array_equal(resid[redo] < bulk.RESIDUAL_TOL, ok)
+        np.testing.assert_allclose(mu[redo][ok], want_mu[ok], rtol=1e-12)
+        kept = np.setdiff1d(np.arange(50), redo)
+        np.testing.assert_array_equal(x[kept], b[kept])
+        np.testing.assert_array_equal(mu[kept], mu_u[kept])
 
 
 @pytest.mark.parametrize("make_rep", [two_orbit_rep, lambda: reducible_rep(p=3, q=2, power=6)],
@@ -337,6 +390,14 @@ def test_rows_entry_point_matches_run_bulk(make_rep):
         pairs += list(zip(mine.bo_data() + mine.jordan_coords(), part.bo_data() + part.jordan_coords()))
         for a, b in pairs:
             assert a.tobytes() == b.tobytes()
+
+
+def test_rows_entry_point_refuses_unreduced_words():
+    # rows start from their reduced prefixes' shells, so a cancelling pair
+    # would silently read another word's levels
+    ctx = reducible_rep(power=4).bulk_context()
+    with pytest.raises(ValueError):
+        ctx.shell([[0, 2, 3, 1]])
 
 
 def test_thread_partitions_identical():

@@ -124,9 +124,11 @@ class ProximityCollector:
             m = shell.comps[j - 1]
             sg = shell.ctx.level_signs[j - 1]
             twisted = np.einsum("nij,j,nkj,k->nik", m, sg, m, sg)
-            x_o, _, _ = bulk._top_eig_squared(twisted)
+            vals, vecs = np.linalg.eig(twisted)
+            x_o = np.real(vecs[np.arange(shell.count), :, np.argmax(np.abs(vals), axis=1)])
+            x_o /= np.linalg.norm(x_o, axis=1, keepdims=True)
             gram = np.einsum("nij,nkj->nik", m, m)
-            x_t, _, _ = bulk._top_eig_squared(gram)
+            x_t = np.linalg.eigh(gram)[1][:, :, -1]
             inner = np.einsum("ni,ni->n", x_o, x_t)
             resid = x_o - inner[:, None] * x_t
             worst = np.maximum(worst, np.linalg.norm(resid, axis=1))
