@@ -439,34 +439,33 @@ def _children(shell: ShellData, table: np.ndarray) -> ShellData:
     return _extend(shell, table[shell.idx_rows[:, -1]])
 
 
-def _collect_chunked(shell: ShellData, collectors, chunk: int):
-    for lo in range(0, shell.count, chunk):
-        piece = shell.piece(slice(lo, lo + chunk))
+def _collect_chunked(shell: ShellData, collectors):
+    for lo in range(0, shell.count, DEFAULT_CHUNK):
+        piece = shell.piece(slice(lo, lo + DEFAULT_CHUNK))
         for c in collectors:
             c.update(piece)
 
 
 def _run_subtree(args):
-    ctx, first, length_max, collector_specs, chunk = args
+    ctx, first, length_max, collector_specs = args
     collectors = [cls(**kwargs) for cls, kwargs in collector_specs]
     table = successor_table(ctx.alphabet_size)
     shell = ctx.shell([[first]])
-    _collect_chunked(shell, collectors, chunk)
-    parent_chunk = max(1, chunk // table.shape[1])
+    _collect_chunked(shell, collectors)
+    parent_chunk = max(1, DEFAULT_CHUNK // table.shape[1])
     for length in range(2, length_max + 1):
         if length < length_max:
             shell = _children(shell, table)
-            _collect_chunked(shell, collectors, chunk)
+            _collect_chunked(shell, collectors)
         else:
             # final shell is streamed in parent slices, never materialized
             for lo in range(0, shell.count, parent_chunk):
-                _collect_chunked(_children(shell.piece(slice(lo, lo + parent_chunk)), table),
-                                 collectors, chunk)
+                _collect_chunked(_children(shell.piece(slice(lo, lo + parent_chunk)), table), collectors)
     return collectors
 
 
 def run_bulk(ctx: BulkContext, length_max: int, collector_specs, threads: int = 1,
-             chunk: int = DEFAULT_CHUNK, cap: int | None = None):
+             cap: int | None = None):
     """Run collectors over all shells 1..length_max; returns merged collectors.
 
     The identity word (shell zero) is not visited; callers account for it.
@@ -477,7 +476,7 @@ def run_bulk(ctx: BulkContext, length_max: int, collector_specs, threads: int = 
     if cap is not None and total > cap:
         raise CapExceededError(cap, total)
     firsts = list(range(ctx.alphabet_size))
-    tasks = [(ctx, f, length_max, collector_specs, chunk) for f in firsts]
+    tasks = [(ctx, f, length_max, collector_specs) for f in firsts]
     if threads <= 1:
         per_subtree = [_run_subtree(t) for t in tasks]
     else:

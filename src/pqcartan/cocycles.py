@@ -3,8 +3,8 @@
 All level data are the logarithmic expansion rates of exterior powers:
 chi_j(value) is recovered from ratios of level-j pairings, and the full
 vector lives in the chamber frame through prefix-sum increments.  The
-choice of a compatible full chamber is an explicit parameter everywhere;
-no chamber-free version exists.
+choice of a compatible full chamber is an explicit parameter of every
+cocycle; no chamber-free version exists.
 """
 
 from __future__ import annotations
@@ -256,13 +256,13 @@ class PhiCocycles:
 # ---------------------------------------------------------------------------
 
 
-def _random_matrix(rng, d: int, field: str = "R", spread: float = 1.0) -> ScaledMatrix:
+def _random_matrix(rng, d: int, field: str = "R") -> ScaledMatrix:
     while True:
         if field == "C":
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         else:
             a = rng.standard_normal((d, d))
-        m = ScaledMatrix.of(a + spread * np.eye(d))
+        m = ScaledMatrix.of(a + np.eye(d))
         if np.linalg.cond(m.entries) <= 1e6:
             return m
 
@@ -286,18 +286,20 @@ def _pair_is_generic(o: Form, g: ScaledMatrix, xi: Flag) -> bool:
     return o_generic(o, xi, 1e-6).generic and o_generic(o, xi.translate(g), 1e-6).generic
 
 
-def identity_suite(o: Form, samples: int = 300, seed: int = 0, chamber: ChamberA | None = None) -> dict:
+def identity_suite(o: Form, samples: int = 300, seed: int = 0) -> dict:
     """Max deviations of the six structural identities on random generic data.
 
     Families: cocycle law of the twisted cocycle, duality with the chamber
     opposition, the potential coboundary, the Gromov transformation rule,
     the Gromov/cross-ratio equality, and equivariance of the flag-to-point
     projection.  All inputs are drawn from a seeded generator and resampled
-    until generic, so reports are reproducible.
+    until generic, so reports are reproducible.  Each report is a maximum over
+    coordinates, which a choice of chamber only permutes, so the default
+    chamber serves for all.
     """
     rng = np.random.default_rng(seed)
     d = o.dim
-    chamber = _chamber_or_default(chamber, d)
+    chamber = ChamberA.default(d)
     dev = {k: 0.0 for k in (
         "cocycle", "duality", "coboundary", "gromov_transformation",
         "cross_ratio_equality", "projection_equivariance",

@@ -17,7 +17,7 @@ from . import bulk
 from .bulk import ShellData
 from .cocycles import gromov_product
 from .freegroup import DEFAULT_WORD_CAP, Representation, Word, attracting_flag, sample_limit_set
-from .numerics import hodge_dual
+from .numerics import _fit_line, hodge_dual
 from .weyl import ChamberA, WeylElement, chamber_from_signs, chamber_transition, iota_of_chamber
 
 __all__ = [
@@ -287,9 +287,7 @@ def estimate_exponent(curve: CountCurve, window: tuple[float, float]):
         raise ValueError("window holds fewer than three usable grid points")
     t = curve.thresholds[mask]
     y = np.log(curve.counts[mask].astype(float))
-    a = np.vstack([t, np.ones_like(t)]).T
-    coef, res, *_ = np.linalg.lstsq(a, y, rcond=None)
-    slope, intercept = coef
+    slope, intercept, res = _fit_line(t, y)
     dof = max(1, len(t) - 2)
     sigma2 = float(res[0]) / dof if len(res) else 0.0
     stderr = float(np.sqrt(sigma2 / max(np.sum((t - t.mean()) ** 2), 1e-30)))
@@ -298,10 +296,8 @@ def estimate_exponent(curve: CountCurve, window: tuple[float, float]):
     for delta in (-shift, shift):
         m2 = (curve.thresholds >= lo + delta) & (curve.thresholds <= hi + delta) & (curve.counts > 0)
         if m2.sum() >= 3:
-            t2 = curve.thresholds[m2]
             y2 = np.log(curve.counts[m2].astype(float))
-            a2 = np.vstack([t2, np.ones_like(t2)]).T
-            sensitivity.append(float(np.linalg.lstsq(a2, y2, rcond=None)[0][0]))
+            sensitivity.append(float(_fit_line(curve.thresholds[m2], y2)[0]))
     return float(slope), stderr, {"intercept": float(intercept), "shifted_slopes": sensitivity}
 
 
@@ -385,9 +381,7 @@ def phi_entropy(rep: Representation, phi, length_max: int, chamber: ChamberA | N
     # orbit), so the exponential rate is fitted on log N + log t
     mask = (grid >= window[0]) & (grid <= window[1]) & (counts > 0) & (grid > 0)
     t = grid[mask]
-    y = np.log(counts[mask].astype(float)) + np.log(t)
-    a = np.vstack([t, np.ones_like(t)]).T
-    h = float(np.linalg.lstsq(a, y, rcond=None)[0][0])
+    h = float(_fit_line(t, np.log(counts[mask].astype(float)) + np.log(t))[0])
     return h, curve, {"stderr": stderr, "window": window, "raw_slope": raw, **extra}
 
 
@@ -496,11 +490,10 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(max(row_max, col_min.max())))
 
 
-def comparison_boundedness(rep: Representation, length_max: int, threads: int = 1):
+def comparison_boundedness(rep: Representation, length_max: int):
     """Per-shell max of ||b_o - (predicted w).a|| over the ball."""
     ctx = rep.bulk_context()
-    [col] = bulk.run_bulk(ctx, length_max, [(ComparisonCollector, {"length_max": length_max})],
-                          threads=threads)
+    [col] = bulk.run_bulk(ctx, length_max, [(ComparisonCollector, {"length_max": length_max})])
     return col.shell_max_deviation(rep.form.signature[0])
 
 
@@ -603,8 +596,7 @@ def gromov_comparison(
 # -- trend and equidistribution ----------------------------------------------
 
 
-def theorem_b_trend(rep: Representation, phi, length_max: int, class_length: int | None = None,
-                    threads: int = 1):
+def theorem_b_trend(rep: Representation, phi, length_max: int, class_length: int | None = None):
     """Flatness of the exponentially rescaled directional counting function.
 
     The exact limit is out of desk reach; the contract is (a) the class
@@ -618,7 +610,7 @@ def theorem_b_trend(rep: Representation, phi, length_max: int, class_length: int
     probe = count_curve(rep, "phi_bo", min(4, length_max), np.linspace(0, 1, 2), phi=phi)
     hi_estimate = probe.shell_minima[min(4, length_max)] * length_max / min(4, length_max)
     grid = np.linspace(0.0, hi_estimate * 1.05, TREND_GRID_POINTS)
-    curve = count_curve(rep, "phi_bo", length_max, grid, phi=phi, threads=threads)
+    curve = count_curve(rep, "phi_bo", length_max, grid, phi=phi)
     t_hi = curve.complete_below()
     window = (max(t_hi - 1.0, 0.5 * t_hi), t_hi)
     slope, stderr, extra = estimate_exponent(curve, (0.5 * t_hi, t_hi))

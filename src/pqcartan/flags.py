@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 TRANSVERSALITY_RTOL = 1e-8
+FLAG_CONDITION_CAP = 1e12
 
 
 class NonGenericFlagError(ValueError):
@@ -44,14 +45,14 @@ class Flag:
     basis: np.ndarray
 
     @staticmethod
-    def of(columns, condition_cap: float = 1e12) -> "Flag":
+    def of(columns) -> "Flag":
         b = np.asarray(columns)
         dtype = np.complex128 if np.iscomplexobj(b) else np.float64
         b = b.astype(dtype)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError(f"flag basis must be square, got {b.shape}")
         b = b / np.linalg.norm(b, axis=0, keepdims=True)
-        if np.linalg.cond(b) > condition_cap:
+        if np.linalg.cond(b) > FLAG_CONDITION_CAP:
             raise ValueError("flag basis condition number above cap")
         b.setflags(write=False)
         return Flag(b)
@@ -61,14 +62,10 @@ class Flag:
         return Flag.of(np.eye(d))
 
     @staticmethod
-    def coordinate(order, d: int | None = None, ambient: np.ndarray | None = None) -> "Flag":
+    def coordinate(order) -> "Flag":
         """Coordinate flag through the reference lines in the given order."""
-        order = tuple(order)
-        d = len(order) if d is None else d
-        base = np.eye(d)[:, list(order)]
-        if ambient is not None:
-            base = ambient @ base
-        return Flag.of(base)
+        order = list(order)
+        return Flag.of(np.eye(len(order))[:, order])
 
     @property
     def dim(self) -> int:
@@ -156,7 +153,7 @@ def o_generic(o: Form, x: Flag, degeneracy_rtol: float = DEGENERACY_RTOL) -> Gen
     lines = np.array(x.basis, copy=True)
     signs = []
     margin = np.inf
-    form_norm = float(np.linalg.norm(o.gram, 2))
+    form_norm = o.norm
     for j in range(d):
         u = lines[:, j]
         for k in range(j):

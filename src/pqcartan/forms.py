@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,18 +90,17 @@ class Form:
     def dim(self) -> int:
         return self.gram.shape[0]
 
+    @cached_property
+    def norm(self) -> float:
+        """Operator 2-norm of the Gram matrix, computed once per form."""
+        return float(np.linalg.norm(self.gram, 2))
+
     def pair(self, u: np.ndarray, v: np.ndarray):
         """<u, v> = u* J v."""
         return np.conj(u) @ self.gram @ v
 
     def quad(self, u: np.ndarray) -> float:
         return float(np.real(self.pair(u, u)))
-
-    def sign_of(self, u: np.ndarray, tol: float = 0.0) -> int:
-        val = self.quad(u)
-        if abs(val) <= tol:
-            return 0
-        return 1 if val > 0 else -1
 
     def translate(self, g: np.ndarray) -> "Form":
         """The form g.o, whose isometry group is g H g^{-1}."""

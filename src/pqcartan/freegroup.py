@@ -18,8 +18,8 @@ from . import bulk
 from .bulk import BulkContext, CapExceededError, sphere_rows, sphere_size
 from .flags import Flag, line_hyperplane_distance, o_generic
 from .forms import Form, induced_form
-from .numerics import ScaledMatrix, hodge_dual, subspace_from_wedge, wedge_coordinates
-from .projections import GAP_TOL, _eigen_flag, check_r_eps_loxodromic, is_loxodromic
+from .numerics import ScaledMatrix, _fit_line, hodge_dual, subspace_from_wedge, wedge_coordinates
+from .projections import _eigen_flag, check_r_eps_loxodromic, is_loxodromic
 
 __all__ = [
     "Word",
@@ -247,7 +247,7 @@ def build_schottky(
         if not is_loxodromic(g):
             reasons.append(f"generator {i} image not loxodromic")
             continue
-        fp = _eigen_flag(g, GAP_TOL)
+        fp = _eigen_flag(g)
         fm = Flag.of(fp.basis[:, ::-1])
         flags_plus.append(fp)
         flags_minus.append(fm)
@@ -367,9 +367,7 @@ def anosov_gap_check(rep: Representation, length_max: int, threads: int = 1, cap
     minima = col.shell_minima
     shells = sorted(minima)
     ys = np.array([minima[s] for s in shells], dtype=float)
-    xs = np.array(shells, dtype=float)
-    a = np.vstack([xs, np.ones_like(xs)]).T
-    slope, intercept = np.linalg.lstsq(a, ys, rcond=None)[0]
+    slope, intercept, _ = _fit_line(np.array(shells, dtype=float), ys)
     return float(slope), float(-intercept), {s: float(minima[s]) for s in shells}
 
 

@@ -16,6 +16,8 @@ from itertools import combinations
 import numpy as np
 
 MAX_DIM = 8
+# an eigenbasis whose condition number reaches this cap is not diagonalizable
+CONDITION_CAP = 1e8
 
 __all__ = [
     "ScaledMatrix",
@@ -189,7 +191,7 @@ class EigenData:
 
     log_moduli include the source log-scale; phases are the eigenvalue
     arguments of the normalized entries.  ``diagonalizable`` is false when
-    the eigenvector matrix condition number exceeds the configured cap.
+    the eigenvector matrix condition number reaches CONDITION_CAP.
     """
 
     log_moduli: np.ndarray
@@ -206,7 +208,7 @@ class EigenData:
         return self.log_moduli - self.log_moduli.mean()
 
 
-def eigen(g: ScaledMatrix, condition_cap: float = 1e8) -> EigenData:
+def eigen(g: ScaledMatrix) -> EigenData:
     """Eigendecomposition of the projective class, checked for sanity."""
     try:
         vals, vecs = np.linalg.eig(g.entries)
@@ -227,8 +229,19 @@ def eigen(g: ScaledMatrix, condition_cap: float = 1e8) -> EigenData:
         phases=np.angle(vals),
         vectors=vecs,
         vector_condition=cond,
-        diagonalizable=bool(cond < condition_cap),
+        diagonalizable=bool(cond < CONDITION_CAP),
     )
+
+
+def _fit_line(t: np.ndarray, y: np.ndarray):
+    """Least-squares line y ~ slope t + intercept: (slope, intercept, residuals).
+
+    residuals is lstsq's sum of squared residuals, empty for two points or a
+    rank-deficient fit.
+    """
+    a = np.vstack([t, np.ones_like(t)]).T
+    (slope, intercept), residuals, *_ = np.linalg.lstsq(a, y, rcond=None)
+    return slope, intercept, residuals
 
 
 def wedge_coordinates(columns: np.ndarray, j: int) -> np.ndarray:

@@ -93,7 +93,7 @@ def twisted_square(o: Form, g: ScaledMatrix) -> ScaledMatrix:
     return o_adjoint(o, g) @ g
 
 
-def _aligned_phases(vals_phases: np.ndarray, field: str, tol: float) -> tuple[bool, float]:
+def _aligned_phases(vals_phases: np.ndarray, field: str) -> tuple[bool, float]:
     """Check all eigenvalue phases lie on a common real axis.
 
     Over the reals the projective lift is fixed up to sign, so phases must
@@ -104,27 +104,24 @@ def _aligned_phases(vals_phases: np.ndarray, field: str, tol: float) -> tuple[bo
     if field == "C":
         phases = phases - phases[0]
     dev = np.abs(np.sin(phases))
-    margin = float(tol - np.max(dev))
-    return bool(np.max(dev) <= tol), margin
+    margin = float(PHASE_TOL - np.max(dev))
+    return bool(np.max(dev) <= PHASE_TOL), margin
 
 
-def membership(
-    o: Form,
-    g: ScaledMatrix,
-    phase_tol: float = PHASE_TOL,
-    condition_cap: float = 1e8,
-) -> MembershipResult:
+def membership(o: Form, g: ScaledMatrix) -> MembershipResult:
     """Whether g admits a signed Cartan decomposition, with failure reason.
 
-    True exactly when the twisted square is numerically diagonalizable with
-    real spectrum; the eigenbasis is then orthogonal for the form up to the
-    conditioning, and eigenline isotropy only occurs at modulus collisions,
-    which the clustered projection absorbs.
+    True exactly when the twisted square is numerically diagonalizable
+    (eigenbasis condition below CONDITION_CAP) with real spectrum (phases
+    within PHASE_TOL of a common axis); the eigenbasis is then orthogonal for
+    the form up to the conditioning, and eigenline isotropy only occurs at
+    modulus collisions, which the clustered projection absorbs.  The result
+    carries both margins for callers who need another threshold.
     """
-    return _decompose(o, g, phase_tol, condition_cap)[0]
+    return _decompose(o, g)[0]
 
 
-def _decompose(o: Form, g: ScaledMatrix, phase_tol: float, condition_cap: float):
+def _decompose(o: Form, g: ScaledMatrix):
     """(membership verdict, eigendata, [(cluster ranks, positive count)] or None).
 
     The eigendata and the per-cluster signatures are returned only for
@@ -132,10 +129,10 @@ def _decompose(o: Form, g: ScaledMatrix, phase_tol: float, condition_cap: float)
     """
     s = twisted_square(o, g)
     try:
-        eig = eigen(s, condition_cap=condition_cap)
+        eig = eigen(s)
     except Exception as exc:  # eigen failure counts as non-diagonalizable
         return MembershipResult(False, f"non-diagonalizable ({exc})"), None, None
-    ok_phase, phase_margin = _aligned_phases(eig.phases, s.field, phase_tol)
+    ok_phase, phase_margin = _aligned_phases(eig.phases, s.field)
     margins = (phase_margin, eig.vector_condition)
     if not ok_phase:
         return MembershipResult(False, "complex spectrum", *margins), None, None
@@ -171,13 +168,7 @@ def _realign_real(cols: np.ndarray) -> np.ndarray:
     return np.real(out)
 
 
-def pq_project(
-    o: Form,
-    g: ScaledMatrix,
-    phase_tol: float = PHASE_TOL,
-    condition_cap: float = 1e8,
-    isotropy_tol: float = ISOTROPY_TOL,
-) -> PqCartanResult:
+def pq_project(o: Form, g: ScaledMatrix) -> PqCartanResult:
     """Slot projection of g: half the twisted-square spectrum, filed by sign.
 
     Eigenvalues of equal modulus are grouped and the group's slots are
@@ -186,7 +177,7 @@ def pq_project(
     the sign ambiguity of the signed-permutation coordinate without ever
     materializing it.
     """
-    member, eig, clusters = _decompose(o, g, phase_tol, condition_cap)
+    member, eig, clusters = _decompose(o, g)
     if not member.ok:
         raise NotInBoGError(member.reason or "not in the decomposable set")
     p, q = o.signature
@@ -220,7 +211,7 @@ def pq_project(
     if len(clusters) == 1:
         min_gap = 0.0
     slots = slots - slots.mean()
-    degenerate = bool(min_gap < 10 * MODULUS_CLUSTER_TOL or iso_margin < isotropy_tol)
+    degenerate = bool(min_gap < 10 * MODULUS_CLUSTER_TOL or iso_margin < ISOTROPY_TOL)
     return PqCartanResult(
         b_o=CartanVector(slots, frame_tag="slots"),
         w_g=WeylElement(tuple(rank_to_slot)),
@@ -231,9 +222,9 @@ def pq_project(
     )
 
 
-def distance_So(o: Form, g: ScaledMatrix, **kwargs) -> float:
+def distance_So(o: Form, g: ScaledMatrix) -> float:
     """Distance between the base copy and its g-translate: the slot norm."""
-    return pq_project(o, g, **kwargs).b_o.norm()
+    return pq_project(o, g).b_o.norm()
 
 
 @dataclass(frozen=True)

@@ -96,39 +96,39 @@ def gap_margin(g: ScaledMatrix) -> float:
     return float(np.min(-np.diff(cartan(g).coords)))
 
 
-def has_gap(g: ScaledMatrix, tol: float = GAP_TOL) -> bool:
-    """All simple-root values of the Cartan projection exceed the tolerance."""
-    return gap_margin(g) > tol
+def has_gap(g: ScaledMatrix) -> bool:
+    """All simple-root values of the Cartan projection exceed GAP_TOL."""
+    return gap_margin(g) > GAP_TOL
 
 
 def loxodromy_margin(g: ScaledMatrix) -> float:
     return float(np.min(-np.diff(jordan(g).coords)))
 
 
-def is_loxodromic(g: ScaledMatrix, tol: float = GAP_TOL) -> bool:
-    """All consecutive eigenvalue-modulus gaps exceed the tolerance."""
-    return loxodromy_margin(g) > tol
+def is_loxodromic(g: ScaledMatrix) -> bool:
+    """All consecutive eigenvalue-modulus gaps exceed GAP_TOL."""
+    return loxodromy_margin(g) > GAP_TOL
 
 
-def cartan_attractor(g: ScaledMatrix, tol: float = GAP_TOL) -> Flag:
+def cartan_attractor(g: ScaledMatrix) -> Flag:
     """Flag of left singular directions in descending singular order."""
-    if not has_gap(g, tol):
+    if not has_gap(g):
         raise MissingGapError("Cartan attractor needs a singular-value gap")
     u, _, _ = np.linalg.svd(g.entries)
     return Flag.of(u)
 
 
-def cartan_repellor(g: ScaledMatrix, tol: float = GAP_TOL) -> Flag:
+def cartan_repellor(g: ScaledMatrix) -> Flag:
     """Attractor of the inverse: right singular directions in ascending order."""
-    if not has_gap(g, tol):
+    if not has_gap(g):
         raise MissingGapError("Cartan repellor needs a singular-value gap")
     _, _, vh = np.linalg.svd(g.entries)
     return Flag.of(vh.conj().T[:, ::-1])
 
 
-def _eigen_flag(m: ScaledMatrix, tol: float) -> Flag:
+def _eigen_flag(m: ScaledMatrix) -> Flag:
     eig = eigen(m)
-    if np.min(-np.diff(eig.log_moduli)) <= tol:
+    if np.min(-np.diff(eig.log_moduli)) <= GAP_TOL:
         raise NotLoxodromicError("eigenvalue moduli are not separated")
     vecs = eig.vectors
     if m.field == "R":
@@ -138,21 +138,21 @@ def _eigen_flag(m: ScaledMatrix, tol: float) -> Flag:
     return Flag.of(vecs)
 
 
-def o_attractor(o: Form, g: ScaledMatrix, tol: float = GAP_TOL) -> Flag:
+def o_attractor(o: Form, g: ScaledMatrix) -> Flag:
     """Attracting fixed flag of g * sigma(g^{-1}) (eigenlines by decreasing modulus).
 
     sigma(g^{-1}) is the plain adjoint of g, so no inversion is needed.
     """
-    return _eigen_flag(g @ o_adjoint(o, g), tol)
+    return _eigen_flag(g @ o_adjoint(o, g))
 
 
-def o_repellor(o: Form, g: ScaledMatrix, tol: float = GAP_TOL) -> Flag:
+def o_repellor(o: Form, g: ScaledMatrix) -> Flag:
     """Repelling fixed flag of sigma(g^{-1}) * g; equals the attractor of g^{-1}."""
-    eig_flag = _eigen_flag(o_adjoint(o, g) @ g, tol)
+    eig_flag = _eigen_flag(o_adjoint(o, g) @ g)
     return Flag.of(eig_flag.basis[:, ::-1])
 
 
-def check_r_eps_loxodromic(g: ScaledMatrix, r: float, eps: float, tol: float = GAP_TOL) -> bool:
+def check_r_eps_loxodromic(g: ScaledMatrix, r: float, eps: float) -> bool:
     """Quantified loxodromy: fixed-point separation and contraction per level.
 
     The contraction clause is certified through an operator bound: writing a
@@ -163,10 +163,10 @@ def check_r_eps_loxodromic(g: ScaledMatrix, r: float, eps: float, tol: float = G
     """
     if not 0 < eps <= r:
         raise ValueError("need 0 < eps <= r")
-    if not is_loxodromic(g, tol):
+    if not is_loxodromic(g):
         raise NotLoxodromicError("quantified check needs a loxodromic element")
     d = g.dim
-    plus = _eigen_flag(g, tol)
+    plus = _eigen_flag(g)
     minus = Flag.of(plus.basis[:, ::-1])
     for j in range(1, d):
         cj = compound(g, j)

@@ -421,11 +421,13 @@ def test_cap_refusal():
         run_bulk(rep.bulk_context(), 10, [(GrabAll, {"length_max": 10})], cap=100)
 
 
-def test_chunking_does_not_change_results():
+def test_chunking_does_not_change_results(monkeypatch):
     rep = reducible_rep(power=4)
     ctx = rep.bulk_context()
-    [a] = run_bulk(ctx, 4, [(GrabAll, {"length_max": 4})], chunk=7)
-    [b] = run_bulk(ctx, 4, [(GrabAll, {"length_max": 4})], chunk=100000)
+    monkeypatch.setattr(bulk, "DEFAULT_CHUNK", 7)
+    [a] = run_bulk(ctx, 4, [(GrabAll, {"length_max": 4})])
+    monkeypatch.setattr(bulk, "DEFAULT_CHUNK", 100000)
+    [b] = run_bulk(ctx, 4, [(GrabAll, {"length_max": 4})])
     bo_a = np.concatenate([r[4] for r in a.rows if r[0] == 4])
     bo_b = np.concatenate([r[4] for r in b.rows if r[0] == 4])
     assert bo_a.tobytes() == bo_b.tobytes()

@@ -65,17 +65,23 @@ def test_enumerate_sphere_cap():
         list(enumerate_sphere(rep, 5, cap=10))
 
 
-def test_enumerate_matches_high_precision(rng):
+def test_enumerate_matches_high_precision():
     import mpmath
 
     mpmath.mp.dps = 60
     rep = reducible_rep(power=4)
+    # enumerate_sphere and Representation.image run the same left-to-right
+    # ScaledMatrix products, so the oracle words below are built by image
+    for w, mat in enumerate_sphere(rep, 6):
+        img = rep.image(w)
+        assert img.entries.tobytes() == mat.entries.tobytes()
+        assert img.log_scale == mat.log_scale
+    rows = sphere_rows(2, 12)[: 100 * 7000 : 7000]
     count = 0
-    for w, mat in enumerate_sphere(rep, 12):
-        if count >= 100:
-            break
-        if word_rank(w.letters, 2) % 7000 != 0:
-            continue
+    for row in rows.tolist():
+        w = Word(tuple(index_letter(i) for i in row))
+        assert word_rank(w.letters, 2) == 7000 * count
+        mat = rep.image(w)
         count += 1
         exact = mpmath.eye(3)
         for l in w.letters:

@@ -201,9 +201,9 @@ def test_weyl_chamber_prediction_invariant_under_isometries(s1, rng):
 
 def test_weyl_chamber_prediction_stabilizes_for_powers(s1, rng):
     g = random_sl(rng, 3, spread=1.7)
-    from pqcartan.projections import is_loxodromic
+    from pqcartan.projections import loxodromy_margin
 
-    if not is_loxodromic(g, 1e-2):
+    if not loxodromy_margin(g) > 1e-2:
         pytest.skip("sample not loxodromic")
     preds = []
     for n in (4, 8, 16):

@@ -12,9 +12,11 @@ from pqcartan.projections import (
     cartan_attractor,
     cartan_repellor,
     check_r_eps_loxodromic,
+    gap_margin,
     has_gap,
     is_loxodromic,
     jordan,
+    loxodromy_margin,
     o_attractor,
     o_repellor,
 )
@@ -95,7 +97,7 @@ def test_cartan_attractor_examples(rng):
 def test_attractor_duality(s1, rng):
     for _ in range(50):
         g = random_sl(rng, 3, spread=1.3)
-        if not has_gap(g, 1e-3):
+        if not gap_margin(g) > 1e-3:
             continue
         lhs = cartan_attractor(sigma_o(s1, g.inv()))
         rhs = flag_perp(s1, cartan_repellor(g))
@@ -120,7 +122,7 @@ def test_o_attractor_equivariance(s1, rng):
 def test_o_repellor_is_inverse_attractor(s1, rng):
     g = random_sl(rng, 3, spread=1.6)
     s = o_adjoint(s1, g) @ g
-    if not is_loxodromic(s, 1e-3):
+    if not loxodromy_margin(s) > 1e-3:
         pytest.skip("twisted square not loxodromic")
     assert flag_distance(o_repellor(s1, g), o_attractor(s1, g.inv())) < 1e-8
 
@@ -141,7 +143,7 @@ def test_r_eps_fails_when_fixed_points_close():
 
 def test_r_eps_eventually_holds_for_powers(rng):
     g = random_sl(rng, 3, spread=2.0)
-    if not is_loxodromic(g, 1e-2):
+    if not loxodromy_margin(g) > 1e-2:
         pytest.skip("sample not loxodromic")
     r0 = 0.05
     held = [n for n in (1, 2, 4, 8, 16) if check_r_eps_loxodromic(g.power(n), r0, r0)]
