@@ -52,6 +52,7 @@ from functools import wraps
 import numpy as np
 
 from .numerics import minor_matrix, subset_table
+from .weyl import file_to_slots
 
 __all__ = [
     "BulkContext",
@@ -368,21 +369,16 @@ class ShellData:
         """Slot coordinates, eigenline signs (rank order) and modulus gaps.
 
         Signs come from prefix sign products of the level-j dominant
-        eigenvectors, which are the wedges of the eigenline decomposition.
+        eigenvectors, which are the wedges of the eigenline decomposition;
+        a non-positive sign is filed as negative.
         """
-        p = self.ctx.p
         mus, qsigns, _ = self._twisted_tops()
         prefix = np.log(np.maximum(np.abs(mus), 1e-300)) + 2 * np.column_stack(self.scales)
         full = np.concatenate([prefix, (2 * self.logdets)[:, None]], axis=1)
         halves = _recentred_increments(full / 2)
         gaps = -np.diff(halves, axis=1) * 2
         signs = self._line_signs(qsigns)
-        pos_rank = np.cumsum(signs > 0, axis=1) - 1
-        neg_rank = np.cumsum(signs < 0, axis=1) - 1
-        slots = np.where(signs > 0, pos_rank, p + neg_rank)
-        bo = np.full((self.count, self.ctx.d), np.nan)
-        np.put_along_axis(bo, slots.astype(np.int64), halves, axis=1)
-        return bo, signs, gaps
+        return file_to_slots(halves, np.where(signs > 0, 1, -1)), signs, gaps
 
     def bo_valid_mask(self) -> np.ndarray:
         """Members whose eigenline signs fill the signature."""

@@ -59,10 +59,8 @@ def _value_from_chi(chi_full: np.ndarray, chamber: ChamberA) -> CocycleValue:
     """Assemble the vector from chi_1..chi_d; recentering drops the lift scale."""
     increments = np.diff(np.concatenate([[0.0], chi_full]))
     increments -= increments.mean()
-    coords = np.empty(len(increments))
-    coords[list(chamber.order)] = increments
-    chi = np.cumsum(increments[: len(increments)])[:-1]
-    return CocycleValue(chi, coords, chamber)
+    chi = np.cumsum(increments)[:-1]
+    return CocycleValue(chi, chamber.place(increments), chamber)
 
 
 def _chamber_or_default(chamber: ChamberA | None, d: int) -> ChamberA:
@@ -139,12 +137,9 @@ def potential(o: Form, xi: Flag, chamber: ChamberA | None = None) -> CocycleValu
 
 def iota_a(value: CocycleValue) -> CocycleValue:
     """Opposition involution of the chamber: reverse-negate in rank order."""
-    ranks = value.coords[list(value.chamber.order)]
-    flipped = -ranks[::-1]
-    coords = np.empty_like(value.coords)
-    coords[list(value.chamber.order)] = flipped
+    flipped = -value.chamber.read(value.coords)[::-1]
     chi = np.cumsum(flipped)[:-1]
-    return CocycleValue(chi, coords, value.chamber)
+    return CocycleValue(chi, value.chamber.place(flipped), value.chamber)
 
 
 def dual_busemann(

@@ -18,7 +18,7 @@ from .bulk import ShellData
 from .cocycles import gromov_product
 from .freegroup import DEFAULT_WORD_CAP, Representation, Word, attracting_flag, sample_limit_set
 from .numerics import _fit_line, hodge_dual
-from .weyl import ChamberA, WeylElement, chamber_from_signs, chamber_transition, iota_of_chamber
+from .weyl import ChamberA, WeylElement, chamber_from_signs, chamber_transition, file_to_slots, iota_of_chamber
 
 __all__ = [
     "CountCurve",
@@ -103,8 +103,8 @@ class FunctionalHistCollector:
             return bo @ self.phi, shell.bo_valid_mask()
         if self.kind == "phi_lambda":
             lam, ok = shell.jordan_coords()
-            order = self.chamber_order if self.chamber_order is not None else tuple(range(shell.ctx.d))
-            return _in_chamber(lam, order) @ self.phi, ok
+            chamber = ChamberA.default(shell.ctx.d) if self.chamber_order is None else ChamberA(self.chamber_order)
+            return chamber.place(lam) @ self.phi, ok
         if self.kind == "min_root_gap":
             return shell.min_root_gap(), None
         raise ValueError(f"unknown functional kind {self.kind!r}")
@@ -200,6 +200,11 @@ class ComparisonCollector:
             self.store.setdefault(s, []).extend(chunks)
 
     def shell_max_deviation(self, p: int) -> dict[int, float]:
+        """Per shell, the max over valid words of ||b_o - w.a||.
+
+        A word whose repellor signature does not fill the signature p has no
+        predicted chamber and is left out.
+        """
         out: dict[int, float] = {}
         for length, chunks in sorted(self.store.items()):
             ranks = np.concatenate([c[0] for c in chunks])
@@ -212,29 +217,14 @@ class ComparisonCollector:
             pos_of_rank = np.empty_like(order)
             pos_of_rank[ranks[order]] = order
             s_signs = usigns[pos_of_rank[inv_ranks]]
-            placed = _place_by_signature(at, s_signs, p)
+            # when s fills the signature, the predicted chamber
+            # iota(chamber_from_signs(s)) has rank -> line map merge_to_slots(s[::-1])
+            placed = file_to_slots(at, s_signs[:, ::-1])
             dev = np.linalg.norm(bo - placed, axis=1)
-            dev = dev[valid]
+            dev = dev[valid & (np.sum(s_signs > 0, axis=1) == p)]
             if len(dev):
                 out[length] = float(dev.max())
         return out
-
-
-def _in_chamber(sorted_vals: np.ndarray, order) -> np.ndarray:
-    """Rows of descending values placed at the chamber's lines (rank k -> line order[k])."""
-    framed = np.empty_like(sorted_vals)
-    framed[:, list(order)] = sorted_vals
-    return framed
-
-
-def _place_by_signature(at_sorted: np.ndarray, s_signs: np.ndarray, p: int) -> np.ndarray:
-    """Place sorted Cartan values into slots via the predicted chamber per word."""
-    placed = np.empty_like(at_sorted)
-    uniq, which = np.unique(s_signs, axis=0, return_inverse=True)
-    for u, signs in enumerate(uniq):
-        rows = which.reshape(-1) == u
-        placed[rows] = _in_chamber(at_sorted[rows], iota_of_chamber(chamber_from_signs(signs), p).order)
-    return placed
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +326,7 @@ def _class_jordan(rep: Representation, chamber: ChamberA, length: int):
     if rows.shape[0] == 0:
         return None
     lam, _ = rep.bulk_context().shell(rows).jordan_coords()
-    return _in_chamber(lam, chamber.order)
+    return chamber.place(lam)
 
 
 def class_periods(rep: Representation, phi: np.ndarray, chamber: ChamberA, length_max: int):
@@ -453,7 +443,7 @@ def cone_samples(rep: Representation, length_min: int, length_max: int, threads:
     for signs in seen:
         target = iota_of_chamber(chamber_from_signs(signs), p)
         weyls.append(chamber_transition(target, chamber))
-        translates.append(_in_chamber(at_sorted, target.order))
+        translates.append(target.place(at_sorted))
     at_framed = np.concatenate(translates) if translates else at_sorted
     hd = hausdorff(bo, at_framed)
     at_cloud = ConeSample(np.empty((0, rep.dim)) if not translates else translates[0], "cartan")
@@ -570,7 +560,7 @@ def gromov_comparison(
         bo, _, _ = shell.bo_data()
         valid = shell.bo_valid_mask()
         lam, lam_ok = shell.jordan_coords()
-        framed = _in_chamber(lam, chamber.order)
+        framed = chamber.place(lam)
         fwd_tops = shell.jordan_vectors()
         inv_tops = ctx.shell(rows[:, ::-1] ^ 1).jordan_vectors()
         chi = np.zeros((rows.shape[0], d))
@@ -583,7 +573,7 @@ def gromov_comparison(
             qv = np.einsum("ni,i,ni->n", v, sg, v)
             qp = np.einsum("ni,i,ni->n", vp, sg, vp)
             chi[:, j - 1] = 0.5 * np.log(np.maximum(cross**2, 1e-300) / np.abs(qv * qp))
-        coords = _in_chamber(bulk._recentred_increments(chi), chamber.order)
+        coords = chamber.place(bulk._recentred_increments(chi))
         bracket = coords @ phi
         dev = np.abs(bo @ phi - framed @ phi + bracket)
         keep = valid & lam_ok
@@ -641,7 +631,7 @@ class BoxMassCollector:
 
     def update(self, shell: ShellData):
         lam, ok = shell.jordan_coords()
-        vals = _in_chamber(lam, self.chamber_order) @ self.phi
+        vals = ChamberA(self.chamber_order).place(lam) @ self.phi
         rows = shell.idx_rows
         for b, (a_idx, b_idx) in enumerate(self.boxes_idx):
             mask = ok & _cylinder_mask(rows, b_idx, False) & _cylinder_mask(rows, a_idx, True)

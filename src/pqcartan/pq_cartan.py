@@ -31,6 +31,7 @@ from .weyl import (
     chamber_from_signs,
     chamber_transition,
     iota_of_chamber,
+    merge_to_slots,
 )
 
 __all__ = [
@@ -180,43 +181,35 @@ def pq_project(o: Form, g: ScaledMatrix) -> PqCartanResult:
     member, eig, clusters = _decompose(o, g)
     if not member.ok:
         raise NotInBoGError(member.reason or "not in the decomposable set")
-    p, q = o.signature
-    d = o.dim
+    p = o.signature[0]
     halves = eig.recentered_moduli() / 2.0
-    slots = np.empty(d)
-    rank_to_slot = [0] * d
-    signs = [0] * d
-    next_pos, next_neg = 0, p
+    # clusters are consecutive runs of ranks, so values and signs come out in rank
+    # order; sum / len is np.mean's reduction and division without its per-call cost
+    values: list[float] = []
+    signs: list[int] = []
     min_gap = np.inf
     iso_margin = member.isotropy_margin
     prev_top = None
     for idx, npos in clusters:
-        value = float(np.mean(halves[idx]))
+        value = float(halves[idx].sum() / len(idx))
         if prev_top is not None:
             min_gap = min(min_gap, prev_top - 2 * value)
         prev_top = 2 * value
-        pos_ranks, neg_ranks = idx[:npos], idx[npos:]
-        for r in pos_ranks:
-            slots[next_pos] = value
-            rank_to_slot[r] = next_pos
-            signs[r] = 1
-            next_pos += 1
-        for r in neg_ranks:
-            slots[next_neg] = value
-            rank_to_slot[r] = next_neg
-            signs[r] = -1
-            next_neg += 1
-    if next_pos != p or next_neg != d:
+        values += [value] * len(idx)
+        signs += [1] * npos + [-1] * (len(idx) - npos)
+    if signs.count(1) != p:
         raise NotInBoGError("eigenline signs do not fill the signature")
     if len(clusters) == 1:
         min_gap = 0.0
-    slots = slots - slots.mean()
+    w_g = WeylElement(tuple(merge_to_slots(signs).tolist()))
+    slots = w_g.act(values)
+    slots -= slots.sum() / len(slots)
     degenerate = bool(min_gap < 10 * MODULUS_CLUSTER_TOL or iso_margin < ISOTROPY_TOL)
     return PqCartanResult(
         b_o=CartanVector(slots, frame_tag="slots"),
-        w_g=WeylElement(tuple(rank_to_slot)),
+        w_g=w_g,
         eigen_signs=tuple(signs),
-        modulus_gap=float(min_gap) if np.isfinite(min_gap) else np.inf,
+        modulus_gap=float(min_gap),
         isotropy_margin=float(iso_margin),
         degenerate=degenerate,
     )

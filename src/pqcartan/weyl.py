@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from math import comb
 
 import numpy as np
 
@@ -21,6 +20,7 @@ __all__ = [
     "ChamberA",
     "compatible_chambers",
     "merge_to_slots",
+    "file_to_slots",
     "embed_compatible",
     "opposition_b",
     "iota_b",
@@ -51,15 +51,10 @@ class WeylElement:
         return len(self.perm)
 
     def act(self, x: np.ndarray) -> np.ndarray:
-        y = np.empty_like(np.asarray(x, dtype=float))
-        y[list(self.perm)] = x
-        return y
+        return ChamberA(self.perm).place(np.asarray(x, dtype=float))
 
     def inverse(self) -> "WeylElement":
-        inv = [0] * self.dim
-        for i, j in enumerate(self.perm):
-            inv[j] = i
-        return WeylElement(tuple(inv))
+        return WeylElement(tuple(ChamberA(self.perm).place(np.arange(self.dim)).tolist()))
 
     def lift(self) -> np.ndarray:
         """Permutation-matrix representative in the standard maximal compact.
@@ -67,10 +62,7 @@ class WeylElement:
         One row is negated when needed to land in SL; the sign is invisible
         projectively.
         """
-        d = self.dim
-        m = np.zeros((d, d))
-        for i, j in enumerate(self.perm):
-            m[j, i] = 1.0
+        m = np.eye(self.dim)[:, list(self.perm)]
         if np.linalg.det(m) < 0:
             m[self.perm[0], 0] = -1.0
         return m
@@ -116,18 +108,21 @@ class ChamberA:
         return len(self.order)
 
     def contains(self, x: np.ndarray) -> bool:
-        vals = np.asarray(x, dtype=float)[list(self.order)]
-        return bool(np.all(np.diff(vals) <= CHAMBER_TOL))
+        return bool(np.all(np.diff(self.read(np.asarray(x, dtype=float))) <= CHAMBER_TOL))
 
-    def place(self, descending_values: np.ndarray) -> np.ndarray:
-        """Vector of this chamber with the given rank-ordered values."""
-        y = np.empty(self.dim)
-        y[list(self.order)] = np.asarray(descending_values, dtype=float)
+    def place(self, descending_values) -> np.ndarray:
+        """(..., d) vectors of this chamber with the given rank-ordered values.
+
+        The value of rank k sits at line order[k]; the dtype is kept.
+        """
+        values = np.asarray(descending_values)
+        y = np.empty_like(values)
+        y[..., list(self.order)] = values
         return y
 
-    def read(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates of x read in chamber rank order."""
-        return np.asarray(x, dtype=float)[list(self.order)]
+    def read(self, x) -> np.ndarray:
+        """(..., d) coordinates of x read in chamber rank order; inverse of ``place``."""
+        return np.asarray(x)[..., list(self.order)]
 
     def is_compatible(self, p: int) -> bool:
         """Whether this chamber sits inside the slot chamber of signature p."""
@@ -144,43 +139,39 @@ class ChamberA:
 
 
 def compatible_chambers(p: int, q: int) -> list[ChamberA]:
-    """All full chambers inside the slot chamber: shuffles of the two orders."""
+    """All full chambers inside the slot chamber: shuffles of the two orders.
+
+    One per choice of the p ranks holding positive lines, in lexicographic
+    order of those ranks.
+    """
     if p < 1 or q < 1:
         raise ValueError("signature entries must be positive")
     d = p + q
-    out = []
-    for pos_slots in combinations(range(d), p):
-        order = [0] * d
-        pos_iter = iter(range(p))
-        neg_iter = iter(range(p, d))
-        pos_set = set(pos_slots)
-        for k in range(d):
-            order[k] = next(pos_iter) if k in pos_set else next(neg_iter)
-        out.append(ChamberA(tuple(order)))
-    assert len(out) == comb(d, p)
-    return out
+    return [chamber_from_signs([1 if k in pos_ranks else -1 for k in range(d)])
+            for pos_ranks in combinations(range(d), p)]
 
 
-def merge_to_slots(signs) -> tuple[int, ...]:
+def merge_to_slots(signs) -> np.ndarray:
     """Stable two-pile merge: rank k of the given sign goes to its next slot.
 
-    Returns the map rank -> slot for a sign sequence read in chamber order;
-    positive ranks fill slots 0..p-1 in order, negative ranks p..d-1.
+    Takes a (..., d) array of +-1 signs read in chamber order and returns
+    the (..., d) integer map rank -> slot of each sequence: with p positive
+    signs in the sequence, positive ranks fill slots 0..p-1 in order and
+    negative ranks p..d-1.
     """
-    signs = list(signs)
-    p = sum(1 for s in signs if s > 0)
-    next_pos, next_neg = 0, p
-    out = []
-    for s in signs:
-        if s > 0:
-            out.append(next_pos)
-            next_pos += 1
-        elif s < 0:
-            out.append(next_neg)
-            next_neg += 1
-        else:
-            raise ValueError("signs must be +-1")
-    return tuple(out)
+    signs = np.asarray(signs)
+    pos, neg = signs > 0, signs < 0
+    if (pos == neg).any():  # a sign that is neither positive nor negative
+        raise ValueError("signs must be +-1")
+    pos_slot = pos.cumsum(axis=-1) - 1
+    return np.where(pos, pos_slot, pos_slot[..., -1:] + neg.cumsum(axis=-1))
+
+
+def file_to_slots(values: np.ndarray, signs) -> np.ndarray:
+    """(..., d) rank-ordered values filed into slots: rank k goes to slot merge_to_slots(signs)[k]."""
+    out = np.empty_like(values)
+    np.put_along_axis(out, merge_to_slots(signs), values, axis=-1)
+    return out
 
 
 def embed_compatible(chamber: ChamberA, p: int) -> WeylElement:
@@ -193,12 +184,7 @@ def embed_compatible(chamber: ChamberA, p: int) -> WeylElement:
     signs = chamber.signs(p)
     if sum(1 for s in signs if s > 0) != p:
         raise ValueError(f"sign count does not match signature p={p}")
-    rank_to_slot = merge_to_slots(signs)
-    d = chamber.dim
-    perm = [0] * d
-    for k in range(d):
-        perm[chamber.order[k]] = rank_to_slot[k]
-    return WeylElement(tuple(perm))
+    return WeylElement(tuple(chamber.place(merge_to_slots(signs)).tolist()))
 
 
 def opposition_b(p: int, q: int) -> WeylElement:
@@ -224,7 +210,7 @@ def chamber_from_signs(signs) -> ChamberA:
 
     Rank k receives the next unused line of the matching sign class.
     """
-    return ChamberA(merge_to_slots(signs))
+    return ChamberA(tuple(merge_to_slots(signs).tolist()))
 
 
 def flag_chamber(flag_basis: np.ndarray) -> ChamberA:
@@ -239,7 +225,7 @@ def flag_chamber(flag_basis: np.ndarray) -> ChamberA:
     for j in range(d):
         col = b[:, j] / np.linalg.norm(b[:, j])
         i = int(np.argmax(np.abs(col)))
-        off_axis = np.linalg.norm(col) ** 2 - col[i] ** 2
+        off_axis = np.linalg.norm(col) ** 2 - abs(col[i]) ** 2
         if abs(abs(col[i]) - 1.0) > REFERENCE_LINE_TOL or off_axis > REFERENCE_LINE_TOL:
             raise ValueError(f"column {j} does not span a reference line")
         order.append(i)
@@ -251,12 +237,8 @@ def act_on_chamber(w: WeylElement, chamber: ChamberA) -> ChamberA:
 
 
 def chamber_transition(target: ChamberA, source: ChamberA) -> WeylElement:
-    """The Weyl element w with w . source = target."""
-    d = target.dim
-    perm = [0] * d
-    for k in range(d):
-        perm[source.order[k]] = target.order[k]
-    return WeylElement(tuple(perm))
+    """The Weyl element w with w . source = target: line source.order[k] goes to target.order[k]."""
+    return WeylElement(tuple(source.place(target.order).tolist()))
 
 
 def all_weyl(d: int):

@@ -1,7 +1,8 @@
-from itertools import permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 import numpy as np
+import pytest
 
 from pqcartan.flags import Flag, flag_distance
 from pqcartan.weyl import (
@@ -13,6 +14,7 @@ from pqcartan.weyl import (
     chamber_transition,
     compatible_chambers,
     embed_compatible,
+    file_to_slots,
     iota_b,
     iota_of_chamber,
     merge_to_slots,
@@ -31,12 +33,67 @@ def test_compatible_chamber_counts():
 
 
 def test_merge_identity_when_in_slot_order():
-    assert merge_to_slots([1, 1, -1]) == (0, 1, 2)
+    assert merge_to_slots([1, 1, -1]).tolist() == [0, 1, 2]
 
 
 def test_merge_example():
     # chamber order (l3, l1, l2) in the reference setup: signs (-, +, +)
-    assert merge_to_slots([-1, 1, 1]) == (2, 0, 1)
+    assert merge_to_slots([-1, 1, 1]).tolist() == [2, 0, 1]
+
+
+def _two_pile_merge(signs):
+    """Reference slot map: rank k of sign s takes the next free slot of its pile."""
+    next_slot = {1: 0, -1: sum(1 for s in signs if s > 0)}
+    out = []
+    for s in signs:
+        out.append(next_slot[s])
+        next_slot[s] += 1
+    return out
+
+
+def _shuffle_chambers(p, q):
+    """Reference list of compatible chambers: the positive ranks, lexicographically."""
+    d = p + q
+    out = []
+    for pos_slots in combinations(range(d), p):
+        pos_iter, neg_iter = iter(range(p)), iter(range(p, d))
+        out.append(ChamberA(tuple(next(pos_iter) if k in pos_slots else next(neg_iter) for k in range(d))))
+    return out
+
+
+def test_slot_map_exhaustive_up_to_d7():
+    for d in range(1, 8):
+        rows = np.array(list(product((1, -1), repeat=d)))
+        assert merge_to_slots(rows).tolist() == [_two_pile_merge(list(r)) for r in rows]
+        for signs in rows:
+            p = int(np.sum(signs > 0))
+            if 0 < p < d:
+                predicted = iota_of_chamber(chamber_from_signs(signs), p)
+                assert predicted.order == tuple(merge_to_slots(signs[::-1]).tolist())
+        for p in range(1, d):
+            assert compatible_chambers(p, d - p) == _shuffle_chambers(p, d - p)
+
+
+def test_slot_map_rejects_signs_that_are_not_plus_or_minus_one():
+    for bad in ([1, 0, -1], [1.0, np.nan, -1.0], [[1, -1], [0, 1]]):
+        with pytest.raises(ValueError):
+            merge_to_slots(bad)
+    with pytest.raises(ValueError):
+        chamber_from_signs([1, 0, -1])
+
+
+def test_row_placements_match_single_rows():
+    rng = np.random.default_rng(3)
+    signs = np.where(rng.random((50, 5)) < 0.5, 1, -1)
+    values = rng.standard_normal((50, 5))
+    filed = file_to_slots(values, signs)
+    c = ChamberA((2, 0, 4, 1, 3))
+    assert np.array_equal(c.place(values), np.stack([c.place(v) for v in values]))
+    assert np.array_equal(c.read(c.place(values)), values)
+    for row, s, v in zip(filed, signs, values):
+        chamber = chamber_from_signs(s)
+        assert np.array_equal(row, chamber.place(v))
+        assert np.array_equal(row, WeylElement(chamber.order).act(v))
 
 
 def test_embed_compatible_properties():
@@ -152,6 +209,10 @@ def test_flag_chamber_inverse():
 
     f = Flag.coordinate((2, 0, 1))
     assert flag_chamber(f.basis) == ChamberA((2, 0, 1))
+    # a complex reference line with a non-real phase is still a reference line
+    b = f.basis.astype(complex)
+    b[:, 0] *= 1j
+    assert flag_chamber(b) == ChamberA((2, 0, 1))
     with _pytest.raises(ValueError):
         flag_chamber(np.array([[1.0, 0, 0], [1.0, 1.0, 0], [0, 0, 1.0]]))
     # round trip over every chamber
