@@ -11,9 +11,10 @@ levels by a letter's unit compound, renormalises and adds the log-scales.
 ``run_bulk`` applies it as a fan-out over each shell (``_children``);
 ``BulkContext.shell`` applies it along arbitrary index rows, for the
 conjugacy classes (``counting.class_periods``, ``counting.default_phi``),
-the Gromov comparison and the limit flags (``freegroup.singular_flag``,
-``freegroup.attracting_flag``; ``freegroup.sample_limit_set`` reads all its
-sampled words in one batch), so every word gets the same level data, bit
+the Gromov comparison, the limit-set samples (``freegroup.sample_limit_set``
+reads all its words in one batch), the CLI's ``project`` and ``enumerate``
+(a whole sphere) and the limit flags (``freegroup.singular_flag``,
+``freegroup.attracting_flag``), so every word gets the same level data, bit
 for bit, whichever path reads it.
 
 Every level also carries a tracked attractor t, a unit vector along the
@@ -329,14 +330,20 @@ class ShellData:
         return _recentred_increments(self.cartan_prefixes())
 
     @_memo
-    def attractor_signs(self) -> np.ndarray:
-        """(n, d) orbit-signature signs of the singular (Cartan) attractor flag.
+    def attractor_forms(self) -> np.ndarray:
+        """(n, d - 1) level forms t^T J_j t of the unit tracked attractors.
 
         Level j's attractor wedge is the top left singular vector: the
-        level's tracked attractor.
+        level's tracked attractor; the form restricted to the attractor
+        flag's j-plane degenerates where this value vanishes.
         """
-        return self._line_signs(np.column_stack([np.sign(np.einsum("ni,i,ni->n", t, sg, t))
-                                                 for t, sg in zip(self.attractors, self.ctx.level_signs)]))
+        return np.column_stack([np.einsum("ni,i,ni->n", t, sg, t)
+                                for t, sg in zip(self.attractors, self.ctx.level_signs)])
+
+    @_memo
+    def attractor_signs(self) -> np.ndarray:
+        """(n, d) orbit-signature signs of the singular (Cartan) attractor flag."""
+        return self._line_signs(np.sign(self.attractor_forms()))
 
     def min_root_gap(self) -> np.ndarray:
         """Per word: smallest simple-root value of the Cartan projection."""

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bulk import CapExceededError
+from .bulk import CapExceededError, ShellData, sphere_rows, sphere_size
 from .cocycles import identity_suite
 from .counting import cone_samples, count_curve, default_phi, equidistribution_experiment, estimate_exponent
 from .flags import NonGenericFlagError
@@ -28,13 +28,14 @@ from .freegroup import (
     Representation,
     SchottkyRejection,
     anosov_gap_check,
-    enumerate_sphere,
     representation_from_config,
     sample_limit_set,
+    sphere_words,
 )
 from .numerics import NumericsError
-from .pq_cartan import NotInBoGError, pq_project
-from .projections import NotLoxodromicError, cartan
+from .pq_cartan import MODULUS_CLUSTER_TOL, NotInBoGError
+from .projections import NotLoxodromicError
+from .weyl import merge_to_slots
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -117,52 +118,53 @@ def _grid_from(cfg: dict, default_hi: float) -> np.ndarray:
 
 def cmd_rep_build(cfg: dict, args) -> dict:
     rep = _build_rep(cfg)
-    flags, sigs, bad = sample_limit_set(rep, int(cfg.get("sample_length", 6)), int(cfg.get("sample_count", 40)))
+    sigs, bad = sample_limit_set(rep, int(cfg.get("sample_length", 6)), int(cfg.get("sample_count", 40)))
     return {
         "certificate": rep.certificate,
         "metadata": rep.metadata,
         "signature": list(rep.form.signature),
-        "limit_signatures": sorted({s.signs for s in sigs}),
+        "limit_signatures": sorted(set(sigs)),
         "non_generic_samples": len(bad),
         "note": "finite-length certification tests a necessary condition only",
     }
 
 
+def _sphere_shell(rep: Representation, cfg: dict, default_length: int) -> tuple[int, ShellData]:
+    """(length, engine data) of the configured sphere, refused beyond ``max_words``."""
+    length = int(cfg.get("length", default_length))
+    if length < 1:
+        raise ConfigError(f"length must be at least 1, got {length}")
+    n, cap = sphere_size(rep.rank, length), int(cfg["max_words"])
+    if n > cap:
+        raise CapExceededError(cap, n)
+    return length, rep.bulk_context().shell(sphere_rows(rep.rank, length))
+
+
 def cmd_enumerate(cfg: dict, args) -> dict:
     rep = _build_rep(cfg)
-    length = int(cfg.get("length", 4))
-    cap = int(cfg["max_words"])
-    rows = []
-    for word, mat in enumerate_sphere(rep, length, cap=cap):
-        rows.append([str(word), word.length, f"{mat.log_scale:.12g}"]
-                    + [f"{x:.12g}" for x in mat.entries.reshape(-1)])
+    length, shell = _sphere_shell(rep, cfg, 4)
+    # the engine's levels are projective: the letters' own log-scales are added back
+    log_scales = shell.scales[0] + rep.image_scales[shell.idx_rows].sum(axis=1)
+    out = ([str(word), length, f"{s:.12g}"] + [f"{x:.12g}" for x in m.reshape(-1)]
+           for word, s, m in zip(sphere_words(rep.rank, length), log_scales, shell.comps[0]))
     d = rep.dim
     header = ["word", "length", "log_scale"] + [f"m{i}{j}" for i in range(d) for j in range(d)]
-    _write_csv(Path(args.out) / "sphere.csv", header, rows)
-    return {"words": len(rows), "length": length}
+    _write_csv(Path(args.out) / "sphere.csv", header, out)
+    return {"words": shell.count, "length": length}
 
 
 def cmd_project(cfg: dict, args) -> dict:
     rep = _build_rep(cfg)
-    length = int(cfg.get("length", 6))
-    cap = int(cfg["max_words"])
-    o = rep.form
-    rows = []
-    skipped = 0
-    for word, mat in enumerate_sphere(rep, length, cap=cap):
-        a = cartan(mat)
-        try:
-            r = pq_project(o, mat)
-        except NotInBoGError:
-            skipped += 1
-            continue
-        rows.append(
-            [str(word), word.length]
-            + [f"{x:.10g}" for x in a.coords]
-            + [f"{x:.10g}" for x in r.b_o.coords]
-            + ["".join(map(str, r.w_g.perm))]
-            + [f"{r.modulus_gap:.4g}", f"{r.isotropy_margin:.4g}", int(r.degenerate)]
-        )
+    length, shell = _sphere_shell(rep, cfg, 6)
+    bo, signs, gaps = shell.bo_data()
+    valid = shell.bo_valid_mask()
+    w_g = merge_to_slots(np.where(signs > 0, 1, -1))
+    modulus_gap = gaps.min(axis=1)
+    words = sphere_words(rep.rank, length)
+    # a simple eigenline's restricted form is 1x1, so its isotropy margin is 1
+    out = ([str(word), length] + [f"{x:.10g}" for x in a] + [f"{x:.10g}" for x in b]
+           + ["".join(map(str, w)), f"{gap:.4g}", 1, int(gap < 10 * MODULUS_CLUSTER_TOL)]
+           for word, ok, a, b, w, gap in zip(words, valid, shell.cartan_coords(), bo, w_g, modulus_gap) if ok)
     d = rep.dim
     header = (
         ["word", "length"]
@@ -170,8 +172,9 @@ def cmd_project(cfg: dict, args) -> dict:
         + [f"b{i}" for i in range(d)]
         + ["w_g", "modulus_gap", "isotropy_margin", "degenerate"]
     )
-    _write_csv(Path(args.out) / "projections.csv", header, rows)
-    return {"rows": len(rows), "not_decomposable": skipped, "length": length}
+    _write_csv(Path(args.out) / "projections.csv", header, out)
+    rows_written = int(valid.sum())
+    return {"rows": rows_written, "not_decomposable": shell.count - rows_written, "length": length}
 
 
 def cmd_cocycle_check(cfg: dict, args) -> dict:

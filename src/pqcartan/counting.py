@@ -379,12 +379,9 @@ def phi_entropy(rep: Representation, phi, length_max: int, chamber: ChamberA | N
 
 
 def limit_signatures(rep: Representation, length: int = 6, count: int = 60):
-    flags, sigs, reports = sample_limit_set(rep, length, count)
-    seen: list[tuple[int, ...]] = []
-    for s in sigs:
-        if s.signs not in seen:
-            seen.append(s.signs)
-    return seen, reports
+    """(distinct sampled limit signatures in first-seen order, reports of unclassified samples)."""
+    sigs, reports = sample_limit_set(rep, length, count)
+    return list(dict.fromkeys(sigs)), reports
 
 
 def canonical_chamber(rep: Representation) -> ChamberA:

@@ -15,17 +15,16 @@ from math import comb
 import numpy as np
 
 from . import bulk
-from .bulk import BulkContext, CapExceededError, sphere_rows, sphere_size
+from .bulk import BulkContext, CapExceededError, sphere_rows
 from .flags import Flag, line_hyperplane_distance, o_generic
-from .forms import Form, induced_form
+from .forms import DEGENERACY_RTOL, Form, induced_form
 from .numerics import ScaledMatrix, _fit_line, hodge_dual, subspace_from_wedge, wedge_coordinates
-from .projections import _eigen_flag, check_r_eps_loxodromic, is_loxodromic
+from .projections import GAP_TOL, _eigen_flag, check_r_eps_loxodromic, is_loxodromic
 
 __all__ = [
     "Word",
     "Representation",
     "SchottkyRejection",
-    "enumerate_sphere",
     "sphere_words",
     "enumerate_conjugacy_reps",
     "build_schottky",
@@ -97,8 +96,7 @@ class Representation:
     """Generator images with inverses, a basepoint form and build metadata.
 
     Images are stored in the form's standard coordinates (the congruence is
-    applied once at build time); flags returned to callers are mapped back
-    to ambient coordinates.
+    applied once at build time), and so is every flag read off them.
     """
 
     rank: int
@@ -107,7 +105,6 @@ class Representation:
     image_scales: np.ndarray
     metadata: dict = field(default_factory=dict)
     certificate: dict | None = None
-    ambient_basis: np.ndarray | None = None
     _bulk: BulkContext | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
@@ -126,7 +123,6 @@ class Representation:
             images_std=images,
             image_scales=np.array(scales),
             metadata=dict(metadata or {}),
-            ambient_basis=np.array(t),
         )
 
     @property
@@ -162,33 +158,6 @@ def sphere_words(k: int, length: int):
         return
     for row in sphere_rows(k, length).tolist():
         yield _row_word(row)
-
-
-def enumerate_sphere(rep: Representation, length: int, cap: int = DEFAULT_WORD_CAP):
-    """Stream (word, image) over the sphere, matrices built incrementally.
-
-    Deterministic order; refuses upfront when the sphere exceeds the cap.
-    """
-    n = sphere_size(rep.rank, length)
-    if n > cap:
-        raise CapExceededError(cap, n)
-    if length == 0:
-        yield Word(()), ScaledMatrix.identity(rep.dim, rep.form.field_tag)
-        return
-    alphabet = [bulk.index_letter(i) for i in range(2 * rep.rank)]
-
-    def rec(stack: list[int], mat: ScaledMatrix):
-        if len(stack) == length:
-            yield Word(tuple(stack)), mat
-            return
-        for l in alphabet:
-            if stack and l == -stack[-1]:
-                continue
-            stack.append(l)
-            yield from rec(stack, mat @ rep.letter_image(l))
-            stack.pop()
-
-    yield from rec([], ScaledMatrix.identity(rep.dim, rep.form.field_tag))
 
 
 def enumerate_conjugacy_reps(k: int, length_max: int):
@@ -293,7 +262,7 @@ def build_schottky(
 
     meta = dict(metadata or {})
     meta.update({"power": power, "kind": meta.get("kind", "schottky")})
-    rep = Representation.of([g.power(power) for g in std_gens], o_std, meta)
+    rep = Representation.of(images, o_std, meta)
     rep.certificate = {"r": eps, "eps": eps, "separation": float(sep), "power": power}
     return rep
 
@@ -392,14 +361,10 @@ def _word_row(word: Word) -> list[list[int]]:
     return [[bulk.letter_index(l) for l in word.letters]]
 
 
-def _singular_tops(rep: Representation, rows) -> list[np.ndarray]:
-    """Per level: (n, C_j) top left singular vectors of the words' level matrices."""
-    return [np.linalg.svd(m)[0][:, :, 0] for m in rep.bulk_context().shell(rows).comps]
-
-
 def singular_flag(rep: Representation, word: Word) -> Flag:
-    """Cartan attractor of the word's image, read off exterior powers."""
-    return flag_from_compound_tops([t[0] for t in _singular_tops(rep, _word_row(word))], rep.dim)
+    """Cartan attractor of the word's image: an SVD of each exterior-power level."""
+    comps = rep.bulk_context().shell(_word_row(word)).comps
+    return flag_from_compound_tops([np.linalg.svd(c[0])[0][:, 0] for c in comps], rep.dim)
 
 
 def attracting_flag(rep: Representation, word: Word) -> Flag:
@@ -414,31 +379,35 @@ def attracting_flag(rep: Representation, word: Word) -> Flag:
 
 
 def sample_limit_set(rep: Representation, length: int, count: int):
-    """Singular flags of evenly spaced words at the given length.
+    """Orbit signatures of the Cartan attractor flags of evenly spaced words.
 
     The candidates are the words of rank 0, s, 2s, ... for the stride
-    s = sphere size // count, read off the engine in one batch; they are
-    taken in order until count of them give generic flags.
-    Returns (flags, signatures, reports): each flag classified by its orbit
-    signature; non-generic samples are reported, never silently dropped.
-    Attracting fixed flags of the cyclically reduced samples serve as a
-    cross-check that the sampled flags approximate the limit set.
+    s = sphere size // count, read off the engine in one batch and taken in
+    order until count of them are classified.  A word is classified by the
+    form signs of its tracked attractors (``ShellData.attractor_signs``);
+    one without a singular gap (its attractor flag is not determined) or
+    whose attractor j-plane is degenerate for the form (|t^T J_j t| below
+    DEGENERACY_RTOL at some level j) is reported, never silently dropped.
+    For an Anosov representation these flags converge to the limit set.
+    Returns (signatures, reports): sign tuples and (word, reason) pairs.
     """
     rows = sphere_rows(rep.rank, length)
     rows = rows[:: max(1, len(rows) // max(1, count))]
-    tops = _singular_tops(rep, rows)
-    flags, signatures, reports = [], [], []
+    shell = rep.bulk_context().shell(rows)
+    gapless = shell.min_root_gap() <= GAP_TOL
+    degenerate = np.abs(shell.attractor_forms()) < DEGENERACY_RTOL
+    signs = shell.attractor_signs().astype(int)
+    signatures, reports = [], []
     for i, row in enumerate(rows.tolist()):
-        if len(flags) >= count:
+        if len(signatures) >= count:
             break
-        f = flag_from_compound_tops([t[i] for t in tops], rep.dim)
-        rep_g = o_generic(rep.form, f)
-        if not rep_g.generic:
-            reports.append((_row_word(row), f"non-generic sample at level {rep_g.failed_level}"))
-            continue
-        flags.append(f)
-        signatures.append(rep_g.signature)
-    return flags, signatures, reports
+        if gapless[i]:
+            reports.append((_row_word(row), "no singular gap"))
+        elif degenerate[i].any():
+            reports.append((_row_word(row), f"non-generic sample at level {np.argmax(degenerate[i]) + 1}"))
+        else:
+            signatures.append(tuple(signs[i].tolist()))
+    return signatures, reports
 
 
 # ---------------------------------------------------------------------------

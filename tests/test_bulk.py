@@ -3,7 +3,7 @@ import pytest
 
 from pqcartan import bulk
 from pqcartan.bulk import ShellData, ball_size, run_bulk, sphere_size, word_rank
-from pqcartan.freegroup import enumerate_sphere, reducible_rep, sphere_words, two_orbit_rep
+from pqcartan.freegroup import reducible_rep, sphere_words, two_orbit_rep
 from pqcartan.pq_cartan import pq_project
 from pqcartan.projections import cartan, jordan
 from pqcartan.weyl import merge_to_slots
@@ -103,9 +103,8 @@ def test_bulk_matches_wordwise(idx):
     length = 4
     data = collect(rep, length)
     o = rep.form
-    for w, mat in enumerate_sphere(rep, length):
-        if w.length == 0:
-            continue
+    for w in (w for l in range(1, length + 1) for w in sphere_words(rep.rank, l)):
+        mat = rep.image(w)
         shell = data[w.length]
         i = word_rank(w.letters, rep.rank)
         assert shell["ranks"][i] == i

@@ -1,10 +1,14 @@
+import csv
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pqcartan.cli import main
+from pqcartan.freegroup import representation_from_config, sphere_words
+from pqcartan.weyl import file_to_slots, merge_to_slots
 
 
 def write_config(tmp_path, name, payload):
@@ -94,6 +98,75 @@ def test_project_and_enumerate(tmp_path, red_cfg):
     assert main(["enumerate", "--config", red_cfg, "--out", str(out2)]) == 0
     lines = (out2 / "sphere.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 4 * 3 ** 3
+
+
+@pytest.mark.parametrize("sub", ["enumerate", "project"])
+def test_sphere_beyond_max_words_exits_4(tmp_path, red_cfg, sub):
+    # the L=4 sphere of a rank-2 group has 4 * 3^3 = 108 words
+    assert main([sub, "--config", red_cfg, "--out", str(tmp_path / "o"), "--max-words", "107"]) == 4
+    assert main([sub, "--config", red_cfg, "--out", str(tmp_path / "o"), "--max-words", "108"]) == 0
+
+
+@pytest.mark.parametrize("sub", ["enumerate", "project"])
+def test_empty_sphere_exits_2(tmp_path, sub):
+    # the engine reads words of at least one letter
+    cfg = write_config(tmp_path, "l0.json", {"representation": {"recipe": "reducible-21", "params": {"power": 4}},
+                                             "length": 0})
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def _exact_projections(rep, word):
+    """(Cartan projection, slot projection, rank -> slot map) of the exact product, mpmath."""
+    import mpmath
+
+    d = rep.dim
+    sg = np.array([1.0] * rep.form.signature[0] + [-1.0] * rep.form.signature[1])
+    jmat = mpmath.diag(sg.tolist())
+    exact = mpmath.eye(d)
+    for l in word.letters:
+        exact = exact * mpmath.matrix(rep.letter_image(l).true_matrix().tolist())
+    sv = mpmath.mp.eig(exact.T * exact, left=False, right=False)
+    logs = np.array(sorted([float(mpmath.log(abs(v))) / 2 for v in sv], reverse=True))
+    vals, vecs = mpmath.mp.eig(jmat * exact.T * jmat * exact)
+    order = sorted(range(d), key=lambda t: -abs(vals[t]))
+    halves = np.array([float(mpmath.log(abs(vals[t]))) for t in order]) / 2
+    signs = []
+    for t in order:
+        v = np.array([complex(vecs[r, t]) for r in range(d)])
+        v = np.real(v / np.exp(1j * np.angle(v[np.argmax(np.abs(v))])))
+        signs.append(1 if np.sum(sg * v**2) > 0 else -1)
+    return logs - logs.mean(), file_to_slots(halves - halves.mean(), signs), merge_to_slots(signs)
+
+
+@pytest.mark.parametrize("representation,length,size", [
+    ({"recipe": "reducible-21", "params": {"power": 4}}, 6, 972),
+    ({"recipe": "two-orbit"}, 4, 108),
+], ids=["reducible_21", "two_orbit"])
+def test_project_matches_high_precision(tmp_path, representation, length, size):
+    # every word of the sphere is written, with finite values, and 40 evenly
+    # spaced rows agree with the exact Cartan and slot projections; the words'
+    # log-singular spreads are far beyond what one float64 matrix resolves
+    import mpmath
+
+    mpmath.mp.dps = 150
+    cfg = write_config(tmp_path, "proj.json", {"representation": representation, "length": length})
+    out = tmp_path / "proj"
+    assert main(["project", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    assert summary == {"rows": size, "not_decomposable": 0, "length": length}
+    rep = representation_from_config(representation)
+    d = rep.dim
+    with open(out / "projections.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    words = list(sphere_words(rep.rank, length))
+    assert [r[0] for r in rows] == [str(w) for w in words]
+    values = np.array([[float(x) for x in r[2:2 + 2 * d] + r[-3:]] for r in rows])
+    assert np.isfinite(values).all()
+    for i in np.linspace(0, size - 1, 40).round().astype(int):
+        a, b_o, slots = _exact_projections(rep, words[i])
+        assert np.max(np.abs(values[i, :d] - a)) < 1e-8
+        assert np.max(np.abs(values[i, d:2 * d] - b_o)) < 1e-8
+        assert rows[i][2 + 2 * d] == "".join(map(str, slots))
 
 
 def test_cocycle_check(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from pqcartan.flags import flag_distance, o_generic
 from pqcartan.forms import Form
 from pqcartan.freegroup import (
-    CapExceededError,
     Representation,
     SchottkyRejection,
     Word,
@@ -13,7 +12,6 @@ from pqcartan.freegroup import (
     build_reducible_example,
     build_schottky,
     enumerate_conjugacy_reps,
-    enumerate_sphere,
     reducible_rep,
     rotation_control_rep,
     sample_limit_set,
@@ -49,48 +47,59 @@ def test_sphere_order_deterministic_and_ranked():
         assert word_rank(w.letters, 2) == i
 
 
+def enumerate_sphere(k, length):
+    """Reduced words of one length, by depth-first extension in alphabet order.
+
+    An independent reference for the canonical order ``sphere_rows`` builds.
+    """
+    alphabet = [index_letter(i) for i in range(2 * k)]
+
+    def rec(stack):
+        if len(stack) == length:
+            yield Word(tuple(stack))
+            return
+        for l in alphabet:
+            if not stack or l != -stack[-1]:
+                yield from rec(stack + [l])
+
+    yield from rec([])
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_sphere_rows_follow_enumerate_sphere(k):
-    rep = Representation.of([ScaledMatrix.of(np.diag([2.0, 1.0, 0.5]))] * k, Form.standard(2, 1))
     for length in range(1, 6):
         rows = sphere_rows(k, length)
-        words = [w for w, _ in enumerate_sphere(rep, length)]
+        words = list(enumerate_sphere(k, length))
         assert rows.shape == (len(words), length)
         assert [Word(tuple(index_letter(i) for i in r)) for r in rows.tolist()] == words
 
 
-def test_enumerate_sphere_cap():
-    rep = rotation_control_rep()
-    with pytest.raises(CapExceededError):
-        list(enumerate_sphere(rep, 5, cap=10))
-
-
 def test_enumerate_matches_high_precision():
+    # the dense product Representation.image and the engine's level-1 matrix
+    # with the letters' log-scales added back (what the CLI's ``enumerate``
+    # writes) against the exact product, on 100 evenly spaced L=12 words
     import mpmath
 
     mpmath.mp.dps = 60
     rep = reducible_rep(power=4)
-    # enumerate_sphere and Representation.image run the same left-to-right
-    # ScaledMatrix products, so the oracle words below are built by image
-    for w, mat in enumerate_sphere(rep, 6):
-        img = rep.image(w)
-        assert img.entries.tobytes() == mat.entries.tobytes()
-        assert img.log_scale == mat.log_scale
     rows = sphere_rows(2, 12)[: 100 * 7000 : 7000]
+    shell = rep.bulk_context().shell(rows)
+    engine_scales = shell.scales[0] + rep.image_scales[rows].sum(axis=1)
     count = 0
-    for row in rows.tolist():
+    for row, level, level_scale in zip(rows.tolist(), shell.comps[0], engine_scales):
         w = Word(tuple(index_letter(i) for i in row))
         assert word_rank(w.letters, 2) == 7000 * count
-        mat = rep.image(w)
         count += 1
         exact = mpmath.eye(3)
         for l in w.letters:
             exact = exact * mpmath.matrix(rep.letter_image(l).true_matrix().tolist())
         log_norm = float(mpmath.log(mpmath.norm(exact)))
         unit = np.array(exact.tolist(), dtype=float) / float(mpmath.norm(exact))
-        sign = np.sign(np.vdot(unit, mat.entries))
-        assert np.max(np.abs(sign * mat.entries - unit)) < 1e-8
-        assert abs(mat.log_scale - log_norm) < 1e-8 * max(1.0, abs(log_norm))
+        mat = rep.image(w)
+        for entries, log_scale in ((mat.entries, mat.log_scale), (level, level_scale)):
+            sign = np.sign(np.vdot(unit, entries))
+            assert np.max(np.abs(sign * entries - unit)) < 1e-8
+            assert abs(log_scale - log_norm) < 1e-8 * max(1.0, abs(log_norm))
     assert count == 100
 
 
@@ -121,11 +130,10 @@ def test_image_inverse_consistency():
         block[2, 2] = 1.0
         gens.append(ScaledMatrix.of(block))
     rep = Representation.of(gens, Form.standard(2, 1))
-    for w, mat in enumerate_sphere(rep, 6):
-        if w.length == 0 or word_rank(w.letters, 2) % 31 != 0:
+    for w in sphere_words(2, 6):
+        if word_rank(w.letters, 2) % 31 != 0:
             continue
-        inv = rep.image(w.inverse())
-        prod = (mat @ inv).true_matrix()
+        prod = (rep.image(w) @ rep.image(w.inverse())).true_matrix()
         scale = np.trace(prod) / 3
         assert np.max(np.abs(prod / scale - np.eye(3))) < 1e-9
 
@@ -158,9 +166,9 @@ def test_build_schottky_rejects_non_loxodromic():
 def test_two_orbit_recipe_certifies():
     rep = two_orbit_rep()
     assert isinstance(rep, Representation)
-    _, sigs, bad = sample_limit_set(rep, 6, 80)
+    sigs, bad = sample_limit_set(rep, 6, 80)
     assert not bad
-    assert {s.signs for s in sigs} == {(1, 1, -1), (-1, 1, 1)}
+    assert set(sigs) == {(1, 1, -1), (-1, 1, 1)}
 
 
 def test_reducible_example_properties():
@@ -173,30 +181,60 @@ def test_reducible_example_properties():
     logs = np.log(sv)
     assert abs(logs[0] - logs[1] - (logs[1] - logs[2])) < 1e-9
     assert abs(logs[1] - logs.mean()) < 1e-9
-    _, sigs, bad = sample_limit_set(rep, 6, 40)
+    sigs, bad = sample_limit_set(rep, 6, 40)
     assert not bad
-    assert {s.signs for s in sigs} == {(1, -1, 1)}
+    assert set(sigs) == {(1, -1, 1)}
 
 
 @pytest.mark.parametrize("recipe", [lambda: reducible_rep(power=4), lambda: reducible_rep(3, 2, power=6),
                                     two_orbit_rep], ids=["reducible_21", "reducible_32", "two_orbit"])
 def test_limit_samples_are_strided_singular_flags(recipe):
     # candidates are the words of rank 0, stride, 2 stride, ...; non-generic
-    # ones are reported, the rest give flags until count of them are found
+    # ones are reported, the rest are classified until count of them are
+    # found, here by the signed Gram-Schmidt of an SVD-built singular flag
     rep = recipe()
-    length, count = 6, 40
-    flags, sigs, bad = sample_limit_set(rep, length, count)
-    stride = max(1, sphere_size(rep.rank, length) // count)
-    want_flags, want_bad = [], []
-    for w in list(sphere_words(rep.rank, length))[::stride]:
-        if len(want_flags) == count:
-            break
-        f = singular_flag(rep, w)
-        (want_flags if o_generic(rep.form, f).generic else want_bad).append((w, f))
-    assert [w for w, _ in bad] == [w for w, _ in want_bad]
-    assert len(flags) == len(sigs) == len(want_flags)
-    for f, (_, g) in zip(flags, want_flags):
-        assert np.array_equal(f.basis, g.basis)
+    count = 40
+    for length in (6, 10):
+        sigs, bad = sample_limit_set(rep, length, count)
+        stride = max(1, sphere_size(rep.rank, length) // count)
+        want_sigs, want_bad = [], []
+        for row in sphere_rows(rep.rank, length)[::stride].tolist():
+            if len(want_sigs) == count:
+                break
+            w = Word(tuple(index_letter(i) for i in row))
+            report = o_generic(rep.form, singular_flag(rep, w))
+            if report.generic:
+                want_sigs.append(report.signature.signs)
+            else:
+                want_bad.append((w, f"non-generic sample at level {report.failed_level}"))
+        assert sigs == want_sigs
+        assert bad == want_bad
+
+
+def test_limit_samples_with_degenerate_attractor_planes_are_reported():
+    # g is symmetric with orthonormal eigenlines e_2 (top), (e_1 + e_3) / sqrt 2
+    # and (e_1 - e_3) / sqrt 2, the last two isotropic for J = diag(1, 1, -1):
+    # the attracting plane of g^4 and the attracting line of g^-4 degenerate
+    v = np.array([[0, 1, 1], [1, 0, 0], [0, 1, -1]]) / np.array([1, 2**0.5, 2**0.5])
+    g = v @ np.diag(np.exp([2.0, 0.0, -2.0])) @ v.T
+    rep = Representation.of([ScaledMatrix.of(g)], Form.standard(2, 1))
+    sigs, bad = sample_limit_set(rep, 4, 10)
+    assert sigs == []
+    assert bad == [(Word((1,) * 4), "non-generic sample at level 2"),
+                   (Word((-1,) * 4), "non-generic sample at level 1")]
+    for w, reason in bad:
+        report = o_generic(rep.form, singular_flag(rep, w))
+        assert not report.generic and reason.endswith(f"level {report.failed_level}")
+
+
+def test_limit_samples_without_singular_gap_are_reported():
+    # a compact group has no singular gap: its attractor flags are arbitrary,
+    # so every candidate is reported and none is classified
+    rep = rotation_control_rep()
+    sigs, bad = sample_limit_set(rep, 6, 40)
+    assert sigs == []
+    assert bad == [(w, "no singular gap") for w in list(sphere_words(2, 6))[::24]]
+    assert len(bad) == 41
 
 
 def test_reducible_rejects_trivial_sl2():

@@ -88,12 +88,13 @@ def test_half_twisted_cartan_close_to_cartan():
         block[2, 2] = 1.0
         gens.append(ScaledMatrix.of(block))
     rep = Representation.of(gens, Form.standard(2, 1))
-    from pqcartan.freegroup import enumerate_sphere
+    from pqcartan.freegroup import sphere_words
 
     per_shell = {}
     for length in range(1, 6):
         worst = 0.0
-        for w, mat in enumerate_sphere(rep, length):
+        for w in sphere_words(rep.rank, length):
+            mat = rep.image(w)
             s = o_adjoint(rep.form, mat) @ mat
             dev = np.linalg.norm(0.5 * cartan(s).coords - cartan(mat).coords)
             worst = max(worst, dev)

@@ -48,10 +48,10 @@ def test_no_function_has_an_unread_parameter():
     assert unread == []
 
 
-# Defaulted parameters in src/pqcartan (ast count): 119, then 90, now 68.
+# Defaulted parameters in src/pqcartan (ast count): 119, then 90, 68, now 67.
 # A caller who wants another threshold compares the margin the result
 # already carries; a new knob needs a visible edit to this bound.
-MAX_DEFAULTED_PARAMETERS = 68
+MAX_DEFAULTED_PARAMETERS = 67
 
 
 def _defaulted_parameter_count(path: Path) -> int:
