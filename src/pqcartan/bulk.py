@@ -13,7 +13,7 @@ levels by a letter's unit compound, renormalises and adds the log-scales.
 conjugacy classes (``counting.class_periods``, ``counting.default_phi``),
 the Gromov comparison, the limit-set samples (``freegroup.sample_limit_set``
 reads all its words in one batch), the CLI's ``project`` and ``enumerate``
-(a whole sphere) and the limit flags (``freegroup.singular_flag``,
+(a sphere, slice by slice) and the limit flags (``freegroup.singular_flag``,
 ``freegroup.attracting_flag``), so every word gets the same level data, bit
 for bit, whichever path reads it.
 
@@ -32,10 +32,10 @@ Rows whose residual is at or above RESIDUAL_TOL (L <= 3 on the shipped
 examples) take the vector of the stepwise kernel ``_top_eig_power``, so a
 top pair of equal modulus stays masked; ``BulkContext`` builds these short
 shells once and ``BulkContext.shell`` starts each row from its prefix there.
-``jordan_coords`` keeps that kernel on M itself (within 4e-9 of mpmath): a
-word u c u^-1 stored as one float64 level loses lambda_1(c) once the
-conjugator's spread passes float64 resolution, so a one-step Jordan reading
-is only sound together with reading each word's cyclic core.
+``jordan_coords`` reads M's dominant eigenpair at M t / |M t| on cyclically
+reduced words longer than SEED_LENGTH; other words keep the stepwise kernel,
+as a word u c u^-1 stored as one float64 level loses lambda_1(c) once the
+conjugator's spread passes float64 resolution, whichever kernel reads it.
 
 Enumeration order is canonical: shells by length, words lexicographic in
 the alphabet (g1, g1^-1, g2, g2^-1, ...); ``sphere_rows`` builds a sphere's
@@ -222,10 +222,14 @@ def _top_eig_power(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Returns (vectors, Rayleigh values, relative residuals); a residual above
     tolerance means no real dominant eigenvalue was found.
     """
-    n, m, _ = mats.shape
-    x = _start_vectors(n, m)
+    x = _start_vectors(*mats.shape[:2])
     for _ in range(POWER_ITERS):
         x = _normalize_rows(np.einsum("nij,nj->ni", mats, x))
+    return _eig_read(mats, x)
+
+
+def _eig_read(mats: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, Rayleigh values, relative residuals) of stacked matrices at unit vectors x."""
     mx = np.einsum("nij,nj->ni", mats, x)
     mu = np.einsum("ni,ni->n", x, mx)
     return x, mu, np.linalg.norm(mx - mu[:, None] * x, axis=1) / np.maximum(np.abs(mu), 1e-300)
@@ -396,8 +400,18 @@ class ShellData:
 
     @_memo
     def _jordan_tops(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per level: stepwise-kernel (vectors, Rayleigh values, residuals) of M."""
-        return [_top_eig_power(m) for m in self.comps]
+        """Per level: (eigenvectors, Rayleigh values, residuals) of M.
+
+        Read at M t / |M t| on cyclically reduced words longer than SEED_LENGTH; every other row, and a
+        row whose residual there is not below RESIDUAL_TOL, takes the stepwise kernel's values.
+        """
+        fast = (self.idx_rows[:, 0] != self.idx_rows[:, -1] ^ 1) & (self.length > SEED_LENGTH)
+        tops = [_eig_read(m, _normalize_rows(np.einsum("nij,nj->ni", m, t)))
+                for m, t in zip(self.comps, self.attractors)]
+        for m, (x, mu, resid) in zip(self.comps, tops):
+            redo = np.flatnonzero(~(fast & (resid < RESIDUAL_TOL)))
+            x[redo], mu[redo], resid[redo] = _top_eig_power(m[redo])
+        return tops
 
     def jordan_vectors(self) -> list[np.ndarray]:
         """Per level: (n, C_j) unit dominant eigenvectors of the level matrices."""

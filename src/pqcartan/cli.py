@@ -14,10 +14,11 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from . import __version__
+from . import __version__, bulk
 from .bulk import CapExceededError, ShellData, sphere_rows, sphere_size
 from .cocycles import identity_suite
 from .counting import cone_samples, count_curve, default_phi, equidistribution_experiment, estimate_exponent
@@ -29,8 +30,8 @@ from .freegroup import (
     SchottkyRejection,
     anosov_gap_check,
     representation_from_config,
+    _row_word,
     sample_limit_set,
-    sphere_words,
 )
 from .numerics import NumericsError
 from .pq_cartan import MODULUS_CLUSTER_TOL, NotInBoGError
@@ -83,13 +84,15 @@ def _write_json(path: Path, payload: dict):
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: list[str], rows):
+def _write_csv(path: Path, header: list[str], rows) -> int:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
+        written = 0
+        for written, row in enumerate(rows, 1):
             w.writerow(row)
+    return written
 
 
 def _build_rep(cfg: dict) -> Representation:
@@ -129,52 +132,55 @@ def cmd_rep_build(cfg: dict, args) -> dict:
     }
 
 
-def _sphere_shell(rep: Representation, cfg: dict, default_length: int) -> tuple[int, ShellData]:
-    """(length, engine data) of the configured sphere, refused beyond ``max_words``."""
+def _sphere_csv_rows(rep: Representation, cfg: dict, default_length: int, rows_of) -> tuple[int, int, Iterator]:
+    """(length, word count, CSV rows) of the configured sphere, refused beyond ``max_words``.
+
+    Read in slices of ``bulk.DEFAULT_CHUNK`` words, each mapped by ``rows_of`` and freed before the next is read.
+    """
     length = int(cfg.get("length", default_length))
     if length < 1:
         raise ConfigError(f"length must be at least 1, got {length}")
     n, cap = sphere_size(rep.rank, length), int(cfg["max_words"])
     if n > cap:
         raise CapExceededError(cap, n)
-    return length, rep.bulk_context().shell(sphere_rows(rep.rank, length))
+    rows, ctx, chunk = sphere_rows(rep.rank, length), rep.bulk_context(), bulk.DEFAULT_CHUNK
+    return length, n, (row for lo in range(0, n, chunk) for row in rows_of(ctx.shell(rows[lo:lo + chunk])))
 
 
 def cmd_enumerate(cfg: dict, args) -> dict:
     rep = _build_rep(cfg)
-    length, shell = _sphere_shell(rep, cfg, 4)
-    # the engine's levels are projective: the letters' own log-scales are added back
-    log_scales = shell.scales[0] + rep.image_scales[shell.idx_rows].sum(axis=1)
-    out = ([str(word), length, f"{s:.12g}"] + [f"{x:.12g}" for x in m.reshape(-1)]
-           for word, s, m in zip(sphere_words(rep.rank, length), log_scales, shell.comps[0]))
+
+    def rows_of(shell: ShellData):
+        # the engine's levels are projective: the letters' own log-scales are added back
+        log_scales = shell.scales[0] + rep.image_scales[shell.idx_rows].sum(axis=1)
+        return ([str(_row_word(row)), shell.length, f"{s:.12g}"] + [f"{x:.12g}" for x in m.reshape(-1)]
+                for row, s, m in zip(shell.idx_rows.tolist(), log_scales, shell.comps[0]))
+
+    length, n, out = _sphere_csv_rows(rep, cfg, 4, rows_of)
     d = rep.dim
     header = ["word", "length", "log_scale"] + [f"m{i}{j}" for i in range(d) for j in range(d)]
     _write_csv(Path(args.out) / "sphere.csv", header, out)
-    return {"words": shell.count, "length": length}
+    return {"words": n, "length": length}
+
+
+def _projection_rows(shell: ShellData):
+    bo, signs, gaps = shell.bo_data()
+    w_g = merge_to_slots(np.where(signs > 0, 1, -1))
+    # a simple eigenline's restricted form is 1x1, so its isotropy margin is 1
+    return ([str(_row_word(row)), shell.length] + [f"{x:.10g}" for x in a] + [f"{x:.10g}" for x in b]
+            + ["".join(map(str, w)), f"{gap:.4g}", 1, int(gap < 10 * MODULUS_CLUSTER_TOL)]
+            for row, ok, a, b, w, gap in zip(shell.idx_rows.tolist(), shell.bo_valid_mask(), shell.cartan_coords(),
+                                             bo, w_g, gaps.min(axis=1)) if ok)
 
 
 def cmd_project(cfg: dict, args) -> dict:
     rep = _build_rep(cfg)
-    length, shell = _sphere_shell(rep, cfg, 6)
-    bo, signs, gaps = shell.bo_data()
-    valid = shell.bo_valid_mask()
-    w_g = merge_to_slots(np.where(signs > 0, 1, -1))
-    modulus_gap = gaps.min(axis=1)
-    words = sphere_words(rep.rank, length)
-    # a simple eigenline's restricted form is 1x1, so its isotropy margin is 1
-    out = ([str(word), length] + [f"{x:.10g}" for x in a] + [f"{x:.10g}" for x in b]
-           + ["".join(map(str, w)), f"{gap:.4g}", 1, int(gap < 10 * MODULUS_CLUSTER_TOL)]
-           for word, ok, a, b, w, gap in zip(words, valid, shell.cartan_coords(), bo, w_g, modulus_gap) if ok)
+    length, n, out = _sphere_csv_rows(rep, cfg, 6, _projection_rows)
     d = rep.dim
-    header = (
-        ["word", "length"]
-        + [f"a{i}" for i in range(d)]
-        + [f"b{i}" for i in range(d)]
-        + ["w_g", "modulus_gap", "isotropy_margin", "degenerate"]
-    )
-    _write_csv(Path(args.out) / "projections.csv", header, out)
-    rows_written = int(valid.sum())
-    return {"rows": rows_written, "not_decomposable": shell.count - rows_written, "length": length}
+    header = (["word", "length"] + [f"a{i}" for i in range(d)] + [f"b{i}" for i in range(d)]
+              + ["w_g", "modulus_gap", "isotropy_margin", "degenerate"])
+    rows_written = _write_csv(Path(args.out) / "projections.csv", header, out)
+    return {"rows": rows_written, "not_decomposable": n - rows_written, "length": length}
 
 
 def cmd_cocycle_check(cfg: dict, args) -> dict:

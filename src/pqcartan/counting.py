@@ -300,23 +300,18 @@ def _cyclically_reduced_rows(k: int, length: int) -> np.ndarray:
     return rows[rows[:, 0] != (rows[:, -1] ^ 1)]
 
 
-def _lex_leq_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rowwise lexicographic a <= b for equal-shape int arrays."""
-    diff = a != b
-    any_diff = diff.any(axis=1)
-    first = np.where(any_diff, diff.argmax(axis=1), 0)
-    r = np.arange(a.shape[0])
-    lt = a[r, first] < b[r, first]
-    return lt | ~any_diff
-
-
 def conjugacy_class_indices(k: int, length: int) -> np.ndarray:
-    """Index rows of the minimal-rotation representatives of length-n classes."""
+    """Index rows of the minimal-rotation representatives of length-n classes, canonical order.
+
+    A row is kept when its base-2k int64 key (``np.ravel_multi_index``) is at most each
+    rotation's key; it fits while (2k)^L <= 2^63 (L <= 31 at k = 2, 24 at k = 3).
+    """
     rows = _cyclically_reduced_rows(k, length)
+    powers = (2 * k) ** np.arange(length, dtype=np.int64)
+    key = np.ravel_multi_index(rows.T, (2 * k,) * length)
     keep = np.ones(rows.shape[0], dtype=bool)
     for r in range(1, length):
-        rotated = np.roll(rows, -r, axis=1)
-        keep &= _lex_leq_rows(rows, rotated)
+        keep &= key <= (key % powers[length - r]) * powers[r] + key // powers[length - r]
     return rows[keep]
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from pqcartan import bulk
 from pqcartan.bulk import ShellData, ball_size, run_bulk, sphere_size, word_rank
-from pqcartan.freegroup import reducible_rep, sphere_words, two_orbit_rep
+from pqcartan.freegroup import reducible_rep, single_orbit_rep, sphere_words, two_orbit_rep
 from pqcartan.pq_cartan import pq_project
 from pqcartan.projections import cartan, jordan
 from pqcartan.weyl import merge_to_slots
@@ -283,6 +283,110 @@ def test_jordan_of_non_cyclically_reduced_words_matches_high_precision():
         jl = sorted([float(mpmath.log(abs(v))) for v in mv], reverse=True)
         worst = max(worst, float(np.max(np.abs(got - (np.array(jl) - np.mean(jl))))))
     assert worst < 1e-8
+
+
+def _exact_jordan(rep, row):
+    """Recentred log eigenvalue moduli of the exact product of an alphabet-index row, mpmath."""
+    import mpmath
+
+    exact = mpmath.eye(rep.dim)
+    for i in row:
+        exact = exact * mpmath.matrix(rep.letter_image(bulk.index_letter(int(i))).true_matrix().tolist())
+    jl = sorted([float(mpmath.log(abs(v))) for v in mpmath.mp.eig(exact, left=False, right=False)], reverse=True)
+    return np.array(jl) - np.mean(jl)
+
+
+def _cyclically_reduced(rows):
+    return rows[:, 0] != (rows[:, -1] ^ 1)
+
+
+def _stepwise_rows(rows):
+    """Rows whose Jordan data the stepwise kernel reads: not cyclically reduced, or at most SEED_LENGTH letters."""
+    return ~_cyclically_reduced(rows) | (rows.shape[1] <= bulk.SEED_LENGTH)
+
+
+@pytest.mark.parametrize("make_rep", [lambda: reducible_rep(power=4), two_orbit_rep],
+                         ids=["reducible_21", "two_orbit"])
+def test_jordan_of_cyclically_reduced_words_matches_high_precision(make_rep):
+    # the one-step reading from the tracked attractor on 40 evenly spaced
+    # Jordan-valid cyclically reduced words of the L=10 sphere
+    import mpmath
+
+    mpmath.mp.dps = 150
+    rep = make_rep()
+    rows = bulk.sphere_rows(rep.rank, 10)
+    rows = rows[_cyclically_reduced(rows)]
+    lam, ok = rep.bulk_context().shell(rows).jordan_coords()
+    picked = np.flatnonzero(ok)
+    picked = picked[np.linspace(0, len(picked) - 1, 40).round().astype(int)]
+    for row, got in zip(rows[picked], lam[picked]):
+        assert np.max(np.abs(got - _exact_jordan(rep, row))) < 1e-8
+
+
+@pytest.mark.parametrize("make_rep,length", [(lambda: reducible_rep(power=4), 8), (two_orbit_rep, 7),
+                                             (single_orbit_rep, 7), (lambda: reducible_rep(p=3, q=2, power=6), 5)],
+                         ids=["reducible_21", "two_orbit", "single_orbit", "reducible_32"])
+def test_jordan_one_step_matches_stepwise_kernel(make_rep, length):
+    # every cyclically reduced word: the one-step eigenvalue against the
+    # 64-step kernel on the same levels, and the same validity mask
+    rep = make_rep()
+    rows = bulk.sphere_rows(rep.rank, length)
+    shell = rep.bulk_context().shell(rows[_cyclically_reduced(rows)])
+    ok = np.ones(shell.count, dtype=bool)
+    for m, (_, mu, resid) in zip(shell.comps, shell._jordan_tops()):
+        _, want_mu, want_resid = bulk._top_eig_power(m)
+        valid = want_resid < bulk.RESIDUAL_TOL
+        np.testing.assert_array_equal(resid < bulk.RESIDUAL_TOL, valid)
+        assert np.max(np.abs(np.log(np.abs(mu[valid])) - np.log(np.abs(want_mu[valid])))) < 1e-12
+        ok &= valid
+    np.testing.assert_array_equal(shell.jordan_coords()[1], ok)
+
+
+def test_jordan_stepwise_rows_are_bit_identical():
+    # words that are not cyclically reduced, and words of at most
+    # SEED_LENGTH letters, keep the stepwise kernel's values exactly
+    rep = reducible_rep(power=4)
+    for length in range(1, 7):
+        rows = bulk.sphere_rows(rep.rank, length)
+        shell = rep.bulk_context().shell(rows)
+        stepwise = _stepwise_rows(rows)
+        assert stepwise.any()
+        for m, got in zip(shell.comps, shell._jordan_tops()):
+            for a, b in zip(got, bulk._top_eig_power(m)):
+                assert a[stepwise].tobytes() == b[stepwise].tobytes()
+
+
+def test_jordan_stepwise_kernel_reached_only_by_fallback_rows(monkeypatch):
+    # timing-free guard on the fast path: in a phi_lambda ball count, the
+    # stepwise kernel sees, for Jordan data, exactly the level matrices of
+    # the words that are not cyclically reduced or have at most SEED_LENGTH
+    # letters
+    import sys
+    from collections import Counter
+
+    from pqcartan.counting import FunctionalHistCollector
+
+    seen = Counter()
+    stepwise = bulk._top_eig_power
+
+    def spy(mats):
+        if sys._getframe(1).f_code.co_name == "_jordan_tops":
+            seen.update(m.tobytes() for m in mats)
+        return stepwise(mats)
+
+    rep = reducible_rep(power=4)
+    ctx = rep.bulk_context()
+    monkeypatch.setattr(bulk, "_top_eig_power", spy)
+    spec = {"kind": "phi_lambda", "grid": np.linspace(0.0, 10.0, 16), "phi": [1.0, 0.0, -1.0]}
+    run_bulk(ctx, 8, [(FunctionalHistCollector, spec)])
+    want = Counter()
+    for length in range(1, 9):
+        rows = bulk.sphere_rows(rep.rank, length)
+        shell = ctx.shell(rows)
+        for m in shell.comps:
+            want.update(a.tobytes() for a in m[_stepwise_rows(rows)])
+    assert sum(want.values()) > 0
+    assert seen == want
 
 
 def test_bulk_bo_matches_high_precision_on_least_definite_words():

@@ -115,6 +115,24 @@ def test_empty_sphere_exits_2(tmp_path, sub):
     assert main([sub, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_project_and_enumerate_slices_match_unsliced_run(tmp_path, monkeypatch):
+    # the sphere is read in slices of bulk.DEFAULT_CHUNK words; the artifacts
+    # do not depend on the slice size
+    from pqcartan import bulk
+
+    cfg = write_config(tmp_path, "l6.json", {"representation": {"recipe": "reducible-21", "params": {"power": 4}},
+                                             "length": 6})
+    for sub, name in (("project", "projections.csv"), ("enumerate", "sphere.csv")):
+        outs = []
+        for chunk in (bulk.DEFAULT_CHUNK, 100):
+            monkeypatch.setattr(bulk, "DEFAULT_CHUNK", chunk)
+            outs.append(tmp_path / f"{sub}-{chunk}")
+            assert main([sub, "--config", cfg, "--out", str(outs[-1])]) == 0
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert json.loads((outs[0] / "summary.json").read_text())["summary"] == \
+            json.loads((outs[1] / "summary.json").read_text())["summary"]
+
+
 def _exact_projections(rep, word):
     """(Cartan projection, slot projection, rank -> slot map) of the exact product, mpmath."""
     import mpmath

@@ -104,6 +104,20 @@ def test_conjugacy_class_indices_match_bruteforce():
         assert rows.shape[0] == len(expected)
 
 
+@pytest.mark.parametrize("k,length_max", [(2, 9), (3, 6)])
+def test_conjugacy_class_indices_match_rotation_definition(k, length_max):
+    # a class representative is a cyclically reduced row no larger, as a
+    # tuple, than any of its rotations; rows come in canonical order
+    from pqcartan.bulk import sphere_rows
+
+    for length in range(1, length_max + 1):
+        want = [row for row in map(tuple, sphere_rows(k, length).tolist())
+                if row[0] != row[-1] ^ 1 and all(row <= row[r:] + row[:r] for r in range(1, length))]
+        got = conjugacy_class_indices(k, length)
+        assert got.dtype == np.int8
+        assert [tuple(r) for r in got.tolist()] == want
+
+
 def test_phi_entropy_scaling(red):
     phi = default_phi(red)
     h1, _, _ = phi_entropy(red, phi, 8)
