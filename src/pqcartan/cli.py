@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__, bulk
 from .bulk import CapExceededError, ShellData, sphere_rows, sphere_size
 from .cocycles import identity_suite
-from .counting import cone_samples, count_curve, default_phi, equidistribution_experiment, estimate_exponent
+from .counting import (canonical_chamber, cone_samples, count_curve, default_phi, equidistribution_experiment,
+                       estimate_exponent)
 from .flags import NonGenericFlagError
 from .forms import DegenerateFormError, Form
 from .freegroup import (
@@ -197,14 +198,16 @@ def cmd_count(cfg: dict, args) -> dict:
     rep = _build_rep(cfg)
     length = int(cfg.get("length", 8))
     functional = cfg.get("functional", "norm_bo")
+    # phi_lambda pairs phi with Jordan data placed in the canonical chamber
+    chamber = canonical_chamber(rep) if functional == "phi_lambda" else None
     phi = None
-    if functional == "phi_bo":
-        phi = np.asarray(cfg["phi"], dtype=float) if "phi" in cfg else default_phi(rep)
+    if functional in ("phi_bo", "phi_lambda"):
+        phi = np.asarray(cfg["phi"], dtype=float) if "phi" in cfg else default_phi(rep, chamber)
     probe = count_curve(rep, "norm_at", min(3, length), np.linspace(0, 1, 2))
     hi = probe.shell_minima[min(3, length)] * (length + 1) / min(3, length)
     grid = _grid_from(cfg, hi)
     cap = int(cfg["max_words"])
-    curve = count_curve(rep, functional, length, grid, phi=phi, threads=args.threads, cap=cap)
+    curve = count_curve(rep, functional, length, grid, phi=phi, chamber=chamber, threads=args.threads, cap=cap)
     _write_csv(
         Path(args.out) / "counts.csv",
         ["threshold", "count"],

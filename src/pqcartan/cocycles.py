@@ -2,9 +2,10 @@
 
 All level data are the logarithmic expansion rates of exterior powers:
 chi_j(value) is recovered from ratios of level-j pairings, and the full
-vector lives in the chamber frame through prefix-sum increments.  The
-choice of a compatible full chamber is an explicit parameter of every
-cocycle; no chamber-free version exists.
+vector is their prefix-sum increments in rank order.  The level values do
+not depend on a chamber; a compatible full chamber only permutes the
+coordinates, so a caller pairing a functional in a chamber frame places
+the rank-order vector with ``ChamberA.place``.
 """
 
 from __future__ import annotations
@@ -41,30 +42,17 @@ ATTEMPT_BUDGET_PER_SAMPLE = 1000
 
 @dataclass(frozen=True)
 class CocycleValue:
-    """Level values chi and the chamber-frame sum-zero coordinate vector."""
+    """Level values chi and the rank-order sum-zero coordinate vector."""
 
     chi: np.ndarray
     coords: np.ndarray
-    chamber: ChamberA
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def pair(self, functional: np.ndarray) -> float:
-        return float(np.dot(np.asarray(functional, dtype=float), self.coords))
 
 
-def _value_from_chi(chi_full: np.ndarray, chamber: ChamberA) -> CocycleValue:
+def _value_from_chi(chi_full: np.ndarray) -> CocycleValue:
     """Assemble the vector from chi_1..chi_d; recentering drops the lift scale."""
     increments = np.diff(np.concatenate([[0.0], chi_full]))
     increments -= increments.mean()
-    chi = np.cumsum(increments)[:-1]
-    return CocycleValue(chi, chamber.place(increments), chamber)
-
-
-def _chamber_or_default(chamber: ChamberA | None, d: int) -> ChamberA:
-    return chamber if chamber is not None else ChamberA.default(d)
+    return CocycleValue(np.cumsum(increments)[:-1], increments)
 
 
 def _log_det(g: ScaledMatrix) -> float:
@@ -72,10 +60,9 @@ def _log_det(g: ScaledMatrix) -> float:
     return float(logabs) + g.dim * g.log_scale
 
 
-def busemann_tau(g: ScaledMatrix, xi: Flag, chamber: ChamberA | None = None) -> CocycleValue:
+def busemann_tau(g: ScaledMatrix, xi: Flag) -> CocycleValue:
     """Iwasawa cocycle through exterior norms: chi_j = log |L^j g . v| / |v|."""
     d = g.dim
-    chamber = _chamber_or_default(chamber, d)
     chi = np.empty(d)
     for j in range(1, d):
         cj = compound(g, j)
@@ -84,7 +71,7 @@ def busemann_tau(g: ScaledMatrix, xi: Flag, chamber: ChamberA | None = None) -> 
             np.log(np.linalg.norm(cj.entries @ v)) + cj.log_scale - np.log(np.linalg.norm(v))
         )
     chi[d - 1] = _log_det(g)
-    return _value_from_chi(chi, chamber)
+    return _value_from_chi(chi)
 
 
 def _generic_wedges(o: Form, xi: Flag, label: str):
@@ -93,15 +80,12 @@ def _generic_wedges(o: Form, xi: Flag, label: str):
         raise NonGenericFlagError(f"{label} flag degenerates at level {rep.failed_level}")
 
 
-def busemann_o(
-    o: Form, g: ScaledMatrix, xi: Flag, chamber: ChamberA | None = None
-) -> CocycleValue:
+def busemann_o(o: Form, g: ScaledMatrix, xi: Flag) -> CocycleValue:
     """Form-twisted cocycle: chi_j = (1/2) log |Q_j(L^j g v) / Q_j(v)|.
 
     Needs xi and g.xi generic; refuses otherwise rather than extrapolating.
     """
     d = g.dim
-    chamber = _chamber_or_default(chamber, d)
     _generic_wedges(o, xi, "base")
     _generic_wedges(o, xi.translate(g), "translated")
     chi = np.empty(d)
@@ -114,17 +98,16 @@ def busemann_o(
             np.log(abs(oj.quad(gv))) + 2 * cj.log_scale - np.log(abs(oj.quad(v)))
         )
     chi[d - 1] = _log_det(g)
-    return _value_from_chi(chi, chamber)
+    return _value_from_chi(chi)
 
 
-def potential(o: Form, xi: Flag, chamber: ChamberA | None = None) -> CocycleValue:
+def potential(o: Form, xi: Flag) -> CocycleValue:
     """Comparison potential between the form and the standard inner product.
 
     Its coboundary along the action is exactly the difference of the two
     cocycles: V(g.xi) - V(xi) = twisted(g, xi) - plain(g, xi).
     """
     d = xi.dim
-    chamber = _chamber_or_default(chamber, d)
     _generic_wedges(o, xi, "potential")
     chi = np.empty(d)
     for j in range(1, d):
@@ -132,43 +115,37 @@ def potential(o: Form, xi: Flag, chamber: ChamberA | None = None) -> CocycleValu
         v = wedge_coordinates(xi.basis, j)
         chi[j - 1] = 0.5 * np.log(abs(oj.quad(v))) - np.log(np.linalg.norm(v))
     chi[d - 1] = 0.0
-    return _value_from_chi(chi, chamber)
+    return _value_from_chi(chi)
 
 
 def iota_a(value: CocycleValue) -> CocycleValue:
     """Opposition involution of the chamber: reverse-negate in rank order."""
-    flipped = -value.chamber.read(value.coords)[::-1]
-    chi = np.cumsum(flipped)[:-1]
-    return CocycleValue(chi, value.chamber.place(flipped), value.chamber)
+    flipped = -value.coords[::-1]
+    return CocycleValue(np.cumsum(flipped)[:-1], flipped)
 
 
-def dual_busemann(
-    o: Form, g: ScaledMatrix, xi: Flag, chamber: ChamberA | None = None
-) -> CocycleValue:
+def dual_busemann(o: Form, g: ScaledMatrix, xi: Flag) -> CocycleValue:
     """The dual cocycle value: twisted cocycle of sigma(g) at the dual flag.
 
     Equals the opposition image of the direct value; ``duality_defect``
     measures the deviation.
     """
-    return busemann_o(o, sigma_o(o, g), flag_perp(o, xi), chamber)
+    return busemann_o(o, sigma_o(o, g), flag_perp(o, xi))
 
 
-def duality_defect(o: Form, g: ScaledMatrix, xi: Flag, chamber: ChamberA | None = None) -> float:
-    lhs = dual_busemann(o, g, xi, chamber)
-    rhs = iota_a(busemann_o(o, g, xi, chamber))
+def duality_defect(o: Form, g: ScaledMatrix, xi: Flag) -> float:
+    lhs = dual_busemann(o, g, xi)
+    rhs = iota_a(busemann_o(o, g, xi))
     return float(np.max(np.abs(lhs.coords - rhs.coords)))
 
 
-def gromov_product(
-    o: Form, xi: Flag, eta: Flag, chamber: ChamberA | None = None
-) -> CocycleValue:
+def gromov_product(o: Form, xi: Flag, eta: Flag) -> CocycleValue:
     """Pairing of transverse generic flags through the dual flag of the first.
 
     chi_j = (1/2) log |<v, v'>^2 / (Q(v) Q(v'))| with v the level-j wedge of
     the dual flag of xi and v' that of eta.  No symmetry is asserted.
     """
     d = xi.dim
-    chamber = _chamber_or_default(chamber, d)
     if not transverse(xi, eta):
         raise ValueError("flags are not transverse")
     _generic_wedges(o, xi, "first")
@@ -182,12 +159,10 @@ def gromov_product(
         cross = oj.pair(v, w)
         chi[j - 1] = 0.5 * np.log(abs(cross * cross) / abs(oj.quad(v) * oj.quad(w)))
     chi[d - 1] = 0.0
-    return _value_from_chi(chi, chamber)
+    return _value_from_chi(chi)
 
 
-def cross_ratio(
-    xi1: Flag, xi2: Flag, xi3: Flag, xi4: Flag, chamber: ChamberA | None = None
-) -> CocycleValue:
+def cross_ratio(xi1: Flag, xi2: Flag, xi3: Flag, xi4: Flag) -> CocycleValue:
     """Projective vector-valued cross-ratio of four flags.
 
     chi_j = log |t1(v4) t3(v2) / (t1(v2) t3(v4))| where t_k is the level-j
@@ -196,7 +171,6 @@ def cross_ratio(
     choice of representative cancel.
     """
     d = xi1.dim
-    chamber = _chamber_or_default(chamber, d)
     for a, b in ((xi1, xi2), (xi1, xi4), (xi2, xi3), (xi3, xi4)):
         if not transverse(a, b):
             raise ValueError("required transversality pair fails")
@@ -208,7 +182,7 @@ def cross_ratio(
         t3v4 = _annihilator_det(xi3, xi4, j)
         chi[j - 1] = np.log(abs(t1v4 * t3v2) / abs(t1v2 * t3v4))
     chi[d - 1] = 0.0
-    return _value_from_chi(chi, chamber)
+    return _value_from_chi(chi)
 
 
 def _annihilator_det(hyper: Flag, point: Flag, j: int):
@@ -221,8 +195,10 @@ def _annihilator_det(hyper: Flag, point: Flag, j: int):
 class PhiCocycles:
     """Scalar cocycles obtained by pairing a functional with the twisted cocycle.
 
-    The dual member composes with the chamber opposition; periods on axis
-    flags recover the functional evaluated on the Jordan projection.
+    The functional is read in the chamber frame, so each rank-order value is
+    placed in the chamber before pairing.  The dual member composes with the
+    chamber opposition; periods on axis flags recover the functional
+    evaluated on the Jordan projection.
     """
 
     o: Form
@@ -233,17 +209,20 @@ class PhiCocycles:
     def of(o: Form, phi, chamber: ChamberA | None = None) -> "PhiCocycles":
         f = np.asarray(phi, dtype=float)
         f = f - f.mean()
-        return PhiCocycles(o, f, _chamber_or_default(chamber, o.dim))
+        return PhiCocycles(o, f, chamber if chamber is not None else ChamberA.default(o.dim))
+
+    def _pair(self, rank_order: np.ndarray) -> float:
+        return float(np.dot(self.phi, self.chamber.place(rank_order)))
 
     def value(self, g: ScaledMatrix, xi: Flag) -> float:
-        return busemann_o(self.o, g, xi, self.chamber).pair(self.phi)
+        return self._pair(busemann_o(self.o, g, xi).coords)
 
     def dual_value(self, g: ScaledMatrix, xi: Flag) -> float:
-        return iota_a(busemann_o(self.o, g, xi, self.chamber)).pair(self.phi)
+        return self._pair(iota_a(busemann_o(self.o, g, xi)).coords)
 
     def period(self, g: ScaledMatrix) -> float:
         """phi of the Jordan projection, read in the chamber frame."""
-        return float(np.dot(self.phi, jordan(g).in_chamber(self.chamber)))
+        return self._pair(jordan(g).coords)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +256,9 @@ def _random_generic_flag(rng, o: Form) -> Flag:
             return f
 
 
-def _pair_is_generic(o: Form, g: ScaledMatrix, xi: Flag) -> bool:
-    return o_generic(o, xi, 1e-6).generic and o_generic(o, xi.translate(g), 1e-6).generic
+def _moved_flags_generic(o: Form, *flags: Flag) -> bool:
+    """Whether every moved flag passes the margin the flag draws pass."""
+    return all(o_generic(o, f, 1e-6).generic for f in flags)
 
 
 def identity_suite(o: Form, samples: int = 300, seed: int = 0) -> dict:
@@ -289,12 +269,10 @@ def identity_suite(o: Form, samples: int = 300, seed: int = 0) -> dict:
     the Gromov/cross-ratio equality, and equivariance of the flag-to-point
     projection.  All inputs are drawn from a seeded generator and resampled
     until generic, so reports are reproducible.  Each report is a maximum over
-    coordinates, which a choice of chamber only permutes, so the default
-    chamber serves for all.
+    rank-order coordinates, which a choice of chamber only permutes.
     """
     rng = np.random.default_rng(seed)
     d = o.dim
-    chamber = ChamberA.default(d)
     dev = {k: 0.0 for k in (
         "cocycle", "duality", "coboundary", "gromov_transformation",
         "cross_ratio_equality", "projection_equivariance",
@@ -310,48 +288,47 @@ def identity_suite(o: Form, samples: int = 300, seed: int = 0) -> dict:
         xi = _random_generic_flag(rng, o)
         eta = _random_generic_flag(rng, o)
         g12 = g1 @ g2
-        if not (_pair_is_generic(o, g2, xi) and _pair_is_generic(o, g12, xi)
-                and _pair_is_generic(o, g1, xi.translate(g2))):
-            continue
-        if not (_pair_is_generic(o, g1, eta) and transverse(xi, eta)):
+        xi1, xi2, eta1 = xi.translate(g1), xi.translate(g2), eta.translate(g1)
+        # xi and eta were drawn generic; only their translates are checked
+        if not (_moved_flags_generic(o, xi2, xi.translate(g12), xi2.translate(g1), eta1)
+                and transverse(xi, eta)):
             continue
         # the projection-equivariance family projects xi for the moved form
         # and g1.xi for the form itself
         o_moved = o.translate(np.linalg.inv(g1.entries))
-        if not (o_generic(o_moved, xi).generic and o_generic(o, xi.translate(g1)).generic):
+        if not (o_generic(o_moved, xi).generic and o_generic(o, xi1).generic):
             continue
         done += 1
 
-        lhs = busemann_o(o, g12, xi, chamber)
-        rhs = busemann_o(o, g1, xi.translate(g2), chamber).coords + busemann_o(o, g2, xi, chamber).coords
+        b1 = busemann_o(o, g1, xi)
+        iota_b1 = iota_a(b1).coords
+        gp = gromov_product(o, xi, eta).coords
+
+        lhs = busemann_o(o, g12, xi)
+        rhs = busemann_o(o, g1, xi2).coords + busemann_o(o, g2, xi).coords
         dev["cocycle"] = max(dev["cocycle"], float(np.max(np.abs(lhs.coords - rhs))))
 
-        dev["duality"] = max(dev["duality"], duality_defect(o, g1, xi, chamber))
+        duality = float(np.max(np.abs(dual_busemann(o, g1, xi).coords - iota_b1)))
+        dev["duality"] = max(dev["duality"], duality)
 
-        v_move = potential(o, xi.translate(g1), chamber).coords - potential(o, xi, chamber).coords
-        beta_diff = busemann_o(o, g1, xi, chamber).coords - busemann_tau(g1, xi, chamber).coords
+        v_move = potential(o, xi1).coords - potential(o, xi).coords
+        beta_diff = b1.coords - busemann_tau(g1, xi).coords
         dev["coboundary"] = max(dev["coboundary"], float(np.max(np.abs(v_move - beta_diff))))
 
-        if _pair_is_generic(o, g1, xi) and transverse(xi.translate(g1), eta.translate(g1)):
-            lhs_g = gromov_product(o, xi.translate(g1), eta.translate(g1), chamber).coords
-            rhs_g = (
-                gromov_product(o, xi, eta, chamber).coords
-                - iota_a(busemann_o(o, g1, xi, chamber)).coords
-                - busemann_o(o, g1, eta, chamber).coords
-            )
+        if _moved_flags_generic(o, xi1) and transverse(xi1, eta1):
+            lhs_g = gromov_product(o, xi1, eta1).coords
+            rhs_g = gp - iota_b1 - busemann_o(o, g1, eta).coords
             dev["gromov_transformation"] = max(
                 dev["gromov_transformation"], float(np.max(np.abs(lhs_g - rhs_g)))
             )
 
-        gp = gromov_product(o, xi, eta, chamber).coords
-        br = cross_ratio(flag_perp(o, eta), flag_perp(o, xi), xi, eta, chamber).coords
+        br = cross_ratio(flag_perp(o, eta), flag_perp(o, xi), xi, eta).coords
         dev["cross_ratio_equality"] = max(
             dev["cross_ratio_equality"], float(np.max(np.abs(gp + 0.5 * br)))
         )
 
         lhs_p = project_to_So(o_moved, xi)
-        moved = xi.translate(g1)
-        rhs_raw = g1.entries.conj().T @ project_to_So(o, moved) @ g1.entries
+        rhs_raw = g1.entries.conj().T @ project_to_So(o, xi1) @ g1.entries
         rhs_p = rhs_raw * (d / np.trace(rhs_raw).real)
         dev["projection_equivariance"] = max(
             dev["projection_equivariance"],

@@ -693,5 +693,4 @@ def _box_bracket(rep: Representation, phi, chamber, cyl_a, cyl_b) -> float:
         return float("nan")
     xi_minus = attracting_flag(rep, wa)
     xi_plus = attracting_flag(rep, wb)
-    value = gromov_product(rep.form, xi_minus, xi_plus, chamber)
-    return float(value.pair(np.asarray(phi, dtype=float)))
+    return float(np.dot(phi, chamber.place(gromov_product(rep.form, xi_minus, xi_plus).coords)))

@@ -87,9 +87,6 @@ class ScaledMatrix:
             raise NumericsError("singular matrix has no inverse") from exc
         return ScaledMatrix.of(raw, -self.log_scale)
 
-    def adjoint(self) -> "ScaledMatrix":
-        return ScaledMatrix(np.conj(self.entries.T), self.log_scale)
-
     def true_matrix(self) -> np.ndarray:
         """The actual matrix; only safe while the scale fits in float range."""
         if abs(self.log_scale) > 600.0:

@@ -16,7 +16,6 @@ import numpy as np
 from .flags import Flag, line_hyperplane_distance
 from .forms import Form, o_adjoint
 from .numerics import ScaledMatrix, compound, eigen, hodge_dual, wedge_coordinates
-from .weyl import ChamberA
 
 __all__ = [
     "CartanVector",
@@ -68,12 +67,6 @@ class CartanVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))
-
-    def in_chamber(self, chamber: ChamberA) -> np.ndarray:
-        """Sorted values placed into the given chamber's line order."""
-        if self.frame_tag != "sorted":
-            raise ValueError("only sorted-frame vectors can be re-framed")
-        return chamber.place(self.coords)
 
 
 def _recenter(values: np.ndarray) -> np.ndarray:

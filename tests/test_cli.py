@@ -196,6 +196,29 @@ def test_cocycle_check(tmp_path):
     assert all(v < 1e-8 for v in summary["max_deviations"].values())
 
 
+def test_count_phi_lambda_matches_count_curve(tmp_path):
+    # phi_lambda pairs the default functional with Jordan data placed in the
+    # canonical chamber.  Words that are not cyclically reduced still read
+    # their own level matrices, so reading each word's cyclic core will move
+    # these counts; the CLI must keep agreeing with count_curve.
+    from pqcartan.counting import canonical_chamber, count_curve, default_phi
+
+    representation = {"recipe": "reducible-21", "params": {"power": 4}}
+    cfg = write_config(tmp_path, "lam.json", {"representation": representation, "length": 6,
+                                              "functional": "phi_lambda", "grid": {"hi": 60.0, "points": 31}})
+    out = tmp_path / "lam"
+    assert main(["count", "--config", cfg, "--out", str(out)]) == 0
+    rep = representation_from_config(representation)
+    chamber = canonical_chamber(rep)
+    curve = count_curve(rep, "phi_lambda", 6, np.linspace(0.0, 60.0, 31), phi=default_phi(rep, chamber),
+                        chamber=chamber)
+    rows = list(csv.reader((out / "counts.csv").read_text().splitlines()))
+    assert rows[0] == ["threshold", "count"]
+    assert [int(c) for _, c in rows[1:]] == curve.counts.tolist()
+    assert [float(t) for t, _ in rows[1:]] == pytest.approx(curve.thresholds.tolist(), abs=1e-9)
+    assert 0 < curve.counts[-1]
+
+
 @pytest.mark.parametrize("sub,extra", [
     ("count", {"length": 4}),
     ("gap-check", {"length": 4}),

@@ -19,6 +19,8 @@ from pqcartan.cocycles import (
 from pqcartan.flags import Flag, NonGenericFlagError, flag_perp, o_generic, so_point_basis, transverse
 from pqcartan.forms import Form, sample_isometry
 from pqcartan.numerics import ScaledMatrix
+from pqcartan.projections import jordan
+from pqcartan.weyl import ChamberA, compatible_chambers
 
 
 def test_busemann_tau_isometry_vanishes(rng):
@@ -234,6 +236,27 @@ def test_phi_cocycles_periods(s1, rng):
         assert abs(pc.value(h, f)) < 1e-8
 
 
+def test_phi_cocycles_place_rank_order_values_in_their_chamber(s1, rng):
+    # cocycle values come in rank order; a functional read in a chamber frame
+    # pairs with the value placed in that chamber
+    for chamber in compatible_chambers(2, 1)[1:]:
+        assert chamber != ChamberA.default(3)
+        pc = PhiCocycles.of(s1, [0.6, -0.1, -0.5], chamber)
+        done = 0
+        while done < 10:
+            g = _random_matrix(rng, 3)
+            f = _random_generic_flag(rng, s1)
+            if not o_generic(s1, f.translate(g), 1e-6).generic:
+                continue
+            done += 1
+            b = busemann_o(s1, g, f)
+            assert pc.value(g, f) == pytest.approx(pc.phi @ chamber.place(b.coords), rel=0, abs=1e-12)
+            assert pc.dual_value(g, f) == pytest.approx(pc.phi @ chamber.place(iota_a(b).coords), rel=0, abs=1e-12)
+            assert pc.period(g) == pytest.approx(pc.phi @ chamber.place(jordan(g).coords), rel=0, abs=1e-12)
+            twice = iota_a(iota_a(b))
+            assert np.array_equal(twice.coords, b.coords) and np.array_equal(twice.chi, b.chi)
+
+
 def test_phi_dual_periods_on_schottky(s1):
     # moderate spectral spread keeps the dense cocycle evaluation accurate;
     # certified powers are exercised through the compound paths elsewhere
@@ -272,9 +295,12 @@ def test_phi_dual_periods_on_schottky(s1):
         assert abs(dual_period - period_inv) < 1e-7
 
 
-def test_identity_suite_runs_clean(s1):
-    report = identity_suite(s1, samples=60, seed=3)
-    assert report["samples"] == 60
+@pytest.mark.parametrize("p,q,field,samples", [
+    (2, 1, "R", 60), (2, 2, "R", 40), (3, 2, "R", 40), (1, 2, "R", 40), (2, 1, "C", 40), (3, 2, "C", 40),
+], ids=["R21", "R22", "R32", "R12", "C21", "C32"])
+def test_identity_suite_runs_clean(p, q, field, samples):
+    report = identity_suite(Form.standard(p, q, field), samples=samples, seed=3)
+    assert report["samples"] == samples
     assert all(v < 1e-8 for v in report["max_deviations"].values())
 
 
@@ -290,6 +316,6 @@ def test_identity_suite_caps_rejection_attempts(s1, monkeypatch):
     from pqcartan import cocycles
 
     monkeypatch.setattr(cocycles, "ATTEMPT_BUDGET_PER_SAMPLE", 3)
-    monkeypatch.setattr(cocycles, "_pair_is_generic", lambda o, g, xi: False)
+    monkeypatch.setattr(cocycles, "_moved_flags_generic", lambda o, *flags: False)
     with pytest.raises(ValueError, match="0 of 2 generic samples in 6 attempts"):
         identity_suite(s1, samples=2, seed=3)

@@ -270,7 +270,7 @@ def test_gromov_bracket_exact_on_axis(red):
     lam_framed = chamber.place(jordan(g).coords)
     plus = attracting_flag(red, w)
     minus = attracting_flag(red, w.inverse())
-    bracket = gromov_product(red.form, minus, plus, chamber).coords
+    bracket = chamber.place(gromov_product(red.form, minus, plus).coords)
     dev = abs(r.b_o.coords @ phi - lam_framed @ phi + bracket @ phi)
     # tolerance set by the dense eigen path at this spectral spread
     assert dev < 1e-7

@@ -4,6 +4,10 @@ A ``_``-prefixed function or class, or a module-level UPPER_CASE constant,
 that no other line of ``src/pqcartan`` names is dead code: it is kept in
 step with the code around it, yet nothing runs or reads it.  Tests may
 call private helpers and read constants, but they do not keep them alive.
+
+A public function, class or method is surface, so a test or the benchmark
+may be its only user; one that no line of ``src``, ``tests`` or
+``perfbench`` names is dead all the same.
 """
 
 import ast
@@ -12,12 +16,20 @@ from pathlib import Path
 import pqcartan
 
 SRC = Path(pqcartan.__file__).resolve().parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _private_definitions(tree):
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if node.name.startswith("_") and not node.name.endswith("__"):
+                yield node.name, node.lineno
+
+
+def _public_definitions(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
                 yield node.name, node.lineno
 
 
@@ -39,9 +51,13 @@ def _referenced_names(tree):
             yield node.name
 
 
-def _unreferenced(definitions):
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
-    referenced = {name for tree in trees.values() for name in _referenced_names(tree)}
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _unreferenced(definitions, users=()):
+    trees = {path.name: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    referenced = {name for tree in [*trees.values(), *map(_parse, users)] for name in _referenced_names(tree)}
     return [f"{path}:{lineno} {name}" for path, tree in trees.items()
             for name, lineno in definitions(tree) if name not in referenced]
 
@@ -52,3 +68,9 @@ def test_every_private_helper_is_referenced():
 
 def test_every_module_constant_is_referenced():
     assert _unreferenced(_module_constants) == []
+
+
+def test_every_public_definition_is_named_in_src_tests_or_perfbench():
+    users = sorted((REPO / "tests").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
+    assert users
+    assert _unreferenced(_public_definitions, users) == []
