@@ -8,14 +8,16 @@ singular/eigen data of each level is ever consumed.
 
 One product step, ``_extend``, builds every level: it multiplies a word's
 levels by a letter's unit compound, renormalises and adds the log-scales.
-``run_bulk`` applies it as a fan-out over each shell (``_children``);
-``BulkContext.shell`` applies it along arbitrary index rows, for the
+``subtree_pieces`` applies it as a depth-first walk under one first letter
+(a piece, then the children of each prefix slice of it), so peak memory
+follows the slice of SLICE_BYTES, not the word length; ``run_bulk`` and the
+CLI's ``project`` and ``enumerate`` read balls and spheres through it.
+``BulkContext.shell`` applies the step along arbitrary index rows, for the
 conjugacy classes (``counting.class_periods``, ``counting.default_phi``),
 the Gromov comparison, the limit-set samples (``freegroup.sample_limit_set``
-reads all its words in one batch), the CLI's ``project`` and ``enumerate``
-(a sphere, slice by slice) and the limit flags (``freegroup.singular_flag``,
-``freegroup.attracting_flag``), so every word gets the same level data, bit
-for bit, whichever path reads it.
+reads all its words in one batch) and the limit flags
+(``freegroup.singular_flag``, ``freegroup.attracting_flag``), so every word
+gets the same level data, bit for bit, whichever path reads it.
 
 Every level also carries a tracked attractor t, a unit vector along the
 top left singular direction of M.  For an Anosov representation the prefix
@@ -40,12 +42,14 @@ conjugator's spread passes float64 resolution, whichever kernel reads it.
 Enumeration order is canonical: shells by length, words lexicographic in
 the alphabet (g1, g1^-1, g2, g2^-1, ...); ``sphere_rows`` builds a sphere's
 index rows in this order, and ``word_rank`` is a word's row number there.
-Worker partitioning is by first letter and results are merged in alphabet
-order, so outputs are identical for any worker count.
+The walk's pieces of one shell arrive in this order, interleaved with
+longer shells' pieces.  Worker partitioning is by first letter and results
+are merged in alphabet order, so outputs are identical for any worker count.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import wraps
@@ -62,11 +66,14 @@ __all__ = [
     "sphere_size",
     "ball_size",
     "sphere_rows",
+    "subtree_pieces",
     "word_rank",
     "CapExceededError",
 ]
 
-DEFAULT_CHUNK = 200_000
+# level state of one walk piece: 40,329 words at d = 3, 3,692 at d = 5; small pieces pay per-call overhead
+# in the 3x3 kernels (600-word pieces: about 15% fewer words/s at d = 3, L = 10)
+SLICE_BYTES = 8 << 20
 POWER_ITERS = 64
 RESIDUAL_TOL = 1e-6
 SEED_LENGTH = 3  # shells built once per context; their words need the stepwise fallback
@@ -80,9 +87,7 @@ class CapExceededError(RuntimeError):
 
 
 def sphere_size(k: int, length: int) -> int:
-    if length == 0:
-        return 1
-    return 2 * k * (2 * k - 1) ** (length - 1)
+    return 1 if length == 0 else 2 * k * (2 * k - 1) ** (length - 1)
 
 
 def ball_size(k: int, length: int) -> int:
@@ -116,10 +121,6 @@ def word_rank(word, k: int) -> int:
     if not word:
         return 0
     return int(_ranks_of(np.array([[letter_index(l) for l in word]], dtype=np.int8), k)[0])
-
-
-def _inverse_indices(idx_rows: np.ndarray) -> np.ndarray:
-    return idx_rows[:, ::-1] ^ 1
 
 
 def _ranks_of(idx_rows: np.ndarray, k: int) -> np.ndarray:
@@ -163,9 +164,9 @@ class BulkContext:
         logdets = np.array([np.linalg.slogdet(m)[1] for m in images_std])
         base_signs = np.array([1.0] * p + [-1.0] * (d - p))
         ctx = BulkContext(k, d, p, [np.prod(base_signs[subset_table(d, j)], axis=1) for j in levels])
+        # each letter's attractor: the top eigenvector of its symmetric Gram M M^T, exact from LAPACK
         ctx.spheres = [ShellData(ctx, 1, np.arange(2 * k, dtype=np.int8)[:, None], gen_entries, gen_scales, logdets,
-                                 [_normalize_rows(_top_pair(m, 1.0, _start_vectors(*m.shape[:2]))[0])
-                                  for m in gen_entries])]
+                                 [np.linalg.eigh(m @ np.swapaxes(m, 1, 2))[1][:, :, -1] for m in gen_entries])]
         for _ in range(1, SEED_LENGTH):
             ctx.spheres.append(_children(ctx.spheres[-1], successor_table(2 * k)))
         return ctx
@@ -308,7 +309,7 @@ class ShellData:
 
     @_memo
     def inverse_ranks(self) -> np.ndarray:
-        return _ranks_of(_inverse_indices(self.idx_rows), self.ctx.k)
+        return _ranks_of(self.idx_rows[:, ::-1] ^ 1, self.ctx.k)
 
     def _line_signs(self, wedge_signs: np.ndarray) -> np.ndarray:
         """(n, d) form signs of a flag's lines from the signs of its level-j wedges."""
@@ -456,28 +457,38 @@ def _children(shell: ShellData, table: np.ndarray) -> ShellData:
     return _extend(shell, table[shell.idx_rows[:, -1]])
 
 
-def _collect_chunked(shell: ShellData, collectors):
-    for lo in range(0, shell.count, DEFAULT_CHUNK):
-        piece = shell.piece(slice(lo, lo + DEFAULT_CHUNK))
-        for c in collectors:
-            c.update(piece)
+def slice_words(d: int) -> int:
+    """Words per walk piece: SLICE_BYTES over one word's level state, sum_j C(d,j)^2 + C(d,j) + 1 doubles."""
+    return max(1, SLICE_BYTES // (8 * sum(math.comb(d, j) ** 2 + math.comb(d, j) + 1 for j in range(1, d))))
+
+
+def subtree_pieces(ctx: BulkContext, first: int, length_max: int):
+    """Pieces of the words of lengths 1..length_max that start with alphabet index ``first``.
+
+    Depth first: a piece, then the pieces below each prefix slice of it, so each shell's pieces arrive in
+    canonical order, of at most ``slice_words(d)`` words (or one parent's children).  The consumer should
+    drop its reference to a piece before asking for the next, which is built then; the walk drops its readings.
+    """
+    table = successor_table(ctx.alphabet_size)
+    step = max(1, slice_words(ctx.d) // table.shape[1])
+
+    def below(shell: ShellData):
+        yield shell
+        shell._cache.clear()
+        if shell.length < length_max:
+            for lo in range(0, shell.count, step):
+                yield from below(_children(shell.piece(slice(lo, lo + step)), table))
+
+    return below(ctx.shell([[first]]))
 
 
 def _run_subtree(args):
     ctx, first, length_max, collector_specs = args
     collectors = [cls(**kwargs) for cls, kwargs in collector_specs]
-    table = successor_table(ctx.alphabet_size)
-    shell = ctx.shell([[first]])
-    _collect_chunked(shell, collectors)
-    parent_chunk = max(1, DEFAULT_CHUNK // table.shape[1])
-    for length in range(2, length_max + 1):
-        if length < length_max:
-            shell = _children(shell, table)
-            _collect_chunked(shell, collectors)
-        else:
-            # final shell is streamed in parent slices, never materialized
-            for lo in range(0, shell.count, parent_chunk):
-                _collect_chunked(_children(shell.piece(slice(lo, lo + parent_chunk)), table), collectors)
+    for piece in subtree_pieces(ctx, first, length_max):
+        for c in collectors:
+            c.update(piece)
+        del piece
     return collectors
 
 
@@ -485,9 +496,11 @@ def run_bulk(ctx: BulkContext, length_max: int, collector_specs, threads: int = 
              cap: int | None = None):
     """Run collectors over all shells 1..length_max; returns merged collectors.
 
-    The identity word (shell zero) is not visited; callers account for it.
+    Each first letter's ``subtree_pieces`` feed its own collectors, so a
+    collector sees shells interleaved, each in canonical order.  The
+    identity word (shell zero) is not visited; callers account for it.
     Results are independent of ``threads`` because subtrees are merged in
-    alphabet order and chunking is fixed.
+    alphabet order and the slices are fixed.
     """
     total = ball_size(ctx.k, length_max) - 1
     if cap is not None and total > cap:

@@ -18,8 +18,8 @@ from typing import Iterator
 
 import numpy as np
 
-from . import __version__, bulk
-from .bulk import CapExceededError, ShellData, sphere_rows, sphere_size
+from . import __version__
+from .bulk import CapExceededError, ShellData, sphere_size, subtree_pieces
 from .cocycles import identity_suite
 from .counting import (canonical_chamber, cone_samples, count_curve, default_phi, equidistribution_experiment,
                        estimate_exponent)
@@ -136,7 +136,8 @@ def cmd_rep_build(cfg: dict, args) -> dict:
 def _sphere_csv_rows(rep: Representation, cfg: dict, default_length: int, rows_of) -> tuple[int, int, Iterator]:
     """(length, word count, CSV rows) of the configured sphere, refused beyond ``max_words``.
 
-    Read in slices of ``bulk.DEFAULT_CHUNK`` words, each mapped by ``rows_of`` and freed before the next is read.
+    Read off ``bulk.subtree_pieces`` under each first letter in turn, in canonical order; each piece of
+    the sphere's length is mapped by ``rows_of`` and freed before the next is built.
     """
     length = int(cfg.get("length", default_length))
     if length < 1:
@@ -144,8 +145,15 @@ def _sphere_csv_rows(rep: Representation, cfg: dict, default_length: int, rows_o
     n, cap = sphere_size(rep.rank, length), int(cfg["max_words"])
     if n > cap:
         raise CapExceededError(cap, n)
-    rows, ctx, chunk = sphere_rows(rep.rank, length), rep.bulk_context(), bulk.DEFAULT_CHUNK
-    return length, n, (row for lo in range(0, n, chunk) for row in rows_of(ctx.shell(rows[lo:lo + chunk])))
+    ctx = rep.bulk_context()
+
+    def rows():
+        for first in range(ctx.alphabet_size):
+            for piece in subtree_pieces(ctx, first, length):
+                yield from rows_of(piece) if piece.length == length else ()
+                del piece
+
+    return length, n, rows()
 
 
 def cmd_enumerate(cfg: dict, args) -> dict:
@@ -186,12 +194,7 @@ def cmd_project(cfg: dict, args) -> dict:
 
 def cmd_cocycle_check(cfg: dict, args) -> dict:
     o = Form.from_json(json.dumps(cfg["form"])) if "form" in cfg else Form.standard(2, 1)
-    report = identity_suite(
-        o,
-        samples=int(cfg.get("samples", 300)),
-        seed=int(cfg.get("seed", 0)),
-    )
-    return report
+    return identity_suite(o, samples=int(cfg.get("samples", 300)), seed=int(cfg.get("seed", 0)))
 
 
 def cmd_count(cfg: dict, args) -> dict:
@@ -235,7 +238,7 @@ def cmd_cone(cfg: dict, args) -> dict:
     l_max = int(cfg.get("length_max", 9))
     result = cone_samples(rep, l_min, l_max, threads=args.threads,
                           stride=int(cfg.get("stride", 1)))
-    bo = result["slot_cloud"].points
+    bo = result["slot_cloud"]
     union = result["translate_union"]
     rows = [["bo"] + [f"{x:.10g}" for x in v] for v in bo]
     rows += [["cartan_translate"] + [f"{x:.10g}" for x in v] for v in union]

@@ -22,7 +22,6 @@ from .weyl import ChamberA, WeylElement, chamber_from_signs, chamber_transition,
 
 __all__ = [
     "CountCurve",
-    "ConeSample",
     "count_curve",
     "estimate_exponent",
     "phi_entropy",
@@ -63,13 +62,6 @@ class CountCurve:
         if not self.shell_minima:
             return float(self.thresholds[-1])
         return float(self.shell_minima[max(self.shell_minima)])
-
-
-@dataclass
-class ConeSample:
-    points: np.ndarray  # (n, d) unit vectors
-    source: str
-    signatures: list[tuple[int, ...]] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +130,18 @@ class FunctionalHistCollector:
 
 
 class DirectionsCollector:
-    """Unit Cartan and slot-projection directions over a shell window."""
+    """Unit Cartan and slot-projection directions over a shell window.
+
+    Parts are filed by (first letter, shell length), as a subtree's shells
+    arrive interleaved; ``clouds`` reads them subtree by subtree, shell by
+    shell, each shell in canonical order, for any slice size.
+    """
 
     def __init__(self, length_min: int, length_max: int, stride: int = 1):
         self.length_min = length_min
         self.length_max = length_max
         self.stride = stride
-        self.at_parts: list[np.ndarray] = []
-        self.bo_parts: list[np.ndarray] = []
+        self.parts: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
 
     def update(self, shell: ShellData):
         if not (self.length_min <= shell.length <= self.length_max):
@@ -157,16 +153,16 @@ class DirectionsCollector:
         valid = shell.bo_valid_mask()[keep]
         bo = bo[keep][valid]
         at = at[valid]
-        self.at_parts.append(at / np.linalg.norm(at, axis=1, keepdims=True))
-        self.bo_parts.append(bo / np.linalg.norm(bo, axis=1, keepdims=True))
+        self.parts.setdefault((int(shell.idx_rows[0, 0]), shell.length), []).append(
+            (at / np.linalg.norm(at, axis=1, keepdims=True), bo / np.linalg.norm(bo, axis=1, keepdims=True)))
 
     def merge(self, other: "DirectionsCollector"):
-        self.at_parts.extend(other.at_parts)
-        self.bo_parts.extend(other.bo_parts)
+        for key, parts in other.parts.items():
+            self.parts.setdefault(key, []).extend(parts)
 
     def clouds(self):
-        at = np.concatenate(self.at_parts) if self.at_parts else np.zeros((0, 0))
-        bo = np.concatenate(self.bo_parts) if self.bo_parts else np.zeros((0, 0))
+        parts = [part for key in sorted(self.parts) for part in self.parts[key]] or [(np.zeros((0, 0)),) * 2]
+        at, bo = (np.concatenate(c) for c in zip(*parts))
         return at, bo
 
 
@@ -207,12 +203,7 @@ class ComparisonCollector:
         """
         out: dict[int, float] = {}
         for length, chunks in sorted(self.store.items()):
-            ranks = np.concatenate([c[0] for c in chunks])
-            inv_ranks = np.concatenate([c[1] for c in chunks])
-            usigns = np.concatenate([c[2] for c in chunks])
-            at = np.concatenate([c[3] for c in chunks])
-            bo = np.concatenate([c[4] for c in chunks])
-            valid = np.concatenate([c[5] for c in chunks])
+            ranks, inv_ranks, usigns, at, bo, valid = (np.concatenate(c) for c in zip(*chunks))
             order = np.argsort(ranks)
             pos_of_rank = np.empty_like(order)
             pos_of_rank[ranks[order]] = order
@@ -438,15 +429,12 @@ def cone_samples(rep: Representation, length_min: int, length_max: int, threads:
         translates.append(target.place(at_sorted))
     at_framed = np.concatenate(translates) if translates else at_sorted
     hd = hausdorff(bo, at_framed)
-    at_cloud = ConeSample(np.empty((0, rep.dim)) if not translates else translates[0], "cartan")
-    bo_cloud = ConeSample(bo, "slot")
     return {
         "weyl_set": weyls,
         "signatures": seen,
         "chamber": chamber,
         "hausdorff": hd,
-        "cartan_cloud": at_cloud,
-        "slot_cloud": bo_cloud,
+        "slot_cloud": bo,
         "translate_union": at_framed,
     }
 

@@ -206,7 +206,7 @@ def pq_project(o: Form, g: ScaledMatrix) -> PqCartanResult:
     slots -= slots.sum() / len(slots)
     degenerate = bool(min_gap < 10 * MODULUS_CLUSTER_TOL or iso_margin < ISOTROPY_TOL)
     return PqCartanResult(
-        b_o=CartanVector(slots, frame_tag="slots"),
+        b_o=CartanVector(slots),
         w_g=w_g,
         eigen_signs=tuple(signs),
         modulus_gap=float(min_gap),

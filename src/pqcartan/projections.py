@@ -47,14 +47,9 @@ class NotLoxodromicError(ValueError):
 
 @dataclass(frozen=True)
 class CartanVector:
-    """Sum-zero length-d vector of log data.
-
-    frame_tag is "sorted" for descending-sorted values (Cartan/Jordan data)
-    and "slots" for values indexed by the reference lines (slot-chamber data).
-    """
+    """Sum-zero length-d vector of log data."""
 
     coords: np.ndarray
-    frame_tag: str = "sorted"
 
     def __post_init__(self):
         c = np.asarray(self.coords, dtype=float)

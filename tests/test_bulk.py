@@ -123,10 +123,9 @@ def test_bulk_matches_wordwise(idx):
 def test_bulk_long_words_match_high_precision():
     import mpmath
 
-    mpmath.mp.dps = 80
+    mpmath.mp.dps = 200
     rep = reducible_rep(power=4)
-    length = 8
-    data = collect_at = None
+    length = 10
     ctx = rep.bulk_context()
     [col] = run_bulk(ctx, length, [(GrabAll, {"length_max": length})])
     rows = [r for r in col.rows if r[0] == length]
@@ -558,10 +557,49 @@ def test_cap_refusal():
 def test_chunking_does_not_change_results(monkeypatch):
     rep = reducible_rep(power=4)
     ctx = rep.bulk_context()
-    monkeypatch.setattr(bulk, "DEFAULT_CHUNK", 7)
+    monkeypatch.setattr(bulk, "SLICE_BYTES", 1500)
+    assert bulk.slice_words(3) == 7
     [a] = run_bulk(ctx, 4, [(GrabAll, {"length_max": 4})])
-    monkeypatch.setattr(bulk, "DEFAULT_CHUNK", 100000)
+    monkeypatch.undo()
     [b] = run_bulk(ctx, 4, [(GrabAll, {"length_max": 4})])
     bo_a = np.concatenate([r[4] for r in a.rows if r[0] == 4])
     bo_b = np.concatenate([r[4] for r in b.rows if r[0] == 4])
     assert bo_a.tobytes() == bo_b.tobytes()
+
+
+class PieceSizes:
+    """Test collector: (first letter, length, word count) of every piece it is fed, in arrival order."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def update(self, shell: ShellData):
+        self.pieces.append((int(shell.idx_rows[0, 0]), shell.length, shell.count))
+
+    def merge(self, other):
+        self.pieces.extend(other.pieces)
+
+
+@pytest.mark.parametrize("make_rep,slice_bytes", [(lambda: reducible_rep(power=4), 1500),
+                                                  (lambda: reducible_rep(p=3, q=2, power=6), 30000)],
+                         ids=["d3", "d5"])
+def test_no_piece_holds_more_than_one_slice(monkeypatch, make_rep, slice_bytes):
+    rep = make_rep()
+    ctx = rep.bulk_context()
+    monkeypatch.setattr(bulk, "SLICE_BYTES", slice_bytes)
+    words = bulk.slice_words(ctx.d)
+    assert 3 <= words < 27
+    [col] = run_bulk(ctx, 6, [(PieceSizes, {})])
+    assert max(n for _, _, n in col.pieces) <= words
+    for length in range(1, 7):
+        assert sum(n for _, l, n in col.pieces if l == length) == sphere_size(rep.rank, length)
+    # depth first: a subtree's shells arrive interleaved, not shell after shell
+    lengths = [l for f, l, _ in col.pieces if f == 0]
+    assert lengths != sorted(lengths)
+
+
+def test_default_slice_keeps_benchmark_shells_whole():
+    # one subtree's shell L - 1 is a single parent slice: ball_d3 (d = 3, L = 10)
+    # and shells_d5 (d = 5, L = 8) see the same pieces as shell-by-shell reading
+    assert bulk.slice_words(3) >= 3 ** 9
+    assert bulk.slice_words(5) >= 3 ** 7

@@ -116,21 +116,30 @@ def test_empty_sphere_exits_2(tmp_path, sub):
 
 
 def test_project_and_enumerate_slices_match_unsliced_run(tmp_path, monkeypatch):
-    # the sphere is read in slices of bulk.DEFAULT_CHUNK words; the artifacts
-    # do not depend on the slice size
-    from pqcartan import bulk
+    # the sphere is read in pieces of at most bulk.slice_words(d) words; the
+    # artifacts do not depend on the slice size, and no piece holds more
+    from pqcartan import bulk, cli
 
     cfg = write_config(tmp_path, "l6.json", {"representation": {"recipe": "reducible-21", "params": {"power": 4}},
-                                             "length": 6})
-    for sub, name in (("project", "projections.csv"), ("enumerate", "sphere.csv")):
+                                             "length": 6, "length_min": 4, "length_max": 6})
+    seen, rows_of = [], cli._projection_rows
+
+    def spy(shell):
+        seen.append(shell.count)
+        return rows_of(shell)
+
+    monkeypatch.setattr(cli, "_projection_rows", spy)
+    for sub, name in (("project", "projections.csv"), ("enumerate", "sphere.csv"), ("cone", "cone.csv")):
         outs = []
-        for chunk in (bulk.DEFAULT_CHUNK, 100):
-            monkeypatch.setattr(bulk, "DEFAULT_CHUNK", chunk)
-            outs.append(tmp_path / f"{sub}-{chunk}")
+        for slice_bytes in (bulk.SLICE_BYTES, 100 * 208):  # 208 bytes of level state per word at d = 3
+            monkeypatch.setattr(bulk, "SLICE_BYTES", slice_bytes)
+            outs.append(tmp_path / f"{sub}-{slice_bytes}")
             assert main([sub, "--config", cfg, "--out", str(outs[-1])]) == 0
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         assert json.loads((outs[0] / "summary.json").read_text())["summary"] == \
             json.loads((outs[1] / "summary.json").read_text())["summary"]
+    # project at L = 6: one piece of 243 words per first letter, then pieces of at most 100
+    assert seen[:4] == [243] * 4 and max(seen[4:]) <= 100 and sum(seen[4:]) == 4 * 243
 
 
 def _exact_projections(rep, word):

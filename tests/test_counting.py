@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+from pqcartan import bulk
 from pqcartan.counting import (
+    BoxMassCollector,
+    ComparisonCollector,
     CountCurve,
+    DirectionsCollector,
+    FunctionalHistCollector,
     canonical_chamber,
     comparison_boundedness,
     cone_samples,
@@ -286,3 +291,40 @@ def test_equidistribution_mass_ratio_stabilizes(red):
     top = idx[idx >= int(0.6 * len(grid))]
     ratios = masses[0][top] / masses[1][top]
     assert ratios.max() / ratios.min() - 1.0 < 0.35
+
+
+def _collector_outputs(rep, length_max):
+    """Bytes of every collector's outputs over the ball, at the current slice size."""
+    d = rep.dim
+    phi = np.arange(d, 0, -1, dtype=float) - (d + 1) / 2
+    grid = np.linspace(0.0, 4.0 * length_max, 97)
+    kinds = ("norm_at", "norm_bo", "phi_bo", "phi_lambda", "min_root_gap")
+    specs = [(FunctionalHistCollector, {"kind": k, "grid": grid, "phi": phi}) for k in kinds]
+    specs += [(ComparisonCollector, {"length_max": length_max}),
+              (DirectionsCollector, {"length_min": length_max - 2, "length_max": length_max}),
+              (BoxMassCollector, {"grid": grid, "boxes_idx": [((0,), (2,)), ((1,), (3,)), ((), (0, 2))],
+                                  "phi": phi, "chamber_order": tuple(range(d))})]
+    *hists, comparison, directions, boxes = bulk.run_bulk(rep.bulk_context(), length_max, specs)
+    out = [h.bins.tobytes() + repr((sorted(h.excluded.items()), sorted(h.shell_minima.items()))).encode()
+           for h in hists]
+    out.append(repr(comparison.shell_max_deviation(rep.form.signature[0])).encode())
+    out += [c.tobytes() for c in directions.clouds()]
+    out.append(boxes.bins.tobytes())
+    return out
+
+
+@pytest.mark.parametrize("make_rep,length_max,slice_bytes",
+                         [(lambda: reducible_rep(power=4), 6, 1500),
+                          (lambda: reducible_rep(p=3, q=2, power=6), 5, 30000)],
+                         ids=["d3", "d5"])
+def test_collectors_do_not_depend_on_the_slice_size(monkeypatch, make_rep, length_max, slice_bytes):
+    # small slices interleave a subtree's shells, so DirectionsCollector must
+    # file its parts by shell to keep the clouds' order
+    rep = make_rep()
+    want = _collector_outputs(rep, length_max)
+    monkeypatch.setattr(bulk, "SLICE_BYTES", slice_bytes)
+    assert bulk.slice_words(rep.dim) < bulk.sphere_size(rep.rank, length_max) // (2 * rep.rank)
+    got = _collector_outputs(rep, length_max)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
