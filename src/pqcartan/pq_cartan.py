@@ -17,7 +17,7 @@ import numpy as np
 
 from .flags import o_generic
 from .forms import Form, o_adjoint, restricted_signature
-from .numerics import ScaledMatrix, eigen
+from .numerics import NumericsError, ScaledMatrix, eigen
 from .projections import (
     CartanVector,
     GAP_TOL,
@@ -117,40 +117,79 @@ def membership(o: Form, g: ScaledMatrix) -> MembershipResult:
     within PHASE_TOL of a common axis); the eigenbasis is then orthogonal for
     the form up to the conditioning, and eigenline isotropy only occurs at
     modulus collisions, which the clustered projection absorbs.  The result
-    carries both margins for callers who need another threshold.
+    carries both margins for callers who need another threshold.  Raises
+    NumericsError when float64 cannot resolve the twisted square's spectrum.
     """
     return _decompose(o, g)[0]
 
 
-def _decompose(o: Form, g: ScaledMatrix):
-    """(membership verdict, eigendata, [(cluster ranks, positive count)] or None).
+# the last (form, element, decomposition); rebound in one assignment, so a
+# reader in another thread sees a whole triple
+_last_decomposition = (None, None, None)
 
-    The eigendata and the per-cluster signatures are returned only for
-    members; ``pq_project`` files its slots from them.
+
+def _frozen(a: np.ndarray) -> bool:
+    """Read-only and owning its data, so no caller can change it in place."""
+    return not a.flags.writeable and a.base is None
+
+
+def _decompose(o: Form, g: ScaledMatrix):
+    """(membership verdict, slot projection or the reason pq_project refuses).
+
+    ``membership``, ``pq_project`` and ``distance_So`` share one
+    decomposition per (form, element): the last one is kept while both
+    arguments are the same objects and their arrays are frozen, as
+    ``Form.of`` and ``ScaledMatrix.of`` leave them.
     """
+    global _last_decomposition
+    last_o, last_g, last = _last_decomposition
+    if o is last_o and g is last_g:
+        return last
+    result = _decompose_uncached(o, g)
+    if _frozen(o.gram) and _frozen(g.entries):
+        _last_decomposition = (o, g, result)
+    return result
+
+
+def _decompose_uncached(o: Form, g: ScaledMatrix):
     s = twisted_square(o, g)
-    try:
-        eig = eigen(s)
-    except Exception as exc:  # eigen failure counts as non-diagonalizable
-        return MembershipResult(False, f"non-diagonalizable ({exc})"), None, None
+    eig = eigen(s)
+    # eigenvalue errors reach cond(V) eps |S|, so the smallest modulus is
+    # resolved only while spread + log cond(V) stays below log(1/eps)
+    spread = float(eig.log_moduli[0] - eig.log_moduli[-1])
+    if spread + np.log(eig.vector_condition) >= -np.log(np.finfo(np.float64).eps):
+        raise NumericsError(
+            f"twisted-square log-modulus spread {spread:.1f} with eigenbasis condition "
+            f"{eig.vector_condition:.3g} is past float64 resolution")
     ok_phase, phase_margin = _aligned_phases(eig.phases, s.field)
     margins = (phase_margin, eig.vector_condition)
     if not ok_phase:
-        return MembershipResult(False, "complex spectrum", *margins), None, None
+        return _refused(MembershipResult(False, "complex spectrum", *margins))
     if not eig.diagonalizable:
-        return MembershipResult(False, "non-diagonalizable", *margins), None, None
+        return _refused(MembershipResult(False, "non-diagonalizable", *margins))
+    vecs = _realign_real(eig.vectors) if s.field == "R" else eig.vectors
+    # form value of every eigenline from one product; a one-line cluster's
+    # signature is its sign, as restricted_signature finds on one column
+    quads = np.real(np.sum(vecs.conj() * (o.gram @ vecs), axis=0))
     clusters = []
     iso_margin = np.inf
     for idx in _modulus_clusters(eig.recentered_moduli()):
-        cols = eig.vectors[:, idx]
-        if s.field == "R":
-            cols = _realign_real(cols)
-        pos, neg, margin = restricted_signature(o, cols)
+        if len(idx) == 1:
+            q = quads[idx[0]]
+            pos, neg, margin = int(q > 0), int(q < 0), 1.0 if q != 0 else 0.0
+        else:
+            cols = eig.vectors[:, idx]
+            pos, neg, margin = restricted_signature(o, _real_span(cols) if s.field == "R" else cols)
         iso_margin = min(iso_margin, margin)
         if pos + neg < len(idx):
-            return MembershipResult(False, "isotropic eigenline", *margins, margin), None, None
+            return _refused(MembershipResult(False, "isotropic eigenline", *margins, margin))
         clusters.append((idx, pos))
-    return MembershipResult(True, None, *margins, float(iso_margin)), eig, clusters
+    member = MembershipResult(True, None, *margins, float(iso_margin))
+    return member, _slot_projection(o, eig, clusters, member.isotropy_margin)
+
+
+def _refused(member: MembershipResult):
+    return member, member.reason
 
 
 def _modulus_clusters(moduli_desc: np.ndarray) -> list[list[int]]:
@@ -169,18 +208,19 @@ def _realign_real(cols: np.ndarray) -> np.ndarray:
     return np.real(out)
 
 
-def pq_project(o: Form, g: ScaledMatrix) -> PqCartanResult:
-    """Slot projection of g: half the twisted-square spectrum, filed by sign.
+def _real_span(cols: np.ndarray) -> np.ndarray:
+    """Real orthonormal basis of the span of a real matrix's eigenvector cluster.
 
-    Eigenvalues of equal modulus are grouped and the group's slots are
-    filled according to the signature of the form restricted to the modulus
-    eigenspace, following the inductive uniqueness argument; this absorbs
-    the sign ambiguity of the signed-permutation coordinate without ever
-    materializing it.
+    The cluster is closed under conjugation, so the real and imaginary parts
+    of its columns span it over the reals; realigning each column instead
+    would map a conjugate pair to one real vector twice.
     """
-    member, eig, clusters = _decompose(o, g)
-    if not member.ok:
-        raise NotInBoGError(member.reason or "not in the decomposable set")
+    u = np.linalg.svd(np.concatenate([cols.real, cols.imag], axis=1))[0]
+    return u[:, : cols.shape[1]]
+
+
+def _slot_projection(o: Form, eig, clusters, iso_margin: float):
+    """The PqCartanResult filed from the clusters, or why the signs refuse it."""
     p = o.signature[0]
     halves = eig.recentered_moduli() / 2.0
     # clusters are consecutive runs of ranks, so values and signs come out in rank
@@ -188,7 +228,6 @@ def pq_project(o: Form, g: ScaledMatrix) -> PqCartanResult:
     values: list[float] = []
     signs: list[int] = []
     min_gap = np.inf
-    iso_margin = member.isotropy_margin
     prev_top = None
     for idx, npos in clusters:
         value = float(halves[idx].sum() / len(idx))
@@ -198,7 +237,7 @@ def pq_project(o: Form, g: ScaledMatrix) -> PqCartanResult:
         values += [value] * len(idx)
         signs += [1] * npos + [-1] * (len(idx) - npos)
     if signs.count(1) != p:
-        raise NotInBoGError("eigenline signs do not fill the signature")
+        return "eigenline signs do not fill the signature"
     if len(clusters) == 1:
         min_gap = 0.0
     w_g = WeylElement(tuple(merge_to_slots(signs).tolist()))
@@ -213,6 +252,22 @@ def pq_project(o: Form, g: ScaledMatrix) -> PqCartanResult:
         isotropy_margin=float(iso_margin),
         degenerate=degenerate,
     )
+
+
+def pq_project(o: Form, g: ScaledMatrix) -> PqCartanResult:
+    """Slot projection of g: half the twisted-square spectrum, filed by sign.
+
+    Eigenvalues of equal modulus are grouped and the group's slots are
+    filled according to the signature of the form restricted to the modulus
+    eigenspace, following the inductive uniqueness argument; this absorbs
+    the sign ambiguity of the signed-permutation coordinate without ever
+    materializing it.  Raises NotInBoGError for non-members and
+    NumericsError past float64 resolution, as ``membership`` does.
+    """
+    projection = _decompose(o, g)[1]
+    if isinstance(projection, str):
+        raise NotInBoGError(projection)
+    return projection
 
 
 def distance_So(o: Form, g: ScaledMatrix) -> float:

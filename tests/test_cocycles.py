@@ -319,3 +319,25 @@ def test_identity_suite_caps_rejection_attempts(s1, monkeypatch):
     monkeypatch.setattr(cocycles, "_moved_flags_generic", lambda o, *flags: False)
     with pytest.raises(ValueError, match="0 of 2 generic samples in 6 attempts"):
         identity_suite(s1, samples=2, seed=3)
+
+
+def test_identity_suite_checks_each_flag_once(s1, monkeypatch):
+    # busemann_o checks its flags ("base", "translated"); the suite calls it
+    # only through dual_busemann, since it checks every other flag pair itself
+    from collections import Counter
+
+    from pqcartan import cocycles
+
+    labels = Counter()
+    check = cocycles._generic_wedges
+
+    def spy(o, xi, label):
+        labels[label] += 1
+        return check(o, xi, label)
+
+    monkeypatch.setattr(cocycles, "_generic_wedges", spy)
+    report = identity_suite(s1, samples=20, seed=201)
+    assert report["samples"] == 20
+    assert labels["base"] == labels["translated"] == 20
+    assert labels["potential"] == 40
+    assert sum(labels.values()) <= 8 * 20

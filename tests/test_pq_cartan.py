@@ -1,11 +1,14 @@
+import dataclasses
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from pqcartan.forms import Form, sample_isometry
-from pqcartan.numerics import ScaledMatrix, eigen
+from pqcartan import pq_cartan
+from pqcartan.forms import Form, restricted_signature, sample_isometry
+from pqcartan.numerics import NumericsError, ScaledMatrix, eigen
 from pqcartan.pq_cartan import (
     NotInBoGError,
     distance_So,
@@ -41,7 +44,7 @@ def sample_decomposable(rng, o, x=None, lift_perm=None):
     signs = np.where(rng.random(d) < 0.5, 1.0, -1.0)
     h = sample_isometry(o, rng)
     h2 = sample_isometry(o, rng)
-    core = ScaledMatrix.of(w * signs[None, :] @ np.diag(np.exp(x)))
+    core = ScaledMatrix.of((w * signs[None, :] @ np.diag(np.exp(x))).astype(h.entries.dtype))
     return h @ core @ h2, x
 
 
@@ -206,7 +209,7 @@ def test_weyl_chamber_prediction_stabilizes_for_powers(s1, rng):
     if not loxodromy_margin(g) > 1e-2:
         pytest.skip("sample not loxodromic")
     preds = []
-    for n in (4, 8, 16):
+    for n in (4, 8):
         try:
             pred = weyl_chamber_of(s1, g.power(n))
             r = pq_project(s1, g.power(n))
@@ -215,6 +218,11 @@ def test_weyl_chamber_prediction_stabilizes_for_powers(s1, rng):
             preds.append(None)
     assert preds[-1] is not None
     assert preds[-1][0] == preds[-1][1]
+    # the 16th power's twisted square spans e^37.7 with eigenbasis condition
+    # 12.9, past float64 resolution: its dense slot vector is off mpmath by 9.7
+    assert weyl_chamber_of(s1, g.power(16)).rank_to_slot.perm == preds[-1][0]
+    with pytest.raises(NumericsError, match="past float64 resolution"):
+        pq_project(s1, g.power(16))
 
 
 def test_degenerate_flagged_not_raised(s1):
@@ -223,3 +231,137 @@ def test_degenerate_flagged_not_raised(s1):
     r = pq_project(s1, g)
     assert r.degenerate or r.modulus_gap > 0
     assert np.isfinite(r.b_o.coords).all()
+
+
+SIGNATURES = [(2, 1, "R"), (2, 2, "R"), (3, 2, "R"), (1, 2, "R"), (2, 1, "C")]
+SIGNATURE_IDS = ["R21", "R22", "R32", "R12", "C21"]
+
+
+def fields_of(member, proj):
+    """Every field of both results, with b_o as its exact bytes."""
+    return (dataclasses.astuple(member),
+            (proj.b_o.coords.tobytes(), proj.w_g, proj.eigen_signs, proj.modulus_gap,
+             proj.isotropy_margin, proj.degenerate))
+
+
+def fresh(o, g):
+    """membership and pq_project on writable copies, which the memo never keeps."""
+    o2 = dataclasses.replace(o, gram=o.gram.copy())
+    g2 = ScaledMatrix(g.entries.copy(), g.log_scale)
+    return fields_of(membership(o2, g2), pq_project(o2, g2)), distance_So(o2, g2)
+
+
+def test_one_decomposition_serves_all_three_calls(s1, rng, monkeypatch):
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return eigen(m)
+
+    monkeypatch.setattr(pq_cartan, "eigen", spy)
+    g, _ = sample_decomposable(rng, s1)
+    membership(s1, g)
+    pq_project(s1, g)
+    distance_So(s1, g)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0].entries, twisted_square(s1, g).entries)
+
+
+@pytest.mark.parametrize("order", list(permutations(("membership", "pq_project", "distance_So"))))
+def test_call_order_does_not_change_results(order, rng):
+    o = Form.standard(2, 2)
+    for _ in range(5):
+        g, _ = sample_decomposable(rng, o)
+        got = {name: getattr(pq_cartan, name)(o, g) for name in order}
+        want, want_dist = fresh(o, g)
+        assert fields_of(got["membership"], got["pq_project"]) == want
+        assert got["distance_So"] == want_dist
+
+
+def test_writable_entries_are_never_kept(s1, rng):
+    g1, x1 = sample_decomposable(rng, s1)
+    g2, x2 = sample_decomposable(rng, s1)
+    raw = np.array(g1.entries)
+    view = raw.view()
+    view.setflags(write=False)  # read-only, but its owner is writable
+    for entries in (raw, view):
+        raw[:] = g1.entries
+        g = ScaledMatrix(entries, g1.log_scale)
+        assert np.allclose(pq_project(s1, g).b_o.coords, x1, atol=1e-8)
+        raw[:] = g2.entries
+        assert np.allclose(pq_project(s1, g).b_o.coords, x2, atol=1e-8)
+        assert distance_So(s1, g) == pytest.approx(np.linalg.norm(x2), abs=1e-8)
+        assert pq_cartan._last_decomposition[1] is not g
+
+
+def cluster_verdicts(o, g):
+    """(signs, isotropy margin) with restricted_signature run on every cluster."""
+    eig = eigen(twisted_square(o, g))
+    signs, margin = [], np.inf
+    for idx in pq_cartan._modulus_clusters(eig.recentered_moduli()):
+        cols = eig.vectors[:, idx]
+        if o.field_tag == "R":
+            cols = (pq_cartan._realign_real if len(idx) == 1 else pq_cartan._real_span)(cols)
+        pos, neg, m = restricted_signature(o, cols)
+        signs += [1] * pos + [-1] * neg
+        margin = min(margin, m)
+    return tuple(signs), margin
+
+
+@pytest.mark.parametrize("p,q,field", SIGNATURES, ids=SIGNATURE_IDS)
+def test_simple_cluster_verdicts_match_restricted_signature(p, q, field, rng):
+    o = Form.standard(p, q, field)
+    for _ in range(40):
+        g, _ = sample_decomposable(rng, o)
+        r = pq_project(o, g)
+        assert (r.eigen_signs, r.isotropy_margin) == cluster_verdicts(o, g)
+
+
+@pytest.mark.parametrize("p,q,field", SIGNATURES, ids=SIGNATURE_IDS)
+def test_isometries_are_members_at_distance_zero(p, q, field, rng):
+    # the twisted square of an isometry is the identity up to rounding, so eig
+    # may return its eigenlines as conjugate pairs within the one cluster
+    o = Form.standard(p, q, field)
+    for _ in range(60):
+        h = sample_isometry(o, rng)
+        assert membership(o, h).ok
+        assert distance_So(o, h) < 1e-8
+
+
+def test_refuses_past_float64_resolution():
+    from pqcartan.freegroup import Word, reducible_rep
+
+    rep = reducible_rep(power=4)
+    # the twisted square spans e^55.7, past log(1/eps) = 36.04; the dense
+    # path used to return b_o = (18.53, -9.20, -9.32), the engine (27.85, -27.85, 0)
+    g = rep.image(Word.of((1, 1, 1, 1, 2, 1)))
+    for fn in (pq_project, distance_So, membership):
+        with pytest.raises(NumericsError, match="past float64 resolution"):
+            fn(rep.form, g)
+    # a single letter spans e^19.2 and is resolved
+    r = pq_project(rep.form, rep.image(Word.of((1,))))
+    assert np.allclose(r.b_o.coords, [4.8, -4.8, 0.0], atol=1e-12)
+
+
+def test_eigen_failure_is_not_a_verdict(s1, monkeypatch):
+    def failing(m):
+        raise NumericsError("eigendecomposition failed to converge")
+
+    monkeypatch.setattr(pq_cartan, "eigen", failing)
+    with pytest.raises(NumericsError, match="failed to converge"):
+        membership(s1, ScaledMatrix.of(np.diag([np.e, 1.0, 1 / np.e])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sig=st.sampled_from(SIGNATURES), seed=st.integers(0, 2**32 - 1),
+       radius=st.floats(0.0, 5.0))
+def test_planted_elements_property(sig, seed, radius):
+    p, q, field = sig
+    o = Form.standard(p, q, field)
+    rng = np.random.default_rng(seed)
+    x = random_slot_vector(rng, p, q, radius)
+    g, _ = sample_decomposable(rng, o, x=x)
+    assert membership(o, g).ok
+    r = pq_project(o, g)
+    assert np.max(np.abs(r.b_o.coords - x)) < 1e-8
+    assert distance_So(o, g) == r.b_o.norm()
