@@ -56,7 +56,7 @@ from functools import wraps
 
 import numpy as np
 
-from .numerics import minor_matrix, subset_table
+from .numerics import minor_matrix, recentred_increments, subset_table
 from .weyl import file_to_slots
 
 __all__ = [
@@ -199,13 +199,6 @@ def successor_table(alphabet_size: int) -> np.ndarray:
                      for prev in range(alphabet_size)], dtype=np.int8)
 
 
-def _recentred_increments(prefix: np.ndarray) -> np.ndarray:
-    """Consecutive differences of per-level prefix sums, recentred to sum zero."""
-    out = np.diff(prefix, axis=1, prepend=0.0)
-    out -= out.mean(axis=1, keepdims=True)
-    return out
-
-
 def _start_vectors(n: int, m: int) -> np.ndarray:
     x = np.tile(1.0 + 0.5 ** np.arange(m), (n, 1))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
@@ -332,7 +325,7 @@ class ShellData:
     @_memo
     def cartan_coords(self) -> np.ndarray:
         """(n, d) recentered descending log singular values."""
-        return _recentred_increments(self.cartan_prefixes())
+        return recentred_increments(self.cartan_prefixes())
 
     @_memo
     def attractor_forms(self) -> np.ndarray:
@@ -387,7 +380,7 @@ class ShellData:
         mus, qsigns, _ = self._twisted_tops()
         prefix = np.log(np.maximum(np.abs(mus), 1e-300)) + 2 * np.column_stack(self.scales)
         full = np.concatenate([prefix, (2 * self.logdets)[:, None]], axis=1)
-        halves = _recentred_increments(full / 2)
+        halves = recentred_increments(full / 2)
         gaps = -np.diff(halves, axis=1) * 2
         signs = self._line_signs(qsigns)
         return file_to_slots(halves, np.where(signs > 0, 1, -1)), signs, gaps
@@ -425,7 +418,7 @@ class ShellData:
         prefix = np.column_stack([np.log(np.maximum(np.abs(mu), 1e-300)) + s
                                   for (_, mu, _), s in zip(tops, self.scales)] + [self.logdets])
         ok = np.logical_and.reduce([resid < RESIDUAL_TOL for _, _, resid in tops])
-        return _recentred_increments(prefix), ok
+        return recentred_increments(prefix), ok
 
 
 def _extend(shell: ShellData, letters: np.ndarray) -> ShellData:
@@ -492,8 +485,7 @@ def _run_subtree(args):
     return collectors
 
 
-def run_bulk(ctx: BulkContext, length_max: int, collector_specs, threads: int = 1,
-             cap: int | None = None):
+def run_bulk(ctx: BulkContext, length_max: int, collector_specs, threads: int = 1):
     """Run collectors over all shells 1..length_max; returns merged collectors.
 
     Each first letter's ``subtree_pieces`` feed its own collectors, so a
@@ -502,9 +494,6 @@ def run_bulk(ctx: BulkContext, length_max: int, collector_specs, threads: int = 
     Results are independent of ``threads`` because subtrees are merged in
     alphabet order and the slices are fixed.
     """
-    total = ball_size(ctx.k, length_max) - 1
-    if cap is not None and total > cap:
-        raise CapExceededError(cap, total)
     firsts = list(range(ctx.alphabet_size))
     tasks = [(ctx, f, length_max, collector_specs) for f in firsts]
     if threads <= 1:

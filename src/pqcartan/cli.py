@@ -19,19 +19,18 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .bulk import CapExceededError, ShellData, sphere_size, subtree_pieces
+from .bulk import CapExceededError, ShellData, ball_size, sphere_size, subtree_pieces
 from .cocycles import identity_suite
 from .counting import (canonical_chamber, cone_samples, count_curve, default_phi, equidistribution_experiment,
                        estimate_exponent)
 from .flags import NonGenericFlagError
 from .forms import DegenerateFormError, Form
 from .freegroup import (
-    DEFAULT_WORD_CAP,
     Representation,
     SchottkyRejection,
     anosov_gap_check,
     representation_from_config,
-    _row_word,
+    row_word,
     sample_limit_set,
 )
 from .numerics import NumericsError
@@ -46,6 +45,7 @@ EXIT_CAP = 4
 EXIT_DEGENERACY = 5
 
 DEFAULT_GRID_POINTS = 256
+DEFAULT_WORD_CAP = 50_000_000
 
 
 class ConfigError(ValueError):
@@ -109,6 +109,20 @@ class _Rejection(Exception):
         self.rejection = rejection
 
 
+def _capped(cfg: dict, words: int) -> None:
+    """Refuse, before any word is built, a ball or sphere of more than ``max_words`` words."""
+    cap = int(cfg["max_words"])
+    if words > cap:
+        raise CapExceededError(cap, words)
+
+
+def _ball_length(rep: Representation, cfg: dict, key: str, default: int) -> int:
+    """The configured word length of a ball read through the engine, within ``max_words``."""
+    length = int(cfg.get(key, default))
+    _capped(cfg, ball_size(rep.rank, length) - 1)
+    return length
+
+
 def _grid_from(cfg: dict, default_hi: float) -> np.ndarray:
     g = cfg.get("grid", {})
     lo = float(g.get("lo", 0.0))
@@ -142,9 +156,8 @@ def _sphere_csv_rows(rep: Representation, cfg: dict, default_length: int, rows_o
     length = int(cfg.get("length", default_length))
     if length < 1:
         raise ConfigError(f"length must be at least 1, got {length}")
-    n, cap = sphere_size(rep.rank, length), int(cfg["max_words"])
-    if n > cap:
-        raise CapExceededError(cap, n)
+    n = sphere_size(rep.rank, length)
+    _capped(cfg, n)
     ctx = rep.bulk_context()
 
     def rows():
@@ -162,7 +175,7 @@ def cmd_enumerate(cfg: dict, args) -> dict:
     def rows_of(shell: ShellData):
         # the engine's levels are projective: the letters' own log-scales are added back
         log_scales = shell.scales[0] + rep.image_scales[shell.idx_rows].sum(axis=1)
-        return ([str(_row_word(row)), shell.length, f"{s:.12g}"] + [f"{x:.12g}" for x in m.reshape(-1)]
+        return ([str(row_word(row)), shell.length, f"{s:.12g}"] + [f"{x:.12g}" for x in m.reshape(-1)]
                 for row, s, m in zip(shell.idx_rows.tolist(), log_scales, shell.comps[0]))
 
     length, n, out = _sphere_csv_rows(rep, cfg, 4, rows_of)
@@ -176,7 +189,7 @@ def _projection_rows(shell: ShellData):
     bo, signs, gaps = shell.bo_data()
     w_g = merge_to_slots(np.where(signs > 0, 1, -1))
     # a simple eigenline's restricted form is 1x1, so its isotropy margin is 1
-    return ([str(_row_word(row)), shell.length] + [f"{x:.10g}" for x in a] + [f"{x:.10g}" for x in b]
+    return ([str(row_word(row)), shell.length] + [f"{x:.10g}" for x in a] + [f"{x:.10g}" for x in b]
             + ["".join(map(str, w)), f"{gap:.4g}", 1, int(gap < 10 * MODULUS_CLUSTER_TOL)]
             for row, ok, a, b, w, gap in zip(shell.idx_rows.tolist(), shell.bo_valid_mask(), shell.cartan_coords(),
                                              bo, w_g, gaps.min(axis=1)) if ok)
@@ -193,13 +206,12 @@ def cmd_project(cfg: dict, args) -> dict:
 
 
 def cmd_cocycle_check(cfg: dict, args) -> dict:
-    o = Form.from_json(json.dumps(cfg["form"])) if "form" in cfg else Form.standard(2, 1)
-    return identity_suite(o, samples=int(cfg.get("samples", 300)), seed=int(cfg.get("seed", 0)))
+    return identity_suite(Form.from_config(cfg), samples=int(cfg.get("samples", 300)), seed=int(cfg.get("seed", 0)))
 
 
 def cmd_count(cfg: dict, args) -> dict:
     rep = _build_rep(cfg)
-    length = int(cfg.get("length", 8))
+    length = _ball_length(rep, cfg, "length", 8)
     functional = cfg.get("functional", "norm_bo")
     # phi_lambda pairs phi with Jordan data placed in the canonical chamber
     chamber = canonical_chamber(rep) if functional == "phi_lambda" else None
@@ -208,9 +220,7 @@ def cmd_count(cfg: dict, args) -> dict:
         phi = np.asarray(cfg["phi"], dtype=float) if "phi" in cfg else default_phi(rep, chamber)
     probe = count_curve(rep, "norm_at", min(3, length), np.linspace(0, 1, 2))
     hi = probe.shell_minima[min(3, length)] * (length + 1) / min(3, length)
-    grid = _grid_from(cfg, hi)
-    cap = int(cfg["max_words"])
-    curve = count_curve(rep, functional, length, grid, phi=phi, chamber=chamber, threads=args.threads, cap=cap)
+    curve = count_curve(rep, functional, length, _grid_from(cfg, hi), phi=phi, chamber=chamber, threads=args.threads)
     _write_csv(
         Path(args.out) / "counts.csv",
         ["threshold", "count"],
@@ -235,7 +245,7 @@ def cmd_count(cfg: dict, args) -> dict:
 def cmd_cone(cfg: dict, args) -> dict:
     rep = _build_rep(cfg)
     l_min = int(cfg.get("length_min", 6))
-    l_max = int(cfg.get("length_max", 9))
+    l_max = _ball_length(rep, cfg, "length_max", 9)
     result = cone_samples(rep, l_min, l_max, threads=args.threads,
                           stride=int(cfg.get("stride", 1)))
     bo = result["slot_cloud"]
@@ -255,7 +265,7 @@ def cmd_cone(cfg: dict, args) -> dict:
 
 def cmd_equidistribute(cfg: dict, args) -> dict:
     rep = _build_rep(cfg)
-    length = int(cfg.get("length", 10))
+    length = _ball_length(rep, cfg, "length", 10)
     phi = np.asarray(cfg["phi"], dtype=float) if "phi" in cfg else default_phi(rep)
     boxes_cfg = cfg.get("boxes")
     if boxes_cfg is None:
@@ -276,8 +286,8 @@ def cmd_equidistribute(cfg: dict, args) -> dict:
 
 def cmd_gap_check(cfg: dict, args) -> dict:
     rep = _build_rep(cfg)
-    length = int(cfg.get("length", 8))
-    c, cp, minima = anosov_gap_check(rep, length, threads=args.threads, cap=int(cfg["max_words"]))
+    length = _ball_length(rep, cfg, "length", 8)
+    c, cp, minima = anosov_gap_check(rep, length, threads=args.threads)
     _write_csv(
         Path(args.out) / "gaps.csv",
         ["shell", "min_root_gap"],

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flags import Flag, NonGenericFlagError, flag_perp, o_generic, project_to_So, transverse
-from .forms import Form, induced_form, sigma_o
-from .numerics import ScaledMatrix, compound, wedge_coordinates
+from .forms import Form, gaussian_matrix, induced_form, sigma_o
+from .numerics import ScaledMatrix, compound, recenter, recentred_increments, wedge_coordinates
 from .projections import jordan
 from .weyl import ChamberA
 
@@ -48,10 +48,9 @@ class CocycleValue:
     coords: np.ndarray
 
 
-def _value_from_chi(chi_full: np.ndarray) -> CocycleValue:
-    """Assemble the vector from chi_1..chi_d; recentering drops the lift scale."""
-    increments = np.diff(np.concatenate([[0.0], chi_full]))
-    increments -= increments.mean()
+def _from_levels(d: int, level, chi_d: float) -> CocycleValue:
+    """Assemble the vector from chi_j = level(j) for j < d and chi_d; recentering drops the lift scale."""
+    increments = recentred_increments(np.array([level(j) for j in range(1, d)] + [chi_d]))
     return CocycleValue(np.cumsum(increments)[:-1], increments)
 
 
@@ -62,16 +61,12 @@ def _log_det(g: ScaledMatrix) -> float:
 
 def busemann_tau(g: ScaledMatrix, xi: Flag) -> CocycleValue:
     """Iwasawa cocycle through exterior norms: chi_j = log |L^j g . v| / |v|."""
-    d = g.dim
-    chi = np.empty(d)
-    for j in range(1, d):
+    def level(j):
         cj = compound(g, j)
         v = wedge_coordinates(xi.basis, j)
-        chi[j - 1] = (
-            np.log(np.linalg.norm(cj.entries @ v)) + cj.log_scale - np.log(np.linalg.norm(v))
-        )
-    chi[d - 1] = _log_det(g)
-    return _value_from_chi(chi)
+        return np.log(np.linalg.norm(cj.entries @ v)) + cj.log_scale - np.log(np.linalg.norm(v))
+
+    return _from_levels(g.dim, level, _log_det(g))
 
 
 def _generic_wedges(o: Form, xi: Flag, label: str):
@@ -92,18 +87,13 @@ def busemann_o(o: Form, g: ScaledMatrix, xi: Flag) -> CocycleValue:
 
 def _busemann_o_values(o: Form, g: ScaledMatrix, xi: Flag) -> CocycleValue:
     """busemann_o for a caller that has itself checked xi and g.xi generic."""
-    d = g.dim
-    chi = np.empty(d)
-    for j in range(1, d):
+    def level(j):
         oj = induced_form(o, j)
         cj = compound(g, j)
         v = wedge_coordinates(xi.basis, j)
-        gv = cj.entries @ v
-        chi[j - 1] = 0.5 * (
-            np.log(abs(oj.quad(gv))) + 2 * cj.log_scale - np.log(abs(oj.quad(v)))
-        )
-    chi[d - 1] = _log_det(g)
-    return _value_from_chi(chi)
+        return 0.5 * (np.log(abs(oj.quad(cj.entries @ v))) + 2 * cj.log_scale - np.log(abs(oj.quad(v))))
+
+    return _from_levels(g.dim, level, _log_det(g))
 
 
 def potential(o: Form, xi: Flag) -> CocycleValue:
@@ -112,15 +102,13 @@ def potential(o: Form, xi: Flag) -> CocycleValue:
     Its coboundary along the action is exactly the difference of the two
     cocycles: V(g.xi) - V(xi) = twisted(g, xi) - plain(g, xi).
     """
-    d = xi.dim
     _generic_wedges(o, xi, "potential")
-    chi = np.empty(d)
-    for j in range(1, d):
-        oj = induced_form(o, j)
+
+    def level(j):
         v = wedge_coordinates(xi.basis, j)
-        chi[j - 1] = 0.5 * np.log(abs(oj.quad(v))) - np.log(np.linalg.norm(v))
-    chi[d - 1] = 0.0
-    return _value_from_chi(chi)
+        return 0.5 * np.log(abs(induced_form(o, j).quad(v))) - np.log(np.linalg.norm(v))
+
+    return _from_levels(xi.dim, level, 0.0)
 
 
 def iota_a(value: CocycleValue) -> CocycleValue:
@@ -150,21 +138,20 @@ def gromov_product(o: Form, xi: Flag, eta: Flag) -> CocycleValue:
     chi_j = (1/2) log |<v, v'>^2 / (Q(v) Q(v'))| with v the level-j wedge of
     the dual flag of xi and v' that of eta.  No symmetry is asserted.
     """
-    d = xi.dim
     if not transverse(xi, eta):
         raise ValueError("flags are not transverse")
     _generic_wedges(o, xi, "first")
     _generic_wedges(o, eta, "second")
     perp = flag_perp(o, xi)
-    chi = np.empty(d)
-    for j in range(1, d):
+
+    def level(j):
         oj = induced_form(o, j)
         v = wedge_coordinates(perp.basis, j)
         w = wedge_coordinates(eta.basis, j)
         cross = oj.pair(v, w)
-        chi[j - 1] = 0.5 * np.log(abs(cross * cross) / abs(oj.quad(v) * oj.quad(w)))
-    chi[d - 1] = 0.0
-    return _value_from_chi(chi)
+        return 0.5 * np.log(abs(cross * cross) / abs(oj.quad(v) * oj.quad(w)))
+
+    return _from_levels(xi.dim, level, 0.0)
 
 
 def cross_ratio(xi1: Flag, xi2: Flag, xi3: Flag, xi4: Flag) -> CocycleValue:
@@ -175,19 +162,18 @@ def cross_ratio(xi1: Flag, xi2: Flag, xi3: Flag, xi4: Flag) -> CocycleValue:
     against its complementary columns; the ratio structure makes every
     choice of representative cancel.
     """
-    d = xi1.dim
     for a, b in ((xi1, xi2), (xi1, xi4), (xi2, xi3), (xi3, xi4)):
         if not transverse(a, b):
             raise ValueError("required transversality pair fails")
-    chi = np.empty(d)
-    for j in range(1, d):
+
+    def level(j):
         t1v4 = _annihilator_det(xi1, xi4, j)
         t1v2 = _annihilator_det(xi1, xi2, j)
         t3v2 = _annihilator_det(xi3, xi2, j)
         t3v4 = _annihilator_det(xi3, xi4, j)
-        chi[j - 1] = np.log(abs(t1v4 * t3v2) / abs(t1v2 * t3v4))
-    chi[d - 1] = 0.0
-    return _value_from_chi(chi)
+        return np.log(abs(t1v4 * t3v2) / abs(t1v2 * t3v4))
+
+    return _from_levels(xi1.dim, level, 0.0)
 
 
 def _annihilator_det(hyper: Flag, point: Flag, j: int):
@@ -212,9 +198,8 @@ class PhiCocycles:
 
     @staticmethod
     def of(o: Form, phi, chamber: ChamberA | None = None) -> "PhiCocycles":
-        f = np.asarray(phi, dtype=float)
-        f = f - f.mean()
-        return PhiCocycles(o, f, chamber if chamber is not None else ChamberA.default(o.dim))
+        chamber = chamber if chamber is not None else ChamberA.default(o.dim)
+        return PhiCocycles(o, recenter(np.asarray(phi, dtype=float)), chamber)
 
     def _pair(self, rank_order: np.ndarray) -> float:
         return float(np.dot(self.phi, self.chamber.place(rank_order)))
@@ -237,24 +222,15 @@ class PhiCocycles:
 
 def _random_matrix(rng, d: int, field: str = "R") -> ScaledMatrix:
     while True:
-        if field == "C":
-            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        else:
-            a = rng.standard_normal((d, d))
-        m = ScaledMatrix.of(a + np.eye(d))
+        m = ScaledMatrix.of(gaussian_matrix(rng, d, field) + np.eye(d))
         if np.linalg.cond(m.entries) <= 1e6:
             return m
 
 
 def _random_generic_flag(rng, o: Form) -> Flag:
-    d = o.dim
     while True:
-        if o.field_tag == "C":
-            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        else:
-            a = rng.standard_normal((d, d))
         try:
-            f = Flag.of(a)
+            f = Flag.of(gaussian_matrix(rng, o.dim, o.field_tag))
         except ValueError:
             continue
         if o_generic(o, f, degeneracy_rtol=1e-6).generic:

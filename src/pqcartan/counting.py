@@ -16,8 +16,8 @@ import numpy as np
 from . import bulk
 from .bulk import ShellData
 from .cocycles import gromov_product
-from .freegroup import DEFAULT_WORD_CAP, Representation, Word, attracting_flag, sample_limit_set
-from .numerics import _fit_line, hodge_dual
+from .freegroup import Representation, Word, attracting_flag, sample_limit_set
+from .numerics import fit_line, hodge_dual, recenter, recentred_increments
 from .weyl import ChamberA, WeylElement, chamber_from_signs, chamber_transition, file_to_slots, iota_of_chamber
 
 __all__ = [
@@ -231,7 +231,6 @@ def count_curve(
     phi=None,
     chamber: ChamberA | None = None,
     threads: int = 1,
-    cap: int | None = None,
 ) -> CountCurve:
     """Exact counts over the word ball; non-decomposable words are tallied apart."""
     grid_arr = np.asarray(grid, dtype=float)
@@ -243,16 +242,18 @@ def count_curve(
         spec_kwargs["phi"] = np.asarray(phi, dtype=float)
     if chamber is not None:
         spec_kwargs["chamber_order"] = chamber.order
-    [col] = bulk.run_bulk(
-        ctx, length_max, [(FunctionalHistCollector, spec_kwargs)],
-        threads=threads, cap=cap if cap is not None else DEFAULT_WORD_CAP,
-    )
+    [col] = bulk.run_bulk(ctx, length_max, [(FunctionalHistCollector, spec_kwargs)], threads=threads)
     return col.curve(functional)
+
+
+def _window_mask(curve: CountCurve, lo: float, hi: float) -> np.ndarray:
+    """Grid points of the window [lo, hi] with a positive count."""
+    return (curve.thresholds >= lo) & (curve.thresholds <= hi) & (curve.counts > 0)
 
 
 def rescaled_variation(curve: CountCurve, h: float, window: tuple[float, float]) -> float:
     """Relative spread of exp(-h t) N(t) over the window (max/min - 1)."""
-    mask = (curve.thresholds >= window[0]) & (curve.thresholds <= window[1]) & (curve.counts > 0)
+    mask = _window_mask(curve, *window)
     if not mask.any():
         return float("nan")
     t = curve.thresholds[mask]
@@ -263,22 +264,22 @@ def rescaled_variation(curve: CountCurve, h: float, window: tuple[float, float])
 def estimate_exponent(curve: CountCurve, window: tuple[float, float]):
     """Least-squares slope of log counts on the window, with window sensitivity."""
     lo, hi = window
-    mask = (curve.thresholds >= lo) & (curve.thresholds <= hi) & (curve.counts > 0)
+    mask = _window_mask(curve, lo, hi)
     if mask.sum() < 3:
         raise ValueError("window holds fewer than three usable grid points")
     t = curve.thresholds[mask]
     y = np.log(curve.counts[mask].astype(float))
-    slope, intercept, res = _fit_line(t, y)
+    slope, intercept, res = fit_line(t, y)
     dof = max(1, len(t) - 2)
     sigma2 = float(res[0]) / dof if len(res) else 0.0
     stderr = float(np.sqrt(sigma2 / max(np.sum((t - t.mean()) ** 2), 1e-30)))
     shift = 0.25 * (hi - lo)
     sensitivity = []
     for delta in (-shift, shift):
-        m2 = (curve.thresholds >= lo + delta) & (curve.thresholds <= hi + delta) & (curve.counts > 0)
+        m2 = _window_mask(curve, lo + delta, hi + delta)
         if m2.sum() >= 3:
             y2 = np.log(curve.counts[m2].astype(float))
-            sensitivity.append(float(_fit_line(curve.thresholds[m2], y2)[0]))
+            sensitivity.append(float(fit_line(curve.thresholds[m2], y2)[0]))
     return float(slope), stderr, {"intercept": float(intercept), "shifted_slopes": sensitivity}
 
 
@@ -355,9 +356,9 @@ def phi_entropy(rep: Representation, phi, length_max: int, chamber: ChamberA | N
     raw, stderr, extra = estimate_exponent(curve, window)
     # class counts carry a structural 1/t prefactor (one class per rotation
     # orbit), so the exponential rate is fitted on log N + log t
-    mask = (grid >= window[0]) & (grid <= window[1]) & (counts > 0) & (grid > 0)
+    mask = _window_mask(curve, *window) & (grid > 0)
     t = grid[mask]
-    h = float(_fit_line(t, np.log(counts[mask].astype(float)) + np.log(t))[0])
+    h = float(fit_line(t, np.log(counts[mask].astype(float)) + np.log(t))[0])
     return h, curve, {"stderr": stderr, "window": window, "raw_slope": raw, **extra}
 
 
@@ -370,12 +371,17 @@ def limit_signatures(rep: Representation, length: int = 6, count: int = 60):
     return list(dict.fromkeys(sigs)), reports
 
 
+def _chamber_of(signs, p: int) -> ChamberA:
+    """Compatible chamber of a limit signature: the opposition image of its orbit's chamber."""
+    return iota_of_chamber(chamber_from_signs(signs), p)
+
+
 def canonical_chamber(rep: Representation) -> ChamberA:
     """Compatible chamber selected by the first sampled limit signature."""
     seen, _ = limit_signatures(rep)
     if not seen:
         raise ValueError("no generic limit flags sampled")
-    return iota_of_chamber(chamber_from_signs(seen[0]), rep.form.signature[0])
+    return _chamber_of(seen[0], rep.form.signature[0])
 
 
 def _single_orbit_chamber(rep: Representation) -> ChamberA:
@@ -383,7 +389,7 @@ def _single_orbit_chamber(rep: Representation) -> ChamberA:
     seen, _ = limit_signatures(rep)
     if len(seen) != 1:
         raise ValueError(f"single-orbit hypothesis fails: signatures {seen}")
-    return iota_of_chamber(chamber_from_signs(seen[0]), rep.form.signature[0])
+    return _chamber_of(seen[0], rep.form.signature[0])
 
 
 def default_phi(rep: Representation, chamber: ChamberA | None = None) -> np.ndarray:
@@ -396,8 +402,7 @@ def default_phi(rep: Representation, chamber: ChamberA | None = None) -> np.ndar
             continue
         nrm = np.linalg.norm(framed, axis=1, keepdims=True)
         dirs.append(framed / np.maximum(nrm, 1e-30))
-    bary = np.concatenate(dirs).mean(axis=0)
-    bary -= bary.mean()
+    bary = recenter(np.concatenate(dirs).mean(axis=0))
     return bary / np.linalg.norm(bary)
 
 
@@ -424,7 +429,7 @@ def cone_samples(rep: Representation, length_min: int, length_max: int, threads:
     weyls: list[WeylElement] = []
     translates = []
     for signs in seen:
-        target = iota_of_chamber(chamber_from_signs(signs), p)
+        target = _chamber_of(signs, p)
         weyls.append(chamber_transition(target, chamber))
         translates.append(target.place(at_sorted))
     at_framed = np.concatenate(translates) if translates else at_sorted
@@ -481,20 +486,17 @@ def _cyc_depth(rows: np.ndarray) -> np.ndarray:
     return np.cumprod(head == tail, axis=1).sum(axis=1)
 
 
-def _cylinder_mask(rows: np.ndarray, prefix_idx: tuple[int, ...], inverse: bool) -> np.ndarray:
-    """Rows whose cyclic reduction (of the word or its inverse) starts with the prefix."""
-    if not prefix_idx:
-        return np.ones(rows.shape[0], dtype=bool)
-    work = rows[:, ::-1] ^ 1 if inverse else rows
+def _cylinder_mask(rows: np.ndarray, a_idx: tuple[int, ...], b_idx: tuple[int, ...]) -> np.ndarray:
+    """Rows whose cyclic reduction starts with b_idx and whose inverse's starts with a_idx."""
+    n, length = rows.shape
     depth = _cyc_depth(rows)
-    length = rows.shape[1]
-    ok = (2 * depth + len(prefix_idx)) <= length
-    mask = ok.copy()
-    r = np.arange(rows.shape[0])
-    for t, want in enumerate(prefix_idx):
-        pos = np.minimum(depth + t, length - 1)
-        mask &= work[r, pos] == want
-    return mask & ok
+    r = np.arange(n)
+    mask = np.ones(n, dtype=bool)
+    for work, prefix in ((rows, b_idx), (rows[:, ::-1] ^ 1, a_idx)):
+        mask &= (2 * depth + len(prefix)) <= length
+        for t, want in enumerate(prefix):
+            mask &= work[r, np.minimum(depth + t, length - 1)] == want
+    return mask
 
 
 def letters_to_indices(letters) -> tuple[int, ...]:
@@ -532,8 +534,7 @@ def gromov_comparison(
     counts: dict[int, int] = {}
     for length in range(length_min, length_max + 1):
         rows = _cyclically_reduced_rows(rep.rank, length)
-        mask = _cylinder_mask(rows, b_idx, inverse=False) & _cylinder_mask(rows, a_idx, inverse=True)
-        rows = rows[mask]
+        rows = rows[_cylinder_mask(rows, a_idx, b_idx)]
         if rows.shape[0] == 0:
             continue
         shell = ctx.shell(rows)
@@ -553,7 +554,7 @@ def gromov_comparison(
             qv = np.einsum("ni,i,ni->n", v, sg, v)
             qp = np.einsum("ni,i,ni->n", vp, sg, vp)
             chi[:, j - 1] = 0.5 * np.log(np.maximum(cross**2, 1e-300) / np.abs(qv * qp))
-        coords = chamber.place(bulk._recentred_increments(chi))
+        coords = chamber.place(recentred_increments(chi))
         bracket = coords @ phi
         dev = np.abs(bo @ phi - framed @ phi + bracket)
         keep = valid & lam_ok
@@ -614,7 +615,7 @@ class BoxMassCollector:
         vals = ChamberA(self.chamber_order).place(lam) @ self.phi
         rows = shell.idx_rows
         for b, (a_idx, b_idx) in enumerate(self.boxes_idx):
-            mask = ok & _cylinder_mask(rows, b_idx, False) & _cylinder_mask(rows, a_idx, True)
+            mask = ok & _cylinder_mask(rows, a_idx, b_idx)
             if mask.any():
                 idx = np.searchsorted(self.grid, vals[mask], side="left")
                 self.bins[b] += np.bincount(idx, minlength=len(self.grid) + 1)

@@ -115,6 +115,11 @@ class Form:
         return json.dumps({"field": self.field_tag, "gram": data})
 
     @staticmethod
+    def from_config(cfg: dict) -> "Form":
+        """The form of a config's ``form`` entry (``to_json``'s payload); the standard (2,1) form without one."""
+        return Form.from_json(json.dumps(cfg["form"])) if "form" in cfg else Form.standard(2, 1)
+
+    @staticmethod
     def from_json(text: str) -> "Form":
         payload = json.loads(text)
         ft = payload["field"]
@@ -209,13 +214,17 @@ def sample_isometry(o: Form, rng, scale: float = 0.5) -> ScaledMatrix:
     from scipy.linalg import expm  # local: keeps the slow scipy.linalg import out of `import pqcartan`
 
     d = o.dim
-    if o.field_tag == "C":
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    else:
-        a = rng.standard_normal((d, d))
+    a = gaussian_matrix(rng, d, o.field_tag)
     x = (a - o.gram_inv @ a.conj().T @ o.gram) / 2
     x = x - np.trace(x) / d * np.eye(d, dtype=x.dtype)
     return ScaledMatrix.of(expm(scale * x))
+
+
+def gaussian_matrix(rng, d: int, field_tag: str) -> np.ndarray:
+    """A d x d standard Gaussian matrix over the field; a complex one draws its real part first."""
+    if field_tag == "C":
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return rng.standard_normal((d, d))
 
 
 def isometry_defect(o: Form, h: ScaledMatrix) -> float:

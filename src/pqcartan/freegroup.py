@@ -8,18 +8,17 @@ enumeration is partitionable by first letter for parallel runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
 
 from . import bulk
-from .bulk import BulkContext, CapExceededError, sphere_rows
+from .bulk import BulkContext, sphere_rows
 from .flags import Flag, line_hyperplane_distance, o_generic
 from .forms import DEGENERACY_RTOL, Form, induced_form
-from .numerics import ScaledMatrix, _fit_line, hodge_dual, subspace_from_wedge, wedge_coordinates
-from .projections import GAP_TOL, _eigen_flag, check_r_eps_loxodromic, is_loxodromic
+from .numerics import ScaledMatrix, fit_line, real_columns, subspace_from_wedge, wedge_coordinates
+from .projections import GAP_TOL, NotLoxodromicError, eigen_flag, fixed_pair_separation, ping_pong_levels
 
 __all__ = [
     "Word",
@@ -31,10 +30,7 @@ __all__ = [
     "build_reducible_example",
     "anosov_gap_check",
     "sample_limit_set",
-    "CapExceededError",
 ]
-
-DEFAULT_WORD_CAP = 50_000_000
 
 
 def reduce_letters(letters) -> tuple[int, ...]:
@@ -146,7 +142,7 @@ class Representation:
         return self._bulk
 
 
-def _row_word(row) -> Word:
+def row_word(row) -> Word:
     """The word of an alphabet-index row."""
     return Word(tuple(bulk.index_letter(i) for i in row))
 
@@ -157,7 +153,7 @@ def sphere_words(k: int, length: int):
         yield Word(())
         return
     for row in sphere_rows(k, length).tolist():
-        yield _row_word(row)
+        yield row_word(row)
 
 
 def enumerate_conjugacy_reps(k: int, length_max: int):
@@ -213,10 +209,11 @@ def build_schottky(
     flags_plus: list[Flag] = []
     flags_minus: list[Flag] = []
     for i, g in enumerate(images):
-        if not is_loxodromic(g):
+        try:
+            fp = eigen_flag(g)
+        except NotLoxodromicError:
             reasons.append(f"generator {i} image not loxodromic")
             continue
-        fp = _eigen_flag(g)
         fm = Flag.of(fp.basis[:, ::-1])
         flags_plus.append(fp)
         flags_minus.append(fm)
@@ -238,10 +235,7 @@ def build_schottky(
             if tl == (s ^ 1):
                 continue
             for j in range(1, d):
-                line = wedge_coordinates(plus_of[s].basis, j)
-                dual = wedge_coordinates(minus_of[tl].basis, d - j)
-                theta = hodge_dual(dual, d, j)
-                dist = line_hyperplane_distance(line, theta)
+                *_, dist = fixed_pair_separation(plus_of[s], minus_of[tl], j)
                 if dist < 1e-12:
                     reasons.append(f"letters {s},{tl} share fixed data at level {j}")
                 sep = min(sep, dist)
@@ -253,9 +247,10 @@ def build_schottky(
     if reasons:
         return SchottkyRejection(tuple(reasons))
 
+    # the fixed flags are generic, so every separation, and with it eps, is positive
     eps = sep / 6.0
     for i, g in enumerate(images):
-        if not check_r_eps_loxodromic(g, eps, eps):
+        if not ping_pong_levels(g, flags_plus[i], flags_minus[i], eps, eps):
             reasons.append(f"generator {i} image fails ({eps:.3g},{eps:.3g})-contraction")
     if reasons:
         return SchottkyRejection(tuple(reasons))
@@ -320,7 +315,7 @@ def build_reducible_example(
     return build_schottky(gens, o, power=power, metadata=meta)
 
 
-def anosov_gap_check(rep: Representation, length_max: int, threads: int = 1, cap: int = DEFAULT_WORD_CAP):
+def anosov_gap_check(rep: Representation, length_max: int, threads: int = 1):
     """Fit the linear lower envelope of the per-shell minimal simple-root gap.
 
     Returns (c, c_prime, shell_minima): the least-squares line through the
@@ -332,11 +327,11 @@ def anosov_gap_check(rep: Representation, length_max: int, threads: int = 1, cap
 
     [col] = bulk.run_bulk(rep.bulk_context(), length_max,
                           [(FunctionalHistCollector, {"kind": "min_root_gap", "grid": []})],
-                          threads=threads, cap=cap)
+                          threads=threads)
     minima = col.shell_minima
     shells = sorted(minima)
     ys = np.array([minima[s] for s in shells], dtype=float)
-    slope, intercept, _ = _fit_line(np.array(shells, dtype=float), ys)
+    slope, intercept, _ = fit_line(np.array(shells, dtype=float), ys)
     return float(slope), float(-intercept), {s: float(minima[s]) for s in shells}
 
 
@@ -372,9 +367,7 @@ def attracting_flag(rep: Representation, word: Word) -> Flag:
     tops = []
     for c in rep.bulk_context().shell(_word_row(word)).comps:
         vals, vecs = np.linalg.eig(c[0])
-        v = vecs[:, int(np.argmax(np.abs(vals)))]
-        lead = v[int(np.argmax(np.abs(v)))]
-        tops.append(np.real(v * np.exp(-1j * np.angle(lead))))
+        tops.append(real_columns(vecs[:, [int(np.argmax(np.abs(vals)))]])[:, 0])
     return flag_from_compound_tops(tops, rep.dim)
 
 
@@ -402,9 +395,9 @@ def sample_limit_set(rep: Representation, length: int, count: int):
         if len(signatures) >= count:
             break
         if gapless[i]:
-            reports.append((_row_word(row), "no singular gap"))
+            reports.append((row_word(row), "no singular gap"))
         elif degenerate[i].any():
-            reports.append((_row_word(row), f"non-generic sample at level {np.argmax(degenerate[i]) + 1}"))
+            reports.append((row_word(row), f"non-generic sample at level {np.argmax(degenerate[i]) + 1}"))
         else:
             signatures.append(tuple(signs[i].tolist()))
     return signatures, reports
@@ -517,7 +510,6 @@ def representation_from_config(cfg: dict):
     if "generators" not in cfg:
         raise ValueError("config needs either 'recipe' or 'generators'")
     gens = [ScaledMatrix.of(np.array(g, dtype=np.float64)) for g in cfg["generators"]]
-    form = Form.from_json(json.dumps(cfg["form"])) if "form" in cfg else Form.standard(2, 1)
     power = int(cfg.get("power", 1))
-    return build_schottky(gens, form, power=power, metadata={"recipe": "explicit"})
+    return build_schottky(gens, Form.from_config(cfg), power=power, metadata={"recipe": "explicit"})
 

@@ -21,7 +21,6 @@ CONDITION_CAP = 1e8
 
 __all__ = [
     "ScaledMatrix",
-    "CompoundMatrix",
     "EigenData",
     "multiply",
     "compound",
@@ -157,29 +156,32 @@ def minor_matrix(m: np.ndarray, j: int) -> np.ndarray:
     return np.linalg.det(m[subs[:, None, :, None], subs[None, :, None, :]])
 
 
-@dataclass(frozen=True)
-class CompoundMatrix:
-    """Level-j exterior power of a ScaledMatrix, itself kept in scaled form."""
+def compound(g: ScaledMatrix, j: int) -> ScaledMatrix:
+    """Exterior-power matrix of level j; multiplicative in g.
 
-    level: int
-    entries: np.ndarray
-    log_scale: float
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def as_scaled(self) -> ScaledMatrix:
-        return ScaledMatrix(self.entries, self.log_scale)
-
-
-def compound(g: ScaledMatrix, j: int) -> CompoundMatrix:
-    """Exterior-power matrix of level j; multiplicative in g."""
+    Built directly, not through ``ScaledMatrix.of``: a level is C(d, j) wide,
+    past MAX_DIM at d = 5, j = 2.
+    """
     d = g.dim
     if not 1 <= j <= d - 1:
         raise ValueError(f"compound level must lie in [1, {d - 1}], got {j}")
     ent, shift = _normalize(minor_matrix(g.entries, j))
-    return CompoundMatrix(j, ent, j * g.log_scale + shift)
+    return ScaledMatrix(ent, j * g.log_scale + shift)
+
+
+def recenter(values: np.ndarray) -> np.ndarray:
+    """Values minus their mean along the last axis: the sum-zero representative.
+
+    sum / n is np.mean's reduction and division, without its per-call cost.
+    """
+    return values - values.sum(axis=-1, keepdims=True) / values.shape[-1]
+
+
+def recentred_increments(prefix: np.ndarray) -> np.ndarray:
+    """Per-line values from per-level prefix sums (last axis); recentring drops the lift's scale."""
+    increments = np.array(prefix, dtype=float)
+    increments[..., 1:] -= prefix[..., :-1]
+    return recenter(increments)
 
 
 @dataclass(frozen=True)
@@ -202,7 +204,7 @@ class EigenData:
         return self.vectors.shape[0]
 
     def recentered_moduli(self) -> np.ndarray:
-        return self.log_moduli - self.log_moduli.mean()
+        return recenter(self.log_moduli)
 
 
 def eigen(g: ScaledMatrix) -> EigenData:
@@ -230,7 +232,7 @@ def eigen(g: ScaledMatrix) -> EigenData:
     )
 
 
-def _fit_line(t: np.ndarray, y: np.ndarray):
+def fit_line(t: np.ndarray, y: np.ndarray):
     """Least-squares line y ~ slope t + intercept: (slope, intercept, residuals).
 
     residuals is lstsq's sum of squared residuals, empty for two points or a
@@ -239,6 +241,12 @@ def _fit_line(t: np.ndarray, y: np.ndarray):
     a = np.vstack([t, np.ones_like(t)]).T
     (slope, intercept), residuals, *_ = np.linalg.lstsq(a, y, rcond=None)
     return slope, intercept, residuals
+
+
+def real_columns(cols: np.ndarray) -> np.ndarray:
+    """Real eigenvector columns of a real spectrum: each turned by the phase of its largest entry."""
+    lead = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+    return np.real(cols * np.exp(-1j * np.angle(lead))[None, :])
 
 
 def wedge_coordinates(columns: np.ndarray, j: int) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .flags import o_generic
 from .forms import Form, o_adjoint, restricted_signature
-from .numerics import NumericsError, ScaledMatrix, eigen
+from .numerics import NumericsError, ScaledMatrix, eigen, real_columns, recenter
 from .projections import (
     CartanVector,
     GAP_TOL,
@@ -167,13 +167,14 @@ def _decompose_uncached(o: Form, g: ScaledMatrix):
         return _refused(MembershipResult(False, "complex spectrum", *margins))
     if not eig.diagonalizable:
         return _refused(MembershipResult(False, "non-diagonalizable", *margins))
-    vecs = _realign_real(eig.vectors) if s.field == "R" else eig.vectors
+    vecs = real_columns(eig.vectors) if s.field == "R" else eig.vectors
     # form value of every eigenline from one product; a one-line cluster's
     # signature is its sign, as restricted_signature finds on one column
     quads = np.real(np.sum(vecs.conj() * (o.gram @ vecs), axis=0))
+    moduli = eig.recentered_moduli()
     clusters = []
     iso_margin = np.inf
-    for idx in _modulus_clusters(eig.recentered_moduli()):
+    for idx in _modulus_clusters(moduli):
         if len(idx) == 1:
             q = quads[idx[0]]
             pos, neg, margin = int(q > 0), int(q < 0), 1.0 if q != 0 else 0.0
@@ -185,7 +186,7 @@ def _decompose_uncached(o: Form, g: ScaledMatrix):
             return _refused(MembershipResult(False, "isotropic eigenline", *margins, margin))
         clusters.append((idx, pos))
     member = MembershipResult(True, None, *margins, float(iso_margin))
-    return member, _slot_projection(o, eig, clusters, member.isotropy_margin)
+    return member, _slot_projection(o, moduli, clusters, member.isotropy_margin)
 
 
 def _refused(member: MembershipResult):
@@ -202,12 +203,6 @@ def _modulus_clusters(moduli_desc: np.ndarray) -> list[list[int]]:
     return clusters
 
 
-def _realign_real(cols: np.ndarray) -> np.ndarray:
-    lead = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
-    out = cols * np.exp(-1j * np.angle(lead))[None, :]
-    return np.real(out)
-
-
 def _real_span(cols: np.ndarray) -> np.ndarray:
     """Real orthonormal basis of the span of a real matrix's eigenvector cluster.
 
@@ -219,10 +214,10 @@ def _real_span(cols: np.ndarray) -> np.ndarray:
     return u[:, : cols.shape[1]]
 
 
-def _slot_projection(o: Form, eig, clusters, iso_margin: float):
-    """The PqCartanResult filed from the clusters, or why the signs refuse it."""
+def _slot_projection(o: Form, moduli: np.ndarray, clusters, iso_margin: float):
+    """The PqCartanResult filed from the recentered log-moduli's clusters, or why the signs refuse it."""
     p = o.signature[0]
-    halves = eig.recentered_moduli() / 2.0
+    halves = moduli / 2.0
     # clusters are consecutive runs of ranks, so values and signs come out in rank
     # order; sum / len is np.mean's reduction and division without its per-call cost
     values: list[float] = []
@@ -241,8 +236,7 @@ def _slot_projection(o: Form, eig, clusters, iso_margin: float):
     if len(clusters) == 1:
         min_gap = 0.0
     w_g = WeylElement(tuple(merge_to_slots(signs).tolist()))
-    slots = w_g.act(values)
-    slots -= slots.sum() / len(slots)
+    slots = recenter(w_g.act(values))
     degenerate = bool(min_gap < 10 * MODULUS_CLUSTER_TOL or iso_margin < ISOTROPY_TOL)
     return PqCartanResult(
         b_o=CartanVector(slots),

@@ -15,7 +15,7 @@ import numpy as np
 
 from .flags import Flag, line_hyperplane_distance
 from .forms import Form, o_adjoint
-from .numerics import ScaledMatrix, compound, eigen, hodge_dual, wedge_coordinates
+from .numerics import EigenData, ScaledMatrix, compound, eigen, hodge_dual, real_columns, recenter, wedge_coordinates
 
 __all__ = [
     "CartanVector",
@@ -64,20 +64,15 @@ class CartanVector:
         return float(np.linalg.norm(self.coords))
 
 
-def _recenter(values: np.ndarray) -> np.ndarray:
-    return values - values.mean()
-
-
 def cartan(g: ScaledMatrix) -> CartanVector:
     """Log singular values, recentered to sum zero, sorted descending."""
     sv = np.linalg.svd(g.entries, compute_uv=False)
-    return CartanVector(_recenter(np.log(sv)))
+    return CartanVector(recenter(np.log(sv)))
 
 
 def jordan(g: ScaledMatrix) -> CartanVector:
     """Log eigenvalue moduli, recentered, sorted descending."""
-    eig = eigen(g)
-    return CartanVector(_recenter(np.sort(eig.log_moduli)[::-1]))
+    return CartanVector(eigen(g).recentered_moduli())
 
 
 def gap_margin(g: ScaledMatrix) -> float:
@@ -90,7 +85,12 @@ def has_gap(g: ScaledMatrix) -> bool:
 
 
 def loxodromy_margin(g: ScaledMatrix) -> float:
-    return float(np.min(-np.diff(jordan(g).coords)))
+    return _moduli_margin(eigen(g))
+
+
+def _moduli_margin(eig: EigenData) -> float:
+    """Smallest gap between consecutive recentered log-moduli."""
+    return float(np.min(-np.diff(eig.recentered_moduli())))
 
 
 def is_loxodromic(g: ScaledMatrix) -> bool:
@@ -114,16 +114,15 @@ def cartan_repellor(g: ScaledMatrix) -> Flag:
     return Flag.of(vh.conj().T[:, ::-1])
 
 
-def _eigen_flag(m: ScaledMatrix) -> Flag:
+def eigen_flag(m: ScaledMatrix) -> Flag:
+    """Eigenlines of a loxodromic m by decreasing modulus, from one eigendecomposition.
+
+    Raises NotLoxodromicError when the moduli are not separated by GAP_TOL.
+    """
     eig = eigen(m)
-    if np.min(-np.diff(eig.log_moduli)) <= GAP_TOL:
+    if _moduli_margin(eig) <= GAP_TOL:
         raise NotLoxodromicError("eigenvalue moduli are not separated")
-    vecs = eig.vectors
-    if m.field == "R":
-        # real loxodromic spectrum: strip the spurious imaginary parts
-        phases = np.exp(-1j * np.angle(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(m.dim)]))
-        vecs = np.real(vecs * phases[None, :])
-    return Flag.of(vecs)
+    return Flag.of(real_columns(eig.vectors) if m.field == "R" else eig.vectors)
 
 
 def o_attractor(o: Form, g: ScaledMatrix) -> Flag:
@@ -131,12 +130,12 @@ def o_attractor(o: Form, g: ScaledMatrix) -> Flag:
 
     sigma(g^{-1}) is the plain adjoint of g, so no inversion is needed.
     """
-    return _eigen_flag(g @ o_adjoint(o, g))
+    return eigen_flag(g @ o_adjoint(o, g))
 
 
 def o_repellor(o: Form, g: ScaledMatrix) -> Flag:
     """Repelling fixed flag of sigma(g^{-1}) * g; equals the attractor of g^{-1}."""
-    eig_flag = _eigen_flag(o_adjoint(o, g) @ g)
+    eig_flag = eigen_flag(o_adjoint(o, g) @ g)
     return Flag.of(eig_flag.basis[:, ::-1])
 
 
@@ -151,22 +150,28 @@ def check_r_eps_loxodromic(g: ScaledMatrix, r: float, eps: float) -> bool:
     """
     if not 0 < eps <= r:
         raise ValueError("need 0 < eps <= r")
-    if not is_loxodromic(g):
-        raise NotLoxodromicError("quantified check needs a loxodromic element")
-    d = g.dim
-    plus = _eigen_flag(g)
-    minus = Flag.of(plus.basis[:, ::-1])
-    for j in range(1, d):
-        cj = compound(g, j)
-        line = wedge_coordinates(plus.basis, j)
-        dual = wedge_coordinates(minus.basis, d - j)
-        theta = hodge_dual(dual, d, j)
-        sep = line_hyperplane_distance(line, theta)
-        if sep < 2 * r:
-            return False
-        if not _contracts(cj.entries, line, theta, eps):
+    try:
+        plus = eigen_flag(g)
+    except NotLoxodromicError:
+        raise NotLoxodromicError("quantified check needs a loxodromic element") from None
+    return ping_pong_levels(g, plus, Flag.of(plus.basis[:, ::-1]), r, eps)
+
+
+def ping_pong_levels(g: ScaledMatrix, plus: Flag, minus: Flag, r: float, eps: float) -> bool:
+    """``check_r_eps_loxodromic`` for g with attracting flag ``plus`` and repelling flag ``minus``."""
+    for j in range(1, g.dim):
+        line, theta, sep = fixed_pair_separation(plus, minus, j)
+        if sep < 2 * r or not _contracts(compound(g, j).entries, line, theta, eps):
             return False
     return True
+
+
+def fixed_pair_separation(plus: Flag, minus: Flag, j: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(level-j line of ``plus``, covector of the level-j hyperplane of ``minus``, their sine distance)."""
+    d = plus.dim
+    line = wedge_coordinates(plus.basis, j)
+    theta = hodge_dual(wedge_coordinates(minus.basis, d - j), d, j)
+    return line, theta, line_hyperplane_distance(line, theta)
 
 
 def _contracts(t: np.ndarray, plus_line: np.ndarray, theta: np.ndarray, eps: float) -> bool:

@@ -548,12 +548,6 @@ def test_thread_partitions_identical():
         assert bo.tobytes() == seq[length_]["bo"].tobytes()
 
 
-def test_cap_refusal():
-    rep = reducible_rep(power=4)
-    with pytest.raises(bulk.CapExceededError):
-        run_bulk(rep.bulk_context(), 10, [(GrabAll, {"length_max": 10})], cap=100)
-
-
 def test_chunking_does_not_change_results(monkeypatch):
     rep = reducible_rep(power=4)
     ctx = rep.bulk_context()

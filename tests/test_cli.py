@@ -66,8 +66,19 @@ def test_missing_config_exits_2(tmp_path):
     assert main(["count", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_cap_exits_4(tmp_path, red_cfg):
-    assert main(["count", "--config", red_cfg, "--out", str(tmp_path / "o"), "--max-words", "10"]) == 4
+@pytest.mark.parametrize("sub", ["count", "cone", "equidistribute", "gap-check"])
+def test_ball_beyond_max_words_exits_4(tmp_path, sub, capsys):
+    # the L=7 ball of a rank-2 group has 4 * (3^7 - 1) / 2 = 4372 words besides the identity
+    cfg = write_config(tmp_path, "red7.json", {"representation": {"recipe": "reducible-21", "params": {"power": 4}},
+                                               "length": 7, "length_max": 7})
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / "o"), "--max-words", "10", "--json-errors"]) == 4
+    assert "enumeration of 4372 words exceeds the cap of 10" in json.loads(capsys.readouterr().out)["message"]
+
+
+def test_ball_at_max_words_runs(tmp_path, red_cfg):
+    # the L=4 ball of a rank-2 group has 4 + 12 + 36 + 108 = 160 words besides the identity
+    assert main(["gap-check", "--config", red_cfg, "--out", str(tmp_path / "o"), "--max-words", "159"]) == 4
+    assert main(["gap-check", "--config", red_cfg, "--out", str(tmp_path / "o"), "--max-words", "160"]) == 0
 
 
 def test_certification_failure_exits_3(tmp_path):

@@ -8,6 +8,9 @@ call private helpers and read constants, but they do not keep them alive.
 A public function, class or method is surface, so a test or the benchmark
 may be its only user; one that no line of ``src``, ``tests`` or
 ``perfbench`` names is dead all the same.
+
+A private helper belongs to its module: a helper another module needs has
+a public name in the module that owns it.
 """
 
 import ast
@@ -74,3 +77,15 @@ def test_every_public_definition_is_named_in_src_tests_or_perfbench():
     users = sorted((REPO / "tests").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
     assert users
     assert _unreferenced(_public_definitions, users) == []
+
+
+def test_no_module_names_another_modules_private_definition():
+    trees = {path.name: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    owners: dict[str, set[str]] = {}
+    for path, tree in trees.items():
+        for name, _ in _private_definitions(tree):
+            owners.setdefault(name, set()).add(path)
+    borrowed = sorted(f"{path} names {name} of {', '.join(sorted(owners[name]))}"
+                      for path, tree in trees.items() for name in set(_referenced_names(tree))
+                      if path not in owners.get(name, {path}))
+    assert borrowed == []

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import pqcartan
+from pqcartan import numerics
 from pqcartan.flags import flag_distance, o_generic
 from pqcartan.forms import Form
 from pqcartan.freegroup import (
@@ -15,6 +17,7 @@ from pqcartan.freegroup import (
     reducible_rep,
     rotation_control_rep,
     sample_limit_set,
+    single_orbit_rep,
     singular_flag,
     sl2_schottky_pair,
     sphere_words,
@@ -282,3 +285,23 @@ def test_word_str_roundtrippable():
     w = Word.of((1, -2, 1))
     assert str(w) == "a.b'.a"
     assert str(Word.of(())) == "e"
+
+
+@pytest.mark.parametrize("build", [lambda: reducible_rep(power=4), lambda: reducible_rep(p=3, q=2, power=6),
+                                   two_orbit_rep, single_orbit_rep],
+                         ids=["reducible-21", "reducible-32", "two-orbit", "single-orbit"])
+def test_certification_decomposes_each_generator_once(build, monkeypatch):
+    # the generator's eigenflag serves the loxodromy verdict, the ping-pong
+    # separations and the per-level contraction check alike
+    calls = []
+
+    def spy(g):
+        calls.append(g)
+        return real(g)
+
+    real = numerics.eigen
+    for module in vars(pqcartan).values():
+        if getattr(module, "eigen", None) is real:
+            monkeypatch.setattr(module, "eigen", spy)
+    assert isinstance(build(), Representation)
+    assert len(calls) == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pqcartan.numerics import (
+    MAX_DIM,
     ScaledMatrix,
     compound,
     eigen,
@@ -72,7 +73,18 @@ def test_compound_identity_level():
     g = ScaledMatrix.of(np.eye(3))
     c = compound(g, 2)
     assert c.dim == 3
-    assert np.allclose(c.as_scaled().true_matrix(), np.eye(3))
+    assert np.allclose(c.true_matrix(), np.eye(3))
+
+
+def test_compound_past_max_dim_is_a_scaled_matrix(rng):
+    # C(5, 2) = 10 > MAX_DIM: the level is built directly, not through ScaledMatrix.of
+    g = random_sl(rng, 5)
+    c = compound(g, 2)
+    assert isinstance(c, ScaledMatrix)
+    assert c.dim == 10 > MAX_DIM
+    minors = minor_matrix(g.entries, 2)
+    assert np.allclose(c.entries, minors / np.linalg.norm(minors), atol=1e-14)
+    assert abs(c.log_scale - (2 * g.log_scale + np.log(np.linalg.norm(minors)))) < 1e-12
 
 
 def test_compound_level_one_is_source(rng):
@@ -85,7 +97,7 @@ def test_compound_level_one_is_source(rng):
 def test_compound_diagonal_minors():
     g = ScaledMatrix.of(np.diag([2.0, 3.0, 5.0]))
     c = compound(g, 2)
-    assert np.allclose(c.as_scaled().true_matrix(), np.diag([6.0, 10.0, 15.0]))
+    assert np.allclose(c.true_matrix(), np.diag([6.0, 10.0, 15.0]))
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -95,7 +107,7 @@ def test_compound_multiplicative(rng, d):
         h = random_sl(rng, d)
         for j in range(1, d):
             lhs = compound(g @ h, j)
-            rhs = compound(g, j).as_scaled() @ compound(h, j).as_scaled()
+            rhs = compound(g, j) @ compound(h, j)
             scale = np.vdot(rhs.entries, lhs.entries)
             assert np.linalg.norm(lhs.entries - scale * rhs.entries) < 1e-9
             assert abs(lhs.log_scale - rhs.log_scale) < 1e-9 * max(1.0, abs(lhs.log_scale))

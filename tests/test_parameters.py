@@ -49,11 +49,11 @@ def test_no_function_has_an_unread_parameter():
 
 
 # Defaulted parameters in src/pqcartan (ast count): 119, then 90, 68, 67,
-# now 60.  A caller who wants another threshold compares the margin the
+# 60, now 57.  A caller who wants another threshold compares the margin the
 # result already carries; a new knob needs a visible edit to this bound.
-# The last seven were the cocycles' chamber parameters: a cocycle value is
-# in rank order, and a caller places it with ChamberA.place.
-MAX_DEFAULTED_PARAMETERS = 60
+# The last three were the word caps of run_bulk, count_curve and
+# anosov_gap_check: the CLI checks --max-words once, before any word is built.
+MAX_DEFAULTED_PARAMETERS = 57
 
 
 def _defaulted_parameter_count(path: Path) -> int:

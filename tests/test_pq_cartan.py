@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from pqcartan import pq_cartan
 from pqcartan.forms import Form, restricted_signature, sample_isometry
-from pqcartan.numerics import NumericsError, ScaledMatrix, eigen
+from pqcartan.numerics import NumericsError, ScaledMatrix, eigen, real_columns
 from pqcartan.pq_cartan import (
     NotInBoGError,
     distance_So,
@@ -301,7 +301,7 @@ def cluster_verdicts(o, g):
     for idx in pq_cartan._modulus_clusters(eig.recentered_moduli()):
         cols = eig.vectors[:, idx]
         if o.field_tag == "R":
-            cols = (pq_cartan._realign_real if len(idx) == 1 else pq_cartan._real_span)(cols)
+            cols = (real_columns if len(idx) == 1 else pq_cartan._real_span)(cols)
         pos, neg, m = restricted_signature(o, cols)
         signs += [1] * pos + [-1] * neg
         margin = min(margin, m)
