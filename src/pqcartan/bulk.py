@@ -41,7 +41,8 @@ conjugator's spread passes float64 resolution, whichever kernel reads it.
 
 Enumeration order is canonical: shells by length, words lexicographic in
 the alphabet (g1, g1^-1, g2, g2^-1, ...); ``sphere_rows`` builds a sphere's
-index rows in this order, and ``word_rank`` is a word's row number there.
+index rows in this order, ``index_row`` one word's, and ``word_rank`` is a
+word's row number there.
 The walk's pieces of one shell arrive in this order, interleaved with
 longer shells' pieces.  Worker partitioning is by first letter and results
 are merged in alphabet order, so outputs are identical for any worker count.
@@ -68,7 +69,8 @@ __all__ = [
     "sphere_rows",
     "subtree_pieces",
     "word_rank",
-    "CapExceededError",
+    "index_row",
+    "cyclically_reduced",
 ]
 
 # level state of one walk piece: 40,329 words at d = 3, 3,692 at d = 5; small pieces pay per-call overhead
@@ -77,13 +79,6 @@ SLICE_BYTES = 8 << 20
 POWER_ITERS = 64
 RESIDUAL_TOL = 1e-6
 SEED_LENGTH = 3  # shells built once per context; their words need the stepwise fallback
-
-
-class CapExceededError(RuntimeError):
-    def __init__(self, cap: int, requested: int):
-        super().__init__(f"enumeration of {requested} words exceeds the cap of {cap}")
-        self.cap = cap
-        self.requested = requested
 
 
 def sphere_size(k: int, length: int) -> int:
@@ -103,6 +98,16 @@ def index_letter(idx: int) -> int:
     return gen if idx % 2 == 0 else -gen
 
 
+def index_row(letters) -> np.ndarray:
+    """The int8 alphabet-index row of a word's letters."""
+    return np.array([letter_index(l) for l in letters], dtype=np.int8)
+
+
+def cyclically_reduced(rows: np.ndarray) -> np.ndarray:
+    """Per alphabet-index row of a reduced word: its last letter is not the inverse of its first."""
+    return rows[:, 0] != rows[:, -1] ^ 1
+
+
 def sphere_rows(k: int, length: int) -> np.ndarray:
     """(n, length) int8 alphabet-index rows of the sphere's words, canonical order.
 
@@ -120,7 +125,7 @@ def word_rank(word, k: int) -> int:
     """Rank of a reduced word inside its own shell, canonical order."""
     if not word:
         return 0
-    return int(_ranks_of(np.array([[letter_index(l) for l in word]], dtype=np.int8), k)[0])
+    return int(_ranks_of(index_row(word)[None], k)[0])
 
 
 def _ranks_of(idx_rows: np.ndarray, k: int) -> np.ndarray:
@@ -165,7 +170,7 @@ class BulkContext:
         base_signs = np.array([1.0] * p + [-1.0] * (d - p))
         ctx = BulkContext(k, d, p, [np.prod(base_signs[subset_table(d, j)], axis=1) for j in levels])
         # each letter's attractor: the top eigenvector of its symmetric Gram M M^T, exact from LAPACK
-        ctx.spheres = [ShellData(ctx, 1, np.arange(2 * k, dtype=np.int8)[:, None], gen_entries, gen_scales, logdets,
+        ctx.spheres = [ShellData(ctx, np.arange(2 * k, dtype=np.int8)[:, None], gen_entries, gen_scales, logdets,
                                  [np.linalg.eigh(m @ np.swapaxes(m, 1, 2))[1][:, :, -1] for m in gen_entries])]
         for _ in range(1, SEED_LENGTH):
             ctx.spheres.append(_children(ctx.spheres[-1], successor_table(2 * k)))
@@ -275,12 +280,12 @@ def _memo(accessor):
 class ShellData:
     """Lazy per-word measurements for one shell of one subtree."""
 
-    def __init__(self, ctx: BulkContext, length: int, idx_rows: np.ndarray,
+    def __init__(self, ctx: BulkContext, idx_rows: np.ndarray,
                  comps: list[np.ndarray], scales: list[np.ndarray], logdets: np.ndarray,
                  attractors: list[np.ndarray]):
         self.ctx = ctx
-        self.length = length
         self.idx_rows = idx_rows
+        self.length = idx_rows.shape[1]
         self.comps = comps
         self.scales = scales
         self.logdets = logdets
@@ -293,7 +298,7 @@ class ShellData:
 
     def piece(self, rows) -> "ShellData":
         """The words of a row slice or index array, with an empty cache."""
-        return ShellData(self.ctx, self.length, self.idx_rows[rows], [c[rows] for c in self.comps],
+        return ShellData(self.ctx, self.idx_rows[rows], [c[rows] for c in self.comps],
                          [s[rows] for s in self.scales], self.logdets[rows], [t[rows] for t in self.attractors])
 
     @_memo
@@ -399,7 +404,7 @@ class ShellData:
         Read at M t / |M t| on cyclically reduced words longer than SEED_LENGTH; every other row, and a
         row whose residual there is not below RESIDUAL_TOL, takes the stepwise kernel's values.
         """
-        fast = (self.idx_rows[:, 0] != self.idx_rows[:, -1] ^ 1) & (self.length > SEED_LENGTH)
+        fast = cyclically_reduced(self.idx_rows) & (self.length > SEED_LENGTH)
         tops = [_eig_read(m, _normalize_rows(np.einsum("nij,nj->ni", m, t)))
                 for m, t in zip(self.comps, self.attractors)]
         for m, (x, mu, resid) in zip(self.comps, tops):
@@ -441,8 +446,7 @@ def _extend(shell: ShellData, letters: np.ndarray) -> ShellData:
         scales.append((shell.scales[j][:, None] + gen.scales[j][letters]).reshape(-1) + np.log(nrm))
         attractors.append(_normalize_rows(_top_pair(prod, 1.0, np.repeat(shell.attractors[j], w, axis=0))[0]))
     idx = np.concatenate([np.repeat(shell.idx_rows, w, axis=0), letters.reshape(-1, 1).astype(np.int8)], axis=1)
-    return ShellData(ctx, shell.length + 1, idx, comps, scales,
-                     (shell.logdets[:, None] + gen.logdets[letters]).reshape(-1), attractors)
+    return ShellData(ctx, idx, comps, scales, (shell.logdets[:, None] + gen.logdets[letters]).reshape(-1), attractors)
 
 
 def _children(shell: ShellData, table: np.ndarray) -> ShellData:

@@ -19,20 +19,13 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .bulk import CapExceededError, ShellData, ball_size, sphere_size, subtree_pieces
+from .bulk import ShellData, ball_size, sphere_size, subtree_pieces
 from .cocycles import identity_suite
-from .counting import (canonical_chamber, cone_samples, count_curve, default_phi, equidistribution_experiment,
-                       estimate_exponent)
+from .counting import (anosov_gap_check, canonical_chamber, cone_samples, count_curve, default_phi,
+                       equidistribution_experiment, estimate_exponent)
 from .flags import NonGenericFlagError
 from .forms import DegenerateFormError, Form
-from .freegroup import (
-    Representation,
-    SchottkyRejection,
-    anosov_gap_check,
-    representation_from_config,
-    row_word,
-    sample_limit_set,
-)
+from .freegroup import Representation, SchottkyRejection, representation_from_config, row_word, sample_limit_set
 from .numerics import NumericsError
 from .pq_cartan import MODULUS_CLUSTER_TOL, NotInBoGError
 from .projections import NotLoxodromicError
@@ -50,6 +43,10 @@ DEFAULT_WORD_CAP = 50_000_000
 
 class ConfigError(ValueError):
     pass
+
+
+class CapExceededError(RuntimeError):
+    """A ball or sphere of more words than ``--max-words`` allows (exit 4)."""
 
 
 def _load_config(path: str) -> dict:
@@ -113,7 +110,7 @@ def _capped(cfg: dict, words: int) -> None:
     """Refuse, before any word is built, a ball or sphere of more than ``max_words`` words."""
     cap = int(cfg["max_words"])
     if words > cap:
-        raise CapExceededError(cap, words)
+        raise CapExceededError(f"enumeration of {words} words exceeds the cap of {cap}")
 
 
 def _ball_length(rep: Representation, cfg: dict, key: str, default: int) -> int:
@@ -136,7 +133,10 @@ def _grid_from(cfg: dict, default_hi: float) -> np.ndarray:
 
 def cmd_rep_build(cfg: dict, args) -> dict:
     rep = _build_rep(cfg)
-    sigs, bad = sample_limit_set(rep, int(cfg.get("sample_length", 6)), int(cfg.get("sample_count", 40)))
+    # the samples are strided over the whole sphere, which is built first
+    length = int(cfg.get("sample_length", 6))
+    _capped(cfg, sphere_size(rep.rank, length))
+    sigs, bad = sample_limit_set(rep, length, int(cfg.get("sample_count", 40)))
     return {
         "certificate": rep.certificate,
         "metadata": rep.metadata,

@@ -23,6 +23,7 @@ from .weyl import ChamberA, WeylElement, chamber_from_signs, chamber_transition,
 __all__ = [
     "CountCurve",
     "count_curve",
+    "anosov_gap_check",
     "estimate_exponent",
     "phi_entropy",
     "cone_samples",
@@ -246,6 +247,24 @@ def count_curve(
     return col.curve(functional)
 
 
+def anosov_gap_check(rep: Representation, length_max: int, threads: int = 1):
+    """Fit the linear lower envelope of the per-shell minimal simple-root gap.
+
+    Returns (c, c_prime, shell_minima): the least-squares line through the
+    per-shell minima.  A positive fitted slope is evidence consistent with
+    the word-length gap bound; finite length can only ever test a necessary
+    condition, which the CLI report states explicitly.
+    """
+    [col] = bulk.run_bulk(rep.bulk_context(), length_max,
+                          [(FunctionalHistCollector, {"kind": "min_root_gap", "grid": []})],
+                          threads=threads)
+    minima = col.shell_minima
+    shells = sorted(minima)
+    ys = np.array([minima[s] for s in shells], dtype=float)
+    slope, intercept, _ = fit_line(np.array(shells, dtype=float), ys)
+    return float(slope), float(-intercept), {s: float(minima[s]) for s in shells}
+
+
 def _window_mask(curve: CountCurve, lo: float, hi: float) -> np.ndarray:
     """Grid points of the window [lo, hi] with a positive count."""
     return (curve.thresholds >= lo) & (curve.thresholds <= hi) & (curve.counts > 0)
@@ -289,7 +308,7 @@ def estimate_exponent(curve: CountCurve, window: tuple[float, float]):
 def _cyclically_reduced_rows(k: int, length: int) -> np.ndarray:
     """(n, length) int8 alphabet-index rows of the cyclically reduced words, canonical order."""
     rows = bulk.sphere_rows(k, length)
-    return rows[rows[:, 0] != (rows[:, -1] ^ 1)]
+    return rows[bulk.cyclically_reduced(rows)]
 
 
 def conjugacy_class_indices(k: int, length: int) -> np.ndarray:
@@ -486,7 +505,7 @@ def _cyc_depth(rows: np.ndarray) -> np.ndarray:
     return np.cumprod(head == tail, axis=1).sum(axis=1)
 
 
-def _cylinder_mask(rows: np.ndarray, a_idx: tuple[int, ...], b_idx: tuple[int, ...]) -> np.ndarray:
+def _cylinder_mask(rows: np.ndarray, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
     """Rows whose cyclic reduction starts with b_idx and whose inverse's starts with a_idx."""
     n, length = rows.shape
     depth = _cyc_depth(rows)
@@ -497,10 +516,6 @@ def _cylinder_mask(rows: np.ndarray, a_idx: tuple[int, ...], b_idx: tuple[int, .
         for t, want in enumerate(prefix):
             mask &= work[r, np.minimum(depth + t, length - 1)] == want
     return mask
-
-
-def letters_to_indices(letters) -> tuple[int, ...]:
-    return tuple(bulk.letter_index(l) for l in letters)
 
 
 # -- Gromov-product comparison ------------------------------------------------
@@ -528,8 +543,8 @@ def gromov_comparison(
     chamber = chamber if chamber is not None else single
     ctx = rep.bulk_context()
     d = ctx.d
-    a_idx = letters_to_indices(cylinder_a)
-    b_idx = letters_to_indices(cylinder_b)
+    a_idx = bulk.index_row(cylinder_a)
+    b_idx = bulk.index_row(cylinder_b)
     out: dict[int, float] = {}
     counts: dict[int, int] = {}
     for length in range(length_min, length_max + 1):
@@ -567,6 +582,13 @@ def gromov_comparison(
 # -- trend and equidistribution ----------------------------------------------
 
 
+def _phi_bo_reach(rep: Representation, phi: np.ndarray, length_max: int) -> float:
+    """Least phi(b_o) on shell min(4, length_max), scaled linearly to length_max; reads no longer ball."""
+    probe_length = min(4, length_max)
+    probe = count_curve(rep, "phi_bo", probe_length, np.linspace(0, 1, 2), phi=phi)
+    return probe.shell_minima[probe_length] * length_max / probe_length
+
+
 def theorem_b_trend(rep: Representation, phi, length_max: int, class_length: int | None = None):
     """Flatness of the exponentially rescaled directional counting function.
 
@@ -578,9 +600,7 @@ def theorem_b_trend(rep: Representation, phi, length_max: int, class_length: int
     phi = np.asarray(phi, dtype=float)
     cls_len = class_length if class_length is not None else max(4, length_max - 2)
     h, class_curve, h_details = phi_entropy(rep, phi, cls_len, chamber)
-    probe = count_curve(rep, "phi_bo", min(4, length_max), np.linspace(0, 1, 2), phi=phi)
-    hi_estimate = probe.shell_minima[min(4, length_max)] * length_max / min(4, length_max)
-    grid = np.linspace(0.0, hi_estimate * 1.05, TREND_GRID_POINTS)
+    grid = np.linspace(0.0, _phi_bo_reach(rep, phi, length_max) * 1.05, TREND_GRID_POINTS)
     curve = count_curve(rep, "phi_bo", length_max, grid, phi=phi)
     t_hi = curve.complete_below()
     window = (max(t_hi - 1.0, 0.5 * t_hi), t_hi)
@@ -635,10 +655,8 @@ def equidistribution_experiment(rep: Representation, phi, length_max: int, boxes
     chamber = _single_orbit_chamber(rep)
     phi = np.asarray(phi, dtype=float)
     h, _, _ = phi_entropy(rep, phi, max(4, length_max - 2), chamber)
-    probe = count_curve(rep, "phi_bo", 4, np.linspace(0, 1, 2), phi=phi)
-    hi = probe.shell_minima[4] * length_max / 4
-    grid = np.linspace(0.0, hi, BOX_GRID_POINTS)
-    boxes_idx = [(letters_to_indices(a), letters_to_indices(b)) for a, b in boxes]
+    grid = np.linspace(0.0, _phi_bo_reach(rep, phi, length_max), BOX_GRID_POINTS)
+    boxes_idx = [(bulk.index_row(a), bulk.index_row(b)) for a, b in boxes]
     ctx = rep.bulk_context()
     [col] = bulk.run_bulk(
         ctx, length_max,

@@ -111,10 +111,6 @@ class OrbitSignature:
             out.append((pos, neg))
         return tuple(out)
 
-    @property
-    def total(self) -> tuple[int, int]:
-        return self.prefix_signatures[-1]
-
 
 @dataclass(frozen=True)
 class GenericityReport:

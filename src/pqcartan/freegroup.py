@@ -17,7 +17,7 @@ from . import bulk
 from .bulk import BulkContext, sphere_rows
 from .flags import Flag, line_hyperplane_distance, o_generic
 from .forms import DEGENERACY_RTOL, Form, induced_form
-from .numerics import ScaledMatrix, fit_line, real_columns, subspace_from_wedge, wedge_coordinates
+from .numerics import ScaledMatrix, real_columns, subspace_from_wedge, wedge_coordinates
 from .projections import GAP_TOL, NotLoxodromicError, eigen_flag, fixed_pair_separation, ping_pong_levels
 
 __all__ = [
@@ -25,10 +25,8 @@ __all__ = [
     "Representation",
     "SchottkyRejection",
     "sphere_words",
-    "enumerate_conjugacy_reps",
     "build_schottky",
     "build_reducible_example",
-    "anosov_gap_check",
     "sample_limit_set",
 ]
 
@@ -64,21 +62,6 @@ class Word:
 
     def inverse(self) -> "Word":
         return Word(tuple(-l for l in reversed(self.letters)))
-
-    def cyclic_reduction(self) -> "Word":
-        ls = list(self.letters)
-        while len(ls) >= 2 and ls[0] == -ls[-1]:
-            ls = ls[1:-1]
-        return Word(tuple(ls))
-
-    def minimal_rotation(self) -> "Word":
-        """Lexicographically least rotation (alphabet-index order) of the cyclic reduction."""
-        core = self.cyclic_reduction().letters
-        if not core:
-            return Word(())
-        keyed = [tuple(bulk.letter_index(l) for l in core[i:] + core[:i]) for i in range(len(core))]
-        best = min(range(len(core)), key=lambda i: keyed[i])
-        return Word(core[best:] + core[:best])
 
     def __str__(self) -> str:
         if not self.letters:
@@ -154,23 +137,6 @@ def sphere_words(k: int, length: int):
         return
     for row in sphere_rows(k, length).tolist():
         yield row_word(row)
-
-
-def enumerate_conjugacy_reps(k: int, length_max: int):
-    """One cyclically reduced representative per conjugacy class, length <= max.
-
-    Representatives are the lexicographically minimal rotations; a word and
-    its inverse are kept distinct.
-    """
-    for length in range(1, length_max + 1):
-        for w in sphere_words(k, length):
-            if w.length < 2:
-                yield w
-                continue
-            if w.letters[0] == -w.letters[-1]:
-                continue
-            if w.minimal_rotation() == w:
-                yield w
 
 
 @dataclass(frozen=True)
@@ -315,26 +281,6 @@ def build_reducible_example(
     return build_schottky(gens, o, power=power, metadata=meta)
 
 
-def anosov_gap_check(rep: Representation, length_max: int, threads: int = 1):
-    """Fit the linear lower envelope of the per-shell minimal simple-root gap.
-
-    Returns (c, c_prime, shell_minima): the least-squares line through the
-    per-shell minima.  A positive fitted slope is evidence consistent with
-    the word-length gap bound; finite length can only ever test a necessary
-    condition, which the CLI report states explicitly.
-    """
-    from .counting import FunctionalHistCollector  # local: counting imports this module
-
-    [col] = bulk.run_bulk(rep.bulk_context(), length_max,
-                          [(FunctionalHistCollector, {"kind": "min_root_gap", "grid": []})],
-                          threads=threads)
-    minima = col.shell_minima
-    shells = sorted(minima)
-    ys = np.array([minima[s] for s in shells], dtype=float)
-    slope, intercept, _ = fit_line(np.array(shells, dtype=float), ys)
-    return float(slope), float(-intercept), {s: float(minima[s]) for s in shells}
-
-
 def flag_from_compound_tops(vectors: list[np.ndarray], d: int) -> Flag:
     """Assemble a full flag from per-level top wedge vectors."""
     cols = np.zeros((d, d), dtype=np.float64)
@@ -351,21 +297,16 @@ def flag_from_compound_tops(vectors: list[np.ndarray], d: int) -> Flag:
     return Flag.of(cols)
 
 
-def _word_row(word: Word) -> list[list[int]]:
-    """The word as a single alphabet-index row, for ``BulkContext.shell``."""
-    return [[bulk.letter_index(l) for l in word.letters]]
-
-
 def singular_flag(rep: Representation, word: Word) -> Flag:
     """Cartan attractor of the word's image: an SVD of each exterior-power level."""
-    comps = rep.bulk_context().shell(_word_row(word)).comps
+    comps = rep.bulk_context().shell(bulk.index_row(word.letters)[None]).comps
     return flag_from_compound_tops([np.linalg.svd(c[0])[0][:, 0] for c in comps], rep.dim)
 
 
 def attracting_flag(rep: Representation, word: Word) -> Flag:
     """Attracting fixed flag of the word's image, read off exterior powers."""
     tops = []
-    for c in rep.bulk_context().shell(_word_row(word)).comps:
+    for c in rep.bulk_context().shell(bulk.index_row(word.letters)[None]).comps:
         vals, vecs = np.linalg.eig(c[0])
         tops.append(real_columns(vecs[:, [int(np.argmax(np.abs(vals)))]])[:, 0])
     return flag_from_compound_tops(tops, rep.dim)

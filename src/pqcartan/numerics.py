@@ -25,6 +25,7 @@ __all__ = [
     "multiply",
     "compound",
     "eigen",
+    "require_resolved",
     "NumericsError",
 ]
 
@@ -230,6 +231,20 @@ def eigen(g: ScaledMatrix) -> EigenData:
         vector_condition=cond,
         diagonalizable=bool(cond < CONDITION_CAP),
     )
+
+
+def require_resolved(what: str, log_values: np.ndarray, condition: float) -> None:
+    """Refuse a spectrum one float64 matrix cannot resolve, by a NumericsError.
+
+    Values read off the matrix are off by up to condition * eps of the
+    largest, so the smallest of the descending ``log_values`` is resolved only
+    while their spread plus log(condition) stays below log(1/eps) = 36.04;
+    ``condition`` is the eigenbasis condition number, 1 for singular values.
+    """
+    spread = float(log_values[0] - log_values[-1])
+    if spread + np.log(condition) >= -np.log(np.finfo(np.float64).eps):
+        raise NumericsError(f"{what} spread {spread:.1f} with eigenbasis condition {condition:.3g} "
+                            "is past float64 resolution")
 
 
 def fit_line(t: np.ndarray, y: np.ndarray):

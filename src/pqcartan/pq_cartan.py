@@ -17,7 +17,7 @@ import numpy as np
 
 from .flags import o_generic
 from .forms import Form, o_adjoint, restricted_signature
-from .numerics import NumericsError, ScaledMatrix, eigen, real_columns, recenter
+from .numerics import ScaledMatrix, eigen, real_columns, recenter, require_resolved
 from .projections import (
     CartanVector,
     GAP_TOL,
@@ -154,13 +154,7 @@ def _decompose(o: Form, g: ScaledMatrix):
 def _decompose_uncached(o: Form, g: ScaledMatrix):
     s = twisted_square(o, g)
     eig = eigen(s)
-    # eigenvalue errors reach cond(V) eps |S|, so the smallest modulus is
-    # resolved only while spread + log cond(V) stays below log(1/eps)
-    spread = float(eig.log_moduli[0] - eig.log_moduli[-1])
-    if spread + np.log(eig.vector_condition) >= -np.log(np.finfo(np.float64).eps):
-        raise NumericsError(
-            f"twisted-square log-modulus spread {spread:.1f} with eigenbasis condition "
-            f"{eig.vector_condition:.3g} is past float64 resolution")
+    require_resolved("twisted-square log-modulus", eig.log_moduli, eig.vector_condition)
     ok_phase, phase_margin = _aligned_phases(eig.phases, s.field)
     margins = (phase_margin, eig.vector_condition)
     if not ok_phase:

@@ -15,7 +15,8 @@ import numpy as np
 
 from .flags import Flag, line_hyperplane_distance
 from .forms import Form, o_adjoint
-from .numerics import EigenData, ScaledMatrix, compound, eigen, hodge_dual, real_columns, recenter, wedge_coordinates
+from .numerics import (EigenData, ScaledMatrix, compound, eigen, hodge_dual, real_columns, recenter, require_resolved,
+                       wedge_coordinates)
 
 __all__ = [
     "CartanVector",
@@ -65,14 +66,26 @@ class CartanVector:
 
 
 def cartan(g: ScaledMatrix) -> CartanVector:
-    """Log singular values, recentered to sum zero, sorted descending."""
+    """Log singular values, recentered to sum zero, sorted descending.
+
+    Raises NumericsError past float64 resolution (``numerics.require_resolved``).
+    """
     sv = np.linalg.svd(g.entries, compute_uv=False)
-    return CartanVector(recenter(np.log(sv)))
+    logs = np.log(np.maximum(sv, np.finfo(np.float64).tiny))
+    require_resolved("singular-value log", logs, 1.0)
+    return CartanVector(recenter(logs))
 
 
 def jordan(g: ScaledMatrix) -> CartanVector:
-    """Log eigenvalue moduli, recentered, sorted descending."""
-    return CartanVector(eigen(g).recentered_moduli())
+    """Log eigenvalue moduli, recentered, sorted descending.
+
+    Raises NumericsError past float64 resolution: the eigenbasis condition
+    counts for a diagonalizable g; a defective g's condition measures the
+    defect, not the eigenvalue error, so its spread is checked alone.
+    """
+    eig = eigen(g)
+    require_resolved("eigenvalue log-modulus", eig.log_moduli, eig.vector_condition if eig.diagonalizable else 1.0)
+    return CartanVector(eig.recentered_moduli())
 
 
 def gap_margin(g: ScaledMatrix) -> float:

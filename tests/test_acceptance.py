@@ -14,6 +14,7 @@ from scipy.linalg import expm
 from pqcartan import bulk
 from pqcartan.counting import (
     FunctionalHistCollector,
+    anosov_gap_check,
     comparison_boundedness,
     cone_samples,
     default_phi,
@@ -22,13 +23,7 @@ from pqcartan.counting import (
     theorem_b_trend,
 )
 from pqcartan.forms import Form, sample_isometry
-from pqcartan.freegroup import (
-    anosov_gap_check,
-    reducible_rep,
-    rotation_control_rep,
-    single_orbit_rep,
-    two_orbit_rep,
-)
+from pqcartan.freegroup import reducible_rep, rotation_control_rep, single_orbit_rep, two_orbit_rep
 from pqcartan.numerics import ScaledMatrix
 from pqcartan.pq_cartan import membership, pq_project
 from pqcartan.weyl import WeylElement

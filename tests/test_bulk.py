@@ -295,13 +295,9 @@ def _exact_jordan(rep, row):
     return np.array(jl) - np.mean(jl)
 
 
-def _cyclically_reduced(rows):
-    return rows[:, 0] != (rows[:, -1] ^ 1)
-
-
 def _stepwise_rows(rows):
     """Rows whose Jordan data the stepwise kernel reads: not cyclically reduced, or at most SEED_LENGTH letters."""
-    return ~_cyclically_reduced(rows) | (rows.shape[1] <= bulk.SEED_LENGTH)
+    return ~bulk.cyclically_reduced(rows) | (rows.shape[1] <= bulk.SEED_LENGTH)
 
 
 @pytest.mark.parametrize("make_rep", [lambda: reducible_rep(power=4), two_orbit_rep],
@@ -314,7 +310,7 @@ def test_jordan_of_cyclically_reduced_words_matches_high_precision(make_rep):
     mpmath.mp.dps = 150
     rep = make_rep()
     rows = bulk.sphere_rows(rep.rank, 10)
-    rows = rows[_cyclically_reduced(rows)]
+    rows = rows[bulk.cyclically_reduced(rows)]
     lam, ok = rep.bulk_context().shell(rows).jordan_coords()
     picked = np.flatnonzero(ok)
     picked = picked[np.linspace(0, len(picked) - 1, 40).round().astype(int)]
@@ -330,7 +326,7 @@ def test_jordan_one_step_matches_stepwise_kernel(make_rep, length):
     # 64-step kernel on the same levels, and the same validity mask
     rep = make_rep()
     rows = bulk.sphere_rows(rep.rank, length)
-    shell = rep.bulk_context().shell(rows[_cyclically_reduced(rows)])
+    shell = rep.bulk_context().shell(rows[bulk.cyclically_reduced(rows)])
     ok = np.ones(shell.count, dtype=bool)
     for m, (_, mu, resid) in zip(shell.comps, shell._jordan_tops()):
         _, want_mu, want_resid = bulk._top_eig_power(m)

@@ -81,6 +81,30 @@ def test_ball_at_max_words_runs(tmp_path, red_cfg):
     assert main(["gap-check", "--config", red_cfg, "--out", str(tmp_path / "o"), "--max-words", "160"]) == 0
 
 
+def test_equidistribute_runs_within_its_ball(tmp_path):
+    # the L=3 ball of a rank-2 group has 4 + 12 + 36 = 52 words besides the identity
+    cfg = write_config(tmp_path, "red3.json", {"representation": {"recipe": "reducible-21", "params": {"power": 4}},
+                                               "length": 3})
+    assert main(["equidistribute", "--config", cfg, "--out", str(tmp_path / "o"), "--max-words", "52"]) == 0
+
+
+def test_rep_build_sample_sphere_beyond_max_words_exits_4(tmp_path, red_cfg, capsys):
+    # the limit set is sampled off the whole sample_length sphere: 4 * 3^5 = 972 words at the default length 6
+    out = tmp_path / "o"
+    assert main(["rep-build", "--config", red_cfg, "--out", str(out), "--max-words", "971", "--json-errors"]) == 4
+    assert "enumeration of 972 words exceeds the cap of 971" in json.loads(capsys.readouterr().out)["message"]
+    assert not (out / "summary.json").exists()
+
+
+def test_rep_build_at_max_words_keeps_its_summary(tmp_path, red_cfg):
+    summaries = []
+    for cap in ([], ["--max-words", "972"]):
+        out = tmp_path / f"o{len(summaries)}"
+        assert main(["rep-build", "--config", red_cfg, "--out", str(out), *cap]) == 0
+        summaries.append(json.loads((out / "summary.json").read_text())["summary"])
+    assert summaries[0] == summaries[1]
+
+
 def test_certification_failure_exits_3(tmp_path):
     cfg = write_config(
         tmp_path, "rej.json",

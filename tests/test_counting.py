@@ -75,7 +75,7 @@ def test_count_curves_monotone_and_exact(red):
 
 def test_min_root_gap_curve_matches_gap_check(red):
     from pqcartan.bulk import ball_size
-    from pqcartan.freegroup import anosov_gap_check
+    from pqcartan.counting import anosov_gap_check
 
     grid = np.linspace(0.0, 1e3, 9)
     curve = count_curve(red, "min_root_gap", 6, grid, threads=2)
@@ -100,15 +100,6 @@ def test_norm_bo_curve_invariant_under_isometry_conjugation(red, rng):
     assert np.array_equal(base.counts, moved.counts)
 
 
-def test_conjugacy_class_indices_match_bruteforce():
-    from pqcartan.freegroup import enumerate_conjugacy_reps
-
-    for length in range(1, 7):
-        rows = conjugacy_class_indices(2, length)
-        expected = [w for w in enumerate_conjugacy_reps(2, length) if w.length == length]
-        assert rows.shape[0] == len(expected)
-
-
 @pytest.mark.parametrize("k,length_max", [(2, 9), (3, 6)])
 def test_conjugacy_class_indices_match_rotation_definition(k, length_max):
     # a class representative is a cyclically reduced row no larger, as a
@@ -121,6 +112,20 @@ def test_conjugacy_class_indices_match_rotation_definition(k, length_max):
         got = conjugacy_class_indices(k, length)
         assert got.dtype == np.int8
         assert [tuple(r) for r in got.tolist()] == want
+
+
+def test_equidistribution_reads_no_ball_past_its_length(red, monkeypatch):
+    # the phi_bo probe that sizes the grid reads the ball of min(4, length), as theorem_b_trend's does
+    lengths = []
+    run_bulk = bulk.run_bulk
+
+    def spy(ctx, length_max, specs, threads=1):
+        lengths.append(length_max)
+        return run_bulk(ctx, length_max, specs, threads=threads)
+
+    monkeypatch.setattr(bulk, "run_bulk", spy)
+    equidistribution_experiment(red, default_phi(red), 3, [((1,), (2,)), ((-1,), (2,))])
+    assert lengths == [3, 3]
 
 
 def test_phi_entropy_scaling(red):

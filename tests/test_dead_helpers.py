@@ -9,6 +9,10 @@ A public function, class or method is surface, so a test or the benchmark
 may be its only user; one that no line of ``src``, ``tests`` or
 ``perfbench`` names is dead all the same.
 
+A method or property is used only where it is read as an attribute
+(``x.name``): a local variable or argument of the same name keeps nothing
+alive.
+
 A private helper belongs to its module: a helper another module needs has
 a public name in the module that owns it.
 """
@@ -22,18 +26,24 @@ SRC = Path(pqcartan.__file__).resolve().parent
 REPO = Path(__file__).resolve().parents[1]
 
 
-def _private_definitions(tree):
+def _definitions(tree):
+    """(name, line, whether it is a method) of every function and class definition."""
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body}
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if node.name.startswith("_") and not node.name.endswith("__"):
-                yield node.name, node.lineno
+            yield node.name, node.lineno, id(node) in methods
+
+
+def _private_definitions(tree):
+    for name, lineno, method in _definitions(tree):
+        if name.startswith("_") and not name.endswith("__"):
+            yield name, lineno, method
 
 
 def _public_definitions(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if not node.name.startswith("_"):
-                yield node.name, node.lineno
+    for name, lineno, method in _definitions(tree):
+        if not name.startswith("_"):
+            yield name, lineno, method
 
 
 def _module_constants(tree):
@@ -41,17 +51,18 @@ def _module_constants(tree):
         targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
         for target in targets:
             if isinstance(target, ast.Name) and target.id.isupper():
-                yield target.id, target.lineno
+                yield target.id, target.lineno, False
 
 
 def _referenced_names(tree):
+    """(name, whether it is read as an attribute) of every name a tree reads."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
+            yield node.id, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield node.attr, True
         elif isinstance(node, ast.alias):
-            yield node.name
+            yield node.name, False
 
 
 def _parse(path):
@@ -60,9 +71,11 @@ def _parse(path):
 
 def _unreferenced(definitions, users=()):
     trees = {path.name: _parse(path) for path in sorted(SRC.glob("*.py"))}
-    referenced = {name for tree in [*trees.values(), *map(_parse, users)] for name in _referenced_names(tree)}
+    reads = {read for tree in [*trees.values(), *map(_parse, users)] for read in _referenced_names(tree)}
+    names = {name for name, _ in reads}
+    attributes = {name for name, attribute in reads if attribute}
     return [f"{path}:{lineno} {name}" for path, tree in trees.items()
-            for name, lineno in definitions(tree) if name not in referenced]
+            for name, lineno, method in definitions(tree) if name not in (attributes if method else names)]
 
 
 def test_every_private_helper_is_referenced():
@@ -83,9 +96,9 @@ def test_no_module_names_another_modules_private_definition():
     trees = {path.name: _parse(path) for path in sorted(SRC.glob("*.py"))}
     owners: dict[str, set[str]] = {}
     for path, tree in trees.items():
-        for name, _ in _private_definitions(tree):
+        for name, _, _ in _private_definitions(tree):
             owners.setdefault(name, set()).add(path)
     borrowed = sorted(f"{path} names {name} of {', '.join(sorted(owners[name]))}"
-                      for path, tree in trees.items() for name in set(_referenced_names(tree))
+                      for path, tree in trees.items() for name in {name for name, _ in _referenced_names(tree)}
                       if path not in owners.get(name, {path}))
     assert borrowed == []

@@ -9,11 +9,9 @@ from pqcartan.freegroup import (
     Representation,
     SchottkyRejection,
     Word,
-    anosov_gap_check,
     attracting_flag,
     build_reducible_example,
     build_schottky,
-    enumerate_conjugacy_reps,
     reducible_rep,
     rotation_control_rep,
     sample_limit_set,
@@ -25,15 +23,13 @@ from pqcartan.freegroup import (
 )
 from pqcartan.numerics import ScaledMatrix
 from pqcartan.bulk import index_letter, sphere_rows, sphere_size, word_rank
+from pqcartan.counting import anosov_gap_check
 
 
 def test_word_reduction_and_ops():
     w = Word.of((1, 2, -2, 1))
     assert w.letters == (1, 1)
     assert (w * w.inverse()).letters == ()
-    assert Word.of((2, 1, -2)).cyclic_reduction().letters == (1,)
-    assert Word.of((1, 2)).minimal_rotation() == Word.of((2, 1)).minimal_rotation()
-    assert Word.of((1, 2)).minimal_rotation() != Word.of((-1, -2)).minimal_rotation()
 
 
 def test_sphere_counts():
@@ -104,21 +100,6 @@ def test_enumerate_matches_high_precision():
             assert np.max(np.abs(sign * entries - unit)) < 1e-8
             assert abs(log_scale - log_norm) < 1e-8 * max(1.0, abs(log_norm))
     assert count == 100
-
-
-def test_conjugacy_representatives():
-    assert sum(1 for _ in enumerate_conjugacy_reps(2, 1)) == 4
-    reps = [w for w in enumerate_conjugacy_reps(2, 8)]
-    # brute force: cyclically reduced words grouped by minimal rotation
-    seen = {}
-    for length in range(1, 9):
-        for w in sphere_words(2, length):
-            if w.length >= 2 and w.letters[0] == -w.letters[-1]:
-                continue
-            seen.setdefault(w.minimal_rotation().letters, 0)
-            seen[w.minimal_rotation().letters] += 1
-    assert len(reps) == len(seen)
-    assert {w.letters for w in reps} == set(seen)
 
 
 def test_image_inverse_consistency():

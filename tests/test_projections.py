@@ -4,7 +4,8 @@ from scipy.linalg import expm
 
 from pqcartan.flags import Flag, flag_distance, flag_perp
 from pqcartan.forms import o_adjoint, sample_isometry, sigma_o
-from pqcartan.numerics import ScaledMatrix
+from pqcartan.freegroup import Word, reducible_rep, sphere_words, two_orbit_rep
+from pqcartan.numerics import NumericsError, ScaledMatrix, eigen, recenter
 from pqcartan.projections import (
     MissingGapError,
     NotLoxodromicError,
@@ -29,6 +30,30 @@ def test_cartan_identity_and_diagonal():
     c = cartan(ScaledMatrix.of(np.diag([2.0, 1.0, 0.5])))
     assert np.allclose(c.coords, [np.log(2), 0.0, -np.log(2)], atol=1e-12)
     assert abs(c.coords.sum()) < 1e-10
+
+
+@pytest.mark.parametrize("make_rep,letters", [
+    (lambda: reducible_rep(power=4), (2, -1, 2, 2)),  # b.a'.b.b, singular spread 37.4 in exact arithmetic
+    (two_orbit_rep, (2, 2, 2)),  # b.b.b, singular spread 46.6
+    (two_orbit_rep, (-1, -1, -1, 2)),  # a'.a'.a'.b, spread 54.2; its smallest float64 singular value is 0
+], ids=["reducible_21", "two_orbit_bbb", "two_orbit_aaab"])
+def test_cartan_and_jordan_refuse_past_float64_resolution(make_rep, letters):
+    # unchecked, cartan was off mpmath by 5.0 and 6.6 on the first two and not finite on the third,
+    # and jordan off by 6.7 on b.b.b and 0.13 on a'.a'.a'.b
+    g = make_rep().image(Word.of(letters))
+    for projection in (cartan, jordan):
+        with pytest.raises(NumericsError):
+            projection(g)
+
+
+@pytest.mark.parametrize("make_rep", [lambda: reducible_rep(power=4), two_orbit_rep], ids=["reducible_21", "two_orbit"])
+def test_resolvable_cartan_and_jordan_keep_their_values(make_rep, rng):
+    # below the bound both are the plain readings, bit for bit
+    rep = make_rep()
+    elements = [rep.image(w) for length in (1, 2) for w in sphere_words(rep.rank, length)]
+    for g in elements + [random_sl(rng, d) for d in (2, 3, 5) for _ in range(10)]:
+        assert np.array_equal(cartan(g).coords, recenter(np.log(np.linalg.svd(g.entries, compute_uv=False))))
+        assert np.array_equal(jordan(g).coords, eigen(g).recentered_moduli())
 
 
 def test_cartan_matches_symmetric_space_distance():
