@@ -22,11 +22,12 @@ from pqcartan.counting import (
     gromov_comparison,
     theorem_b_trend,
 )
-from pqcartan.forms import Form, sample_isometry
+from pqcartan.forms import Form
 from pqcartan.freegroup import reducible_rep, rotation_control_rep, single_orbit_rep, two_orbit_rep
 from pqcartan.numerics import ScaledMatrix
 from pqcartan.pq_cartan import membership, pq_project
-from pqcartan.weyl import WeylElement
+
+from conftest import sample_decomposable
 
 SEED = 20240817
 
@@ -67,28 +68,6 @@ def reference_curves(reps):
             "bo": cols[1].curve("norm_bo"),
         }
     return out
-
-
-def random_slot_vector(rng, p, q, radius=5.0):
-    d = p + q
-    x = rng.standard_normal(d)
-    x[:p] = np.sort(x[:p])[::-1]
-    x[p:] = np.sort(x[p:])[::-1]
-    x -= x.mean()
-    nrm = np.linalg.norm(x)
-    return x * (radius * rng.random() / max(nrm, 1e-9))
-
-
-def sample_decomposable(rng, o):
-    p, q = o.signature
-    d = o.dim
-    x = random_slot_vector(rng, p, q)
-    w = WeylElement(tuple(rng.permutation(d))).lift()
-    signs = np.where(rng.random(d) < 0.5, 1.0, -1.0)
-    h = sample_isometry(o, rng)
-    h2 = sample_isometry(o, rng)
-    core = ScaledMatrix.of((w * signs[None, :]) @ np.diag(np.exp(x)))
-    return h @ core @ h2, x
 
 
 def test_criterion_01_decomposition_recovery():

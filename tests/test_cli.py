@@ -6,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from pqcartan.bulk import index_row
 from pqcartan.cli import main
 from pqcartan.freegroup import representation_from_config, sphere_words
-from pqcartan.weyl import file_to_slots, merge_to_slots
+
+import oracle
 
 
 def write_config(tmp_path, name, payload):
@@ -177,29 +179,6 @@ def test_project_and_enumerate_slices_match_unsliced_run(tmp_path, monkeypatch):
     assert seen[:4] == [243] * 4 and max(seen[4:]) <= 100 and sum(seen[4:]) == 4 * 243
 
 
-def _exact_projections(rep, word):
-    """(Cartan projection, slot projection, rank -> slot map) of the exact product, mpmath."""
-    import mpmath
-
-    d = rep.dim
-    sg = np.array([1.0] * rep.form.signature[0] + [-1.0] * rep.form.signature[1])
-    jmat = mpmath.diag(sg.tolist())
-    exact = mpmath.eye(d)
-    for l in word.letters:
-        exact = exact * mpmath.matrix(rep.letter_image(l).true_matrix().tolist())
-    sv = mpmath.mp.eig(exact.T * exact, left=False, right=False)
-    logs = np.array(sorted([float(mpmath.log(abs(v))) / 2 for v in sv], reverse=True))
-    vals, vecs = mpmath.mp.eig(jmat * exact.T * jmat * exact)
-    order = sorted(range(d), key=lambda t: -abs(vals[t]))
-    halves = np.array([float(mpmath.log(abs(vals[t]))) for t in order]) / 2
-    signs = []
-    for t in order:
-        v = np.array([complex(vecs[r, t]) for r in range(d)])
-        v = np.real(v / np.exp(1j * np.angle(v[np.argmax(np.abs(v))])))
-        signs.append(1 if np.sum(sg * v**2) > 0 else -1)
-    return logs - logs.mean(), file_to_slots(halves - halves.mean(), signs), merge_to_slots(signs)
-
-
 @pytest.mark.parametrize("representation,length,size", [
     ({"recipe": "reducible-21", "params": {"power": 4}}, 6, 972),
     ({"recipe": "two-orbit"}, 4, 108),
@@ -208,9 +187,6 @@ def test_project_matches_high_precision(tmp_path, representation, length, size):
     # every word of the sphere is written, with finite values, and 40 evenly
     # spaced rows agree with the exact Cartan and slot projections; the words'
     # log-singular spreads are far beyond what one float64 matrix resolves
-    import mpmath
-
-    mpmath.mp.dps = 150
     cfg = write_config(tmp_path, "proj.json", {"representation": representation, "length": length})
     out = tmp_path / "proj"
     assert main(["project", "--config", cfg, "--out", str(out)]) == 0
@@ -225,8 +201,9 @@ def test_project_matches_high_precision(tmp_path, representation, length, size):
     values = np.array([[float(x) for x in r[2:2 + 2 * d] + r[-3:]] for r in rows])
     assert np.isfinite(values).all()
     for i in np.linspace(0, size - 1, 40).round().astype(int):
-        a, b_o, slots = _exact_projections(rep, words[i])
-        assert np.max(np.abs(values[i, :d] - a)) < 1e-8
+        exact = oracle.row_product(rep, index_row(words[i].letters))
+        b_o, slots = oracle.slot_projection(exact, rep.form.signature)
+        assert np.max(np.abs(values[i, :d] - oracle.cartan(exact))) < 1e-8
         assert np.max(np.abs(values[i, d:2 * d] - b_o)) < 1e-8
         assert rows[i][2 + 2 * d] == "".join(map(str, slots))
 

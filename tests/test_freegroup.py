@@ -25,6 +25,8 @@ from pqcartan.numerics import ScaledMatrix
 from pqcartan.bulk import index_letter, sphere_rows, sphere_size, word_rank
 from pqcartan.counting import anosov_gap_check
 
+import oracle
+
 
 def test_word_reduction_and_ops():
     w = Word.of((1, 2, -2, 1))
@@ -77,9 +79,6 @@ def test_enumerate_matches_high_precision():
     # the dense product Representation.image and the engine's level-1 matrix
     # with the letters' log-scales added back (what the CLI's ``enumerate``
     # writes) against the exact product, on 100 evenly spaced L=12 words
-    import mpmath
-
-    mpmath.mp.dps = 60
     rep = reducible_rep(power=4)
     rows = sphere_rows(2, 12)[: 100 * 7000 : 7000]
     shell = rep.bulk_context().shell(rows)
@@ -89,11 +88,7 @@ def test_enumerate_matches_high_precision():
         w = Word(tuple(index_letter(i) for i in row))
         assert word_rank(w.letters, 2) == 7000 * count
         count += 1
-        exact = mpmath.eye(3)
-        for l in w.letters:
-            exact = exact * mpmath.matrix(rep.letter_image(l).true_matrix().tolist())
-        log_norm = float(mpmath.log(mpmath.norm(exact)))
-        unit = np.array(exact.tolist(), dtype=float) / float(mpmath.norm(exact))
+        unit, log_norm = oracle.unit_and_log_norm(oracle.row_product(rep, row))
         mat = rep.image(w)
         for entries, log_scale in ((mat.entries, mat.log_scale), (level, level_scale)):
             sign = np.sign(np.vdot(unit, entries))

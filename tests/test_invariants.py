@@ -17,57 +17,27 @@ from pqcartan.freegroup import (
 from pqcartan.numerics import ScaledMatrix
 
 
-class CartanJoinCollector:
-    """Per-shell Cartan vectors with ranks, for additivity joins."""
-
-    def __init__(self, length_max):
-        self.length_max = length_max
-        self.store = {}
-
-    def update(self, shell: ShellData):
-        if shell.length > self.length_max:
-            return
-        self.store.setdefault(shell.length, []).append(
-            (shell.ranks(), shell.cartan_coords(), shell.idx_rows.copy())
-        )
-
-    def merge(self, other):
-        for s, chunks in other.store.items():
-            self.store.setdefault(s, []).extend(chunks)
-
-    def shell(self, length):
-        chunks = self.store[length]
-        ranks = np.concatenate([c[0] for c in chunks])
-        order = np.argsort(ranks)
-        at = np.concatenate([c[1] for c in chunks])[order]
-        letters = np.concatenate([c[2] for c in chunks])[order]
-        return at, letters
-
-
 def test_cartan_additivity_defect_bounded():
     # |a_j(g h) - a_j(g) - a_j(h)| stays bounded along shells when the
     # flags stay uniformly transverse (right-multiplication by a generator)
     rep = reducible_rep(power=4)
     length_max = 9
-    [col] = bulk.run_bulk(rep.bulk_context(), length_max,
-                          [(CartanJoinCollector, {"length_max": length_max})])
+    ctx = rep.bulk_context()
     k = rep.rank
+    rows = {l: bulk.sphere_rows(k, l) for l in range(1, length_max + 1)}
+    at = {l: ctx.shell(r).cartan_coords() for l, r in rows.items()}
     b_index, b_inv_index = 2, 3  # alphabet indices of the second generator pair
-    at1, _ = col.shell(1)
-    at_gen = at1[b_index]
+    at_gen = at[1][b_index]
     per_shell_max = {}
     for length in range(1, length_max):
-        at, idx_rows = col.shell(length)
-        at_next, _ = col.shell(length + 1)
         # words not ending in b^-1 keep their length when multiplied by b
-        mask = idx_rows[:, -1] != b_inv_index
-        rows = idx_rows[mask]
-        at_w = at[mask]
+        mask = rows[length][:, -1] != b_inv_index
+        kept = rows[length][mask]
         appended = np.concatenate(
-            [rows, np.full((rows.shape[0], 1), b_index, dtype=rows.dtype)], axis=1
+            [kept, np.full((kept.shape[0], 1), b_index, dtype=kept.dtype)], axis=1
         )
         ranks_ws = bulk._ranks_of(appended, k)
-        dev = np.abs(at_next[ranks_ws] - at_w - at_gen[None, :]).max(axis=1)
+        dev = np.abs(at[length + 1][ranks_ws] - at[length][mask] - at_gen[None, :]).max(axis=1)
         per_shell_max[length] = float(dev.max())
     shells = sorted(per_shell_max)
     early = max(per_shell_max[s] for s in shells[:4])

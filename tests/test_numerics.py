@@ -15,6 +15,7 @@ from pqcartan.numerics import (
     wedge_coordinates,
 )
 
+import oracle
 from conftest import random_sl
 
 
@@ -51,21 +52,16 @@ def test_long_products_no_overflow(rng):
 
 
 def test_product_matches_high_precision(rng):
-    import mpmath
-
-    mpmath.mp.dps = 60
     g = random_sl(rng, 3, spread=1.5)
     h = random_sl(rng, 3, spread=1.5)
     acc = ScaledMatrix.identity(3)
-    exact = mpmath.eye(3)
     word = []
     for _ in range(30):
         pick = g if rng.random() < 0.5 else h
-        word.append(pick)
+        word.append(pick.true_matrix())
         acc = acc @ pick
-        exact = exact * mpmath.matrix(pick.true_matrix().tolist())
-    approx = acc.entries * np.exp(acc.log_scale - float(mpmath.log(mpmath.norm(exact))))
-    exact_unit = np.array(exact.tolist(), dtype=float) / float(mpmath.norm(exact))
+    exact_unit, log_norm = oracle.unit_and_log_norm(oracle.product(word))
+    approx = acc.entries * np.exp(acc.log_scale - log_norm)
     assert np.max(np.abs(approx - exact_unit)) < 1e-8
 
 

@@ -4,7 +4,8 @@ from scipy.linalg import expm
 
 from pqcartan.flags import Flag, flag_distance, flag_perp
 from pqcartan.forms import o_adjoint, sample_isometry, sigma_o
-from pqcartan.freegroup import Word, reducible_rep, sphere_words, two_orbit_rep
+from pqcartan.bulk import index_row
+from pqcartan.freegroup import Word, reducible_rep, single_orbit_rep, sphere_words, two_orbit_rep
 from pqcartan.numerics import NumericsError, ScaledMatrix, eigen, recenter
 from pqcartan.projections import (
     MissingGapError,
@@ -22,6 +23,7 @@ from pqcartan.projections import (
     o_repellor,
 )
 
+import oracle
 from conftest import random_sl
 
 
@@ -44,6 +46,21 @@ def test_cartan_and_jordan_refuse_past_float64_resolution(make_rep, letters):
     for projection in (cartan, jordan):
         with pytest.raises(NumericsError):
             projection(g)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: the float64-resolution bound reads the spread off the "
+                                       "float64 product, where it saturates, so these products pass it unresolved")
+@pytest.mark.parametrize("make_rep,letters", [
+    (lambda: reducible_rep(power=4), (-1, -2, 1, 1, -2)),  # a'.b'.a.a.b', off mpmath by 6.84
+    (single_orbit_rep, (-1, 2, -1, -2)),  # a'.b.a'.b', off mpmath by 12.95
+], ids=["reducible_21", "single_orbit"])
+def test_cartan_is_refused_or_matches_high_precision(make_rep, letters):
+    rep = make_rep()
+    try:
+        got = cartan(rep.image(Word.of(letters))).coords
+    except NumericsError:
+        return
+    assert np.max(np.abs(got - oracle.cartan(oracle.row_product(rep, index_row(letters))))) < 1e-8
 
 
 @pytest.mark.parametrize("make_rep", [lambda: reducible_rep(power=4), two_orbit_rep], ids=["reducible_21", "two_orbit"])
