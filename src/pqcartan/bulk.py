@@ -14,9 +14,9 @@ follows the slice of SLICE_BYTES, not the word length; ``run_bulk`` and the
 CLI's ``project`` and ``enumerate`` read balls and spheres through it.
 ``BulkContext.shell`` applies the step along arbitrary index rows, for the
 conjugacy classes (``counting.class_periods``, ``counting.default_phi``),
-the Gromov comparison, the limit-set samples (``freegroup.sample_limit_set``
-reads all its words in one batch) and the limit flags
-(``freegroup.singular_flag``, ``freegroup.attracting_flag``), so every word
+the Gromov comparison and the equidistribution boxes' cylinder words, the
+limit-set samples (``freegroup.sample_limit_set`` reads all its words in one
+batch) and the singular flags (``freegroup.singular_flag``), so every word
 gets the same level data, bit for bit, whichever path reads it.
 
 Every level also carries a tracked attractor t, a unit vector along the
@@ -111,8 +111,10 @@ def cyclically_reduced(rows: np.ndarray) -> np.ndarray:
 def sphere_rows(k: int, length: int) -> np.ndarray:
     """(n, length) int8 alphabet-index rows of the sphere's words, canonical order.
 
-    Needs length >= 1; row i is the word of rank i.
+    Row i is the word of rank i; raises ValueError below length 1.
     """
+    if length < 1:
+        raise ValueError(f"sphere_rows needs length >= 1, got {length}")
     table = successor_table(2 * k)
     rows = np.arange(2 * k, dtype=np.int8)[:, None]
     for _ in range(length - 1):

@@ -114,8 +114,10 @@ def _capped(cfg: dict, words: int) -> None:
 
 
 def _ball_length(rep: Representation, cfg: dict, key: str, default: int) -> int:
-    """The configured word length of a ball read through the engine, within ``max_words``."""
+    """The configured word length of a ball read through the engine: at least 1, within ``max_words``."""
     length = int(cfg.get(key, default))
+    if length < 1:
+        raise ConfigError(f"{key} must be at least 1, got {length}")
     _capped(cfg, ball_size(rep.rank, length) - 1)
     return length
 
@@ -135,6 +137,8 @@ def cmd_rep_build(cfg: dict, args) -> dict:
     rep = _build_rep(cfg)
     # the samples are strided over the whole sphere, which is built first
     length = int(cfg.get("sample_length", 6))
+    if length < 1:
+        raise ConfigError(f"sample_length must be at least 1, got {length}")
     _capped(cfg, sphere_size(rep.rank, length))
     sigs, bad = sample_limit_set(rep, length, int(cfg.get("sample_count", 40)))
     return {
@@ -246,6 +250,8 @@ def cmd_cone(cfg: dict, args) -> dict:
     rep = _build_rep(cfg)
     l_min = int(cfg.get("length_min", 6))
     l_max = _ball_length(rep, cfg, "length_max", 9)
+    if not 1 <= l_min <= l_max:
+        raise ConfigError(f"length_min must lie in [1, length_max = {l_max}], got {l_min}")
     result = cone_samples(rep, l_min, l_max, threads=args.threads,
                           stride=int(cfg.get("stride", 1)))
     bo = result["slot_cloud"]
@@ -287,6 +293,8 @@ def cmd_equidistribute(cfg: dict, args) -> dict:
 def cmd_gap_check(cfg: dict, args) -> dict:
     rep = _build_rep(cfg)
     length = _ball_length(rep, cfg, "length", 8)
+    if length < 2:
+        raise ConfigError(f"length must be at least 2 to fit a line through shell minima, got {length}")
     c, cp, minima = anosov_gap_check(rep, length, threads=args.threads)
     _write_csv(
         Path(args.out) / "gaps.csv",

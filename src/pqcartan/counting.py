@@ -15,8 +15,7 @@ import numpy as np
 
 from . import bulk
 from .bulk import ShellData
-from .cocycles import gromov_product
-from .freegroup import Representation, Word, attracting_flag, sample_limit_set
+from .freegroup import Representation, sample_limit_set
 from .numerics import fit_line, hodge_dual, recenter, recentred_increments
 from .weyl import ChamberA, WeylElement, chamber_from_signs, chamber_transition, file_to_slots, iota_of_chamber
 
@@ -521,6 +520,25 @@ def _cylinder_mask(rows: np.ndarray, a_idx: np.ndarray, b_idx: np.ndarray) -> np
 # -- Gromov-product comparison ------------------------------------------------
 
 
+def _word_bracket(ctx: bulk.BulkContext, repelling_tops, attracting_tops) -> np.ndarray:
+    """Rank-order ``cocycles.gromov_product`` of the flags of per-level dominant eigenvectors, row by row.
+
+    The first flag's dual wedge at level j is the form-weighted Hodge dual of its level d-j vector.
+    """
+    d = ctx.d
+    chi = np.zeros((repelling_tops[0].shape[0], d))
+    for j in range(1, d):
+        sg = ctx.level_signs[j - 1]
+        vp = attracting_tops[j - 1]
+        w = repelling_tops[d - j - 1]
+        v = hodge_dual(w, d, j) * sg
+        cross = np.einsum("ni,i,ni->n", v, sg, vp)
+        qv = np.einsum("ni,i,ni->n", v, sg, v)
+        qp = np.einsum("ni,i,ni->n", vp, sg, vp)
+        chi[:, j - 1] = 0.5 * np.log(np.maximum(cross**2, 1e-300) / np.abs(qv * qp))
+    return recentred_increments(chi)
+
+
 def gromov_comparison(
     rep: Representation,
     phi,
@@ -528,7 +546,6 @@ def gromov_comparison(
     cylinder_b,
     length_max: int,
     length_min: int = 4,
-    chamber: ChamberA | None = None,
 ):
     """Shellwise max of |phi(b_o) - phi(lambda) + bracket| over cylinder pairs.
 
@@ -538,11 +555,9 @@ def gromov_comparison(
     well-conditioned.  Words are restricted to those whose cyclic reduction
     starts in cylinder_b and whose inverse's starts in cylinder_a.
     """
-    single = _single_orbit_chamber(rep)
+    chamber = _single_orbit_chamber(rep)
     phi = np.asarray(phi, dtype=float)
-    chamber = chamber if chamber is not None else single
     ctx = rep.bulk_context()
-    d = ctx.d
     a_idx = bulk.index_row(cylinder_a)
     b_idx = bulk.index_row(cylinder_b)
     out: dict[int, float] = {}
@@ -557,20 +572,8 @@ def gromov_comparison(
         valid = shell.bo_valid_mask()
         lam, lam_ok = shell.jordan_coords()
         framed = chamber.place(lam)
-        fwd_tops = shell.jordan_vectors()
-        inv_tops = ctx.shell(rows[:, ::-1] ^ 1).jordan_vectors()
-        chi = np.zeros((rows.shape[0], d))
-        for j in range(1, d):
-            sg = ctx.level_signs[j - 1]
-            vp = fwd_tops[j - 1]
-            w = inv_tops[d - j - 1]
-            v = hodge_dual(w, d, j) * sg
-            cross = np.einsum("ni,i,ni->n", v, sg, vp)
-            qv = np.einsum("ni,i,ni->n", v, sg, v)
-            qp = np.einsum("ni,i,ni->n", vp, sg, vp)
-            chi[:, j - 1] = 0.5 * np.log(np.maximum(cross**2, 1e-300) / np.abs(qv * qp))
-        coords = chamber.place(recentred_increments(chi))
-        bracket = coords @ phi
+        coords = _word_bracket(ctx, ctx.shell(rows[:, ::-1] ^ 1).jordan_vectors(), shell.jordan_vectors())
+        bracket = chamber.place(coords) @ phi
         dev = np.abs(bo @ phi - framed @ phi + bracket)
         keep = valid & lam_ok
         if keep.any():
@@ -651,6 +654,9 @@ def equidistribution_experiment(rep: Representation, phi, length_max: int, boxes
     class entropy; after reweighting by the exponential of the bracket at
     representative cylinder endpoints, the box matrix should approach a
     rank-one product, and the defect is its second-to-first singular ratio.
+    The endpoints are the fixed flags of the two cylinder words; a box whose
+    cylinders are not two distinct non-empty words has a NaN bracket, and
+    then the defect is NaN.
     """
     chamber = _single_orbit_chamber(rep)
     phi = np.asarray(phi, dtype=float)
@@ -666,13 +672,18 @@ def equidistribution_experiment(rep: Representation, phi, length_max: int, boxes
     )
     counts = np.cumsum(col.bins[:, :-1], axis=1)
     masses = counts * np.exp(-h * grid)[None, :]
-    brackets = np.array([_box_bracket(rep, phi, chamber, a, b) for a, b in boxes])
+    brackets = np.full(len(boxes), np.nan)
+    for i, (a_idx, b_idx) in enumerate(boxes_idx):
+        if len(a_idx) and len(b_idx) and not np.array_equal(a_idx, b_idx):
+            tops_a, tops_b = (ctx.shell(idx[None]).jordan_vectors() for idx in (a_idx, b_idx))
+            brackets[i] = chamber.place(_word_bracket(ctx, tops_a, tops_b))[0] @ phi
     reweighted_final = masses[:, -1] * np.exp(h * brackets)
     a_labels = sorted({a for a, _ in boxes})
     b_labels = sorted({b for _, b in boxes})
     defect = float("nan")
     defect_matrix = None
-    if len(a_labels) >= 2 and len(b_labels) >= 2 and len(boxes) == len(a_labels) * len(b_labels):
+    if (len(a_labels) >= 2 and len(b_labels) >= 2 and len(boxes) == len(a_labels) * len(b_labels)
+            and not np.isnan(reweighted_final).any()):
         m = np.zeros((len(a_labels), len(b_labels)))
         for (a, b), v in zip(boxes, reweighted_final):
             m[a_labels.index(a), b_labels.index(b)] = v
@@ -691,13 +702,3 @@ def equidistribution_experiment(rep: Representation, phi, length_max: int, boxes
         "boxes": boxes,
     }
 
-
-def _box_bracket(rep: Representation, phi, chamber, cyl_a, cyl_b) -> float:
-    """Bracket at representative endpoints: fixed flags of the cylinder words."""
-    wa = Word.of(cyl_a)
-    wb = Word.of(cyl_b)
-    if wa.letters == wb.letters:
-        return float("nan")
-    xi_minus = attracting_flag(rep, wa)
-    xi_plus = attracting_flag(rep, wb)
-    return float(np.dot(phi, chamber.place(gromov_product(rep.form, xi_minus, xi_plus).coords)))

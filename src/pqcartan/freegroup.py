@@ -17,7 +17,7 @@ from . import bulk
 from .bulk import BulkContext, sphere_rows
 from .flags import Flag, line_hyperplane_distance, o_generic
 from .forms import DEGENERACY_RTOL, Form, induced_form
-from .numerics import ScaledMatrix, real_columns, subspace_from_wedge, wedge_coordinates
+from .numerics import ScaledMatrix, subspace_from_wedge, wedge_coordinates
 from .projections import GAP_TOL, NotLoxodromicError, eigen_flag, fixed_pair_separation, ping_pong_levels
 
 __all__ = [
@@ -281,35 +281,19 @@ def build_reducible_example(
     return build_schottky(gens, o, power=power, metadata=meta)
 
 
-def flag_from_compound_tops(vectors: list[np.ndarray], d: int) -> Flag:
-    """Assemble a full flag from per-level top wedge vectors."""
-    cols = np.zeros((d, d), dtype=np.float64)
+def singular_flag(rep: Representation, word: Word) -> Flag:
+    """Cartan attractor of the word's image: an SVD of each exterior-power level, stacked into a flag."""
+    d = rep.dim
+    comps = rep.bulk_context().shell(bulk.index_row(word.letters)[None]).comps
+    cols = np.zeros((d, d))
     q_prev = np.zeros((d, 0))
     for j in range(1, d):
-        sub = subspace_from_wedge(vectors[j - 1], d, j)
-        resid = sub - q_prev @ (q_prev.conj().T @ sub)
-        u, s, _ = np.linalg.svd(resid, full_matrices=False)
-        cols[:, j - 1] = np.real(u[:, 0]) if not np.iscomplexobj(u) else u[:, 0]
+        sub = subspace_from_wedge(np.linalg.svd(comps[j - 1][0])[0][:, 0], d, j)
+        resid = sub - q_prev @ (q_prev.T @ sub)
+        cols[:, j - 1] = np.linalg.svd(resid, full_matrices=False)[0][:, 0]
         q_prev, _ = np.linalg.qr(cols[:, :j])
-    resid = np.eye(d) - q_prev @ q_prev.conj().T
-    u, _, _ = np.linalg.svd(resid)
-    cols[:, d - 1] = u[:, 0]
+    cols[:, d - 1] = np.linalg.svd(np.eye(d) - q_prev @ q_prev.T)[0][:, 0]
     return Flag.of(cols)
-
-
-def singular_flag(rep: Representation, word: Word) -> Flag:
-    """Cartan attractor of the word's image: an SVD of each exterior-power level."""
-    comps = rep.bulk_context().shell(bulk.index_row(word.letters)[None]).comps
-    return flag_from_compound_tops([np.linalg.svd(c[0])[0][:, 0] for c in comps], rep.dim)
-
-
-def attracting_flag(rep: Representation, word: Word) -> Flag:
-    """Attracting fixed flag of the word's image, read off exterior powers."""
-    tops = []
-    for c in rep.bulk_context().shell(bulk.index_row(word.letters)[None]).comps:
-        vals, vecs = np.linalg.eig(c[0])
-        tops.append(real_columns(vecs[:, [int(np.argmax(np.abs(vals)))]])[:, 0])
-    return flag_from_compound_tops(tops, rep.dim)
 
 
 def sample_limit_set(rep: Representation, length: int, count: int):
@@ -349,28 +333,35 @@ def sample_limit_set(rep: Representation, length: int, count: int):
 # ---------------------------------------------------------------------------
 
 
-def sl2_schottky_pair(spread: float = 1.2, angle: float = 0.9) -> list[np.ndarray]:
+SL2_SPREAD = 1.2
+SL2_ANGLE = 0.9
+TWO_ORBIT_EXPONENTS = ((1.3, 0.0, -1.3), (1.45, 0.1, -1.55))
+SINGLE_ORBIT_EXPONENTS = ((1.3, -1.3, 0.0), (1.45, -1.55, 0.1))
+DIAGONAL_BOOST = 0.8
+DIAGONAL_ROT = 1.1
+ROTATION_CONTROL_SEED = 5
+
+
+def sl2_schottky_pair() -> list[np.ndarray]:
     """A hyperbolic SL2 pair with crossed axes: diag boost and its rotation."""
-    boost = np.diag([np.exp(spread), np.exp(-spread)])
-    c, s = np.cos(angle), np.sin(angle)
+    boost = np.diag([np.exp(SL2_SPREAD), np.exp(-SL2_SPREAD)])
+    c, s = np.cos(SL2_ANGLE), np.sin(SL2_ANGLE)
     rot = np.array([[c, -s], [s, c]])
     return [boost, rot @ boost @ rot.T]
 
 
-def reducible_rep(p: int = 2, q: int = 1, spread: float = 1.2, angle: float = 0.9,
-                  power: int = 3, metadata: dict | None = None):
+def reducible_rep(p: int = 2, q: int = 1, power: int = 3):
     """Block Schottky pair: the single-orbit reference representation."""
-    meta = dict(metadata or {})
-    meta.setdefault("recipe", f"reducible-{p}{q}")
-    return build_reducible_example(p, q, sl2_schottky_pair(spread, angle), power, meta)
+    return build_reducible_example(p, q, sl2_schottky_pair(), power, {"recipe": f"reducible-{p}{q}"})
 
 
-def _conjugated_diagonal_pair(exponents, exponents2, power, boost, rot, metadata, recipe):
+def _conjugated_diagonal_pair(exponents, exponents2, power, recipe):
     """Schottky pair: diag(e^exponents) and h diag(e^exponents2) h^-1, form (2,1).
 
-    h = expm(boost E_13 + rot E_12) is an isometry of the form (a boost in
-    the (1,3)-plane composed with a rotation in the (1,2)-plane), so the
-    second generator keeps the line signs of the first one's fixed flags.
+    h = expm(DIAGONAL_BOOST E_13 + DIAGONAL_ROT E_12) is an isometry of the
+    form (a boost in the (1,3)-plane composed with a rotation in the
+    (1,2)-plane), so the second generator keeps the line signs of the first
+    one's fixed flags.
     """
     from scipy.linalg import expm  # local: keeps the slow scipy.linalg import out of `import pqcartan`
 
@@ -378,17 +369,13 @@ def _conjugated_diagonal_pair(exponents, exponents2, power, boost, rot, metadata
     g1 = ScaledMatrix.of(np.diag(np.exp(np.asarray(exponents, dtype=float))))
     e_boost = np.array([[0, 0, 1.0], [0, 0, 0], [1, 0, 0]])
     e_rot = np.array([[0, -1.0, 0], [1, 0, 0], [0, 0, 0]])
-    h = expm(boost * e_boost + rot * e_rot)
+    h = expm(DIAGONAL_BOOST * e_boost + DIAGONAL_ROT * e_rot)
     core = np.diag(np.exp(np.asarray(exponents2, dtype=float)))
     g2 = ScaledMatrix.of(h @ core @ np.linalg.inv(h))
-    meta = dict(metadata or {})
-    meta.setdefault("recipe", recipe)
-    return build_schottky([g1, g2], o, power=power, metadata=meta)
+    return build_schottky([g1, g2], o, power=power, metadata={"recipe": recipe})
 
 
-def two_orbit_rep(exponents=(1.3, 0.0, -1.3), exponents2=(1.45, 0.1, -1.55),
-                  power: int = 5, boost: float = 0.8, rot: float = 1.1,
-                  metadata: dict | None = None):
+def two_orbit_rep(power: int = 5):
     """Diagonalizable pair whose fixed flags meet two open orbits.
 
     Both generators have coordinate-type attracting flags of signature
@@ -396,13 +383,10 @@ def two_orbit_rep(exponents=(1.3, 0.0, -1.3), exponents2=(1.45, 0.1, -1.55),
     by an isometry of the form keeps the signs while separating the fixed
     flags, so the limit set meets exactly these two orbits.
     """
-    return _conjugated_diagonal_pair(exponents, exponents2, power, boost, rot, metadata,
-                                     "two-orbit-diagonal")
+    return _conjugated_diagonal_pair(*TWO_ORBIT_EXPONENTS, power, "two-orbit-diagonal")
 
 
-def single_orbit_rep(exponents=(1.3, -1.3, 0.0), exponents2=(1.45, -1.55, 0.1),
-                     power: int = 5, boost: float = 0.8, rot: float = 1.1,
-                     metadata: dict | None = None):
+def single_orbit_rep(power: int = 5):
     """Irreducible-looking pair with all fixed flags in one open orbit.
 
     The eigenvalue assigned to the negative line sits in the middle of the
@@ -410,13 +394,12 @@ def single_orbit_rep(exponents=(1.3, -1.3, 0.0), exponents2=(1.45, -1.55, 0.1),
     signature (+,-,+); the limit set then meets a single open orbit while
     the group looks Zariski dense (density is assumed, never verified).
     """
-    return _conjugated_diagonal_pair(exponents, exponents2, power, boost, rot, metadata,
-                                     "single-orbit-diagonal")
+    return _conjugated_diagonal_pair(*SINGLE_ORBIT_EXPONENTS, power, "single-orbit-diagonal")
 
 
-def rotation_control_rep(seed: int = 5, metadata: dict | None = None) -> Representation:
+def rotation_control_rep() -> Representation:
     """Compact control group: generators are sampled rotations (never Anosov)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ROTATION_CONTROL_SEED)
     gens = []
     for _ in range(2):
         a = rng.standard_normal((3, 3))
@@ -424,8 +407,7 @@ def rotation_control_rep(seed: int = 5, metadata: dict | None = None) -> Represe
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
         gens.append(ScaledMatrix.of(q))
-    meta = dict(metadata or {})
-    meta.update({"recipe": "rotation-control", "seed": seed, "kind": "control"})
+    meta = {"recipe": "rotation-control", "seed": ROTATION_CONTROL_SEED, "kind": "control"}
     return Representation.of(gens, Form.standard(2, 1), meta)
 
 

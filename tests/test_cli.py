@@ -90,6 +90,35 @@ def test_equidistribute_runs_within_its_ball(tmp_path):
     assert main(["equidistribute", "--config", cfg, "--out", str(tmp_path / "o"), "--max-words", "52"]) == 0
 
 
+def test_equidistribute_d5_two_letter_cylinders(tmp_path):
+    # the cylinder words' brackets come off the engine's level vectors, so no
+    # level wedge has to be decomposable
+    cfg = write_config(tmp_path, "d5.json", {
+        "representation": {"recipe": "reducible-21", "params": {"p": 3, "q": 2, "power": 6}}, "length": 4,
+        "boxes": [[[1, 2], [2, -1]], [[1, 2], [-2, -1]], [[-1, -2], [2, -1]], [[-1, -2], [-2, -1]]]})
+    out = tmp_path / "o"
+    assert main(["equidistribute", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "boxes.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4 and all(np.isfinite(float(r["bracket"])) for r in rows)
+
+
+@pytest.mark.parametrize("sub,lengths,message", [
+    ("rep-build", {"sample_length": 0}, "sample_length must be at least 1"),
+    ("count", {"length": 0}, "length must be at least 1"),
+    ("cone", {"length_min": 5, "length_max": 4}, "length_min must lie in [1, length_max = 4]"),
+    ("gap-check", {"length": 1}, "length must be at least 2"),
+], ids=["rep-build-sample-0", "count-0", "cone-min-above-max", "gap-check-1"])
+def test_word_lengths_out_of_range_exit_2(tmp_path, capsys, sub, lengths, message):
+    cfg = write_config(tmp_path, "c.json", {"representation": {"recipe": "reducible-21", "params": {"power": 4}},
+                                            **lengths})
+    out = tmp_path / "o"
+    assert main([sub, "--config", cfg, "--out", str(out), "--json-errors"]) == 2
+    body = json.loads(capsys.readouterr().out)
+    assert body["error"] == "config" and message in body["message"]
+    assert not (out / "summary.json").exists()
+
+
 def test_rep_build_sample_sphere_beyond_max_words_exits_4(tmp_path, red_cfg, capsys):
     # the limit set is sampled off the whole sample_length sphere: 4 * 3^5 = 972 words at the default length 6
     out = tmp_path / "o"

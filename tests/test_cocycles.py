@@ -19,7 +19,7 @@ from pqcartan.cocycles import (
 from pqcartan.flags import Flag, NonGenericFlagError, flag_perp, o_generic, so_point_basis, transverse
 from pqcartan.forms import Form, sample_isometry
 from pqcartan.numerics import ScaledMatrix
-from pqcartan.projections import jordan
+from pqcartan.projections import eigen_flag, jordan
 from pqcartan.weyl import ChamberA, compatible_chambers
 
 
@@ -262,7 +262,6 @@ def test_phi_dual_periods_on_schottky(s1):
     # certified powers are exercised through the compound paths elsewhere
     from pqcartan.freegroup import (
         Representation,
-        attracting_flag,
         sl2_irreducible,
         sl2_schottky_pair,
         sphere_words,
@@ -287,8 +286,8 @@ def test_phi_dual_periods_on_schottky(s1):
         checked += 1
         g = rep.image(w)
         gi = rep.image(w.inverse())
-        plus = attracting_flag(rep, w)
-        minus = attracting_flag(rep, w.inverse())
+        plus = eigen_flag(g)
+        minus = eigen_flag(gi)
         # dual period at gamma equals the period of the inverse
         dual_period = pc.dual_value(g, plus)
         period_inv = pc.value(gi, minus)

@@ -22,8 +22,9 @@ from pqcartan.counting import (
     phi_entropy,
     rescaled_variation,
     theorem_b_trend,
+    _word_bracket,
 )
-from pqcartan.freegroup import Representation, reducible_rep, two_orbit_rep
+from pqcartan.freegroup import Representation, reducible_rep, single_orbit_rep, two_orbit_rep
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +255,21 @@ def test_equidistribution_diagonal_boxes_empty(red):
     assert np.any(out["masses"][1] > 0)
 
 
+def test_equidistribution_empty_cylinder_has_no_bracket(red):
+    # only two distinct non-empty cylinder words have fixed flags to pair
+    out = equidistribution_experiment(red, default_phi(red), 4, [((), (1,)), ((-2,), ()), ((1,), (2,))])
+    assert np.isnan(out["brackets"][:2]).all() and np.isfinite(out["brackets"][2])
+
+
+def test_equidistribution_grid_with_diagonal_boxes_has_nan_defect(red):
+    # the 2x2 grid over letters 1 and 2 holds two equal-cylinder boxes, whose
+    # NaN brackets leave no reweighted matrix to decompose
+    boxes = [((a,), (b,)) for a in (1, 2) for b in (1, 2)]
+    out = equidistribution_experiment(red, default_phi(red), 4, boxes)
+    assert np.isnan(out["brackets"][[0, 3]]).all() and np.isfinite(out["brackets"][[1, 2]]).all()
+    assert np.isnan(out["product_defect"]) and out["product_defect_matrix"] is None
+
+
 def test_hausdorff_basic():
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
     assert hausdorff(a, a) == 0.0
@@ -265,7 +281,7 @@ def test_gromov_bracket_exact_on_axis(red):
     # a high power of one generator: the slot projection, the Jordan
     # projection and the bracket at the fixed pair close exactly
     from pqcartan.cocycles import gromov_product
-    from pqcartan.freegroup import Word, attracting_flag
+    from pqcartan.freegroup import Word
     from pqcartan.pq_cartan import pq_project
 
     chamber = canonical_chamber(red)
@@ -275,15 +291,36 @@ def test_gromov_bracket_exact_on_axis(red):
     w = Word.of((2,))
     g = red.image(w)
     r = pq_project(red.form, g)
-    from pqcartan.projections import jordan
+    from pqcartan.projections import eigen_flag, jordan
 
     lam_framed = chamber.place(jordan(g).coords)
-    plus = attracting_flag(red, w)
-    minus = attracting_flag(red, w.inverse())
+    plus = eigen_flag(g)
+    minus = eigen_flag(red.image(w.inverse()))
     bracket = chamber.place(gromov_product(red.form, minus, plus).coords)
     dev = abs(r.b_o.coords @ phi - lam_framed @ phi + bracket @ phi)
     # tolerance set by the dense eigen path at this spectral spread
     assert dev < 1e-7
+
+
+@pytest.mark.parametrize("make_rep", [lambda: reducible_rep(power=4), single_orbit_rep, two_orbit_rep,
+                                      lambda: reducible_rep(p=3, q=2, power=6)],
+                         ids=["reducible-21", "single-orbit", "two-orbit", "reducible-32"])
+def test_word_bracket_matches_dense_gromov_product(make_rep):
+    # the engine's per-level Jordan vectors of two letters pair to the Gromov
+    # product of the letters' dense eigenflags (worst case 1.6e-10)
+    from pqcartan.cocycles import gromov_product
+    from pqcartan.projections import eigen_flag
+
+    rep = make_rep()
+    ctx = rep.bulk_context()
+    letters = [bulk.index_letter(i) for i in range(ctx.alphabet_size)]
+    for a in letters:
+        for b in letters:
+            if a == b:
+                continue
+            tops = [ctx.shell(bulk.index_row((x,))[None]).jordan_vectors() for x in (a, b)]
+            want = gromov_product(rep.form, eigen_flag(rep.image((a,))), eigen_flag(rep.image((b,))))
+            assert np.abs(_word_bracket(ctx, *tops)[0] - want.coords).max() < 1e-9
 
 
 def test_equidistribution_mass_ratio_stabilizes(red):

@@ -9,7 +9,6 @@ from pqcartan.freegroup import (
     Representation,
     SchottkyRejection,
     Word,
-    attracting_flag,
     build_reducible_example,
     build_schottky,
     reducible_rep,
@@ -22,6 +21,7 @@ from pqcartan.freegroup import (
     two_orbit_rep,
 )
 from pqcartan.numerics import ScaledMatrix
+from pqcartan.projections import eigen_flag
 from pqcartan.bulk import index_letter, sphere_rows, sphere_size, word_rank
 from pqcartan.counting import anosov_gap_check
 
@@ -73,6 +73,13 @@ def test_sphere_rows_follow_enumerate_sphere(k):
         words = list(enumerate_sphere(k, length))
         assert rows.shape == (len(words), length)
         assert [Word(tuple(index_letter(i) for i in r)) for r in rows.tolist()] == words
+
+
+@pytest.mark.parametrize("length", [0, -1])
+def test_sphere_rows_refuses_length_below_one(length):
+    # the identity has no index row; length 0 once returned the one-letter rows
+    with pytest.raises(ValueError, match="length >= 1"):
+        sphere_rows(2, length)
 
 
 def test_enumerate_matches_high_precision():
@@ -248,7 +255,7 @@ def test_gap_scales_with_power():
 def test_limit_flags_approach_fixed_flags():
     rep = reducible_rep(power=4)
     w = Word.of((1, 2))
-    fixed = attracting_flag(rep, w)
+    fixed = eigen_flag(rep.image(w))
     dists = []
     for n in (1, 2, 4):
         power_word = Word.of(w.letters * n)

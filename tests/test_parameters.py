@@ -49,11 +49,12 @@ def test_no_function_has_an_unread_parameter():
 
 
 # Defaulted parameters in src/pqcartan (ast count): 119, then 90, 68, 67,
-# 60, now 57.  A caller who wants another threshold compares the margin the
-# result already carries; a new knob needs a visible edit to this bound.
-# The last three were the word caps of run_bulk, count_curve and
-# anosov_gap_check: the CLI checks --max-words once, before any word is built.
-MAX_DEFAULTED_PARAMETERS = 57
+# 60, 57, now 39.  A caller who wants another threshold compares the margin
+# the result already carries; a new knob needs a visible edit to this bound.
+# The last eighteen were recipe knobs no caller set (spreads, angles,
+# exponents, conjugators, seeds and metadata, now module constants) and
+# gromov_comparison's chamber, which is always the single-orbit chamber.
+MAX_DEFAULTED_PARAMETERS = 39
 
 
 def _defaulted_parameter_count(path: Path) -> int:
