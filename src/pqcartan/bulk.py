@@ -10,8 +10,10 @@ One product step, ``_extend``, builds every level: it multiplies a word's
 levels by a letter's unit compound, renormalises and adds the log-scales.
 ``subtree_pieces`` applies it as a depth-first walk under one first letter
 (a piece, then the children of each prefix slice of it), so peak memory
-follows the slice of SLICE_BYTES, not the word length; ``run_bulk`` and the
-CLI's ``project`` and ``enumerate`` read balls and spheres through it.
+follows the slice of SLICE_BYTES, not the word length; words of up to
+SEED_LENGTH letters it reads as slices of the context's seed shells, so the
+step runs only past them.  ``run_bulk`` and the CLI's ``project`` and
+``enumerate`` read balls and spheres through it.
 ``BulkContext.shell`` applies the step along arbitrary index rows, for the
 conjugacy classes (``counting.class_periods``, ``counting.default_phi``),
 the Gromov comparison and the equidistribution boxes' cylinder words, the
@@ -32,8 +34,9 @@ J-Rayleigh value is second-order accurate), and one vector for both keeps
 b_o bit-identical to the Cartan projection where M commutes with the form.
 Rows whose residual is at or above RESIDUAL_TOL (L <= 3 on the shipped
 examples) take the vector of the stepwise kernel ``_top_eig_power``, so a
-top pair of equal modulus stays masked; ``BulkContext`` builds these short
-shells once and ``BulkContext.shell`` starts each row from its prefix there.
+top pair of equal modulus stays masked; ``BulkContext.of`` builds these
+short shells once, the walk reads them as they are and ``BulkContext.shell``
+starts each row from its prefix there.
 ``jordan_coords`` reads M's dominant eigenpair at M t / |M t| on cyclically
 reduced words longer than SEED_LENGTH; other words keep the stepwise kernel,
 as a word u c u^-1 stored as one float64 level loses lambda_1(c) once the
@@ -176,6 +179,9 @@ class BulkContext:
                                  [np.linalg.eigh(m @ np.swapaxes(m, 1, 2))[1][:, :, -1] for m in gen_entries])]
         for _ in range(1, SEED_LENGTH):
             ctx.spheres.append(_children(ctx.spheres[-1], successor_table(2 * k)))
+        for shell in ctx.spheres:  # the walk hands out slices of these: views no piece may write through
+            for a in (shell.idx_rows, shell.logdets, *shell.comps, *shell.scales, *shell.attractors):
+                a.setflags(write=False)
         return ctx
 
     @property
@@ -191,6 +197,8 @@ class BulkContext:
         ``run_bulk`` yields for it.
         """
         idx_rows = np.asarray(idx_rows, dtype=np.int8)
+        if ((idx_rows < 0) | (idx_rows >= self.alphabet_size)).any():
+            raise ValueError(f"BulkContext.shell needs alphabet indices in [0, {self.alphabet_size})")
         if (idx_rows[:, 1:] == idx_rows[:, :-1] ^ 1).any():
             raise ValueError("BulkContext.shell needs reduced words")
         s = min(idx_rows.shape[1], SEED_LENGTH)
@@ -465,18 +473,28 @@ def subtree_pieces(ctx: BulkContext, first: int, length_max: int):
     """Pieces of the words of lengths 1..length_max that start with alphabet index ``first``.
 
     Depth first: a piece, then the pieces below each prefix slice of it, so each shell's pieces arrive in
-    canonical order, of at most ``slice_words(d)`` words (or one parent's children).  The consumer should
-    drop its reference to a piece before asking for the next, which is built then; the walk drops its readings.
+    canonical order, of at most ``slice_words(d)`` words (or one parent's children).  The children of a
+    slice of words shorter than SEED_LENGTH are one contiguous rank range of the context's next seed shell,
+    read from ``ctx.spheres`` (bit-identical rows, as ``BulkContext.shell`` promises); longer words' children
+    are built by ``_extend``.  The consumer should drop its reference to a piece before asking for the next,
+    which is built then; the walk drops its readings.
     """
     table = successor_table(ctx.alphabet_size)
-    step = max(1, slice_words(ctx.d) // table.shape[1])
+    fan = table.shape[1]
+    step = max(1, slice_words(ctx.d) // fan)
+
+    def children_of(shell: ShellData, lo: int, hi: int) -> ShellData:
+        if shell.length >= SEED_LENGTH:
+            return _children(shell.piece(slice(lo, hi)), table)
+        r0 = int(_ranks_of(shell.idx_rows[:1], ctx.k)[0])  # a seed-length piece is a contiguous rank range
+        return ctx.spheres[shell.length].piece(slice((r0 + lo) * fan, (r0 + hi) * fan))
 
     def below(shell: ShellData):
         yield shell
         shell._cache.clear()
         if shell.length < length_max:
             for lo in range(0, shell.count, step):
-                yield from below(_children(shell.piece(slice(lo, lo + step)), table))
+                yield from below(children_of(shell, lo, min(lo + step, shell.count)))
 
     return below(ctx.shell([[first]]))
 

@@ -272,12 +272,18 @@ def cmd_cone(cfg: dict, args) -> dict:
 def cmd_equidistribute(cfg: dict, args) -> dict:
     rep = _build_rep(cfg)
     length = _ball_length(rep, cfg, "length", 10)
-    phi = np.asarray(cfg["phi"], dtype=float) if "phi" in cfg else default_phi(rep)
     boxes_cfg = cfg.get("boxes")
     if boxes_cfg is None:
         boxes = [((1,), (2,)), ((1,), (-2,)), ((-1,), (2,)), ((-1,), (-2,))]
     else:
         boxes = [(tuple(a), tuple(b)) for a, b in boxes_cfg]
+    for cyl in sorted({cyl for box in boxes for cyl in box}):
+        for letter in cyl:
+            if not 1 <= abs(letter) <= rep.rank:
+                raise ConfigError(f"cylinder letter {letter} lies outside +-1..+-{rep.rank}")
+        if any(x == -y for x, y in zip(cyl, cyl[1:])):
+            raise ConfigError(f"cylinder {list(cyl)} is not a reduced word")
+    phi = np.asarray(cfg["phi"], dtype=float) if "phi" in cfg else default_phi(rep)
     result = equidistribution_experiment(rep, phi, length, boxes, threads=args.threads)
     rows = []
     for (a, b), mass, bracket in zip(result["boxes"], result["reweighted_final"], result["brackets"]):

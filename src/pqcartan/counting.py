@@ -37,7 +37,7 @@ __all__ = [
 ENTROPY_GRID_POINTS = 256
 PHI_CLASS_LENGTH = 5
 HAUSDORFF_POINTS = 2500
-HAUSDORFF_BLOCK = 256
+HAUSDORFF_BLOCK = 32
 TREND_GRID_POINTS = 512
 BOX_GRID_POINTS = 64
 
@@ -467,17 +467,23 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
 
     A cloud of more than HAUSDORFF_POINTS points is thinned by the stride
     len // HAUSDORFF_POINTS, which keeps HAUSDORFF_POINTS to 2 * HAUSDORFF_POINTS - 1.
-    Squared distances are reduced over blocks of HAUSDORFF_BLOCK rows; sqrt is monotone.
+    Squared distances (|a|^2 + |b|^2) - 2 a.b are reduced over blocks of HAUSDORFF_BLOCK rows, written
+    into two block buffers allocated once per call, so the loop allocates no block-sized temporaries;
+    sqrt is monotone.
     """
     if len(a) == 0 or len(b) == 0:
         return float("nan")
     a = a[:: max(1, len(a) // HAUSDORFF_POINTS)]
     b = b[:: max(1, len(b) // HAUSDORFF_POINTS)]
-    b2 = np.sum(b**2, axis=1)
+    a2, b2 = np.sum(a**2, axis=1), np.sum(b**2, axis=1)
+    d2_buf, ab_buf = np.empty((2, min(HAUSDORFF_BLOCK, len(a)), len(b)))
     row_max, col_min = 0.0, np.full(len(b), np.inf)
     for lo in range(0, len(a), HAUSDORFF_BLOCK):
         blk = a[lo:lo + HAUSDORFF_BLOCK]
-        d2 = np.sum(blk**2, axis=1)[:, None] + b2[None, :] - 2 * (blk @ b.T)
+        d2, ab = d2_buf[:len(blk)], ab_buf[:len(blk)]
+        np.matmul(2 * blk, b.T, out=ab)  # scaling by 2 is exact: the same doubles as 2 * (blk @ b.T)
+        np.add(a2[lo:lo + len(blk), None], b2, out=d2)
+        d2 -= ab
         row_max = max(row_max, d2.min(axis=1).max())
         np.minimum(col_min, d2.min(axis=0), out=col_min)
     return float(np.sqrt(max(row_max, col_min.max())))

@@ -374,6 +374,13 @@ def test_rows_entry_point_refuses_unreduced_words():
         ctx.shell([[0, 2, 3, 1]])
 
 
+@pytest.mark.parametrize("row", [[0, 4], [-2, 0]], ids=["past-alphabet", "negative"])
+def test_rows_entry_point_refuses_indices_outside_the_alphabet(row):
+    ctx = reducible_rep(power=4).bulk_context()
+    with pytest.raises(ValueError, match="alphabet indices"):
+        ctx.shell([row])
+
+
 def test_thread_partitions_identical():
     ctx = reducible_rep(power=4).bulk_context()
     seq, par = ([(part.idx_rows.tobytes(), part.bo_data()[0].tobytes()) for part in col.parts]
@@ -418,3 +425,48 @@ def test_default_slice_keeps_benchmark_shells_whole():
     # and shells_d5 (d = 5, L = 8) see the same pieces as shell-by-shell reading
     assert bulk.slice_words(3) >= 3 ** 9
     assert bulk.slice_words(5) >= 3 ** 7
+
+
+def _stepwise_walk(ctx, first, length_max):
+    """The walk with every child shell built by ``_children``, seed shells included."""
+    table = bulk.successor_table(ctx.alphabet_size)
+    step = max(1, bulk.slice_words(ctx.d) // table.shape[1])
+
+    def below(shell):
+        yield shell
+        if shell.length < length_max:
+            for lo in range(0, shell.count, step):
+                yield from below(bulk._children(shell.piece(slice(lo, lo + step)), table))
+
+    return below(ctx.shell([[first]]))
+
+
+@pytest.mark.parametrize("words", [None, 7], ids=["default-slice", "7-word-slice"])
+@pytest.mark.parametrize("make_rep", [lambda: reducible_rep(power=4),
+                                      lambda: reducible_rep(p=3, q=2, power=6)],
+                         ids=["d3", "d5"])
+def test_walk_reads_seed_shells_from_the_context(monkeypatch, make_rep, words):
+    # the walk takes the children of words shorter than SEED_LENGTH from ctx.spheres,
+    # so the product step never rebuilds a seed shell, and every piece keeps the
+    # bytes of the walk that builds each child shell with _children
+    rep = make_rep()
+    ctx = rep.bulk_context()
+    if words is not None:
+        monkeypatch.setattr(bulk, "SLICE_BYTES", words * bulk.SLICE_BYTES // bulk.slice_words(ctx.d))
+        assert bulk.slice_words(ctx.d) == words
+    want = [piece for first in range(ctx.alphabet_size) for piece in _stepwise_walk(ctx, first, 6)]
+    built = []
+    extend = bulk._extend
+
+    def spy(shell, letters):
+        built.append(shell.length + 1)
+        return extend(shell, letters)
+
+    monkeypatch.setattr(bulk, "_extend", spy)
+    [col] = run_bulk(ctx, 6, [(Pieces, {})])
+    assert built and min(built) > bulk.SEED_LENGTH
+    assert len(col.parts) == len(want)
+    for got, ref in zip(col.parts, want):
+        assert got.idx_rows.tobytes() == ref.idx_rows.tobytes()
+        for a, b in zip(got.bo_data(), ref.bo_data()):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

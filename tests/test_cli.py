@@ -103,6 +103,28 @@ def test_equidistribute_d5_two_letter_cylinders(tmp_path):
     assert len(rows) == 4 and all(np.isfinite(float(r["bracket"])) for r in rows)
 
 
+@pytest.mark.parametrize("cylinder,message", [([0], "cylinder letter 0 "), ([3], "cylinder letter 3 "),
+                                              ([2, -3], "cylinder letter -3 "),
+                                              ([1, -1], "cylinder [1, -1] is not a reduced word")],
+                         ids=["zero", "past-rank", "past-rank-inverse", "unreduced"])
+def test_equidistribute_refuses_a_cylinder_that_is_no_word(tmp_path, capsys, monkeypatch, cylinder, message):
+    # refused as a config error before the engine builds any word
+    from pqcartan.freegroup import Representation
+
+    def no_words(self):
+        raise AssertionError("the engine was asked for words")
+
+    monkeypatch.setattr(Representation, "bulk_context", no_words)
+    cfg = write_config(tmp_path, "box.json", {
+        "representation": {"recipe": "reducible-21", "params": {"power": 4}}, "length": 3,
+        "boxes": [[[1], cylinder], [[1], [2]], [[-1], cylinder], [[-1], [2]]]})
+    out = tmp_path / "o"
+    assert main(["equidistribute", "--config", cfg, "--out", str(out), "--json-errors"]) == 2
+    body = json.loads(capsys.readouterr().out)
+    assert body["error"] == "config" and message in body["message"]
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("sub,lengths,message", [
     ("rep-build", {"sample_length": 0}, "sample_length must be at least 1"),
     ("count", {"length": 0}, "length must be at least 1"),

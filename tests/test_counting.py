@@ -277,6 +277,51 @@ def test_hausdorff_basic():
     assert abs(hausdorff(a, b) - np.sqrt(2)) < 1e-12
 
 
+def _unit_cloud(rng, n, d):
+    x = rng.normal(size=(n, d))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n,m,d", [(5003, 97, 3), (61, 7501, 5), (33, 31, 4), (32, 64, 2),
+                                   (1, 40, 3), (40, 1, 3), (1, 1, 5)])
+def test_hausdorff_matches_full_matrix(n, m, d):
+    # sizes above HAUSDORFF_POINTS (thinned by the documented stride), not multiples
+    # of HAUSDORFF_BLOCK, and one-point clouds, against every pairwise distance at once
+    from pqcartan.counting import HAUSDORFF_POINTS
+
+    rng = np.random.default_rng(n * 7919 + m)
+    a, b = _unit_cloud(rng, n, d), _unit_cloud(rng, m, d)
+    ta, tb = a[:: max(1, n // HAUSDORFF_POINTS)], b[:: max(1, m // HAUSDORFF_POINTS)]
+    d2 = sum((ta[:, None, k] - tb[None, :, k]) ** 2 for k in range(d))
+    want = np.sqrt(max(d2.min(1).max(), d2.min(0).max()))
+    assert hausdorff(a, b) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("n,m", [(0, 5), (5, 0), (0, 0)])
+def test_hausdorff_of_an_empty_cloud_is_nan(n, m):
+    rng = np.random.default_rng(5)
+    assert np.isnan(hausdorff(_unit_cloud(rng, n, 3), _unit_cloud(rng, m, 3)))
+
+
+def test_hausdorff_memory_stays_within_three_blocks():
+    # the loop over 32-row blocks reuses two block buffers: no block-sized temporaries beyond them
+    import tracemalloc
+
+    from pqcartan.counting import HAUSDORFF_POINTS
+
+    rng = np.random.default_rng(11)
+    n = 2528
+    a, b = _unit_cloud(rng, n, 5), _unit_cloud(rng, n, 5)
+    thinned = a[:: max(1, n // HAUSDORFF_POINTS)].nbytes + b[:: max(1, n // HAUSDORFF_POINTS)].nbytes
+    tracemalloc.start()
+    try:
+        hausdorff(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 32 * n * 8 + thinned
+
+
 def test_gromov_bracket_exact_on_axis(red):
     # a high power of one generator: the slot projection, the Jordan
     # projection and the bracket at the fixed pair close exactly
