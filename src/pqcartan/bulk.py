@@ -14,12 +14,13 @@ follows the slice of SLICE_BYTES, not the word length; words of up to
 SEED_LENGTH letters it reads as slices of the context's seed shells, so the
 step runs only past them.  ``run_bulk`` and the CLI's ``project`` and
 ``enumerate`` read balls and spheres through it.
-``BulkContext.shell`` applies the step along arbitrary index rows, for the
-conjugacy classes (``counting.class_periods``, ``counting.default_phi``),
-the Gromov comparison and the equidistribution boxes' cylinder words, the
-limit-set samples (``freegroup.sample_limit_set`` reads all its words in one
-batch) and the singular flags (``freegroup.singular_flag``), so every word
-gets the same level data, bit for bit, whichever path reads it.
+``BulkContext.shell`` applies the step along arbitrary index rows, once per
+distinct prefix, for the conjugacy classes (``counting.class_periods``,
+``counting.default_phi``), the Gromov comparison and the equidistribution
+boxes' cylinder words, the limit-set samples (``freegroup.sample_limit_set``
+reads all its words in one batch) and the singular flags
+(``freegroup.singular_flag``); the step treats rows independently, so every
+word gets the same level data, bit for bit, whichever path reads it.
 
 Every level also carries a tracked attractor t, a unit vector along the
 top left singular direction of M.  For an Anosov representation the prefix
@@ -41,6 +42,9 @@ starts each row from its prefix there.
 reduced words longer than SEED_LENGTH; other words keep the stepwise kernel,
 as a word u c u^-1 stored as one float64 level loses lambda_1(c) once the
 conjugator's spread passes float64 resolution, whichever kernel reads it.
+Row norms of vectors narrower than 8 (``_row_norms``, in the stepwise
+kernel and its residuals) add the squares in index order, the order numpy's
+own reduction takes there, without the reduction's per-call set-up.
 
 Enumeration order is canonical: shells by length, words lexicographic in
 the alphabet (g1, g1^-1, g2, g2^-1, ...); ``sphere_rows`` builds a sphere's
@@ -191,20 +195,30 @@ class BulkContext:
     def shell(self, idx_rows) -> "ShellData":
         """ShellData of arbitrary reduced words, given as equal-length alphabet-index rows.
 
-        Each row is seeded from its prefix of up to SEED_LENGTH letters in
-        ``spheres`` and extended one letter at a time by ``_extend``, the step
-        ``run_bulk`` takes, so a word's level data equals, bit for bit, what
-        ``run_bulk`` yields for it.
+        Each distinct prefix is built once: rows start from their prefix of up
+        to SEED_LENGTH letters in ``spheres``, each distinct prefix is extended
+        one letter at a time by ``_extend``, the step ``run_bulk`` takes, and
+        one gather hands every row its word (none when the rows are distinct
+        and in canonical order, as a whole sphere is).  ``_extend`` treats
+        rows independently, so a word's level data equals, bit for bit, what
+        ``run_bulk`` yields for it, whatever rows share the call.
         """
         idx_rows = np.asarray(idx_rows, dtype=np.int8)
+        if idx_rows.ndim != 2 or idx_rows.shape[1] == 0:
+            raise ValueError(f"BulkContext.shell needs 2-D index rows of at least one letter, got {idx_rows.shape}")
         if ((idx_rows < 0) | (idx_rows >= self.alphabet_size)).any():
             raise ValueError(f"BulkContext.shell needs alphabet indices in [0, {self.alphabet_size})")
         if (idx_rows[:, 1:] == idx_rows[:, :-1] ^ 1).any():
             raise ValueError("BulkContext.shell needs reduced words")
         s = min(idx_rows.shape[1], SEED_LENGTH)
-        shell = self.spheres[s - 1].piece(_ranks_of(idx_rows[:, :s], self.k))
-        for t in range(s, idx_rows.shape[1]):
-            shell = _extend(shell, idx_rows[:, t:t + 1])
+        prefixes, inv = np.unique(_ranks_of(idx_rows[:, :s], self.k), return_inverse=True)
+        shell = self.spheres[s - 1].piece(prefixes)
+        for t in range(s, idx_rows.shape[1]):  # child key: distinct-prefix index, then letter
+            children, inv = np.unique(inv * self.alphabet_size + idx_rows[:, t], return_inverse=True)
+            shell = shell.piece(children // self.alphabet_size)  # each child's parent; frees the last depth first
+            shell = _extend(shell, (children % self.alphabet_size)[:, None])
+        if not np.array_equal(inv, np.arange(idx_rows.shape[0])):
+            shell = shell.piece(inv)
         return shell
 
 
@@ -215,12 +229,26 @@ def successor_table(alphabet_size: int) -> np.ndarray:
 
 
 def _start_vectors(n: int, m: int) -> np.ndarray:
-    x = np.tile(1.0 + 0.5 ** np.arange(m), (n, 1))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    return _normalize_rows(np.tile(1.0 + 0.5 ** np.arange(m), (n, 1)))
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit ``np.linalg.norm(x, axis=1)``.
+
+    Below 8 columns numpy adds the squares in index order, as this loop
+    does without the reduction's set-up (or its (n, C) array of squares);
+    from 8 on it sums pairwise, so wider rows keep ``np.linalg.norm``.
+    """
+    if x.shape[1] >= 8:
+        return np.linalg.norm(x, axis=1)
+    total = x[:, 0] * x[:, 0]
+    for j in range(1, x.shape[1]):
+        total += x[:, j] * x[:, j]
+    return np.sqrt(total, out=total)
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    nrm = np.linalg.norm(x, axis=1, keepdims=True)
+    nrm = _row_norms(x)[:, None]
     nrm[nrm == 0.0] = 1.0
     return x / nrm
 
@@ -241,7 +269,7 @@ def _eig_read(mats: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     """(x, Rayleigh values, relative residuals) of stacked matrices at unit vectors x."""
     mx = np.einsum("nij,nj->ni", mats, x)
     mu = np.einsum("ni,ni->n", x, mx)
-    return x, mu, np.linalg.norm(mx - mu[:, None] * x, axis=1) / np.maximum(np.abs(mu), 1e-300)
+    return x, mu, _row_norms(mx - mu[:, None] * x) / np.maximum(np.abs(mu), 1e-300)
 
 
 def _j_rayleigh(m: np.ndarray, sg, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -419,7 +447,8 @@ class ShellData:
                 for m, t in zip(self.comps, self.attractors)]
         for m, (x, mu, resid) in zip(self.comps, tops):
             redo = np.flatnonzero(~(fast & (resid < RESIDUAL_TOL)))
-            x[redo], mu[redo], resid[redo] = _top_eig_power(m[redo])
+            if redo.size:
+                x[redo], mu[redo], resid[redo] = _top_eig_power(m[redo])
         return tops
 
     def jordan_vectors(self) -> list[np.ndarray]:

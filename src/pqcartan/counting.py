@@ -16,7 +16,7 @@ import numpy as np
 from . import bulk
 from .bulk import ShellData
 from .freegroup import Representation, sample_limit_set
-from .numerics import fit_line, hodge_dual, recenter, recentred_increments
+from .numerics import NumericsError, fit_line, hodge_dual, recenter, recentred_increments
 from .weyl import ChamberA, WeylElement, chamber_from_signs, chamber_transition, file_to_slots, iota_of_chamber
 
 __all__ = [
@@ -326,16 +326,25 @@ def conjugacy_class_indices(k: int, length: int) -> np.ndarray:
 
 
 def _class_jordan(rep: Representation, chamber: ChamberA, length: int):
-    """Jordan projections of the length-n class representatives, in the chamber frame."""
+    """Jordan projections of the length-n class representatives, in the chamber frame.
+
+    Raises NumericsError when a representative has no real dominant eigenpair on some level.
+    """
     rows = conjugacy_class_indices(rep.rank, length)
     if rows.shape[0] == 0:
         return None
-    lam, _ = rep.bulk_context().shell(rows).jordan_coords()
+    lam, ok = rep.bulk_context().shell(rows).jordan_coords()
+    if not ok.all():
+        raise NumericsError(f"{np.count_nonzero(~ok)} of {ok.size} length-{length} class representatives "
+                            "have no real dominant eigenvalue on some level (Jordan mask)")
     return chamber.place(lam)
 
 
 def class_periods(rep: Representation, phi: np.ndarray, chamber: ChamberA, length_max: int):
-    """phi of the Jordan projection for every conjugacy class representative."""
+    """phi of the Jordan projection for every conjugacy class representative.
+
+    Raises NumericsError, naming the length, when a representative lies outside the Jordan mask.
+    """
     values = []
     per_length_min: dict[int, float] = {}
     for length in range(1, length_max + 1):

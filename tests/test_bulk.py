@@ -341,6 +341,17 @@ class Pieces:
         self.parts.extend(other.parts)
 
 
+def _accessor_arrays(shell):
+    """Levels, scales, log-dets and every public ShellData accessor's arrays, in a fixed order."""
+    arrays = [*shell.comps, *shell.scales, shell.logdets]
+    for name in ("ranks", "inverse_ranks", "cartan_prefixes", "cartan_coords", "attractor_forms",
+                 "attractor_signs", "min_root_gap", "membership_mask", "bo_data", "bo_valid_mask",
+                 "jordan_vectors", "jordan_coords"):
+        a = getattr(shell, name)()
+        arrays += list(a) if isinstance(a, (tuple, list)) else [a]
+    return arrays
+
+
 @pytest.mark.parametrize("make_rep", [lambda: reducible_rep(power=4),
                                       lambda: reducible_rep(p=3, q=2, power=6)],
                          ids=["d3", "d5"])
@@ -356,14 +367,55 @@ def test_rows_entry_point_matches_run_bulk(make_rep):
         mine = ctx.shell(part.idx_rows)
         assert mine.length == 4
         assert (mine.idx_rows == part.idx_rows).all()
-        pairs = list(zip(mine.comps + mine.scales, part.comps + part.scales)) + [(mine.logdets, part.logdets)]
-        for name in ("ranks", "inverse_ranks", "cartan_prefixes", "cartan_coords", "attractor_forms",
-                     "attractor_signs", "min_root_gap", "membership_mask", "bo_data", "bo_valid_mask",
-                     "jordan_vectors", "jordan_coords"):
-            a, b = getattr(mine, name)(), getattr(part, name)()
-            pairs += list(zip(a, b)) if isinstance(a, (tuple, list)) else [(a, b)]
-        for a, b in pairs:
+        for a, b in zip(_accessor_arrays(mine), _accessor_arrays(part), strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("make_rep,length", [(lambda: reducible_rep(power=4), 6),
+                                             (lambda: reducible_rep(p=3, q=2, power=6), 5)],
+                         ids=["d3", "d5"])
+def test_rows_entry_point_reads_shuffled_duplicate_rows_as_single_rows(make_rep, length):
+    # shell() extends each distinct prefix once and gathers the rows back, so a
+    # row's bytes do not depend on which rows share the call, nor on their order
+    rep = make_rep()
+    ctx = rep.bulk_context()
+    sphere = bulk.sphere_rows(rep.rank, length)
+    pick = np.random.default_rng(19).integers(0, sphere.shape[0], size=40)
+    rows = sphere[np.concatenate([pick, pick[:8], [pick[0]] * 3])]
+    assert len(np.unique(rows, axis=0)) < rows.shape[0]
+    together = _accessor_arrays(ctx.shell(rows))
+    alone = [_accessor_arrays(ctx.shell(row[None])) for row in rows]
+    for i, a in enumerate(together):
+        b = np.concatenate([arrays[i] for arrays in alone])
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_rows_entry_point_extends_each_distinct_prefix_once(monkeypatch):
+    # the class representatives of length 11 (k = 2) share prefixes: one
+    # extension per row and letter would be 128,864 row-extensions
+    from pqcartan.counting import conjugacy_class_indices
+
+    ctx = reducible_rep(power=4).bulk_context()
+    rows = conjugacy_class_indices(2, 11)
+    built = []
+    extend = bulk._extend
+
+    def spy(shell, letters):
+        built.append(letters.size)
+        return extend(shell, letters)
+
+    monkeypatch.setattr(bulk, "_extend", spy)
+    ctx.shell(rows)
+    distinct = sum(len(np.unique(rows[:, :t], axis=0)) for t in range(bulk.SEED_LENGTH + 1, 12))
+    assert sum(built) == distinct == 34_983
+
+
+@pytest.mark.parametrize("rows", [[0, 2], np.zeros((3, 0), dtype=np.int8), np.zeros((1, 2, 2), dtype=np.int8)],
+                         ids=["one-row-1d", "no-letters", "3d"])
+def test_rows_entry_point_refuses_what_are_not_index_rows(rows):
+    ctx = reducible_rep(power=4).bulk_context()
+    with pytest.raises(ValueError, match="2-D index rows of at least one letter"):
+        ctx.shell(rows)
 
 
 def test_rows_entry_point_refuses_unreduced_words():
@@ -470,3 +522,37 @@ def test_walk_reads_seed_shells_from_the_context(monkeypatch, make_rep, words):
         assert got.idx_rows.tobytes() == ref.idx_rows.tobytes()
         for a, b in zip(got.bo_data(), ref.bo_data()):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_row_norms_are_numpys_norms_byte_for_byte(width):
+    # below 8 columns the squares are added in index order, as numpy's reduction
+    # adds them; from 8 on numpy sums pairwise and _row_norms defers to it
+    rng = np.random.default_rng(width)
+    x = rng.standard_normal((4000, width)) * np.exp(4.0 * rng.standard_normal((4000, width)))
+    x[:5] = 0.0
+    x[5:10, 0] = -3.0
+    got, want = bulk._row_norms(x), np.linalg.norm(x, axis=1)
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_stepwise_kernel_never_gets_an_empty_stack(monkeypatch):
+    # an empty call still runs POWER_ITERS steps; a phi_lambda ball and the
+    # class reads call the kernel only with rows that need it
+    from pqcartan.counting import FunctionalHistCollector, class_periods
+    from pqcartan.weyl import ChamberA
+
+    rep = reducible_rep(power=4)
+    ctx = rep.bulk_context()
+    sizes = []
+    stepwise = bulk._top_eig_power
+
+    def spy(mats):
+        sizes.append(mats.shape[0])
+        return stepwise(mats)
+
+    monkeypatch.setattr(bulk, "_top_eig_power", spy)
+    spec = {"kind": "phi_lambda", "grid": np.linspace(0.0, 10.0, 16), "phi": [1.0, 0.0, -1.0]}
+    run_bulk(ctx, 7, [(FunctionalHistCollector, spec)])
+    class_periods(rep, np.array([1.0, 0.0, -1.0]), ChamberA.default(3), 9)
+    assert sizes and min(sizes) > 0

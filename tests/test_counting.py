@@ -9,6 +9,7 @@ from pqcartan.counting import (
     DirectionsCollector,
     FunctionalHistCollector,
     canonical_chamber,
+    class_periods,
     comparison_boundedness,
     cone_samples,
     conjugacy_class_indices,
@@ -146,6 +147,20 @@ def test_phi_entropy_rejects_bad_functional(red):
     bad = -default_phi(red)
     with pytest.raises(ValueError):
         phi_entropy(red, bad, 6)
+
+
+def test_class_reads_refuse_representatives_outside_the_jordan_mask():
+    # rotation-control has no real dominant eigenvalue on any class: its
+    # values would reach phi_entropy as "functional non-positive"
+    from pqcartan.freegroup import rotation_control_rep
+    from pqcartan.numerics import NumericsError
+    from pqcartan.weyl import ChamberA
+
+    rep = rotation_control_rep()
+    with pytest.raises(NumericsError, match="4 of 4 length-1 class representatives"):
+        class_periods(rep, np.array([1.0, 0.0, -1.0]), ChamberA.default(3), 5)
+    with pytest.raises(NumericsError, match="Jordan mask"):
+        default_phi(rep, ChamberA.default(3))
 
 
 def test_phi_periods_match_sl2_translation_lengths(red):
