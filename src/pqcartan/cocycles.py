@@ -220,7 +220,7 @@ class PhiCocycles:
 # ---------------------------------------------------------------------------
 
 
-def _random_matrix(rng, d: int, field: str = "R") -> ScaledMatrix:
+def _random_matrix(rng, d: int, field: str) -> ScaledMatrix:
     while True:
         m = ScaledMatrix.of(gaussian_matrix(rng, d, field) + np.eye(d))
         if np.linalg.cond(m.entries) <= 1e6:
@@ -242,7 +242,7 @@ def _moved_flags_generic(o: Form, *flags: Flag) -> bool:
     return all(o_generic(o, f, 1e-6).generic for f in flags)
 
 
-def identity_suite(o: Form, samples: int = 300, seed: int = 0) -> dict:
+def identity_suite(o: Form, samples: int, seed: int) -> dict:
     """Max deviations of the six structural identities on random generic data.
 
     Families: cocycle law of the twisted cocycle, duality with the chamber

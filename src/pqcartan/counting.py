@@ -204,10 +204,8 @@ class ComparisonCollector:
         out: dict[int, float] = {}
         for length, chunks in sorted(self.store.items()):
             ranks, inv_ranks, usigns, at, bo, valid = (np.concatenate(c) for c in zip(*chunks))
-            order = np.argsort(ranks)
-            pos_of_rank = np.empty_like(order)
-            pos_of_rank[ranks[order]] = order
-            s_signs = usigns[pos_of_rank[inv_ranks]]
+            # a shell's ranks are a permutation of 0..n-1, so argsort maps each rank to its row
+            s_signs = usigns[np.argsort(ranks)[inv_ranks]]
             # when s fills the signature, the predicted chamber
             # iota(chamber_from_signs(s)) has rank -> line map merge_to_slots(s[::-1])
             placed = file_to_slots(at, s_signs[:, ::-1])
@@ -330,10 +328,7 @@ def _class_jordan(rep: Representation, chamber: ChamberA, length: int):
 
     Raises NumericsError when a representative has no real dominant eigenpair on some level.
     """
-    rows = conjugacy_class_indices(rep.rank, length)
-    if rows.shape[0] == 0:
-        return None
-    lam, ok = rep.bulk_context().shell(rows).jordan_coords()
+    lam, ok = rep.bulk_context().shell(conjugacy_class_indices(rep.rank, length)).jordan_coords()
     if not ok.all():
         raise NumericsError(f"{np.count_nonzero(~ok)} of {ok.size} length-{length} class representatives "
                             "have no real dominant eigenvalue on some level (Jordan mask)")
@@ -348,10 +343,7 @@ def class_periods(rep: Representation, phi: np.ndarray, chamber: ChamberA, lengt
     values = []
     per_length_min: dict[int, float] = {}
     for length in range(1, length_max + 1):
-        framed = _class_jordan(rep, chamber, length)
-        if framed is None:
-            continue
-        vals = framed @ phi
+        vals = _class_jordan(rep, chamber, length) @ phi
         values.append(vals)
         per_length_min[length] = float(vals.min())
     all_vals = np.concatenate(values) if values else np.zeros(0)
@@ -425,8 +417,6 @@ def default_phi(rep: Representation, chamber: ChamberA | None = None) -> np.ndar
     dirs = []
     for length in range(1, PHI_CLASS_LENGTH + 1):
         framed = _class_jordan(rep, chamber, length)
-        if framed is None:
-            continue
         nrm = np.linalg.norm(framed, axis=1, keepdims=True)
         dirs.append(framed / np.maximum(nrm, 1e-30))
     bary = recenter(np.concatenate(dirs).mean(axis=0))
@@ -476,26 +466,23 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
 
     A cloud of more than HAUSDORFF_POINTS points is thinned by the stride
     len // HAUSDORFF_POINTS, which keeps HAUSDORFF_POINTS to 2 * HAUSDORFF_POINTS - 1.
-    Squared distances (|a|^2 + |b|^2) - 2 a.b are reduced over blocks of HAUSDORFF_BLOCK rows, written
-    into two block buffers allocated once per call, so the loop allocates no block-sized temporaries;
-    sqrt is monotone.
+    Rows are unit vectors, so |a - b|^2 = 2 - 2 a.b and a nearest point has the largest a.b.
+    Each block of HAUSDORFF_BLOCK rows of a takes one matmul into one buffer, allocated once per call,
+    which gives the block's row maxima and updates the running column maxima. 2 - 2 max is clamped
+    at 0 before the square root, since a.a may round above 1.
     """
     if len(a) == 0 or len(b) == 0:
         return float("nan")
     a = a[:: max(1, len(a) // HAUSDORFF_POINTS)]
     b = b[:: max(1, len(b) // HAUSDORFF_POINTS)]
-    a2, b2 = np.sum(a**2, axis=1), np.sum(b**2, axis=1)
-    d2_buf, ab_buf = np.empty((2, min(HAUSDORFF_BLOCK, len(a)), len(b)))
-    row_max, col_min = 0.0, np.full(len(b), np.inf)
+    ab_buf = np.empty((min(HAUSDORFF_BLOCK, len(a)), len(b)))
+    row_min, col_max = np.inf, np.full(len(b), -np.inf)
     for lo in range(0, len(a), HAUSDORFF_BLOCK):
         blk = a[lo:lo + HAUSDORFF_BLOCK]
-        d2, ab = d2_buf[:len(blk)], ab_buf[:len(blk)]
-        np.matmul(2 * blk, b.T, out=ab)  # scaling by 2 is exact: the same doubles as 2 * (blk @ b.T)
-        np.add(a2[lo:lo + len(blk), None], b2, out=d2)
-        d2 -= ab
-        row_max = max(row_max, d2.min(axis=1).max())
-        np.minimum(col_min, d2.min(axis=0), out=col_min)
-    return float(np.sqrt(max(row_max, col_min.max())))
+        ab = np.matmul(blk, b.T, out=ab_buf[:len(blk)])
+        row_min = min(row_min, ab.max(axis=1).min())
+        np.maximum(col_max, ab.max(axis=0), out=col_max)
+    return float(np.sqrt(max(0.0, 2.0 - 2.0 * min(row_min, col_max.min()))))
 
 
 def comparison_boundedness(rep: Representation, length_max: int):
@@ -607,7 +594,7 @@ def _phi_bo_reach(rep: Representation, phi: np.ndarray, length_max: int) -> floa
     return probe.shell_minima[probe_length] * length_max / probe_length
 
 
-def theorem_b_trend(rep: Representation, phi, length_max: int, class_length: int | None = None):
+def theorem_b_trend(rep: Representation, phi, length_max: int, class_length: int):
     """Flatness of the exponentially rescaled directional counting function.
 
     The exact limit is out of desk reach; the contract is (a) the class
@@ -616,8 +603,7 @@ def theorem_b_trend(rep: Representation, phi, length_max: int, class_length: int
     """
     chamber = _single_orbit_chamber(rep)
     phi = np.asarray(phi, dtype=float)
-    cls_len = class_length if class_length is not None else max(4, length_max - 2)
-    h, class_curve, h_details = phi_entropy(rep, phi, cls_len, chamber)
+    h, class_curve, h_details = phi_entropy(rep, phi, class_length, chamber)
     grid = np.linspace(0.0, _phi_bo_reach(rep, phi, length_max) * 1.05, TREND_GRID_POINTS)
     curve = count_curve(rep, "phi_bo", length_max, grid, phi=phi)
     t_hi = curve.complete_below()

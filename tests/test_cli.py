@@ -309,3 +309,68 @@ def test_worker_count_invariance(tmp_path, sub, extra):
         outs.append(out)
     for name in sorted(p.name for p in outs[0].iterdir()):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+DIAGONAL = [[2.7, 0, 0], [0, 1, 0], [0, 0, 0.37]]
+LORENTZ_FORM = {"field": "R", "gram": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}
+
+
+def test_explicit_generator_builds_and_takes_the_seed_override(tmp_path):
+    cfg = write_config(tmp_path, "gen.json", {"representation": {"generators": [DIAGONAL], "form": LORENTZ_FORM,
+                                                                 "power": 4}})
+    out = tmp_path / "gen"
+    assert main(["rep-build", "--config", cfg, "--out", str(out), "--seed", "11"]) == 0
+    payload = json.loads((out / "summary.json").read_text())
+    assert payload["summary"]["metadata"]["recipe"] == "explicit"
+    assert payload["manifest"]["seed"] == 11
+
+
+def test_explicit_generators_failing_the_contraction_exit_3(tmp_path, capsys):
+    # the README's diagonal generator and a conjugate of it by a rotation: their fixed flags are
+    # distinct but close, so eps is small and neither image contracts within it
+    conjugate = [[1.366, 0.241, -0.857], [0.241, 0.554, 0.155], [-0.857, 0.155, 2.15]]
+    cfg = write_config(tmp_path, "two.json", {"representation": {"generators": [DIAGONAL, conjugate],
+                                                                 "form": LORENTZ_FORM, "power": 4}})
+    assert main(["rep-build", "--config", cfg, "--out", str(tmp_path / "o"), "--json-errors"]) == 3
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == "certification"
+    assert "generator 0 image fails" in error["message"] and "contraction" in error["message"]
+
+
+@pytest.mark.parametrize("sub,payload,code,kind,message", [
+    # a NumericsError from ScaledMatrix.of
+    ("rep-build", {"representation": {"generators": [[[0] * 3] * 3], "form": LORENTZ_FORM, "power": 4}},
+     5, "degeneracy", "matrix with zero or non-finite entries"),
+    # a DegenerateFormError from Form.of
+    ("cocycle-check", {"form": {"field": "R", "gram": [[1, 0, 0], [0, 0, 0], [0, 0, -1]]}, "samples": 5, "seed": 1},
+     5, "degeneracy", "Gram matrix is singular within tolerance"),
+    # a recipe parameter that no recipe takes
+    ("rep-build", {"representation": {"recipe": "reducible-21", "params": {"power": 4, "spread": 2}}},
+     2, "config", "unexpected keyword argument 'spread'"),
+])
+def test_error_exit_codes(tmp_path, capsys, sub, payload, code, kind, message):
+    cfg = write_config(tmp_path, "err.json", payload)
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / "o"), "--json-errors"]) == code
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == kind and error["exit_code"] == code
+    assert message in error["message"]
+
+
+def test_cocycle_check_over_a_complex_form(tmp_path):
+    gram = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [-1, 0]]]
+    cfg = write_config(tmp_path, "cplx.json", {"form": {"field": "C", "gram": gram}, "samples": 5, "seed": 1})
+    out = tmp_path / "cplx"
+    assert main(["cocycle-check", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    assert summary["samples"] == 5
+    assert all(v < 1e-8 for v in summary["max_deviations"].values())
+
+
+def test_count_on_a_two_point_grid_reports_the_slope_error(tmp_path):
+    cfg = write_config(tmp_path, "cnt.json", {"representation": {"recipe": "reducible-21", "params": {"power": 4}},
+                                              "length": 3, "grid": {"points": 2}})
+    out = tmp_path / "cnt"
+    assert main(["count", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    assert summary["slope_error"] == "window holds fewer than three usable grid points"
+    assert "slope" not in summary

@@ -42,8 +42,8 @@ def test_busemann_tau_diagonal_on_coordinate_flag():
 def test_busemann_tau_cocycle_identity(rng):
     o = Form.standard(2, 1)
     for _ in range(500):
-        g1 = _random_matrix(rng, 3)
-        g2 = _random_matrix(rng, 3)
+        g1 = _random_matrix(rng, 3, "R")
+        g2 = _random_matrix(rng, 3, "R")
         f = _random_generic_flag(rng, o)
         lhs = busemann_tau(g1 @ g2, f).coords
         rhs = busemann_tau(g1, f.translate(g2)).coords + busemann_tau(g2, f).coords
@@ -76,8 +76,8 @@ def test_busemann_o_refuses_non_generic(s1):
 def test_busemann_o_cocycle_identity(s1, rng):
     done = 0
     while done < 300:
-        g1 = _random_matrix(rng, 3)
-        g2 = _random_matrix(rng, 3)
+        g1 = _random_matrix(rng, 3, "R")
+        g2 = _random_matrix(rng, 3, "R")
         f = _random_generic_flag(rng, s1)
         flags_ok = all(
             o_generic(s1, fl, 1e-6).generic
@@ -98,7 +98,7 @@ def test_potential_zero_on_standard_flag(s1):
 def test_potential_coboundary(s1, rng):
     done = 0
     while done < 300:
-        g = _random_matrix(rng, 3)
+        g = _random_matrix(rng, 3, "R")
         f = _random_generic_flag(rng, s1)
         if not o_generic(s1, f.translate(g), 1e-6).generic:
             continue
@@ -128,7 +128,7 @@ def test_dual_busemann_diagonal_example(s1):
 def test_duality_identity_random(s1, rng):
     done = 0
     while done < 300:
-        g = _random_matrix(rng, 3)
+        g = _random_matrix(rng, 3, "R")
         f = _random_generic_flag(rng, s1)
         if not o_generic(s1, f.translate(g), 1e-6).generic:
             continue
@@ -146,7 +146,7 @@ def test_gromov_product_dual_pair_vanishes(s1):
 def test_gromov_transformation_rule(s1, rng):
     done = 0
     while done < 300:
-        g = _random_matrix(rng, 3)
+        g = _random_matrix(rng, 3, "R")
         xi = _random_generic_flag(rng, s1)
         eta = _random_generic_flag(rng, s1)
         if not transverse(xi, eta):
@@ -190,7 +190,7 @@ def test_cross_ratio_equals_gromov(s1, rng):
 def test_cross_ratio_projective_invariance(s1, rng):
     done = 0
     while done < 300:
-        g = _random_matrix(rng, 3)
+        g = _random_matrix(rng, 3, "R")
         flags = [_random_generic_flag(rng, s1) for _ in range(4)]
         pairs = [(0, 1), (0, 3), (1, 2), (2, 3)]
         if not all(transverse(flags[i], flags[k]) for i, k in pairs):
@@ -209,7 +209,7 @@ def test_geometric_interpretation_via_projection(s1, rng):
     # projections of the flag for the moved and the base form
     done = 0
     while done < 100:
-        g = _random_matrix(rng, 3)
+        g = _random_matrix(rng, 3, "R")
         f = _random_generic_flag(rng, s1)
         if not o_generic(s1, f.translate(g), 1e-6).generic:
             continue
@@ -244,7 +244,7 @@ def test_phi_cocycles_place_rank_order_values_in_their_chamber(s1, rng):
         pc = PhiCocycles.of(s1, [0.6, -0.1, -0.5], chamber)
         done = 0
         while done < 10:
-            g = _random_matrix(rng, 3)
+            g = _random_matrix(rng, 3, "R")
             f = _random_generic_flag(rng, s1)
             if not o_generic(s1, f.translate(g), 1e-6).generic:
                 continue

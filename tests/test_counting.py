@@ -312,6 +312,24 @@ def test_hausdorff_matches_full_matrix(n, m, d):
     assert hausdorff(a, b) == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("n,d", [(2531, 5), (4999, 3), (5003, 3), (33, 4), (7, 2)])
+def test_hausdorff_of_a_cloud_against_its_own_points_is_clamped_at_zero(n, d):
+    # sizes above HAUSDORFF_POINTS and off HAUSDORFF_BLOCK; below 2 * HAUSDORFF_POINTS no
+    # row is thinned, so a row-permuted copy holds the same points.  a.a rounds to either
+    # side of 1, so 2 - 2 max a.b is a few ulps of either sign before the clamp; rows
+    # nudged so that every a.a rounds above 1 leave it negative on every row.
+    from pqcartan.counting import HAUSDORFF_POINTS
+
+    rng = np.random.default_rng(n)
+    a = _unit_cloud(rng, n, d)
+    nudged = a * (1 + 2.0**-50)
+    assert (np.einsum("ij,ij->i", nudged, nudged) > 1).all()
+    perm = rng.permutation(n) if n < 2 * HAUSDORFF_POINTS else np.arange(n)
+    for cloud, bound in ((a, 1e-7), (nudged, 0.0)):
+        for other in (cloud, cloud[perm]):
+            assert 0.0 <= hausdorff(cloud, other) <= bound
+
+
 @pytest.mark.parametrize("n,m", [(0, 5), (5, 0), (0, 0)])
 def test_hausdorff_of_an_empty_cloud_is_nan(n, m):
     rng = np.random.default_rng(5)
@@ -319,7 +337,7 @@ def test_hausdorff_of_an_empty_cloud_is_nan(n, m):
 
 
 def test_hausdorff_memory_stays_within_three_blocks():
-    # the loop over 32-row blocks reuses two block buffers: no block-sized temporaries beyond them
+    # the loop over 32-row blocks reuses one block buffer: no block-sized temporaries beyond it
     import tracemalloc
 
     from pqcartan.counting import HAUSDORFF_POINTS

@@ -49,12 +49,11 @@ def test_no_function_has_an_unread_parameter():
 
 
 # Defaulted parameters in src/pqcartan (ast count): 119, then 90, 68, 67,
-# 60, 57, now 39.  A caller who wants another threshold compares the margin
-# the result already carries; a new knob needs a visible edit to this bound.
-# The last eighteen were recipe knobs no caller set (spreads, angles,
-# exponents, conjugators, seeds and metadata, now module constants) and
-# gromov_comparison's chamber, which is always the single-orbit chamber.
-MAX_DEFAULTED_PARAMETERS = 39
+# 60, 57, 39, now 35.  A caller who wants another threshold compares the
+# margin the result already carries; a new knob needs a visible edit to this
+# bound.  The last four were defaults every caller overrides: identity_suite's
+# samples and seed, _random_matrix's field and theorem_b_trend's class_length.
+MAX_DEFAULTED_PARAMETERS = 35
 
 
 def _defaulted_parameter_count(path: Path) -> int:
