@@ -17,10 +17,10 @@ step runs only past them.  ``run_bulk`` and the CLI's ``project`` and
 ``BulkContext.shell`` applies the step along arbitrary index rows, once per
 distinct prefix, for the conjugacy classes (``counting.class_periods``,
 ``counting.default_phi``), the Gromov comparison and the equidistribution
-boxes' cylinder words, the limit-set samples (``freegroup.sample_limit_set``
-reads all its words in one batch) and the singular flags
-(``freegroup.singular_flag``); the step treats rows independently, so every
-word gets the same level data, bit for bit, whichever path reads it.
+boxes' cylinder words and the limit-set samples
+(``freegroup.sample_limit_set`` reads all its words in one batch); the
+step treats rows independently, so every word gets the same level data,
+bit for bit, whichever path reads it.
 
 Every level also carries a tracked attractor t, a unit vector along the
 top left singular direction of M.  For an Anosov representation the prefix
@@ -48,8 +48,8 @@ own reduction takes there, without the reduction's per-call set-up.
 
 Enumeration order is canonical: shells by length, words lexicographic in
 the alphabet (g1, g1^-1, g2, g2^-1, ...); ``sphere_rows`` builds a sphere's
-index rows in this order, ``index_row`` one word's, and ``word_rank`` is a
-word's row number there.
+index rows in this order, ``index_row`` one word's, and ``_ranks_of`` gives
+rows their row numbers there.
 The walk's pieces of one shell arrive in this order, interleaved with
 longer shells' pieces.  Worker partitioning is by first letter and results
 are merged in alphabet order, so outputs are identical for any worker count.
@@ -75,7 +75,6 @@ __all__ = [
     "ball_size",
     "sphere_rows",
     "subtree_pieces",
-    "word_rank",
     "index_row",
     "cyclically_reduced",
 ]
@@ -128,13 +127,6 @@ def sphere_rows(k: int, length: int) -> np.ndarray:
         nxt = table[rows[:, -1]].reshape(-1, 1)
         rows = np.concatenate([np.repeat(rows, table.shape[1], axis=0), nxt], axis=1)
     return rows
-
-
-def word_rank(word, k: int) -> int:
-    """Rank of a reduced word inside its own shell, canonical order."""
-    if not word:
-        return 0
-    return int(_ranks_of(index_row(word)[None], k)[0])
 
 
 def _ranks_of(idx_rows: np.ndarray, k: int) -> np.ndarray:

@@ -16,9 +16,7 @@ import numpy as np
 
 from .flags import Flag, NonGenericFlagError, flag_perp, o_generic, project_to_So, transverse
 from .forms import Form, gaussian_matrix, induced_form, sigma_o
-from .numerics import ScaledMatrix, compound, recenter, recentred_increments, wedge_coordinates
-from .projections import jordan
-from .weyl import ChamberA
+from .numerics import ScaledMatrix, compound, recentred_increments, wedge_coordinates
 
 __all__ = [
     "CocycleValue",
@@ -29,7 +27,6 @@ __all__ = [
     "iota_a",
     "gromov_product",
     "cross_ratio",
-    "PhiCocycles",
 ]
 
 # identity_suite redraws (g1, g2, xi, eta) until the pair conditions hold,
@@ -120,16 +117,10 @@ def iota_a(value: CocycleValue) -> CocycleValue:
 def dual_busemann(o: Form, g: ScaledMatrix, xi: Flag) -> CocycleValue:
     """The dual cocycle value: twisted cocycle of sigma(g) at the dual flag.
 
-    Equals the opposition image of the direct value; ``duality_defect``
-    measures the deviation.
+    Equals the opposition image of the direct value; ``identity_suite``'s
+    duality family measures the deviation.
     """
     return busemann_o(o, sigma_o(o, g), flag_perp(o, xi))
-
-
-def duality_defect(o: Form, g: ScaledMatrix, xi: Flag) -> float:
-    lhs = dual_busemann(o, g, xi)
-    rhs = iota_a(busemann_o(o, g, xi))
-    return float(np.max(np.abs(lhs.coords - rhs.coords)))
 
 
 def gromov_product(o: Form, xi: Flag, eta: Flag) -> CocycleValue:
@@ -180,39 +171,6 @@ def _annihilator_det(hyper: Flag, point: Flag, j: int):
     d = hyper.dim
     block = np.concatenate([hyper.subspace(d - j), point.subspace(j)], axis=1)
     return np.linalg.det(block)
-
-
-@dataclass(frozen=True)
-class PhiCocycles:
-    """Scalar cocycles obtained by pairing a functional with the twisted cocycle.
-
-    The functional is read in the chamber frame, so each rank-order value is
-    placed in the chamber before pairing.  The dual member composes with the
-    chamber opposition; periods on axis flags recover the functional
-    evaluated on the Jordan projection.
-    """
-
-    o: Form
-    phi: np.ndarray
-    chamber: ChamberA
-
-    @staticmethod
-    def of(o: Form, phi, chamber: ChamberA | None = None) -> "PhiCocycles":
-        chamber = chamber if chamber is not None else ChamberA.default(o.dim)
-        return PhiCocycles(o, recenter(np.asarray(phi, dtype=float)), chamber)
-
-    def _pair(self, rank_order: np.ndarray) -> float:
-        return float(np.dot(self.phi, self.chamber.place(rank_order)))
-
-    def value(self, g: ScaledMatrix, xi: Flag) -> float:
-        return self._pair(busemann_o(self.o, g, xi).coords)
-
-    def dual_value(self, g: ScaledMatrix, xi: Flag) -> float:
-        return self._pair(iota_a(busemann_o(self.o, g, xi)).coords)
-
-    def period(self, g: ScaledMatrix) -> float:
-        """phi of the Jordan projection, read in the chamber frame."""
-        return self._pair(jordan(g).coords)
 
 
 # ---------------------------------------------------------------------------

@@ -235,7 +235,7 @@ def count_curve(
     if length_max == 0:
         return CountCurve(grid_arr, (grid_arr >= 0.0).astype(np.int64), functional)
     ctx = rep.bulk_context()
-    spec_kwargs = {"kind": functional, "grid": np.asarray(grid, dtype=float)}
+    spec_kwargs = {"kind": functional, "grid": grid_arr}
     if phi is not None:
         spec_kwargs["phi"] = np.asarray(phi, dtype=float)
     if chamber is not None:
@@ -370,7 +370,7 @@ def phi_entropy(rep: Representation, phi, length_max: int, chamber: ChamberA | N
     grid = np.linspace(0.0, hi, ENTROPY_GRID_POINTS)
     counts = np.searchsorted(np.sort(vals), grid, side="right")
     curve = CountCurve(grid, counts.astype(np.int64), "phi_lambda_classes",
-                       shell_minima={k: v for k, v in per_length_min.items()})
+                       shell_minima=dict(per_length_min))
     window = (0.5 * hi, hi)
     raw, stderr, extra = estimate_exponent(curve, window)
     # class counts carry a structural 1/t prefactor (one class per rotation
@@ -470,6 +470,8 @@ def hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     Each block of HAUSDORFF_BLOCK rows of a takes one matmul into one buffer, allocated once per call,
     which gives the block's row maxima and updates the running column maxima. 2 - 2 max is clamped
     at 0 before the square root, since a.a may round above 1.
+    Distances below about 1e-7 are rounding noise: for a point in both clouds, sqrt(2 - 2 a.a)
+    turns the last-bit rounding of a.a into 2e-8 to 3e-8, so such a value cannot be told from 0.
     """
     if len(a) == 0 or len(b) == 0:
         return float("nan")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import DEGENERACY_RTOL, Form
-from .numerics import ScaledMatrix, wedge_coordinates
+from .numerics import ScaledMatrix
 
 __all__ = [
     "Flag",
@@ -23,10 +23,8 @@ __all__ = [
     "GenericityReport",
     "transverse",
     "o_generic",
-    "orbit_equal",
     "flag_perp",
     "project_to_So",
-    "flag_distance",
     "NonGenericFlagError",
 ]
 
@@ -169,14 +167,6 @@ def o_generic(o: Form, x: Flag, degeneracy_rtol: float = DEGENERACY_RTOL) -> Gen
     return GenericityReport(True, OrbitSignature(tuple(signs)), float(margin), lines)
 
 
-def orbit_equal(o: Form, x: Flag, y: Flag) -> bool:
-    """Same open orbit of the isometry action, via the sign-sequence invariant."""
-    rx, ry = o_generic(o, x), o_generic(o, y)
-    if not rx.generic or not ry.generic:
-        raise NonGenericFlagError("orbit comparison needs generic flags")
-    return rx.signature == ry.signature
-
-
 def flag_perp(o: Form, x: Flag) -> Flag:
     """The dual flag whose j-th piece is the complement of x^{d-j}.
 
@@ -210,25 +200,6 @@ def so_point_basis(o: Form, x: Flag) -> np.ndarray:
         raise NonGenericFlagError(f"flag degenerates at level {rep.failed_level}")
     scales = np.array([abs(o.quad(rep.lines[:, j])) ** -0.5 for j in range(x.dim)])
     return rep.lines * scales[None, :]
-
-
-def flag_distance(x: Flag, y: Flag) -> float:
-    """Largest sine-metric distance between wedge lines across all levels."""
-    if x.dim != y.dim:
-        raise ValueError("flags of different dimensions")
-    d = x.dim
-    worst = 0.0
-    for j in range(1, d):
-        worst = max(worst, line_distance(wedge_coordinates(x.basis, j), wedge_coordinates(y.basis, j)))
-    return worst
-
-
-def line_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Sine of the angle between projective points, stable near zero."""
-    u = u / np.linalg.norm(u)
-    v = v / np.linalg.norm(v)
-    resid = v - u * np.vdot(u, v)
-    return float(np.linalg.norm(resid))
 
 
 def line_hyperplane_distance(line: np.ndarray, dual_wedge: np.ndarray, gram: np.ndarray | None = None) -> float:

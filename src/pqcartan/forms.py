@@ -155,10 +155,6 @@ class InducedForm:
     def quad(self, u: np.ndarray) -> float:
         return float(np.real(self.pair(u, u)))
 
-    def sign_of(self, u: np.ndarray) -> int:
-        val = self.quad(u)
-        return 0 if val == 0 else (1 if val > 0 else -1)
-
 
 def induced_form(o: Form, j: int) -> InducedForm:
     if not 1 <= j <= o.dim - 1:
@@ -225,14 +221,6 @@ def gaussian_matrix(rng, d: int, field_tag: str) -> np.ndarray:
     if field_tag == "C":
         return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return rng.standard_normal((d, d))
-
-
-def isometry_defect(o: Form, h: ScaledMatrix) -> float:
-    """Relative deviation of h* J h from J, after scale alignment."""
-    m = h.entries
-    pushed = m.conj().T @ o.gram @ m
-    alpha = np.vdot(pushed, o.gram) / np.vdot(o.gram, o.gram)
-    return float(np.linalg.norm(pushed / alpha - o.gram) / np.linalg.norm(o.gram))
 
 
 def restricted_signature(o: Form, columns: np.ndarray):

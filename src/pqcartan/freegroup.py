@@ -17,14 +17,13 @@ from . import bulk
 from .bulk import BulkContext, sphere_rows
 from .flags import Flag, line_hyperplane_distance, o_generic
 from .forms import DEGENERACY_RTOL, Form, induced_form
-from .numerics import ScaledMatrix, subspace_from_wedge, wedge_coordinates
+from .numerics import ScaledMatrix, wedge_coordinates
 from .projections import GAP_TOL, NotLoxodromicError, eigen_flag, fixed_pair_separation, ping_pong_levels
 
 __all__ = [
     "Word",
     "Representation",
     "SchottkyRejection",
-    "sphere_words",
     "build_schottky",
     "build_reducible_example",
     "sample_limit_set",
@@ -128,15 +127,6 @@ class Representation:
 def row_word(row) -> Word:
     """The word of an alphabet-index row."""
     return Word(tuple(bulk.index_letter(i) for i in row))
-
-
-def sphere_words(k: int, length: int):
-    """All reduced words of the given length, canonical order."""
-    if length == 0:
-        yield Word(())
-        return
-    for row in sphere_rows(k, length).tolist():
-        yield row_word(row)
 
 
 @dataclass(frozen=True)
@@ -279,21 +269,6 @@ def build_reducible_example(
     meta = dict(metadata or {})
     meta.update({"kind": "reducible-block", "zariski_dense": False})
     return build_schottky(gens, o, power=power, metadata=meta)
-
-
-def singular_flag(rep: Representation, word: Word) -> Flag:
-    """Cartan attractor of the word's image: an SVD of each exterior-power level, stacked into a flag."""
-    d = rep.dim
-    comps = rep.bulk_context().shell(bulk.index_row(word.letters)[None]).comps
-    cols = np.zeros((d, d))
-    q_prev = np.zeros((d, 0))
-    for j in range(1, d):
-        sub = subspace_from_wedge(np.linalg.svd(comps[j - 1][0])[0][:, 0], d, j)
-        resid = sub - q_prev @ (q_prev.T @ sub)
-        cols[:, j - 1] = np.linalg.svd(resid, full_matrices=False)[0][:, 0]
-        q_prev, _ = np.linalg.qr(cols[:, :j])
-    cols[:, d - 1] = np.linalg.svd(np.eye(d) - q_prev @ q_prev.T)[0][:, 0]
-    return Flag.of(cols)
 
 
 def sample_limit_set(rep: Representation, length: int, count: int):

@@ -270,24 +270,3 @@ def wedge_coordinates(columns: np.ndarray, j: int) -> np.ndarray:
         return columns[:, 0].copy()
     return np.linalg.det(columns[subset_table(columns.shape[0], j), :j])
 
-
-def subspace_from_wedge(w: np.ndarray, d: int, j: int) -> np.ndarray:
-    """Recover the j-dimensional subspace from a decomposable wedge vector.
-
-    Solves x wedge w = 0 as a linear system in x; the wedge must be
-    decomposable (it always is when it came from a subspace).
-    """
-    if j == d:
-        return np.eye(d, dtype=w.dtype)
-    subs_j = {tuple(s): i for i, s in enumerate(subset_table(d, j).tolist())}
-    subs_j1 = subset_table(d, j + 1).tolist()
-    rows = np.zeros((len(subs_j1), d), dtype=np.complex128 if np.iscomplexobj(w) else np.float64)
-    for r, sup in enumerate(subs_j1):
-        for pos, i in enumerate(sup):
-            rest = tuple(sup[:pos] + sup[pos + 1 :])
-            rows[r, i] = ((-1) ** pos) * w[subs_j[rest]]
-    _, sv, vh = np.linalg.svd(rows)
-    large = int(np.sum(sv > 1e-10 * sv[0])) if sv.size else 0
-    if large > d - j:
-        raise NumericsError("wedge vector is not decomposable within tolerance")
-    return vh[d - j :, :].conj().T

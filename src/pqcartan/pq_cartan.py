@@ -15,24 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flags import o_generic
 from .forms import Form, o_adjoint, restricted_signature
 from .numerics import ScaledMatrix, eigen, real_columns, recenter, require_resolved
-from .projections import (
-    CartanVector,
-    GAP_TOL,
-    cartan_attractor,
-    cartan_repellor,
-    gap_margin,
-)
-from .weyl import (
-    ChamberA,
-    WeylElement,
-    chamber_from_signs,
-    chamber_transition,
-    iota_of_chamber,
-    merge_to_slots,
-)
+from .projections import CartanVector
+from .weyl import WeylElement, merge_to_slots
 
 __all__ = [
     "MembershipResult",
@@ -40,7 +26,6 @@ __all__ = [
     "membership",
     "pq_project",
     "distance_So",
-    "weyl_chamber_of",
     "NotInBoGError",
 ]
 
@@ -262,44 +247,3 @@ def distance_So(o: Form, g: ScaledMatrix) -> float:
     """Distance between the base copy and its g-translate: the slot norm."""
     return pq_project(o, g).b_o.norm()
 
-
-@dataclass(frozen=True)
-class ChamberPrediction:
-    chamber: ChamberA
-    w_decomposition: WeylElement
-    rank_to_slot: WeylElement
-    attractor_signs: tuple[int, ...]
-    repellor_signs: tuple[int, ...]
-
-
-def weyl_chamber_of(o: Form, g: ScaledMatrix) -> ChamberPrediction:
-    """Chamber containing the slot projection, read off the singular flags.
-
-    For g with a strong singular gap and generic singular flags, the slot
-    projection lies in the opposition image of the chamber attached to the
-    repelling flag's orbit, and the signed-permutation coordinate of the
-    decomposition is the transition from that chamber's flag to the
-    attracting flag's one.  Valid once the gap margin dominates the flag
-    margins; agreement with pq_project's slot assignment is the executable
-    consistency check.
-    """
-    if gap_margin(g) <= GAP_TOL:
-        raise ValueError("chamber prediction needs a singular-value gap")
-    u_flag = cartan_attractor(g)
-    s_flag = cartan_repellor(g)
-    ru = o_generic(o, u_flag)
-    rs = o_generic(o, s_flag)
-    if not ru.generic or not rs.generic:
-        raise NotInBoGError("non-generic singular flag")
-    chamber_u = chamber_from_signs(ru.signature.signs)
-    chamber_s = chamber_from_signs(rs.signature.signs)
-    predicted = iota_of_chamber(chamber_s, o.signature[0])
-    w_dec = chamber_transition(chamber_u, predicted)
-    rank_to_slot = WeylElement(predicted.order)
-    return ChamberPrediction(
-        chamber=predicted,
-        w_decomposition=w_dec,
-        rank_to_slot=rank_to_slot,
-        attractor_signs=ru.signature.signs,
-        repellor_signs=rs.signature.signs,
-    )

@@ -1,10 +1,10 @@
-"""Cartan and Jordan projections, gaps, loxodromy and attracting flags.
+"""Cartan and Jordan projections, eigenflags and quantified loxodromy.
 
 Cartan data comes from singular values with respect to the standard inner
 product, Jordan data from eigenvalue moduli; both are recentered to sum zero
-so that they only depend on the projective class.  Attracting and repelling
-flags are produced both for the classical projections (singular flags) and
-for the form-twisted dynamics through the adjoint involution.
+so that they only depend on the projective class.  A loxodromic element's
+eigenflag is its attracting flag; the ping-pong check reads the contraction
+of each exterior-power level between a pair of fixed flags.
 """
 
 from __future__ import annotations
@@ -14,32 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flags import Flag, line_hyperplane_distance
-from .forms import Form, o_adjoint
-from .numerics import (EigenData, ScaledMatrix, compound, eigen, hodge_dual, real_columns, recenter, require_resolved,
+from .numerics import (ScaledMatrix, compound, eigen, hodge_dual, real_columns, recenter, require_resolved,
                        wedge_coordinates)
 
 __all__ = [
     "CartanVector",
     "cartan",
     "jordan",
-    "has_gap",
-    "gap_margin",
-    "is_loxodromic",
-    "loxodromy_margin",
-    "cartan_attractor",
-    "cartan_repellor",
-    "o_attractor",
-    "o_repellor",
-    "check_r_eps_loxodromic",
-    "MissingGapError",
     "NotLoxodromicError",
 ]
 
 GAP_TOL = 1e-6
-
-
-class MissingGapError(ValueError):
-    """The element has no singular-value gap where one is required."""
 
 
 class NotLoxodromicError(ValueError):
@@ -88,90 +73,29 @@ def jordan(g: ScaledMatrix) -> CartanVector:
     return CartanVector(eig.recentered_moduli())
 
 
-def gap_margin(g: ScaledMatrix) -> float:
-    return float(np.min(-np.diff(cartan(g).coords)))
-
-
-def has_gap(g: ScaledMatrix) -> bool:
-    """All simple-root values of the Cartan projection exceed GAP_TOL."""
-    return gap_margin(g) > GAP_TOL
-
-
-def loxodromy_margin(g: ScaledMatrix) -> float:
-    return _moduli_margin(eigen(g))
-
-
-def _moduli_margin(eig: EigenData) -> float:
-    """Smallest gap between consecutive recentered log-moduli."""
-    return float(np.min(-np.diff(eig.recentered_moduli())))
-
-
-def is_loxodromic(g: ScaledMatrix) -> bool:
-    """All consecutive eigenvalue-modulus gaps exceed GAP_TOL."""
-    return loxodromy_margin(g) > GAP_TOL
-
-
-def cartan_attractor(g: ScaledMatrix) -> Flag:
-    """Flag of left singular directions in descending singular order."""
-    if not has_gap(g):
-        raise MissingGapError("Cartan attractor needs a singular-value gap")
-    u, _, _ = np.linalg.svd(g.entries)
-    return Flag.of(u)
-
-
-def cartan_repellor(g: ScaledMatrix) -> Flag:
-    """Attractor of the inverse: right singular directions in ascending order."""
-    if not has_gap(g):
-        raise MissingGapError("Cartan repellor needs a singular-value gap")
-    _, _, vh = np.linalg.svd(g.entries)
-    return Flag.of(vh.conj().T[:, ::-1])
-
-
 def eigen_flag(m: ScaledMatrix) -> Flag:
     """Eigenlines of a loxodromic m by decreasing modulus, from one eigendecomposition.
 
     Raises NotLoxodromicError when the moduli are not separated by GAP_TOL.
     """
     eig = eigen(m)
-    if _moduli_margin(eig) <= GAP_TOL:
+    if np.min(-np.diff(eig.recentered_moduli())) <= GAP_TOL:
         raise NotLoxodromicError("eigenvalue moduli are not separated")
     return Flag.of(real_columns(eig.vectors) if m.field == "R" else eig.vectors)
 
 
-def o_attractor(o: Form, g: ScaledMatrix) -> Flag:
-    """Attracting fixed flag of g * sigma(g^{-1}) (eigenlines by decreasing modulus).
-
-    sigma(g^{-1}) is the plain adjoint of g, so no inversion is needed.
-    """
-    return eigen_flag(g @ o_adjoint(o, g))
-
-
-def o_repellor(o: Form, g: ScaledMatrix) -> Flag:
-    """Repelling fixed flag of sigma(g^{-1}) * g; equals the attractor of g^{-1}."""
-    eig_flag = eigen_flag(o_adjoint(o, g) @ g)
-    return Flag.of(eig_flag.basis[:, ::-1])
-
-
-def check_r_eps_loxodromic(g: ScaledMatrix, r: float, eps: float) -> bool:
-    """Quantified loxodromy: fixed-point separation and contraction per level.
-
-    The contraction clause is certified through an operator bound: writing a
-    point of the eps-ball complement as a combination of the attracting line
-    and the repelling hyperplane, the image distance to the attracting line
-    is at most ||T|_H|| (sqrt(1 - eps^2) + (eps/D) sqrt(1 - D^2)) / (|mu| eps)
-    with D the separation of the fixed pair and mu the top eigenvalue.
-    """
-    if not 0 < eps <= r:
-        raise ValueError("need 0 < eps <= r")
-    try:
-        plus = eigen_flag(g)
-    except NotLoxodromicError:
-        raise NotLoxodromicError("quantified check needs a loxodromic element") from None
-    return ping_pong_levels(g, plus, Flag.of(plus.basis[:, ::-1]), r, eps)
-
-
 def ping_pong_levels(g: ScaledMatrix, plus: Flag, minus: Flag, r: float, eps: float) -> bool:
-    """``check_r_eps_loxodromic`` for g with attracting flag ``plus`` and repelling flag ``minus``."""
+    """Quantified (r, eps)-loxodromy of g with attracting flag ``plus`` and repelling flag ``minus``.
+
+    On every level j the fixed pair is at least 2r apart and g maps the
+    complement of the eps-ball around the repelling hyperplane into the
+    eps-ball around the attracting line.  The contraction is certified
+    through an operator bound: writing a point of the eps-ball complement as
+    a combination of the attracting line and the repelling hyperplane, the
+    image distance to the attracting line is at most
+    ||T|_H|| (sqrt(1 - eps^2) + (eps/D) sqrt(1 - D^2)) / (|mu| eps) with D the
+    separation of the fixed pair and mu the top eigenvalue.
+    """
     for j in range(1, g.dim):
         line, theta, sep = fixed_pair_separation(plus, minus, j)
         if sep < 2 * r or not _contracts(compound(g, j).entries, line, theta, eps):

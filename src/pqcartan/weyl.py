@@ -1,4 +1,4 @@
-"""Weyl group elements, slot chambers and chamber/flag dictionaries.
+"""Weyl group elements, full chambers and the rank-to-slot map.
 
 Vectors of the Cartan subspace are length-d sum-zero arrays indexed by the
 reference lines: indices 0..p-1 are the positive lines, p..d-1 the negative
@@ -10,26 +10,18 @@ class) is the union of the binom(d, p) compatible full chambers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
 import numpy as np
 
 __all__ = [
     "WeylElement",
-    "ChamberB",
     "ChamberA",
-    "compatible_chambers",
     "merge_to_slots",
     "file_to_slots",
-    "embed_compatible",
     "opposition_b",
-    "iota_b",
     "chamber_from_signs",
     "iota_of_chamber",
 ]
-
-CHAMBER_TOL = 1e-10
-REFERENCE_LINE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,23 +65,6 @@ class WeylElement:
 
 
 @dataclass(frozen=True)
-class ChamberB:
-    """The slot chamber: descending within positive and within negative slots."""
-
-    p: int
-    q: int
-
-    @property
-    def dim(self) -> int:
-        return self.p + self.q
-
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        pos, neg = x[: self.p], x[self.p :]
-        return bool(np.all(np.diff(pos) <= CHAMBER_TOL) and np.all(np.diff(neg) <= CHAMBER_TOL))
-
-
-@dataclass(frozen=True)
 class ChamberA:
     """A full Weyl chamber, as the total order of lines it induces.
 
@@ -107,9 +82,6 @@ class ChamberA:
     def dim(self) -> int:
         return len(self.order)
 
-    def contains(self, x: np.ndarray) -> bool:
-        return bool(np.all(np.diff(self.read(np.asarray(x, dtype=float))) <= CHAMBER_TOL))
-
     def place(self, descending_values) -> np.ndarray:
         """(..., d) vectors of this chamber with the given rank-ordered values.
 
@@ -124,31 +96,12 @@ class ChamberA:
         """(..., d) coordinates of x read in chamber rank order; inverse of ``place``."""
         return np.asarray(x)[..., list(self.order)]
 
-    def is_compatible(self, p: int) -> bool:
-        """Whether this chamber sits inside the slot chamber of signature p."""
-        pos = [i for i in self.order if i < p]
-        neg = [i for i in self.order if i >= p]
-        return pos == sorted(pos) and neg == sorted(neg)
-
     def signs(self, p: int) -> tuple[int, ...]:
         return tuple(1 if i < p else -1 for i in self.order)
 
     @staticmethod
     def default(d: int) -> "ChamberA":
         return ChamberA(tuple(range(d)))
-
-
-def compatible_chambers(p: int, q: int) -> list[ChamberA]:
-    """All full chambers inside the slot chamber: shuffles of the two orders.
-
-    One per choice of the p ranks holding positive lines, in lexicographic
-    order of those ranks.
-    """
-    if p < 1 or q < 1:
-        raise ValueError("signature entries must be positive")
-    d = p + q
-    return [chamber_from_signs([1 if k in pos_ranks else -1 for k in range(d)])
-            for pos_ranks in combinations(range(d), p)]
 
 
 def merge_to_slots(signs) -> np.ndarray:
@@ -174,28 +127,10 @@ def file_to_slots(values: np.ndarray, signs) -> np.ndarray:
     return out
 
 
-def embed_compatible(chamber: ChamberA, p: int) -> WeylElement:
-    """The unique sign-preserving Weyl element taking the chamber into slots.
-
-    The element permutes positive lines among themselves and negative lines
-    among themselves (so its lift preserves the diagonal standard form), and
-    w . chamber is slot-compatible.
-    """
-    signs = chamber.signs(p)
-    if sum(1 for s in signs if s > 0) != p:
-        raise ValueError(f"sign count does not match signature p={p}")
-    return WeylElement(tuple(chamber.place(merge_to_slots(signs)).tolist()))
-
-
 def opposition_b(p: int, q: int) -> WeylElement:
     """Order reversal within positives and within negatives."""
     perm = [p - 1 - i for i in range(p)] + [p + (q - 1 - j) for j in range(q)]
     return WeylElement(tuple(perm))
-
-
-def iota_b(p: int, q: int, x: np.ndarray) -> np.ndarray:
-    """Opposition involution of the slot chamber: X -> -w_b . X."""
-    return -opposition_b(p, q).act(np.asarray(x, dtype=float))
 
 
 def iota_of_chamber(chamber: ChamberA, p: int) -> ChamberA:
@@ -213,34 +148,7 @@ def chamber_from_signs(signs) -> ChamberA:
     return ChamberA(tuple(merge_to_slots(signs).tolist()))
 
 
-def flag_chamber(flag_basis: np.ndarray) -> ChamberA:
-    """Inverse dictionary: the chamber of a coordinate flag.
-
-    Accepts only flags whose columns are reference lines (up to sign and
-    tolerance); anything else raises.
-    """
-    b = np.asarray(flag_basis)
-    d = b.shape[0]
-    order = []
-    for j in range(d):
-        col = b[:, j] / np.linalg.norm(b[:, j])
-        i = int(np.argmax(np.abs(col)))
-        off_axis = np.linalg.norm(col) ** 2 - abs(col[i]) ** 2
-        if abs(abs(col[i]) - 1.0) > REFERENCE_LINE_TOL or off_axis > REFERENCE_LINE_TOL:
-            raise ValueError(f"column {j} does not span a reference line")
-        order.append(i)
-    return ChamberA(tuple(order))
-
-
-def act_on_chamber(w: WeylElement, chamber: ChamberA) -> ChamberA:
-    return ChamberA(tuple(w.perm[i] for i in chamber.order))
-
-
 def chamber_transition(target: ChamberA, source: ChamberA) -> WeylElement:
     """The Weyl element w with w . source = target: line source.order[k] goes to target.order[k]."""
     return WeylElement(tuple(source.place(target.order).tolist()))
 
-
-def all_weyl(d: int):
-    for p in permutations(range(d)):
-        yield WeylElement(p)

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from pqcartan import bulk
-from pqcartan.bulk import ShellData, ball_size, run_bulk, sphere_size, word_rank
-from pqcartan.freegroup import reducible_rep, single_orbit_rep, sphere_words, two_orbit_rep
+from pqcartan.bulk import ShellData, ball_size, run_bulk, sphere_size
+from pqcartan.freegroup import reducible_rep, single_orbit_rep, two_orbit_rep
 from pqcartan.pq_cartan import pq_project
 from pqcartan.projections import cartan, jordan
 from pqcartan.weyl import merge_to_slots
 
 import oracle
+from conftest import singular_flag, sphere_words, word_rank
 
 
 def test_sizes():
@@ -318,7 +319,6 @@ def test_tracked_kernel_fallback_rows_match_stepwise_kernel():
                          ids=["two_orbit", "reducible_32"])
 def test_bulk_attractor_signs_match_flags(make_rep):
     from pqcartan.flags import o_generic
-    from pqcartan.freegroup import singular_flag
 
     rep = make_rep()
     signs = rep.bulk_context().shell(bulk.sphere_rows(2, 3)).attractor_signs()

@@ -8,9 +8,10 @@ import pytest
 
 from pqcartan.bulk import index_row
 from pqcartan.cli import main
-from pqcartan.freegroup import representation_from_config, sphere_words
+from pqcartan.freegroup import representation_from_config
 
 import oracle
+from conftest import sphere_words
 
 
 def write_config(tmp_path, name, payload):

@@ -7,7 +7,12 @@ call private helpers and read constants, but they do not keep them alive.
 
 A public function, class or method is surface, so a test or the benchmark
 may be its only user; one that no line of ``src``, ``tests`` or
-``perfbench`` names is dead all the same.
+``perfbench`` names is dead all the same.  A public module-level function
+or class must be named by more than tests: by a line of ``src`` outside its
+own definition (an ``__init__`` name counts), or by ``perfbench``.  A
+second path to a result the engine already gives, kept alive only by the
+test comparing the two, belongs in the tests.  The exceptions are the
+acceptance experiments that only the acceptance tests run.
 
 A method or property is used only where it is read as an attribute
 (``x.name``): a local variable or argument of the same name keeps nothing
@@ -18,12 +23,16 @@ a public name in the module that owns it.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pqcartan
 
 SRC = Path(pqcartan.__file__).resolve().parent
 REPO = Path(__file__).resolve().parents[1]
+
+# run by tests/test_acceptance.py alone: the paper's experiments, not a second path
+ACCEPTANCE_EXPERIMENTS = {"theorem_b_trend", "gromov_comparison", "comparison_boundedness"}
 
 
 def _definitions(tree):
@@ -90,6 +99,18 @@ def test_every_public_definition_is_named_in_src_tests_or_perfbench():
     users = sorted((REPO / "tests").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
     assert users
     assert _unreferenced(_public_definitions, users) == []
+
+
+def test_every_public_module_definition_is_named_outside_tests():
+    trees = {path.name: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    src_reads = Counter(name for tree in trees.values() for name, _ in _referenced_names(tree))
+    bench_reads = {name for path in sorted((REPO / "perfbench").glob("*.py"))
+                   for name, _ in _referenced_names(_parse(path))}
+    unnamed = [f"{path}:{node.lineno} {node.name}" for path, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not node.name.startswith("_") and node.name not in ACCEPTANCE_EXPERIMENTS | bench_reads
+               and src_reads[node.name] == sum(name == node.name for name, _ in _referenced_names(node))]
+    assert unnamed == []
 
 
 def test_no_module_names_another_modules_private_definition():

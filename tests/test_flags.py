@@ -4,19 +4,10 @@ from math import comb
 import numpy as np
 import pytest
 
-from pqcartan.flags import (
-    Flag,
-    NonGenericFlagError,
-    flag_distance,
-    flag_perp,
-    o_generic,
-    orbit_equal,
-    project_to_So,
-    transverse,
-)
+from pqcartan.flags import Flag, flag_perp, o_generic, project_to_So, transverse
 from pqcartan.forms import Form, sample_isometry, sigma_o
 
-from conftest import random_sl
+from conftest import flag_distance, random_sl
 
 
 def reversed_flag(d):
@@ -60,13 +51,14 @@ def test_o_generic_coordinate_flag(s1):
 
 
 def test_orbit_equal(s1, rng):
+    # the sign sequence is the open-orbit invariant: an isometry keeps it
     std = Flag.standard(3)
     h = sample_isometry(s1, rng)
-    assert orbit_equal(s1, std, std.translate(h))
-    assert not orbit_equal(s1, std, Flag.coordinate((2, 0, 1)))
-    with pytest.raises(NonGenericFlagError):
-        iso = Flag.of(np.column_stack([(1.0, 0, 1.0), (0, 1.0, 0), (0, 0, 1.0)]))
-        orbit_equal(s1, std, iso)
+    signs = o_generic(s1, std).signature
+    assert o_generic(s1, std.translate(h)).signature == signs
+    assert o_generic(s1, Flag.coordinate((2, 0, 1))).signature != signs
+    iso = Flag.of(np.column_stack([(1.0, 0, 1.0), (0, 1.0, 0), (0, 0, 1.0)]))
+    assert not o_generic(s1, iso).generic
 
 
 def test_coordinate_flags_realize_three_orbits(s1):

@@ -3,7 +3,7 @@ import pytest
 
 import pqcartan
 from pqcartan import numerics
-from pqcartan.flags import flag_distance, o_generic
+from pqcartan.flags import o_generic
 from pqcartan.forms import Form
 from pqcartan.freegroup import (
     Representation,
@@ -15,17 +15,16 @@ from pqcartan.freegroup import (
     rotation_control_rep,
     sample_limit_set,
     single_orbit_rep,
-    singular_flag,
     sl2_schottky_pair,
-    sphere_words,
     two_orbit_rep,
 )
 from pqcartan.numerics import ScaledMatrix
 from pqcartan.projections import eigen_flag
-from pqcartan.bulk import index_letter, sphere_rows, sphere_size, word_rank
+from pqcartan.bulk import index_letter, sphere_rows, sphere_size
 from pqcartan.counting import anosov_gap_check
 
 import oracle
+from conftest import flag_distance, singular_flag, sphere_words, word_rank
 
 
 def test_word_reduction_and_ops():

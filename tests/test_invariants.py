@@ -58,7 +58,7 @@ def test_half_twisted_cartan_close_to_cartan():
         block[2, 2] = 1.0
         gens.append(ScaledMatrix.of(block))
     rep = Representation.of(gens, Form.standard(2, 1))
-    from pqcartan.freegroup import sphere_words
+    from conftest import sphere_words
 
     per_shell = {}
     for length in range(1, 6):

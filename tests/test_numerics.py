@@ -11,12 +11,11 @@ from pqcartan.numerics import (
     hodge_dual,
     minor_matrix,
     multiply,
-    subspace_from_wedge,
     wedge_coordinates,
 )
 
 import oracle
-from conftest import random_sl
+from conftest import random_sl, subspace_from_wedge
 
 
 def test_multiply_identity():

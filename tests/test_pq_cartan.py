@@ -15,11 +15,9 @@ from pqcartan.pq_cartan import (
     membership,
     pq_project,
     twisted_square,
-    weyl_chamber_of,
 )
-from pqcartan.weyl import iota_b
 
-from conftest import random_sl, random_slot_vector, sample_decomposable
+from conftest import iota_b, random_sl, random_slot_vector, sample_decomposable
 
 
 def brute_force_slots(o, g, tol=1e-8):
@@ -157,44 +155,12 @@ def test_pq_project_refuses_rotations(s1):
         pq_project(s1, ScaledMatrix.of(expm(0.5 * k)))
 
 
-def test_weyl_chamber_prediction_consistency(s1):
-    x = np.array([1.3, 0.2, -1.5])
-    g = ScaledMatrix.of(expm(np.diag(x)))
-    pred = weyl_chamber_of(s1, g)
-    r = pq_project(s1, g)
-    assert pred.chamber.contains(r.b_o.coords)
-    assert pred.rank_to_slot.perm == r.w_g.perm
-
-
-def test_weyl_chamber_prediction_invariant_under_isometries(s1, rng):
-    x = np.array([1.3, 0.2, -1.5])
-    g0 = ScaledMatrix.of(expm(np.diag(x)))
-    pred0 = weyl_chamber_of(s1, g0)
-    for _ in range(10):
-        h = sample_isometry(s1, rng, scale=0.3)
-        pred = weyl_chamber_of(s1, h @ g0 @ h.inv())
-        assert pred.chamber == pred0.chamber
-
-
 def test_weyl_chamber_prediction_stabilizes_for_powers(s1, rng):
+    # the chamber pq_project files g^n into (its rank -> slot map w_g) settles as n grows
     g = random_sl(rng, 3, spread=1.7)
-    from pqcartan.projections import loxodromy_margin
-
-    if not loxodromy_margin(g) > 1e-2:
-        pytest.skip("sample not loxodromic")
-    preds = []
-    for n in (4, 8):
-        try:
-            pred = weyl_chamber_of(s1, g.power(n))
-            r = pq_project(s1, g.power(n))
-            preds.append((pred.rank_to_slot.perm, r.w_g.perm))
-        except (NotInBoGError, ValueError):
-            preds.append(None)
-    assert preds[-1] is not None
-    assert preds[-1][0] == preds[-1][1]
+    assert pq_project(s1, g.power(8)).w_g == pq_project(s1, g.power(4)).w_g
     # the 16th power's twisted square spans e^37.7 with eigenbasis condition
     # 12.9, past float64 resolution: its dense slot vector is off mpmath by 9.7
-    assert weyl_chamber_of(s1, g.power(16)).rank_to_slot.perm == preds[-1][0]
     with pytest.raises(NumericsError, match="past float64 resolution"):
         pq_project(s1, g.power(16))
 

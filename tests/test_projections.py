@@ -2,29 +2,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from pqcartan.flags import Flag, flag_distance, flag_perp
+from pqcartan.flags import Flag, flag_perp
 from pqcartan.forms import o_adjoint, sample_isometry, sigma_o
 from pqcartan.bulk import index_row
-from pqcartan.freegroup import Word, reducible_rep, single_orbit_rep, sphere_words, two_orbit_rep
+from pqcartan.freegroup import Word, reducible_rep, single_orbit_rep, two_orbit_rep
 from pqcartan.numerics import NumericsError, ScaledMatrix, eigen, recenter
-from pqcartan.projections import (
-    MissingGapError,
-    NotLoxodromicError,
-    cartan,
-    cartan_attractor,
-    cartan_repellor,
-    check_r_eps_loxodromic,
-    gap_margin,
-    has_gap,
-    is_loxodromic,
-    jordan,
-    loxodromy_margin,
-    o_attractor,
-    o_repellor,
-)
+from pqcartan.projections import NotLoxodromicError, cartan, eigen_flag, jordan, ping_pong_levels
 
 import oracle
-from conftest import random_sl
+from conftest import flag_distance, random_sl, sphere_words
 
 
 def test_cartan_identity_and_diagonal():
@@ -110,40 +96,31 @@ def test_jordan_agrees_with_cartan_power_limit(rng):
     assert np.max(np.abs(approx - jordan(g).coords)) < 0.02
 
 
-def test_gap_and_loxodromy_predicates():
-    assert has_gap(ScaledMatrix.of(np.diag([4.0, 2.0, 1.0])))
-    th = np.pi / 5
-    rot = np.array([[np.cos(th), -np.sin(th), 0], [np.sin(th), np.cos(th), 0], [0, 0, 1.0]])
-    assert not is_loxodromic(ScaledMatrix.of(rot))
-
-
 def test_power_scales_margins():
-    from pqcartan.projections import loxodromy_margin
-
     g = ScaledMatrix.of(np.diag([2.0, 1.0, 0.5]))
-    m1 = loxodromy_margin(g)
-    m4 = loxodromy_margin(g.power(4))
+    m1, m4 = (np.min(-np.diff(jordan(h).coords)) for h in (g, g.power(4)))
     assert abs(m4 - 4 * m1) < 1e-8
 
 
-def test_cartan_attractor_examples(rng):
-    g = ScaledMatrix.of(np.diag([4.0, 2.0, 1.0]))
-    assert flag_distance(cartan_attractor(g), Flag.standard(3)) < 1e-12
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    kg = ScaledMatrix.of(q @ np.diag([4.0, 2.0, 1.0]))
-    assert flag_distance(cartan_attractor(kg), Flag.of(q)) < 1e-10
-    with pytest.raises(MissingGapError):
-        cartan_attractor(ScaledMatrix.identity(3))
-
-
 def test_attractor_duality(s1, rng):
+    # the singular attractor of sigma(g^-1) is the dual flag of g's singular repellor
     for _ in range(50):
         g = random_sl(rng, 3, spread=1.3)
-        if not gap_margin(g) > 1e-3:
+        if not np.min(-np.diff(cartan(g).coords)) > 1e-3:
             continue
-        lhs = cartan_attractor(sigma_o(s1, g.inv()))
-        rhs = flag_perp(s1, cartan_repellor(g))
+        lhs = Flag.of(np.linalg.svd(sigma_o(s1, g.inv()).entries)[0])
+        rhs = flag_perp(s1, Flag.of(np.linalg.svd(g.entries)[2].conj().T[:, ::-1]))
         assert flag_distance(lhs, rhs) < 1e-8
+
+
+def o_attractor(o, g):
+    """Attracting flag of the twisted dynamics: the eigenflag of g sigma(g^-1) = g g^#."""
+    return eigen_flag(g @ o_adjoint(o, g))
+
+
+def o_repellor(o, g):
+    """Repelling flag of the twisted dynamics: the eigenflag of sigma(g^-1) g, reversed."""
+    return Flag.of(eigen_flag(o_adjoint(o, g) @ g).basis[:, ::-1])
 
 
 def test_o_attractor_diagonal(s1):
@@ -164,14 +141,20 @@ def test_o_attractor_equivariance(s1, rng):
 def test_o_repellor_is_inverse_attractor(s1, rng):
     g = random_sl(rng, 3, spread=1.6)
     s = o_adjoint(s1, g) @ g
-    if not loxodromy_margin(s) > 1e-3:
+    if not np.min(-np.diff(eigen(s).recentered_moduli())) > 1e-3:
         pytest.skip("twisted square not loxodromic")
     assert flag_distance(o_repellor(s1, g), o_attractor(s1, g.inv())) < 1e-8
 
 
+def r_eps_holds(g, r, eps):
+    """The ping-pong check of g between the fixed flags of its eigenflag."""
+    plus = eigen_flag(g)
+    return ping_pong_levels(g, plus, Flag.of(plus.basis[:, ::-1]), r, eps)
+
+
 def test_r_eps_loxodromic_strong_diagonal():
     g = ScaledMatrix.of(np.diag([np.exp(5.0), 1.0, np.exp(-5.0)]))
-    assert check_r_eps_loxodromic(g, 0.1, 0.1)
+    assert r_eps_holds(g, 0.1, 0.1)
 
 
 def test_r_eps_fails_when_fixed_points_close():
@@ -180,15 +163,15 @@ def test_r_eps_fails_when_fixed_points_close():
     v = np.array([eps / 2, 0.0, 1.0])
     basis = np.column_stack([v / np.linalg.norm(v), [0, 1.0, 0], [1.0, 0, 0]])
     g = ScaledMatrix.of(basis @ np.diag([np.e**4, 1.0, np.e**-4]) @ np.linalg.inv(basis))
-    assert not check_r_eps_loxodromic(g, 0.4, 0.1)
+    assert not r_eps_holds(g, 0.4, 0.1)
 
 
 def test_r_eps_eventually_holds_for_powers(rng):
     g = random_sl(rng, 3, spread=2.0)
-    if not loxodromy_margin(g) > 1e-2:
+    if not np.min(-np.diff(eigen(g).recentered_moduli())) > 1e-2:
         pytest.skip("sample not loxodromic")
     r0 = 0.05
-    held = [n for n in (1, 2, 4, 8, 16) if check_r_eps_loxodromic(g.power(n), r0, r0)]
+    held = [n for n in (1, 2, 4, 8, 16) if r_eps_holds(g.power(n), r0, r0)]
     assert held and all(n >= held[0] for n in held)
     assert 16 in held
 
@@ -197,4 +180,4 @@ def test_rotation_raises_for_attractors():
     th = np.pi / 5
     rot = np.array([[np.cos(th), -np.sin(th), 0], [np.sin(th), np.cos(th), 0], [0, 0, 1.0]])
     with pytest.raises(NotLoxodromicError):
-        check_r_eps_loxodromic(ScaledMatrix.of(rot), 0.1, 0.1)
+        r_eps_holds(ScaledMatrix.of(rot), 0.1, 0.1)
