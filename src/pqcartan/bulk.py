@@ -67,18 +67,6 @@ import numpy as np
 from .numerics import minor_matrix, recentred_increments, subset_table
 from .weyl import file_to_slots
 
-__all__ = [
-    "BulkContext",
-    "ShellData",
-    "run_bulk",
-    "sphere_size",
-    "ball_size",
-    "sphere_rows",
-    "subtree_pieces",
-    "index_row",
-    "cyclically_reduced",
-]
-
 # level state of one walk piece: 40,329 words at d = 3, 3,692 at d = 5; small pieces pay per-call overhead
 # in the 3x3 kernels (600-word pieces: about 15% fewer words/s at d = 3, L = 10)
 SLICE_BYTES = 8 << 20

@@ -94,16 +94,7 @@ def _write_csv(path: Path, header: list[str], rows) -> int:
 
 
 def _build_rep(cfg: dict) -> Representation:
-    rep = representation_from_config(cfg.get("representation", cfg))
-    if isinstance(rep, SchottkyRejection):
-        raise _Rejection(rep)
-    return rep
-
-
-class _Rejection(Exception):
-    def __init__(self, rejection: SchottkyRejection):
-        super().__init__("; ".join(rejection.reasons))
-        self.rejection = rejection
+    return representation_from_config(cfg.get("representation", cfg))
 
 
 def _capped(cfg: dict, words: int) -> None:
@@ -361,7 +352,7 @@ def main(argv=None) -> int:
         if isinstance(exc, (NotInBoGError, NonGenericFlagError, DegenerateFormError, NotLoxodromicError)):
             return fail(EXIT_DEGENERACY, "degeneracy", str(exc))
         return fail(EXIT_CONFIG, "config", str(exc))
-    except _Rejection as exc:
+    except SchottkyRejection as exc:
         return fail(EXIT_CERTIFICATION, "certification", str(exc))
     except CapExceededError as exc:
         return fail(EXIT_CAP, "resource-cap", str(exc))

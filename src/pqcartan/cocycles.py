@@ -18,17 +18,6 @@ from .flags import Flag, NonGenericFlagError, flag_perp, o_generic, project_to_S
 from .forms import Form, gaussian_matrix, induced_form, sigma_o
 from .numerics import ScaledMatrix, compound, recentred_increments, wedge_coordinates
 
-__all__ = [
-    "CocycleValue",
-    "busemann_tau",
-    "busemann_o",
-    "potential",
-    "dual_busemann",
-    "iota_a",
-    "gromov_product",
-    "cross_ratio",
-]
-
 # identity_suite redraws (g1, g2, xi, eta) until the pair conditions hold,
 # and gives up after this many draws per requested sample in all; nearly
 # every draw passes, so running out means the pair conditions almost never

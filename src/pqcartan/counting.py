@@ -19,21 +19,6 @@ from .freegroup import Representation, sample_limit_set
 from .numerics import NumericsError, fit_line, hodge_dual, recenter, recentred_increments
 from .weyl import ChamberA, WeylElement, chamber_from_signs, chamber_transition, file_to_slots, iota_of_chamber
 
-__all__ = [
-    "CountCurve",
-    "count_curve",
-    "anosov_gap_check",
-    "estimate_exponent",
-    "phi_entropy",
-    "cone_samples",
-    "gromov_comparison",
-    "theorem_b_trend",
-    "equidistribution_experiment",
-    "default_phi",
-    "canonical_chamber",
-    "comparison_boundedness",
-]
-
 ENTROPY_GRID_POINTS = 256
 PHI_CLASS_LENGTH = 5
 HAUSDORFF_POINTS = 2500

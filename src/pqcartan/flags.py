@@ -17,17 +17,6 @@ import numpy as np
 from .forms import DEGENERACY_RTOL, Form
 from .numerics import ScaledMatrix
 
-__all__ = [
-    "Flag",
-    "OrbitSignature",
-    "GenericityReport",
-    "transverse",
-    "o_generic",
-    "flag_perp",
-    "project_to_So",
-    "NonGenericFlagError",
-]
-
 TRANSVERSALITY_RTOL = 1e-8
 FLAG_CONDITION_CAP = 1e12
 
@@ -99,15 +88,6 @@ class OrbitSignature:
     """Sign sequence of the orthogonal line decomposition of a generic flag."""
 
     signs: tuple[int, ...]
-
-    @property
-    def prefix_signatures(self) -> tuple[tuple[int, int], ...]:
-        out, pos, neg = [], 0, 0
-        for s in self.signs:
-            pos += s > 0
-            neg += s < 0
-            out.append((pos, neg))
-        return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -17,20 +17,8 @@ import numpy as np
 
 from .numerics import ScaledMatrix, minor_matrix
 
-__all__ = [
-    "Form",
-    "InducedForm",
-    "o_adjoint",
-    "sigma_o",
-    "induced_form",
-    "perp",
-    "sample_isometry",
-    "DegenerateFormError",
-]
-
 
 SELF_ADJOINT_TOL = 1e-12
-RANK_RTOL = 1e-10
 DEGENERACY_RTOL = 1e-9
 
 
@@ -145,10 +133,6 @@ class InducedForm:
     level: int
     gram: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.gram.shape[0]
-
     def pair(self, u: np.ndarray, v: np.ndarray):
         return np.conj(u) @ self.gram @ v
 
@@ -176,29 +160,6 @@ def o_adjoint(o: Form, g: ScaledMatrix) -> ScaledMatrix:
 def sigma_o(o: Form, g: ScaledMatrix) -> ScaledMatrix:
     """The involution g -> adjoint of g^{-1}; fixed points are the isometries."""
     return o_adjoint(o, g.inv())
-
-
-def perp(o: Form, subspace: np.ndarray) -> np.ndarray:
-    """Orthonormal-column basis of the orthogonal complement for the form.
-
-    The complement of span(B) is J^{-1} applied to the Euclidean complement,
-    since <v, u> = 0 for all u in B exactly when J v is Euclidean-orthogonal
-    to B.
-    """
-    b = np.atleast_2d(np.asarray(subspace))
-    if b.shape[0] == o.dim and b.ndim == 2 and b.shape[1] <= o.dim:
-        cols = b
-    else:
-        raise ValueError("subspace must be given as a d x k column matrix")
-    k = cols.shape[1]
-    sv = np.linalg.svd(cols, compute_uv=False)
-    if sv[-1] < RANK_RTOL * sv[0]:
-        raise ValueError("rank-deficient input subspace")
-    q, _ = np.linalg.qr(cols, mode="complete")
-    euclid_perp = q[:, k:]
-    out = o.gram_inv @ euclid_perp
-    out, _ = np.linalg.qr(out)
-    return out
 
 
 def sample_isometry(o: Form, rng, scale: float = 0.5) -> ScaledMatrix:

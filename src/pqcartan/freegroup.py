@@ -20,15 +20,6 @@ from .forms import DEGENERACY_RTOL, Form, induced_form
 from .numerics import ScaledMatrix, wedge_coordinates
 from .projections import GAP_TOL, NotLoxodromicError, eigen_flag, fixed_pair_separation, ping_pong_levels
 
-__all__ = [
-    "Word",
-    "Representation",
-    "SchottkyRejection",
-    "build_schottky",
-    "build_reducible_example",
-    "sample_limit_set",
-]
-
 
 def reduce_letters(letters) -> tuple[int, ...]:
     out: list[int] = []
@@ -129,12 +120,12 @@ def row_word(row) -> Word:
     return Word(tuple(bulk.index_letter(i) for i in row))
 
 
-@dataclass(frozen=True)
-class SchottkyRejection:
-    reasons: tuple[str, ...]
+class SchottkyRejection(Exception):
+    """Certification failed; ``reasons`` names each failed check."""
 
-    def __bool__(self) -> bool:
-        return False
+    def __init__(self, reasons):
+        self.reasons = tuple(reasons)
+        super().__init__("; ".join(self.reasons))
 
 
 def build_schottky(
@@ -142,7 +133,7 @@ def build_schottky(
     o: Form,
     power: int = 1,
     metadata: dict | None = None,
-):
+) -> Representation:
     """Certified ping-pong representation from loxodromic generators.
 
     Images are the given power of the generators.  Certification checks, on
@@ -150,8 +141,8 @@ def build_schottky(
     form and pairwise separated across letters, and each image contracts the
     complement of an eps-ball around its repelling hyperplane into an
     eps-ball around its attracting line, with eps one sixth of the smallest
-    separation (the slack the ping-pong geometry needs).  Failures produce a
-    rejection report naming the pair and level.
+    separation (the slack the ping-pong geometry needs).  Failures raise a
+    SchottkyRejection naming the generator, pair and level.
     """
     reasons: list[str] = []
     t = o.standard_basis
@@ -177,7 +168,7 @@ def build_schottky(
             if not o_generic(o_std, f).generic:
                 reasons.append(f"generator {i} {name} flag not generic for the form")
     if reasons:
-        return SchottkyRejection(tuple(reasons))
+        raise SchottkyRejection(reasons)
 
     # letter fixed data: letter 2i is g_i^power, 2i+1 its inverse
     plus_of = {2 * i: flags_plus[i] for i in range(k)}
@@ -201,7 +192,7 @@ def build_schottky(
             v = wedge_coordinates(f.basis, j)
             sep = min(sep, line_hyperplane_distance(v, v, oj.gram))
     if reasons:
-        return SchottkyRejection(tuple(reasons))
+        raise SchottkyRejection(reasons)
 
     # the fixed flags are generic, so every separation, and with it eps, is positive
     eps = sep / 6.0
@@ -209,7 +200,7 @@ def build_schottky(
         if not ping_pong_levels(g, flags_plus[i], flags_minus[i], eps, eps):
             reasons.append(f"generator {i} image fails ({eps:.3g},{eps:.3g})-contraction")
     if reasons:
-        return SchottkyRejection(tuple(reasons))
+        raise SchottkyRejection(reasons)
 
     meta = dict(metadata or {})
     meta.update({"power": power, "kind": meta.get("kind", "schottky")})

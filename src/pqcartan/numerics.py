@@ -19,16 +19,6 @@ MAX_DIM = 8
 # an eigenbasis whose condition number reaches this cap is not diagonalizable
 CONDITION_CAP = 1e8
 
-__all__ = [
-    "ScaledMatrix",
-    "EigenData",
-    "multiply",
-    "compound",
-    "eigen",
-    "require_resolved",
-    "NumericsError",
-]
-
 
 class NumericsError(RuntimeError):
     """A numerical routine failed to produce a trustworthy answer."""
@@ -199,10 +189,6 @@ class EigenData:
     vectors: np.ndarray
     vector_condition: float
     diagonalizable: bool
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
 
     def recentered_moduli(self) -> np.ndarray:
         return recenter(self.log_moduli)

@@ -20,15 +20,6 @@ from .numerics import ScaledMatrix, eigen, real_columns, recenter, require_resol
 from .projections import CartanVector
 from .weyl import WeylElement, merge_to_slots
 
-__all__ = [
-    "MembershipResult",
-    "PqCartanResult",
-    "membership",
-    "pq_project",
-    "distance_So",
-    "NotInBoGError",
-]
-
 PHASE_TOL = 1e-6
 ISOTROPY_TOL = 1e-9
 MODULUS_CLUSTER_TOL = 1e-9

@@ -17,13 +17,6 @@ from .flags import Flag, line_hyperplane_distance
 from .numerics import (ScaledMatrix, compound, eigen, hodge_dual, real_columns, recenter, require_resolved,
                        wedge_coordinates)
 
-__all__ = [
-    "CartanVector",
-    "cartan",
-    "jordan",
-    "NotLoxodromicError",
-]
-
 GAP_TOL = 1e-6
 
 

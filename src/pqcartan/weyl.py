@@ -13,16 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "WeylElement",
-    "ChamberA",
-    "merge_to_slots",
-    "file_to_slots",
-    "opposition_b",
-    "chamber_from_signs",
-    "iota_of_chamber",
-]
-
 
 @dataclass(frozen=True)
 class WeylElement:
@@ -45,9 +35,6 @@ class WeylElement:
     def act(self, x: np.ndarray) -> np.ndarray:
         return ChamberA(self.perm).place(np.asarray(x, dtype=float))
 
-    def inverse(self) -> "WeylElement":
-        return WeylElement(tuple(ChamberA(self.perm).place(np.arange(self.dim)).tolist()))
-
     def lift(self) -> np.ndarray:
         """Permutation-matrix representative in the standard maximal compact.
 
@@ -58,10 +45,6 @@ class WeylElement:
         if np.linalg.det(m) < 0:
             m[self.perm[0], 0] = -1.0
         return m
-
-    @staticmethod
-    def identity(d: int) -> "WeylElement":
-        return WeylElement(tuple(range(d)))
 
 
 @dataclass(frozen=True)
@@ -95,9 +78,6 @@ class ChamberA:
     def read(self, x) -> np.ndarray:
         """(..., d) coordinates of x read in chamber rank order; inverse of ``place``."""
         return np.asarray(x)[..., list(self.order)]
-
-    def signs(self, p: int) -> tuple[int, ...]:
-        return tuple(1 if i < p else -1 for i in self.order)
 
     @staticmethod
     def default(d: int) -> "ChamberA":

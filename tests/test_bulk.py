@@ -29,7 +29,7 @@ def test_ranks_and_inverses():
 def moderate_reps():
     """Uncertified, moderate-spread versions: dense reference stays accurate."""
     from pqcartan.forms import Form
-    from pqcartan.freegroup import Representation, sl2_irreducible, sl2_schottky_pair
+    from pqcartan.freegroup import Representation, SchottkyRejection, sl2_irreducible, sl2_schottky_pair
     from pqcartan.numerics import ScaledMatrix
 
     gens = []
@@ -39,8 +39,9 @@ def moderate_reps():
         block[2, 2] = 1.0
         gens.append(ScaledMatrix.of(block))
     red = Representation.of(gens, Form.standard(2, 1))
-    two = two_orbit_rep(power=1)
-    if not isinstance(two, Representation):
+    try:
+        two = two_orbit_rep(power=1)
+    except SchottkyRejection:
         two = Representation.of(
             [ScaledMatrix.of(np.diag(np.exp([1.3, 0.0, -1.3])))], Form.standard(2, 1)
         )

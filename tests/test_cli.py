@@ -348,6 +348,14 @@ def test_explicit_generators_failing_the_contraction_exit_3(tmp_path, capsys):
     # a recipe parameter that no recipe takes
     ("rep-build", {"representation": {"recipe": "reducible-21", "params": {"power": 4, "spread": 2}}},
      2, "config", "unexpected keyword argument 'spread'"),
+    ("rep-build", {"representation": {"recipe": "reducible-12"}}, 2, "config", "unknown recipe 'reducible-12'"),
+    ("rep-build", {"representation": {"form": LORENTZ_FORM}}, 2, "config", "needs either 'recipe' or 'generators'"),
+    ("count", {"representation": {"recipe": "reducible-21", "params": {"power": 4}}, "length": 3,
+               "functional": "norm_xx"}, 2, "config", "unknown functional kind 'norm_xx'"),
+    ("cocycle-check", {"form": {"field": "R", "gram": [[1, 1, 0], [0, 1, 0], [0, 0, -1]]}, "samples": 5},
+     2, "config", "Gram matrix is not self-adjoint"),
+    ("rep-build", {"representation": {"generators": [[[2, 0, 0], [0, 1, 0]]], "form": LORENTZ_FORM}},
+     2, "config", "expected a square matrix, got shape (2, 3)"),
 ])
 def test_error_exit_codes(tmp_path, capsys, sub, payload, code, kind, message):
     cfg = write_config(tmp_path, "err.json", payload)

@@ -33,7 +33,6 @@ def test_o_generic_standard(s1):
     rep = o_generic(s1, Flag.standard(3))
     assert rep.generic
     assert rep.signature.signs == (1, 1, -1)
-    assert rep.signature.prefix_signatures == ((1, 0), (2, 0), (2, 1))
 
 
 def test_o_generic_isotropic_first_line(s1):
@@ -149,3 +148,7 @@ def test_flag_json_roundtrip():
     f = Flag.coordinate((2, 0, 1))
     f2 = Flag.from_json(f.to_json())
     assert flag_distance(f, f2) < 1e-12
+    with pytest.raises(ValueError, match="flag basis must be square"):
+        Flag.from_json('{"columns": [[1, 0, 0], [0, 1, 0]]}')
+    with pytest.raises(ValueError, match="condition number above cap"):
+        Flag.of(np.column_stack([(1.0, 0, 0), (1.0, 1e-14, 0), (0, 0, 1.0)]))

@@ -7,7 +7,6 @@ from pqcartan.forms import (
     Form,
     induced_form,
     o_adjoint,
-    perp,
     restricted_signature,
     sample_isometry,
     sigma_o,
@@ -112,38 +111,6 @@ def test_induced_form_invariance_under_isometries(s1, rng):
             pushed = hj.entries.conj().T @ oj.gram @ hj.entries
             alpha = np.vdot(pushed, oj.gram) / np.vdot(oj.gram, oj.gram)
             assert np.linalg.norm(pushed / alpha - oj.gram) < 1e-9
-
-
-def test_perp_examples(s1):
-    span12 = np.eye(3)[:, :2]
-    p = perp(s1, span12)
-    assert p.shape == (3, 1)
-    assert abs(abs(p[2, 0]) - 1.0) < 1e-12
-    iso = np.array([[1.0], [0.0], [1.0]])
-    pi = perp(s1, iso)
-    # isotropic line is contained in its own complement
-    coeff = np.linalg.lstsq(pi, iso[:, 0], rcond=None)[0]
-    assert np.linalg.norm(pi @ coeff - iso[:, 0]) < 1e-10
-
-
-def test_perp_rank_deficient_rejected(s1):
-    cols = np.ones((3, 2))
-    with pytest.raises(ValueError):
-        perp(s1, cols)
-
-
-def test_double_perp(s1, rng):
-    for _ in range(200):
-        k = int(rng.integers(1, 3))
-        cols = rng.standard_normal((3, k))
-        try:
-            pp = perp(s1, perp(s1, cols))
-        except ValueError:
-            continue
-        q1, _ = np.linalg.qr(cols)
-        q2, _ = np.linalg.qr(pp)
-        gap = np.linalg.norm(q1 @ q1.T - q2 @ q2.T)
-        assert gap < 1e-9
 
 
 def test_sample_isometry(s1, rng):

@@ -133,9 +133,10 @@ def test_build_schottky_single_generator():
 def test_build_schottky_rejects_shared_flags():
     g1 = ScaledMatrix.of(np.diag([np.exp(1.5), 1.0, np.exp(-1.5)]))
     g2 = ScaledMatrix.of(np.diag([np.exp(2.0), 1.0, np.exp(-2.0)]))
-    rej = build_schottky([g1, g2], Form.standard(2, 1), power=4)
-    assert isinstance(rej, SchottkyRejection)
-    assert any("share fixed data" in r or "contraction" in r for r in rej.reasons)
+    with pytest.raises(SchottkyRejection) as rej:
+        build_schottky([g1, g2], Form.standard(2, 1), power=4)
+    assert any("share fixed data" in r or "contraction" in r for r in rej.value.reasons)
+    assert str(rej.value) == "; ".join(rej.value.reasons)
 
 
 def test_build_schottky_rejects_non_loxodromic():
@@ -143,9 +144,10 @@ def test_build_schottky_rejects_non_loxodromic():
     rot = ScaledMatrix.of(
         np.array([[np.cos(th), -np.sin(th), 0], [np.sin(th), np.cos(th), 0], [0, 0, 1.0]])
     )
-    rej = build_schottky([rot], Form.standard(2, 1))
-    assert isinstance(rej, SchottkyRejection)
-    assert "not loxodromic" in rej.reasons[0]
+    with pytest.raises(SchottkyRejection) as rej:
+        build_schottky([rot], Form.standard(2, 1))
+    assert not isinstance(rej.value, ValueError)
+    assert "not loxodromic" in rej.value.reasons[0]
 
 
 def test_two_orbit_recipe_certifies():

@@ -5,6 +5,7 @@ import pytest
 
 from pqcartan.numerics import (
     MAX_DIM,
+    NumericsError,
     ScaledMatrix,
     compound,
     eigen,
@@ -31,11 +32,18 @@ def test_multiply_diagonal():
     sq = g @ g
     expect = np.diag([np.e**2, 1.0, np.e**-2])
     assert np.allclose(sq.true_matrix(), expect)
+    inv_sq, sq_of_inv = g.power(-2), g.inv().power(2)
+    assert np.array_equal(inv_sq.entries, sq_of_inv.entries) and inv_sq.log_scale == sq_of_inv.log_scale
+    assert np.allclose(inv_sq.true_matrix(), np.linalg.inv(expect))
+    with pytest.raises(NumericsError, match="singular matrix has no inverse"):
+        ScaledMatrix.of(np.diag([1.0, 1.0, 0.0])).inv()
 
 
 def test_multiply_dimension_mismatch():
     with pytest.raises(ValueError):
         multiply(ScaledMatrix.identity(3), ScaledMatrix.identity(4))
+    with pytest.raises(ValueError, match="field mismatch"):
+        multiply(ScaledMatrix.identity(3), ScaledMatrix.identity(3, "C"))
 
 
 def test_long_products_no_overflow(rng):
@@ -87,6 +95,9 @@ def test_compound_level_one_is_source(rng):
     c = compound(g, 1)
     assert np.allclose(c.entries, g.entries)
     assert abs(c.log_scale - g.log_scale) < 1e-12
+    for j in (0, 4):
+        with pytest.raises(ValueError, match=r"compound level must lie in \[1, 3\]"):
+            compound(g, j)
 
 
 def test_compound_diagonal_minors():

@@ -146,12 +146,17 @@ def test_chamber_transition():
     b = ChamberA((0, 1, 2))
     w = chamber_transition(a, b)
     assert tuple(w.perm[i] for i in b.order) == a.order
+    for bad in ((0, 0, 1), (1, 2, 3)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            WeylElement(bad)
+        with pytest.raises(ValueError, match="not a total order"):
+            ChamberA(bad)
 
 
 def test_chamber_from_signs_roundtrip():
     for p, q in ((2, 1), (2, 2), (3, 2)):
         for c in _shuffle_chambers(p, q):
-            assert chamber_from_signs(c.signs(p)) == c
+            assert chamber_from_signs([1 if i < p else -1 for i in c.order]) == c
 
 
 def test_iota_of_chamber_is_involutive():
