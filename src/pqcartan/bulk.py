@@ -64,7 +64,8 @@ from functools import wraps
 
 import numpy as np
 
-from .numerics import minor_matrix, recentred_increments, subset_table
+from .forms import Form
+from .numerics import minor_matrix, recentred_increments
 from .weyl import file_to_slots
 
 # level state of one walk piece: 40,329 words at d = 3, 3,692 at d = 5; small pieces pay per-call overhead
@@ -134,19 +135,18 @@ class BulkContext:
     k: int
     d: int
     p: int
-    level_signs: list[np.ndarray]  # per level: diagonal of the standard level form
+    level_signs: list[np.ndarray]  # per level: diagonal of the standard form's level Gram
     spheres: list["ShellData"] = field(init=False, repr=False)  # shells 1..SEED_LENGTH
 
     @staticmethod
-    def of(images_std: list[np.ndarray], p: int) -> "BulkContext":
-        """images_std: 2k matrices (gen, gen^-1 alternating) in standard coordinates."""
+    def of(images_std: list[np.ndarray], form: Form) -> "BulkContext":
+        """images_std: 2k matrices (gen, gen^-1 alternating) in the coordinates of ``form``, a standard form."""
         if any(np.iscomplexobj(m) for m in images_std):
             raise ValueError("bulk enumeration supports real representations only")
         d = images_std[0].shape[0]
         k = len(images_std) // 2
-        levels = range(1, d)
         gen_entries, gen_scales = [], []
-        for j in levels:
+        for j in range(1, d):
             ents, scales = [], []
             for m in images_std:
                 cj = minor_matrix(m, j)
@@ -156,8 +156,7 @@ class BulkContext:
             gen_entries.append(np.array(ents))
             gen_scales.append(np.array(scales))
         logdets = np.array([np.linalg.slogdet(m)[1] for m in images_std])
-        base_signs = np.array([1.0] * p + [-1.0] * (d - p))
-        ctx = BulkContext(k, d, p, [np.prod(base_signs[subset_table(d, j)], axis=1) for j in levels])
+        ctx = BulkContext(k, d, form.signature[0], [np.diagonal(gram) for gram in form.level_grams])
         # each letter's attractor: the top eigenvector of its symmetric Gram M M^T, exact from LAPACK
         ctx.spheres = [ShellData(ctx, np.arange(2 * k, dtype=np.int8)[:, None], gen_entries, gen_scales, logdets,
                                  [np.linalg.eigh(m @ np.swapaxes(m, 1, 2))[1][:, :, -1] for m in gen_entries])]

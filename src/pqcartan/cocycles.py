@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flags import Flag, NonGenericFlagError, flag_perp, o_generic, project_to_So, transverse
-from .forms import Form, gaussian_matrix, induced_form, sigma_o
-from .numerics import ScaledMatrix, compound, recentred_increments, wedge_coordinates
+from .forms import Form, gaussian_matrix, quad, sigma_o
+from .numerics import ScaledMatrix, compound, hodge_dual, recentred_increments
 
 # identity_suite redraws (g1, g2, xi, eta) until the pair conditions hold,
 # and gives up after this many draws per requested sample in all; nearly
@@ -24,6 +24,8 @@ from .numerics import ScaledMatrix, compound, recentred_increments, wedge_coordi
 # hold.  The flags themselves come from _random_generic_flag, whose own
 # rejection loop this budget does not count.
 ATTEMPT_BUDGET_PER_SAMPLE = 1000
+# the genericity margin (``GenericityReport.margin``) every flag the suite draws or moves must reach
+GENERIC_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -34,9 +36,9 @@ class CocycleValue:
     coords: np.ndarray
 
 
-def _from_levels(d: int, level, chi_d: float) -> CocycleValue:
-    """Assemble the vector from chi_j = level(j) for j < d and chi_d; recentering drops the lift scale."""
-    increments = recentred_increments(np.array([level(j) for j in range(1, d)] + [chi_d]))
+def _from_levels(levels, chi_d: float) -> CocycleValue:
+    """Assemble the vector from the level values chi_1..chi_{d-1} and chi_d; recentering drops the lift scale."""
+    increments = recentred_increments(np.array([*levels, chi_d]))
     return CocycleValue(np.cumsum(increments)[:-1], increments)
 
 
@@ -45,14 +47,14 @@ def _log_det(g: ScaledMatrix) -> float:
     return float(logabs) + g.dim * g.log_scale
 
 
+def _compounds(g: ScaledMatrix) -> list[ScaledMatrix]:
+    return [compound(g, j) for j in range(1, g.dim)]
+
+
 def busemann_tau(g: ScaledMatrix, xi: Flag) -> CocycleValue:
     """Iwasawa cocycle through exterior norms: chi_j = log |L^j g . v| / |v|."""
-    def level(j):
-        cj = compound(g, j)
-        v = wedge_coordinates(xi.basis, j)
-        return np.log(np.linalg.norm(cj.entries @ v)) + cj.log_scale - np.log(np.linalg.norm(v))
-
-    return _from_levels(g.dim, level, _log_det(g))
+    return _from_levels([np.log(np.linalg.norm(cj.entries @ v)) + cj.log_scale - np.log(np.linalg.norm(v))
+                         for cj, v in zip(_compounds(g), xi.wedges)], _log_det(g))
 
 
 def _generic_wedges(o: Form, xi: Flag, label: str):
@@ -73,13 +75,8 @@ def busemann_o(o: Form, g: ScaledMatrix, xi: Flag) -> CocycleValue:
 
 def _busemann_o_values(o: Form, g: ScaledMatrix, xi: Flag) -> CocycleValue:
     """busemann_o for a caller that has itself checked xi and g.xi generic."""
-    def level(j):
-        oj = induced_form(o, j)
-        cj = compound(g, j)
-        v = wedge_coordinates(xi.basis, j)
-        return 0.5 * (np.log(abs(oj.quad(cj.entries @ v))) + 2 * cj.log_scale - np.log(abs(oj.quad(v))))
-
-    return _from_levels(g.dim, level, _log_det(g))
+    return _from_levels([0.5 * (np.log(abs(quad(gram, cj.entries @ v))) + 2 * cj.log_scale - np.log(abs(quad(gram, v))))
+                         for cj, gram, v in zip(_compounds(g), o.level_grams, xi.wedges)], _log_det(g))
 
 
 def potential(o: Form, xi: Flag) -> CocycleValue:
@@ -89,12 +86,8 @@ def potential(o: Form, xi: Flag) -> CocycleValue:
     cocycles: V(g.xi) - V(xi) = twisted(g, xi) - plain(g, xi).
     """
     _generic_wedges(o, xi, "potential")
-
-    def level(j):
-        v = wedge_coordinates(xi.basis, j)
-        return 0.5 * np.log(abs(induced_form(o, j).quad(v))) - np.log(np.linalg.norm(v))
-
-    return _from_levels(xi.dim, level, 0.0)
+    return _from_levels([0.5 * np.log(abs(quad(gram, v))) - np.log(np.linalg.norm(v))
+                         for gram, v in zip(o.level_grams, xi.wedges)], 0.0)
 
 
 def iota_a(value: CocycleValue) -> CocycleValue:
@@ -122,44 +115,30 @@ def gromov_product(o: Form, xi: Flag, eta: Flag) -> CocycleValue:
         raise ValueError("flags are not transverse")
     _generic_wedges(o, xi, "first")
     _generic_wedges(o, eta, "second")
-    perp = flag_perp(o, xi)
-
-    def level(j):
-        oj = induced_form(o, j)
-        v = wedge_coordinates(perp.basis, j)
-        w = wedge_coordinates(eta.basis, j)
-        cross = oj.pair(v, w)
-        return 0.5 * np.log(abs(cross * cross) / abs(oj.quad(v) * oj.quad(w)))
-
-    return _from_levels(xi.dim, level, 0.0)
+    levels = []
+    for gram, v, w in zip(o.level_grams, flag_perp(o, xi).wedges, eta.wedges):
+        cross = np.conj(v) @ gram @ w
+        levels.append(0.5 * np.log(abs(cross * cross) / abs(quad(gram, v) * quad(gram, w))))
+    return _from_levels(levels, 0.0)
 
 
 def cross_ratio(xi1: Flag, xi2: Flag, xi3: Flag, xi4: Flag) -> CocycleValue:
     """Projective vector-valued cross-ratio of four flags.
 
     chi_j = log |t1(v4) t3(v2) / (t1(v2) t3(v4))| where t_k is the level-j
-    annihilator functional of the k-th flag, realized as the determinant
-    against its complementary columns; the ratio structure makes every
-    choice of representative cancel.
+    annihilator functional of the k-th flag, the Hodge dual of its
+    (d-j)-wedge, and v_k the j-wedge of the k-th flag; the ratio structure
+    makes every choice of representative cancel.
     """
     for a, b in ((xi1, xi2), (xi1, xi4), (xi2, xi3), (xi3, xi4)):
         if not transverse(a, b):
             raise ValueError("required transversality pair fails")
-
-    def level(j):
-        t1v4 = _annihilator_det(xi1, xi4, j)
-        t1v2 = _annihilator_det(xi1, xi2, j)
-        t3v2 = _annihilator_det(xi3, xi2, j)
-        t3v4 = _annihilator_det(xi3, xi4, j)
-        return np.log(abs(t1v4 * t3v2) / abs(t1v2 * t3v4))
-
-    return _from_levels(xi1.dim, level, 0.0)
-
-
-def _annihilator_det(hyper: Flag, point: Flag, j: int):
-    d = hyper.dim
-    block = np.concatenate([hyper.subspace(d - j), point.subspace(j)], axis=1)
-    return np.linalg.det(block)
+    d = xi1.dim
+    levels = []
+    for j, v2, v4 in zip(range(1, d), xi2.wedges, xi4.wedges):
+        t1, t3 = (hodge_dual(f.wedges[d - j - 1], d, j) for f in (xi1, xi3))
+        levels.append(np.log(abs(np.vdot(t1, v4) * np.vdot(t3, v2)) / abs(np.vdot(t1, v2) * np.vdot(t3, v4))))
+    return _from_levels(levels, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +159,13 @@ def _random_generic_flag(rng, o: Form) -> Flag:
             f = Flag.of(gaussian_matrix(rng, o.dim, o.field_tag))
         except ValueError:
             continue
-        if o_generic(o, f, degeneracy_rtol=1e-6).generic:
+        if o_generic(o, f).margin >= GENERIC_MARGIN:
             return f
 
 
 def _moved_flags_generic(o: Form, *flags: Flag) -> bool:
-    """Whether every moved flag passes the margin the flag draws pass."""
-    return all(o_generic(o, f, 1e-6).generic for f in flags)
+    """Whether every moved flag reaches the margin the flag draws reach."""
+    return all(o_generic(o, f).margin >= GENERIC_MARGIN for f in flags)
 
 
 def identity_suite(o: Form, samples: int, seed: int) -> dict:

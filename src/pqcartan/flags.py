@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .forms import DEGENERACY_RTOL, Form
-from .numerics import ScaledMatrix
+from .numerics import ScaledMatrix, wedge_coordinates
 
 TRANSVERSALITY_RTOL = 1e-8
 FLAG_CONDITION_CAP = 1e12
@@ -61,6 +62,14 @@ class Flag:
     def subspace(self, j: int) -> np.ndarray:
         return self.basis[:, :j]
 
+    @cached_property
+    def wedges(self) -> tuple[np.ndarray, ...]:
+        """Read-only Pluecker coordinates of the pieces of levels 1..d-1, computed once per flag."""
+        wedges = tuple(wedge_coordinates(self.basis, j) for j in range(1, self.dim))
+        for w in wedges:
+            w.setflags(write=False)
+        return wedges
+
     def translate(self, g: ScaledMatrix | np.ndarray) -> "Flag":
         m = g.entries if isinstance(g, ScaledMatrix) else np.asarray(g)
         return Flag.of(m @ self.basis)
@@ -84,16 +93,11 @@ class Flag:
 
 
 @dataclass(frozen=True)
-class OrbitSignature:
-    """Sign sequence of the orthogonal line decomposition of a generic flag."""
-
-    signs: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class GenericityReport:
+    """Verdict at DEGENERACY_RTOL, its margin (least relative |form value| of the swept lines), line signs."""
+
     generic: bool
-    signature: OrbitSignature | None
+    signs: tuple[int, ...] | None
     margin: float
     lines: np.ndarray | None
     failed_level: int | None = None
@@ -116,7 +120,7 @@ def transversality_margin(x: Flag, y: Flag) -> float:
     return worst
 
 
-def o_generic(o: Form, x: Flag, degeneracy_rtol: float = DEGENERACY_RTOL) -> GenericityReport:
+def o_generic(o: Form, x: Flag) -> GenericityReport:
     """Signed Gram-Schmidt down the flag.
 
     Succeeds exactly when the form restricted to every flag subspace is
@@ -140,11 +144,11 @@ def o_generic(o: Form, x: Flag, degeneracy_rtol: float = DEGENERACY_RTOL) -> Gen
         val = o.quad(u)
         rel = abs(val) / form_norm
         margin = min(margin, rel)
-        if rel < degeneracy_rtol:
+        if rel < DEGENERACY_RTOL:
             return GenericityReport(False, None, float(margin), None, failed_level=j + 1)
         signs.append(1 if val > 0 else -1)
         lines[:, j] = u
-    return GenericityReport(True, OrbitSignature(tuple(signs)), float(margin), lines)
+    return GenericityReport(True, tuple(signs), float(margin), lines)
 
 
 def flag_perp(o: Form, x: Flag) -> Flag:

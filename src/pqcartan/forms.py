@@ -5,6 +5,7 @@ A ``Form`` wraps the Gram matrix J of a symmetric (real) or Hermitian
 is <u, v> = u* J v.  The adjoint of g with respect to the form is
 J^{-1} g* J and the associated involution sends g to the adjoint of its
 inverse; its fixed group is the projective isometry group of the form.
+``Form.level_grams`` holds the induced forms on the exterior powers.
 """
 
 from __future__ import annotations
@@ -83,12 +84,28 @@ class Form:
         """Operator 2-norm of the Gram matrix, computed once per form."""
         return float(np.linalg.norm(self.gram, 2))
 
+    @cached_property
+    def level_grams(self) -> tuple[np.ndarray, ...]:
+        """Read-only Gram matrices of the induced forms on levels 1..d-1: the j-th compound of J.
+
+        The textbook pairing on wedges carries a 1/j! factor; every consumer
+        takes ratios or signs, so the plain minor (Gram-determinant)
+        normalization is used throughout.
+        """
+        grams = []
+        for j in range(1, self.dim):
+            gram_j = minor_matrix(self.gram, j)
+            gram_j = (gram_j + gram_j.conj().T) / 2
+            gram_j.setflags(write=False)
+            grams.append(gram_j)
+        return tuple(grams)
+
     def pair(self, u: np.ndarray, v: np.ndarray):
         """<u, v> = u* J v."""
         return np.conj(u) @ self.gram @ v
 
     def quad(self, u: np.ndarray) -> float:
-        return float(np.real(self.pair(u, u)))
+        return quad(self.gram, u)
 
     def translate(self, g: np.ndarray) -> "Form":
         """The form g.o, whose isometry group is g H g^{-1}."""
@@ -121,32 +138,9 @@ class Form:
         return Form.of(gram, ft)
 
 
-@dataclass(frozen=True)
-class InducedForm:
-    """The level-j form on the exterior power: Gram matrix = j-th compound of J.
-
-    The textbook pairing on wedges carries a 1/j! factor; every consumer here
-    takes ratios or signs, so the plain minor (Gram-determinant) normalization
-    is used throughout.
-    """
-
-    level: int
-    gram: np.ndarray
-
-    def pair(self, u: np.ndarray, v: np.ndarray):
-        return np.conj(u) @ self.gram @ v
-
-    def quad(self, u: np.ndarray) -> float:
-        return float(np.real(self.pair(u, u)))
-
-
-def induced_form(o: Form, j: int) -> InducedForm:
-    if not 1 <= j <= o.dim - 1:
-        raise ValueError(f"level must lie in [1, {o.dim - 1}], got {j}")
-    gram_j = minor_matrix(o.gram, j)
-    gram_j = (gram_j + gram_j.conj().T) / 2
-    gram_j.setflags(write=False)
-    return InducedForm(j, gram_j)
+def quad(gram: np.ndarray, u: np.ndarray) -> float:
+    """The real value u* G u of the form with Gram matrix G."""
+    return float(np.real(np.conj(u) @ gram @ u))
 
 
 def o_adjoint(o: Form, g: ScaledMatrix) -> ScaledMatrix:

@@ -16,8 +16,8 @@ import numpy as np
 from . import bulk
 from .bulk import BulkContext, sphere_rows
 from .flags import Flag, line_hyperplane_distance, o_generic
-from .forms import DEGENERACY_RTOL, Form, induced_form
-from .numerics import ScaledMatrix, wedge_coordinates
+from .forms import DEGENERACY_RTOL, Form
+from .numerics import ScaledMatrix
 from .projections import GAP_TOL, NotLoxodromicError, eigen_flag, fixed_pair_separation, ping_pong_levels
 
 
@@ -111,7 +111,7 @@ class Representation:
 
     def bulk_context(self) -> BulkContext:
         if self._bulk is None:
-            self._bulk = BulkContext.of(self.images_std, self.form.signature[0])
+            self._bulk = BulkContext.of(self.images_std, self.form)
         return self._bulk
 
 
@@ -186,11 +186,9 @@ def build_schottky(
                 if dist < 1e-12:
                     reasons.append(f"letters {s},{tl} share fixed data at level {j}")
                 sep = min(sep, dist)
-    for i, f in enumerate(flags_plus + flags_minus):
-        for j in range(1, d):
-            oj = induced_form(o_std, j)
-            v = wedge_coordinates(f.basis, j)
-            sep = min(sep, line_hyperplane_distance(v, v, oj.gram))
+    for f in flags_plus + flags_minus:
+        for v, gram in zip(f.wedges, o_std.level_grams):
+            sep = min(sep, line_hyperplane_distance(v, v, gram))
     if reasons:
         raise SchottkyRejection(reasons)
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flags import Flag, line_hyperplane_distance
-from .numerics import (ScaledMatrix, compound, eigen, hodge_dual, real_columns, recenter, require_resolved,
-                       wedge_coordinates)
+from .numerics import ScaledMatrix, compound, eigen, hodge_dual, real_columns, recenter, require_resolved
 
 GAP_TOL = 1e-6
 
@@ -34,10 +33,6 @@ class CartanVector:
         c = np.asarray(self.coords, dtype=float)
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))
@@ -99,8 +94,8 @@ def ping_pong_levels(g: ScaledMatrix, plus: Flag, minus: Flag, r: float, eps: fl
 def fixed_pair_separation(plus: Flag, minus: Flag, j: int) -> tuple[np.ndarray, np.ndarray, float]:
     """(level-j line of ``plus``, covector of the level-j hyperplane of ``minus``, their sine distance)."""
     d = plus.dim
-    line = wedge_coordinates(plus.basis, j)
-    theta = hodge_dual(wedge_coordinates(minus.basis, d - j), d, j)
+    line = plus.wedges[j - 1]
+    theta = hodge_dual(minus.wedges[d - j - 1], d, j)
     return line, theta, line_hyperplane_distance(line, theta)
 
 

@@ -6,7 +6,7 @@ from pqcartan.bulk import _ranks_of, index_row, sphere_rows
 from pqcartan.flags import Flag
 from pqcartan.forms import Form, sample_isometry
 from pqcartan.freegroup import Representation, Word, row_word
-from pqcartan.numerics import NumericsError, ScaledMatrix, subset_table, wedge_coordinates
+from pqcartan.numerics import NumericsError, ScaledMatrix, subset_table
 from pqcartan.weyl import WeylElement, opposition_b
 
 
@@ -87,11 +87,7 @@ def flag_distance(x: Flag, y: Flag) -> float:
     """Largest sine-metric distance between wedge lines across all levels."""
     if x.dim != y.dim:
         raise ValueError("flags of different dimensions")
-    d = x.dim
-    worst = 0.0
-    for j in range(1, d):
-        worst = max(worst, line_distance(wedge_coordinates(x.basis, j), wedge_coordinates(y.basis, j)))
-    return worst
+    return max(line_distance(u, v) for u, v in zip(x.wedges, y.wedges))
 
 
 def line_distance(u: np.ndarray, v: np.ndarray) -> float:

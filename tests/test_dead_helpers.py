@@ -21,7 +21,8 @@ alive.
 
 A public definition is surface, so the benchmark may be its only user; one
 that no line of ``src``, ``tests`` or ``perfbench`` reads is dead all the
-same.  Tests alone do not keep these alive:
+same.  So is an annotated field of a ``src`` class that none of them reads
+as an attribute.  Tests alone do not keep these alive:
 
 - a public module-level function or class: a line of ``src`` outside its
   own definition (an ``__init__`` name counts) or a ``perfbench`` file must
@@ -83,6 +84,15 @@ def _private_definitions(tree):
 
 def _public_definitions(tree):
     return (d for d in _definitions(tree) if not d.name.startswith("_"))
+
+
+def _fields(tree):
+    """Every annotated field of a class, as a definition of its class."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    yield Definition(node.target.id, node.lineno, cls.name, node)
 
 
 def _module_definitions(tree):
@@ -203,6 +213,10 @@ def test_every_public_definition_is_named_in_src_tests_or_perfbench():
     assert _unread(_public_definitions, _src_trees(), _users("tests", "perfbench")) == []
 
 
+def test_every_field_is_read_as_an_attribute():
+    assert _unread(_fields, _src_trees(), _users("tests", "perfbench")) == []
+
+
 def test_every_public_module_definition_is_named_outside_tests():
     assert _unread(_module_definitions, _src_trees(), _users("perfbench")) == []
 
@@ -229,9 +243,9 @@ def test_no_module_but_init_defines_all():
             if path != "__init__.py" and any(name == "__all__" for name, _ in _module_targets(tree))] == []
 
 
-def _unread_names(*sources):
+def _unread_names(*sources, definitions=_definitions):
     tree = ast.parse("".join(map(textwrap.dedent, sources)))
-    return {label.split()[-1] for label in _unread(_definitions, {"m.py": tree})}
+    return {label.split()[-1] for label in _unread(definitions, {"m.py": tree})}
 
 
 def test_check_reads_a_name_its_function_binds_as_the_local():
@@ -270,3 +284,18 @@ def test_check_reads_a_self_attribute_for_its_own_class_alone():
             def f(self): return self.k
     """
     assert {"A.m", "B.k", "C.k"} & _unread_names(source) == {"A.m", "B.k"}
+
+
+def test_check_reads_a_field_only_as_an_attribute():
+    source = """
+        class A:
+            x: int
+            y: int = 0
+            z = 0
+        class B:
+            y: int
+        def f(a, y): return a.x + y + A.y
+    """
+    # a bare name is no field read; A.y reads A's y alone; an unannotated attribute is no field
+    assert _unread_names(source, definitions=_fields) == {"B.y"}
+    assert _unread_names(source, "def g(b): return b.y\n", definitions=_fields) == set()

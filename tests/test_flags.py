@@ -32,7 +32,7 @@ def test_transverse_random_frequency(rng):
 def test_o_generic_standard(s1):
     rep = o_generic(s1, Flag.standard(3))
     assert rep.generic
-    assert rep.signature.signs == (1, 1, -1)
+    assert rep.signs == (1, 1, -1)
 
 
 def test_o_generic_isotropic_first_line(s1):
@@ -46,16 +46,16 @@ def test_o_generic_coordinate_flag(s1):
     f = Flag.coordinate((2, 0, 1))
     rep = o_generic(s1, f)
     assert rep.generic
-    assert rep.signature.signs == (-1, 1, 1)
+    assert rep.signs == (-1, 1, 1)
 
 
 def test_orbit_equal(s1, rng):
     # the sign sequence is the open-orbit invariant: an isometry keeps it
     std = Flag.standard(3)
     h = sample_isometry(s1, rng)
-    signs = o_generic(s1, std).signature
-    assert o_generic(s1, std.translate(h)).signature == signs
-    assert o_generic(s1, Flag.coordinate((2, 0, 1))).signature != signs
+    signs = o_generic(s1, std).signs
+    assert o_generic(s1, std.translate(h)).signs == signs
+    assert o_generic(s1, Flag.coordinate((2, 0, 1))).signs != signs
     iso = Flag.of(np.column_stack([(1.0, 0, 1.0), (0, 1.0, 0), (0, 0, 1.0)]))
     assert not o_generic(s1, iso).generic
 
@@ -65,7 +65,7 @@ def test_coordinate_flags_realize_three_orbits(s1):
     for p in permutations(range(3)):
         rep = o_generic(s1, Flag.coordinate(p))
         assert rep.generic
-        seen.add(rep.signature.signs)
+        seen.add(rep.signs)
     assert seen == {(1, 1, -1), (1, -1, 1), (-1, 1, 1)}
 
 
@@ -76,7 +76,7 @@ def test_open_orbit_count(d, p):
     for perm in permutations(range(d)):
         rep = o_generic(o, Flag.coordinate(perm))
         assert rep.generic
-        seen.add(rep.signature.signs)
+        seen.add(rep.signs)
     assert len(seen) == comb(d, p)
 
 

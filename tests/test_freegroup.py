@@ -191,7 +191,7 @@ def test_limit_samples_are_strided_singular_flags(recipe):
             w = Word(tuple(index_letter(i) for i in row))
             report = o_generic(rep.form, singular_flag(rep, w))
             if report.generic:
-                want_sigs.append(report.signature.signs)
+                want_sigs.append(report.signs)
             else:
                 want_bad.append((w, f"non-generic sample at level {report.failed_level}"))
         assert sigs == want_sigs

@@ -60,14 +60,17 @@ def test_membership_rotation_family(s1):
     for two_theta in np.linspace(0.1, np.pi - 0.1, 25):
         g = ScaledMatrix.of(expm((two_theta / 2) * k))
         res = membership(s1, g)
-        assert not res.ok
+        assert not res.ok and not res
         assert res.reason == "complex spectrum"
+        assert res.phase_margin < 0
 
 
 def test_membership_decomposable_samples(s1, rng):
     for _ in range(50):
         g, _ = sample_decomposable(rng, s1)
-        assert membership(s1, g).ok
+        res = membership(s1, g)
+        assert res.ok and res
+        assert res.phase_margin >= 0 and res.condition >= 1
 
 
 def test_pq_project_diagonal_examples(s1):

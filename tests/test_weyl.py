@@ -175,6 +175,6 @@ def test_bijection_orbits_chambers():
         for c in _shuffle_chambers(p, d - p):
             rep = o_generic(o, Flag.coordinate(c.order))
             assert rep.generic
-            sigs.add(rep.signature.signs)
+            sigs.add(rep.signs)
         assert len(sigs) == comb(d, p)
 
