@@ -201,7 +201,10 @@ def cmd_project(cfg: dict, args) -> dict:
 
 
 def cmd_cocycle_check(cfg: dict, args) -> dict:
-    return identity_suite(Form.from_config(cfg), samples=int(cfg.get("samples", 300)), seed=int(cfg.get("seed", 0)))
+    samples = int(cfg.get("samples", 300))
+    if samples < 1:
+        raise ConfigError(f"samples must be at least 1, got {samples}")
+    return identity_suite(Form.from_config(cfg), samples=samples, seed=int(cfg.get("seed", 0)))
 
 
 def cmd_count(cfg: dict, args) -> dict:

@@ -178,6 +178,8 @@ def identity_suite(o: Form, samples: int, seed: int) -> dict:
     until generic, so reports are reproducible.  Each report is a maximum over
     rank-order coordinates, which a choice of chamber only permutes.
     """
+    if samples < 1:
+        raise ValueError(f"identity suite needs at least 1 sample, got {samples}")
     rng = np.random.default_rng(seed)
     d = o.dim
     dev = {k: 0.0 for k in (

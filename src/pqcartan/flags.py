@@ -5,6 +5,12 @@ span the j-dimensional piece.  Genericity with respect to a form is decided
 by a signed Gram-Schmidt sweep down the flag, which also produces the
 orthogonal line decomposition and its sign sequence (the open-orbit
 invariant of the isometry group action).
+
+Like ``Flag.wedges``, the derived data of a flag are computed once: the
+genericity sweep and the dual flag once per flag and form object, the
+transversality margin once per ordered pair of flag objects.  Each is kept
+in the flag beside the partner object it was computed for, so reports and
+dual flags are shared between callers and are read-only.
 """
 
 from __future__ import annotations
@@ -94,7 +100,10 @@ class Flag:
 
 @dataclass(frozen=True)
 class GenericityReport:
-    """Verdict at DEGENERACY_RTOL, its margin (least relative |form value| of the swept lines), line signs."""
+    """Verdict at DEGENERACY_RTOL, its margin (least relative |form value| of the swept lines), line signs.
+
+    ``lines`` (the unit orthogonal lines, as columns) is read-only: one report serves every caller.
+    """
 
     generic: bool
     signs: tuple[int, ...] | None
@@ -108,7 +117,24 @@ def transverse(x: Flag, y: Flag) -> bool:
     return transversality_margin(x, y) > TRANSVERSALITY_RTOL
 
 
+def _once(kind: str, flag: Flag, partner, compute):
+    """compute(), kept in the flag's ``__dict__`` (as ``Flag.wedges`` is) under (kind, id(partner)).
+
+    A kept value is reused only for the very partner object it was computed
+    for; the entry holds that partner, so its id cannot be recycled.
+    """
+    key = (kind, id(partner))
+    kept = flag.__dict__.get(key)
+    if kept is None or kept[0] is not partner:
+        kept = flag.__dict__[key] = (partner, compute())
+    return kept[1]
+
+
 def transversality_margin(x: Flag, y: Flag) -> float:
+    return _once("transversality", x, y, lambda: _transversality_margin(x, y))
+
+
+def _transversality_margin(x: Flag, y: Flag) -> float:
     if x.dim != y.dim:
         raise ValueError("flags of different dimensions")
     d = x.dim
@@ -127,6 +153,10 @@ def o_generic(o: Form, x: Flag) -> GenericityReport:
     non-degenerate; then the orthogonal line decomposition is unique and its
     sign sequence is returned.  Degeneracies abort rather than pivot.
     """
+    return _once("generic", x, o, lambda: _sweep(o, x))
+
+
+def _sweep(o: Form, x: Flag) -> GenericityReport:
     d = x.dim
     lines = np.array(x.basis, copy=True)
     signs = []
@@ -148,6 +178,7 @@ def o_generic(o: Form, x: Flag) -> GenericityReport:
             return GenericityReport(False, None, float(margin), None, failed_level=j + 1)
         signs.append(1 if val > 0 else -1)
         lines[:, j] = u
+    lines.setflags(write=False)
     return GenericityReport(True, tuple(signs), float(margin), lines)
 
 
@@ -158,6 +189,10 @@ def flag_perp(o: Form, x: Flag) -> Flag:
     complement, so the reversed Q-factor of the basis conjugated by J^{-1}
     assembles the whole dual flag at once.
     """
+    return _once("perp", x, o, lambda: _dual_flag(o, x))
+
+
+def _dual_flag(o: Form, x: Flag) -> Flag:
     q, _ = np.linalg.qr(x.basis)
     reversed_q = q[:, ::-1]
     return Flag.of(o.gram_inv @ reversed_q)

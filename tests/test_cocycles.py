@@ -317,3 +317,45 @@ def test_identity_suite_checks_each_flag_once(s1, monkeypatch):
     assert labels["base"] == labels["translated"] == 20
     assert labels["potential"] == 40
     assert sum(labels.values()) <= 8 * 20
+
+
+def test_identity_suite_computes_each_flag_quantity_once(s1, monkeypatch):
+    # counts computations, keyed by content, not calls: per sample the suite
+    # asks for 19 sweeps, 5 dual flags and 8 transversality tests, of which
+    # only 10, 3 and 5 are distinct, and each of those is computed once
+    from collections import Counter
+
+    from pqcartan import flags
+
+    def by_form(o, x):
+        return o.gram.tobytes(), x.basis.tobytes()
+
+    def by_pair(x, y):
+        return x.basis.tobytes(), y.basis.tobytes()
+
+    counts = {}
+    for name, key in (("_sweep", by_form), ("_dual_flag", by_form), ("_transversality_margin", by_pair)):
+        seen = counts[name] = Counter()
+
+        def spy(a, b, compute=getattr(flags, name), key=key, seen=seen):
+            seen[key(a, b)] += 1
+            return compute(a, b)
+
+        monkeypatch.setattr(flags, name, spy)
+    report = identity_suite(s1, samples=20, seed=201)
+    assert report["samples"] == 20
+    assert {name: max(seen.values()) for name, seen in counts.items()} == dict.fromkeys(counts, 1)
+    assert {name: sum(seen.values()) for name, seen in counts.items()} == {
+        "_sweep": 10 * 20, "_dual_flag": 3 * 20, "_transversality_margin": 5 * 20}
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_identity_suite_refuses_fewer_than_one_sample(s1, samples, monkeypatch):
+    from pqcartan import cocycles
+
+    def no_draw(*args):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(cocycles, "_random_matrix", no_draw)
+    with pytest.raises(ValueError, match=f"at least 1 sample, got {samples}"):
+        identity_suite(s1, samples=samples, seed=3)

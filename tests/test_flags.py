@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from pqcartan.flags import Flag, flag_perp, o_generic, project_to_So, transverse
+from pqcartan.flags import Flag, flag_perp, o_generic, project_to_So, transverse, transversality_margin
 from pqcartan.forms import Form, sample_isometry, sigma_o
 
 from conftest import flag_distance, random_sl
@@ -152,3 +152,51 @@ def test_flag_json_roundtrip():
         Flag.from_json('{"columns": [[1, 0, 0], [0, 1, 0]]}')
     with pytest.raises(ValueError, match="condition number above cap"):
         Flag.of(np.column_stack([(1.0, 0, 0), (1.0, 1e-14, 0), (0, 0, 1.0)]))
+
+
+def _same_report(a, b):
+    lines_equal = (a.lines is None and b.lines is None) or np.array_equal(a.lines, b.lines)
+    return (a.generic, a.signs, a.margin, a.failed_level) == (b.generic, b.signs, b.margin, b.failed_level) \
+        and lines_equal
+
+
+def test_derived_flag_data_are_computed_once_and_shared(s1, rng):
+    x, y = (Flag.of(np.linalg.qr(rng.standard_normal((3, 3)))[0]) for _ in range(2))
+    rep = o_generic(s1, x)
+    assert rep.generic and o_generic(s1, x) is rep
+    assert flag_perp(s1, x) is flag_perp(s1, x)
+    assert transversality_margin(x, y) is transversality_margin(x, y)
+    with pytest.raises(ValueError, match="read-only"):
+        rep.lines[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        flag_perp(s1, x).basis[0, 0] = 1.0
+
+
+def test_equal_but_distinct_forms_each_get_their_own_sweep(rng, monkeypatch):
+    from pqcartan import flags
+
+    sweeps = []
+    sweep = flags._sweep
+
+    def spy(o, x):
+        sweeps.append(o)
+        return sweep(o, x)
+
+    monkeypatch.setattr(flags, "_sweep", spy)
+    a, b = Form.standard(2, 1), Form.standard(2, 1)
+    x = Flag.of(rng.standard_normal((3, 3)))
+    rep_a, rep_b = o_generic(a, x), o_generic(b, x)
+    assert o_generic(a, x) is rep_a and o_generic(b, x) is rep_b
+    assert len(sweeps) == 2 and sweeps[0] is a and sweeps[1] is b
+    assert rep_a is not rep_b and _same_report(rep_a, rep_b)
+
+
+def test_a_dropped_form_never_answers_for_a_later_one(rng):
+    # each temporary form is dropped right after its sweep; were a report kept
+    # by the form's id alone, a later form reusing that id would read it
+    x = Flag.of(rng.standard_normal((3, 3)))
+    for _ in range(1000):
+        h = rng.standard_normal((3, 3))
+        gram = h.T @ np.diag([1.0, 1.0, -1.0]) @ h
+        rep = o_generic(Form.of(gram), x)
+        assert _same_report(rep, o_generic(Form.of(gram), Flag(x.basis)))
