@@ -354,10 +354,10 @@ def test_explicit_generators_failing_the_contraction_exit_3(tmp_path, capsys):
                "functional": "norm_xx"}, 2, "config", "unknown functional kind 'norm_xx'"),
     ("cocycle-check", {"form": {"field": "R", "gram": [[1, 1, 0], [0, 1, 0], [0, 0, -1]]}, "samples": 5},
      2, "config", "Gram matrix is not self-adjoint"),
-    # a suite of no samples would report all-zero deviations for nothing checked
-    ("cocycle-check", {"form": LORENTZ_FORM, "samples": 0}, 2, "config", "samples must be at least 1, got 0"),
     ("rep-build", {"representation": {"generators": [[[2, 0, 0], [0, 1, 0]]], "form": LORENTZ_FORM}},
      2, "config", "expected a square matrix, got shape (2, 3)"),
+    # a suite of no samples would report all-zero deviations for nothing checked
+    ("cocycle-check", {"form": LORENTZ_FORM, "samples": 0}, 2, "config", "samples must be at least 1, got 0"),
 ])
 def test_error_exit_codes(tmp_path, capsys, sub, payload, code, kind, message):
     cfg = write_config(tmp_path, "err.json", payload)
