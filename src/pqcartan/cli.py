@@ -39,6 +39,7 @@ EXIT_DEGENERACY = 5
 
 DEFAULT_GRID_POINTS = 256
 DEFAULT_WORD_CAP = 50_000_000
+LIMIT_SAMPLES = 40
 
 
 class ConfigError(ValueError):
@@ -115,10 +116,7 @@ def _ball_length(rep: Representation, cfg: dict, key: str, default: int) -> int:
 
 def _grid_from(cfg: dict, default_hi: float) -> np.ndarray:
     g = cfg.get("grid", {})
-    lo = float(g.get("lo", 0.0))
-    hi = float(g.get("hi", default_hi))
-    n = int(g.get("points", DEFAULT_GRID_POINTS))
-    return np.linspace(lo, hi, n)
+    return np.linspace(0.0, float(g.get("hi", default_hi)), int(g.get("points", DEFAULT_GRID_POINTS)))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -131,7 +129,7 @@ def cmd_rep_build(cfg: dict, args) -> dict:
     if length < 1:
         raise ConfigError(f"sample_length must be at least 1, got {length}")
     _capped(cfg, sphere_size(rep.rank, length))
-    sigs, bad = sample_limit_set(rep, length, int(cfg.get("sample_count", 40)))
+    sigs, bad = sample_limit_set(rep, length, LIMIT_SAMPLES)
     return {
         "certificate": rep.certificate,
         "metadata": rep.metadata,
@@ -246,8 +244,7 @@ def cmd_cone(cfg: dict, args) -> dict:
     l_max = _ball_length(rep, cfg, "length_max", 9)
     if not 1 <= l_min <= l_max:
         raise ConfigError(f"length_min must lie in [1, length_max = {l_max}], got {l_min}")
-    result = cone_samples(rep, l_min, l_max, threads=args.threads,
-                          stride=int(cfg.get("stride", 1)))
+    result = cone_samples(rep, l_min, l_max, threads=args.threads)
     bo = result["slot_cloud"]
     union = result["translate_union"]
     rows = [["bo"] + [f"{x:.10g}" for x in v] for v in bo]
@@ -347,7 +344,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        cfg.setdefault("max_words", args.max_words)
+        cfg["max_words"] = args.max_words
         summary = SUBCOMMANDS[args.subcommand](cfg, args)
     except ConfigError as exc:
         return fail(EXIT_CONFIG, "config", str(exc))

@@ -57,7 +57,9 @@ class CountCurve:
 class FunctionalHistCollector:
     """Ball histogram of one word functional, with exclusion tallies.
 
-    kinds: norm_at, norm_bo, phi_bo, phi_lambda, min_root_gap.
+    kinds: norm_at, norm_bo, phi_bo, phi_lambda, min_root_gap.  phi_bo pairs
+    ``phi`` with b_o; phi_lambda pairs it with the Jordan projection placed in
+    the chamber whose order is ``chamber_order``.
     """
 
     def __init__(self, kind: str, grid, phi=None, chamber_order=None):
@@ -80,8 +82,7 @@ class FunctionalHistCollector:
             return bo @ self.phi, shell.bo_valid_mask()
         if self.kind == "phi_lambda":
             lam, ok = shell.jordan_coords()
-            chamber = ChamberA.default(shell.ctx.d) if self.chamber_order is None else ChamberA(self.chamber_order)
-            return chamber.place(lam) @ self.phi, ok
+            return ChamberA(self.chamber_order).place(lam) @ self.phi, ok
         if self.kind == "min_root_gap":
             return shell.min_root_gap(), None
         raise ValueError(f"unknown functional kind {self.kind!r}")
@@ -122,22 +123,18 @@ class DirectionsCollector:
     shell, each shell in canonical order, for any slice size.
     """
 
-    def __init__(self, length_min: int, length_max: int, stride: int = 1):
+    def __init__(self, length_min: int, length_max: int):
         self.length_min = length_min
         self.length_max = length_max
-        self.stride = stride
         self.parts: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
 
     def update(self, shell: ShellData):
         if not (self.length_min <= shell.length <= self.length_max):
             return
-        ranks = shell.ranks()
-        keep = (ranks % self.stride) == 0
-        at = shell.cartan_coords()[keep]
+        at = shell.cartan_coords()
         bo, _, _ = shell.bo_data()
-        valid = shell.bo_valid_mask()[keep]
-        bo = bo[keep][valid]
-        at = at[valid]
+        valid = shell.bo_valid_mask()
+        at, bo = at[valid], bo[valid]
         self.parts.setdefault((int(shell.idx_rows[0, 0]), shell.length), []).append(
             (at / np.linalg.norm(at, axis=1, keepdims=True), bo / np.linalg.norm(bo, axis=1, keepdims=True)))
 
@@ -219,13 +216,9 @@ def count_curve(
     grid_arr = np.asarray(grid, dtype=float)
     if length_max == 0:
         return CountCurve(grid_arr, (grid_arr >= 0.0).astype(np.int64), functional)
-    ctx = rep.bulk_context()
-    spec_kwargs = {"kind": functional, "grid": grid_arr}
-    if phi is not None:
-        spec_kwargs["phi"] = np.asarray(phi, dtype=float)
-    if chamber is not None:
-        spec_kwargs["chamber_order"] = chamber.order
-    [col] = bulk.run_bulk(ctx, length_max, [(FunctionalHistCollector, spec_kwargs)], threads=threads)
+    spec = {"kind": functional, "grid": grid_arr, "phi": phi,
+            "chamber_order": None if chamber is None else chamber.order}
+    [col] = bulk.run_bulk(rep.bulk_context(), length_max, [(FunctionalHistCollector, spec)], threads=threads)
     return col.curve(functional)
 
 
@@ -237,10 +230,7 @@ def anosov_gap_check(rep: Representation, length_max: int, threads: int = 1):
     the word-length gap bound; finite length can only ever test a necessary
     condition, which the CLI report states explicitly.
     """
-    [col] = bulk.run_bulk(rep.bulk_context(), length_max,
-                          [(FunctionalHistCollector, {"kind": "min_root_gap", "grid": []})],
-                          threads=threads)
-    minima = col.shell_minima
+    minima = count_curve(rep, "min_root_gap", length_max, [], threads=threads).shell_minima
     shells = sorted(minima)
     ys = np.array([minima[s] for s in shells], dtype=float)
     slope, intercept, _ = fit_line(np.array(shells, dtype=float), ys)
@@ -335,14 +325,13 @@ def class_periods(rep: Representation, phi: np.ndarray, chamber: ChamberA, lengt
     return all_vals, per_length_min
 
 
-def phi_entropy(rep: Representation, phi, length_max: int, chamber: ChamberA | None = None):
+def phi_entropy(rep: Representation, phi, length_max: int, chamber: ChamberA):
     """Growth rate of conjugacy classes by the functional of the Jordan projection.
 
     Refuses when the functional fails to be positive on a sampled direction,
     naming the witness.  Returns (h, curve, details).
     """
     phi = np.asarray(phi, dtype=float)
-    chamber = chamber if chamber is not None else canonical_chamber(rep)
     vals, per_length_min = class_periods(rep, phi, chamber, length_max)
     if len(vals) == 0:
         raise ValueError("no conjugacy classes below the requested length")
@@ -411,19 +400,16 @@ def default_phi(rep: Representation, chamber: ChamberA | None = None) -> np.ndar
 # -- cones -------------------------------------------------------------------
 
 
-def cone_samples(rep: Representation, length_min: int, length_max: int, threads: int = 1, stride: int = 1):
+def cone_samples(rep: Representation, length_min: int, length_max: int, threads: int = 1):
     """Direction clouds of both projections plus the Weyl translate report.
 
     The set of Weyl elements is computed from the distinct orbit signatures
     of sampled limit flags; the slot-projection cloud is checked against the
     union of the corresponding translates of the Cartan cloud.
     """
-    ctx = rep.bulk_context()
-    [col] = bulk.run_bulk(
-        ctx, length_max,
-        [(DirectionsCollector, {"length_min": length_min, "length_max": length_max, "stride": stride})],
-        threads=threads,
-    )
+    [col] = bulk.run_bulk(rep.bulk_context(), length_max,
+                          [(DirectionsCollector, {"length_min": length_min, "length_max": length_max})],
+                          threads=threads)
     at_sorted, bo = col.clouds()
     p = rep.form.signature[0]
     chamber = canonical_chamber(rep)
@@ -528,14 +514,7 @@ def _word_bracket(ctx: bulk.BulkContext, repelling_tops, attracting_tops) -> np.
     return recentred_increments(chi)
 
 
-def gromov_comparison(
-    rep: Representation,
-    phi,
-    cylinder_a,
-    cylinder_b,
-    length_max: int,
-    length_min: int = 4,
-):
+def gromov_comparison(rep: Representation, phi, cylinder_a, cylinder_b, length_max: int, length_min: int):
     """Shellwise max of |phi(b_o) - phi(lambda) + bracket| over cylinder pairs.
 
     The bracket is the functional paired with the Gromov product of the

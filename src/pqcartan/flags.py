@@ -9,13 +9,16 @@ invariant of the isometry group action).
 Like ``Flag.wedges``, the derived data of a flag are computed once: the
 genericity sweep and the dual flag once per flag and form object, the
 transversality margin once per ordered pair of flag objects.  Each is kept
-in the flag beside the partner object it was computed for, so reports and
-dual flags are shared between callers and are read-only.
+in the flag beside a weak reference to the partner object it was computed
+for, so reports and dual flags are shared between callers and are read-only,
+and an entry keeps neither its partner alive nor a reference cycle (a flag
+holds its dual flag, whose margin entry only weakly refers back).
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -121,12 +124,14 @@ def _once(kind: str, flag: Flag, partner, compute):
     """compute(), kept in the flag's ``__dict__`` (as ``Flag.wedges`` is) under (kind, id(partner)).
 
     A kept value is reused only for the very partner object it was computed
-    for; the entry holds that partner, so its id cannot be recycled.
+    for: the entry holds a weak reference to that partner, which no longer
+    answers once the partner is gone, so a later object that reuses its id
+    gets its own computation.
     """
     key = (kind, id(partner))
     kept = flag.__dict__.get(key)
-    if kept is None or kept[0] is not partner:
-        kept = flag.__dict__[key] = (partner, compute())
+    if kept is None or kept[0]() is not partner:
+        kept = flag.__dict__[key] = (weakref.ref(partner), compute())
     return kept[1]
 
 

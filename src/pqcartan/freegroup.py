@@ -43,10 +43,6 @@ class Word:
     def of(letters) -> "Word":
         return Word(reduce_letters(letters))
 
-    @property
-    def length(self) -> int:
-        return len(self.letters)
-
     def __mul__(self, other: "Word") -> "Word":
         return Word.of(self.letters + other.letters)
 
@@ -131,7 +127,7 @@ class SchottkyRejection(Exception):
 def build_schottky(
     generators: list[ScaledMatrix],
     o: Form,
-    power: int = 1,
+    power: int,
     metadata: dict | None = None,
 ) -> Representation:
     """Certified ping-pong representation from loxodromic generators.
@@ -230,7 +226,7 @@ def build_reducible_example(
     p: int,
     q: int,
     sl2_generators: list[np.ndarray],
-    power: int = 1,
+    power: int,
     metadata: dict | None = None,
 ):
     """Block representation: dim-p and dim-q irreducibles of an SL2 pair.

@@ -79,10 +79,6 @@ class ChamberA:
         """(..., d) coordinates of x read in chamber rank order; inverse of ``place``."""
         return np.asarray(x)[..., list(self.order)]
 
-    @staticmethod
-    def default(d: int) -> "ChamberA":
-        return ChamberA(tuple(range(d)))
-
 
 def merge_to_slots(signs) -> np.ndarray:
     """Stable two-pile merge: rank k of the given sign goes to its next slot.

@@ -245,7 +245,8 @@ def test_jordan_stepwise_kernel_reached_only_by_fallback_rows(monkeypatch):
     rep = reducible_rep(power=4)
     ctx = rep.bulk_context()
     monkeypatch.setattr(bulk, "_top_eig_power", spy)
-    spec = {"kind": "phi_lambda", "grid": np.linspace(0.0, 10.0, 16), "phi": [1.0, 0.0, -1.0]}
+    spec = {"kind": "phi_lambda", "grid": np.linspace(0.0, 10.0, 16), "phi": [1.0, 0.0, -1.0],
+            "chamber_order": (0, 1, 2)}
     run_bulk(ctx, 8, [(FunctionalHistCollector, spec)])
     want = Counter()
     for length in range(1, 9):
@@ -580,7 +581,8 @@ def test_stepwise_kernel_never_gets_an_empty_stack(monkeypatch):
         return stepwise(mats)
 
     monkeypatch.setattr(bulk, "_top_eig_power", spy)
-    spec = {"kind": "phi_lambda", "grid": np.linspace(0.0, 10.0, 16), "phi": [1.0, 0.0, -1.0]}
+    spec = {"kind": "phi_lambda", "grid": np.linspace(0.0, 10.0, 16), "phi": [1.0, 0.0, -1.0],
+            "chamber_order": (0, 1, 2)}
     run_bulk(ctx, 7, [(FunctionalHistCollector, spec)])
-    class_periods(rep, np.array([1.0, 0.0, -1.0]), ChamberA.default(3), 9)
+    class_periods(rep, np.array([1.0, 0.0, -1.0]), ChamberA((0, 1, 2)), 9)
     assert sizes and min(sizes) > 0

@@ -84,6 +84,13 @@ def test_ball_at_max_words_runs(tmp_path, red_cfg):
     assert main(["gap-check", "--config", red_cfg, "--out", str(tmp_path / "o"), "--max-words", "160"]) == 0
 
 
+def test_a_config_max_words_entry_does_not_override_the_flag(tmp_path):
+    # --max-words is the only word cap: the flag's value replaces a config's own entry
+    cfg = write_config(tmp_path, "red4.json", {"representation": {"recipe": "reducible-21", "params": {"power": 4}},
+                                               "length": 4, "max_words": 10**9})
+    assert main(["gap-check", "--config", cfg, "--out", str(tmp_path / "o"), "--max-words", "159"]) == 4
+
+
 def test_equidistribute_runs_within_its_ball(tmp_path):
     # the L=3 ball of a rank-2 group has 4 + 12 + 36 = 52 words besides the identity
     cfg = write_config(tmp_path, "red3.json", {"representation": {"recipe": "reducible-21", "params": {"power": 4}},

@@ -167,6 +167,15 @@ def test_gromov_transformation_rule(s1, rng):
         assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
+def test_gromov_product_and_cross_ratio_refuse_non_transverse_flags(s1, rng):
+    x = Flag.standard(3)
+    y, z = (_random_generic_flag(rng, s1) for _ in range(2))
+    with pytest.raises(ValueError, match="not transverse"):
+        gromov_product(s1, x, x)
+    with pytest.raises(ValueError, match="transversality pair fails"):
+        cross_ratio(x, x, y, z)
+
+
 def test_cross_ratio_degenerate_pair_vanishes(rng):
     o = Form.standard(2, 1)
     xi1 = _random_generic_flag(rng, o)

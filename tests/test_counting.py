@@ -132,13 +132,13 @@ def test_equidistribution_reads_no_ball_past_its_length(red, monkeypatch):
 
 def test_phi_entropy_scaling(red):
     phi = default_phi(red)
-    h1, _, _ = phi_entropy(red, phi, 8)
-    h2, _, _ = phi_entropy(red, 2.0 * phi, 8)
+    h1, _, _ = phi_entropy(red, phi, 8, canonical_chamber(red))
+    h2, _, _ = phi_entropy(red, 2.0 * phi, 8, canonical_chamber(red))
     assert abs(h2 - h1 / 2.0) < 0.05 * h1
 
 
 def test_phi_entropy_positive_finite(red):
-    h, curve, details = phi_entropy(red, default_phi(red), 8)
+    h, curve, details = phi_entropy(red, default_phi(red), 8, canonical_chamber(red))
     assert 0 < h < np.inf
     assert np.all(np.diff(curve.counts) >= 0)
 
@@ -146,7 +146,7 @@ def test_phi_entropy_positive_finite(red):
 def test_phi_entropy_rejects_bad_functional(red):
     bad = -default_phi(red)
     with pytest.raises(ValueError):
-        phi_entropy(red, bad, 6)
+        phi_entropy(red, bad, 6, canonical_chamber(red))
 
 
 def test_class_reads_refuse_representatives_outside_the_jordan_mask():
@@ -158,9 +158,9 @@ def test_class_reads_refuse_representatives_outside_the_jordan_mask():
 
     rep = rotation_control_rep()
     with pytest.raises(NumericsError, match="4 of 4 length-1 class representatives"):
-        class_periods(rep, np.array([1.0, 0.0, -1.0]), ChamberA.default(3), 5)
+        class_periods(rep, np.array([1.0, 0.0, -1.0]), ChamberA((0, 1, 2)), 5)
     with pytest.raises(NumericsError, match="Jordan mask"):
-        default_phi(rep, ChamberA.default(3))
+        default_phi(rep, ChamberA((0, 1, 2)))
 
 
 def test_phi_periods_match_sl2_translation_lengths(red):
@@ -235,7 +235,7 @@ def test_gromov_comparison_decreases(red):
 
 def test_gromov_comparison_requires_single_orbit(two):
     with pytest.raises(ValueError):
-        gromov_comparison(two, np.array([1.0, 0, -1.0]), (1,), (2,), 6)
+        gromov_comparison(two, np.array([1.0, 0, -1.0]), (1,), (2,), 6, 4)
 
 
 def test_theorem_b_trend_shape(red):
@@ -419,7 +419,8 @@ def _collector_outputs(rep, length_max):
     phi = np.arange(d, 0, -1, dtype=float) - (d + 1) / 2
     grid = np.linspace(0.0, 4.0 * length_max, 97)
     kinds = ("norm_at", "norm_bo", "phi_bo", "phi_lambda", "min_root_gap")
-    specs = [(FunctionalHistCollector, {"kind": k, "grid": grid, "phi": phi}) for k in kinds]
+    specs = [(FunctionalHistCollector, {"kind": k, "grid": grid, "phi": phi, "chamber_order": tuple(range(d))})
+             for k in kinds]
     specs += [(ComparisonCollector, {"length_max": length_max}),
               (DirectionsCollector, {"length_min": length_max - 2, "length_max": length_max}),
               (BoxMassCollector, {"grid": grid, "boxes_idx": [((0,), (2,)), ((1,), (3,)), ((), (0, 2))],

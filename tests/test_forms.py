@@ -154,6 +154,11 @@ def test_serialization_roundtrip():
     assert oc2.signature == oc.signature
 
 
+def test_from_json_refuses_an_unknown_field():
+    with pytest.raises(ValueError, match="unknown field tag 'Q'"):
+        Form.from_json('{"field": "Q", "gram": [[1.0, 0.0], [0.0, -1.0]]}')
+
+
 def test_complex_hermitian_adjoint(rng):
     oc = Form.standard(1, 1, "C")
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))

@@ -145,7 +145,7 @@ def test_build_schottky_rejects_non_loxodromic():
         np.array([[np.cos(th), -np.sin(th), 0], [np.sin(th), np.cos(th), 0], [0, 0, 1.0]])
     )
     with pytest.raises(SchottkyRejection) as rej:
-        build_schottky([rot], Form.standard(2, 1))
+        build_schottky([rot], Form.standard(2, 1), power=1)
     assert not isinstance(rej.value, ValueError)
     assert "not loxodromic" in rej.value.reasons[0]
 
@@ -226,12 +226,12 @@ def test_limit_samples_without_singular_gap_are_reported():
 
 def test_reducible_rejects_trivial_sl2():
     with pytest.raises(ValueError):
-        build_reducible_example(2, 1, [np.eye(2)])
+        build_reducible_example(2, 1, [np.eye(2)], 1)
 
 
 def test_reducible_parity_check():
     with pytest.raises(ValueError):
-        build_reducible_example(2, 2, sl2_schottky_pair())
+        build_reducible_example(2, 2, sl2_schottky_pair(), 1)
 
 
 def test_gap_check_positive_for_certified():

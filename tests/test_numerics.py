@@ -79,6 +79,12 @@ def test_compound_identity_level():
     assert np.allclose(c.true_matrix(), np.eye(3))
 
 
+def test_scaled_matrix_refuses_dimensions_past_max_dim():
+    assert ScaledMatrix.of(np.eye(MAX_DIM)).dim == MAX_DIM
+    with pytest.raises(ValueError, match=f"dimension {MAX_DIM + 1} exceeds supported maximum {MAX_DIM}"):
+        ScaledMatrix.of(np.eye(MAX_DIM + 1))
+
+
 def test_compound_past_max_dim_is_a_scaled_matrix(rng):
     # C(5, 2) = 10 > MAX_DIM: the level is built directly, not through ScaledMatrix.of
     g = random_sl(rng, 5)

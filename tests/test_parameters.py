@@ -49,12 +49,17 @@ def test_no_function_has_an_unread_parameter():
 
 
 # Defaulted parameters in src/pqcartan (ast count): 119, then 90, 68, 67,
-# 60, 57, 39, 35, 34, now 33 (o_generic's degeneracy_rtol).  A caller who
+# 60, 57, 39, 35, 34, 33 (o_generic's degeneracy_rtol), now 27.  A caller who
 # wants another threshold compares the margin the result already carries; a
 # new knob needs a visible edit to this bound.  Four went as defaults every caller overrides: identity_suite's
 # samples and seed, _random_matrix's field and theorem_b_trend's class_length;
 # the last, PhiCocycles.of's chamber, went with the class, which only tests used.
-MAX_DEFAULTED_PARAMETERS = 33
+# The last six went as defaults only tests took, found by line-tracing the
+# benchmark workloads and every CLI subcommand: cone_samples' and
+# DirectionsCollector's stride (with the cone config key), phi_entropy's chamber,
+# build_schottky's and build_reducible_example's power and gromov_comparison's
+# length_min.
+MAX_DEFAULTED_PARAMETERS = 27
 
 
 def _defaulted_parameter_count(path: Path) -> int:

@@ -158,6 +158,16 @@ def test_pq_project_refuses_rotations(s1):
         pq_project(s1, ScaledMatrix.of(expm(0.5 * k)))
 
 
+def test_nilpotent_self_adjoint_shift_is_refused_as_non_diagonalizable(s1):
+    # X is nilpotent and o-self-adjoint, so I + X/2 has a non-diagonalizable
+    # twisted square: its eigenbasis condition (about 1.2e8) reaches CONDITION_CAP
+    x = np.array([[0, 0, 0], [0, 1.0, 1.0], [0, -1.0, -1.0]])
+    g = ScaledMatrix.of(np.eye(3) + x / 2)
+    assert membership(s1, g).reason == "non-diagonalizable"
+    with pytest.raises(NotInBoGError, match="non-diagonalizable"):
+        pq_project(s1, g)
+
+
 def test_weyl_chamber_prediction_stabilizes_for_powers(s1, rng):
     # the chamber pq_project files g^n into (its rank -> slot map w_g) settles as n grows
     g = random_sl(rng, 3, spread=1.7)

@@ -122,7 +122,7 @@ def test_iota_preserves_slot_chamber(rng):
 
 
 def test_chamber_flag_dictionary():
-    default = ChamberA.default(3)
+    default = ChamberA((0, 1, 2))
     assert np.allclose(Flag.coordinate(default.order).basis, np.eye(3))
     f = Flag.coordinate((2, 0, 1))
     assert abs(abs(f.basis[2, 0]) - 1) < 1e-12
