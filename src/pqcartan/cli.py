@@ -1,9 +1,10 @@
 """Command-line front end: configs in JSON, bulk data as CSV, summaries as JSON.
 
-Exit codes: 0 success, 2 config error, 3 certification failure, 4 resource
-cap exceeded, 5 numerical-degeneracy abort.  Every artifact embeds a
-manifest (config hash, seed, versions); identical configs give byte-equal
-artifacts for any worker count.
+A config holds only the keys of ``KEYS``.  Exit codes: 0 success, 2 config
+error or unmet hypothesis, 3 certification failure, 4 resource cap exceeded,
+5 numerical-degeneracy abort; any other failure is a traceback.  Every
+artifact embeds a manifest (config hash, seed, versions); identical configs
+give byte-equal artifacts for any worker count.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ import numpy as np
 from . import __version__
 from .bulk import ShellData, ball_size, sphere_size, subtree_pieces
 from .cocycles import identity_suite
-from .counting import (anosov_gap_check, canonical_chamber, cone_samples, count_curve, default_phi,
-                       equidistribution_experiment, estimate_exponent)
+from .counting import (FUNCTIONAL_KINDS, anosov_gap_check, canonical_chamber, cone_samples, count_curve,
+                       default_phi, equidistribution_experiment, estimate_exponent)
 from .flags import NonGenericFlagError
 from .forms import DegenerateFormError, Form
 from .freegroup import Representation, SchottkyRejection, representation_from_config, row_word, sample_limit_set
-from .numerics import NumericsError
+from .numerics import HypothesisError, NumericsError
 from .pq_cartan import MODULUS_CLUSTER_TOL, NotInBoGError
 from .projections import NotLoxodromicError
 from .weyl import merge_to_slots
@@ -41,23 +42,59 @@ DEFAULT_GRID_POINTS = 256
 DEFAULT_WORD_CAP = 50_000_000
 LIMIT_SAMPLES = 40
 
+# every key a config may hold, whichever subcommand reads it, since one config may serve several:
+# (JSON type, least value or None); a nested entry's keys are dotted paths
+KEYS = {
+    "representation": (dict, None), "representation.recipe": (str, None), "representation.params": (dict, None),
+    "representation.generators": (list, None), "representation.form": (dict, None), "representation.power": (int, 1),
+    "form": (dict, None), "seed": (int, 0), "samples": (int, 1), "sample_length": (int, 1),
+    "length": (int, 1), "length_min": (int, 1), "length_max": (int, 1),
+    "functional": (str, None), "phi": (list, None), "boxes": (list, None),
+    "grid": (dict, None), "grid.hi": (float, None), "grid.points": (int, 1),
+}
+DEGENERACY = (NotInBoGError, NonGenericFlagError, DegenerateFormError, NotLoxodromicError, NumericsError)
+
 
 class ConfigError(ValueError):
-    pass
+    """A config the CLI does not run: unreadable, or a key, type or value it refuses (exit 2)."""
 
 
 class CapExceededError(RuntimeError):
     """A ball or sphere of more words than ``--max-words`` allows (exit 4)."""
 
 
+def _is(value, kind: type) -> bool:
+    """Whether a JSON value is of ``kind``: no boolean is a number, and every integer is a float."""
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check(entry: dict, prefix: str):
+    """Refuse a key of ``entry`` that ``KEYS`` does not hold, or a value of the wrong type or below its bound."""
+    for key, value in entry.items():
+        path = prefix + key
+        if path not in KEYS:
+            raise ConfigError(f"unknown config key {path!r}; known: {sorted(KEYS)}")
+        kind, least = KEYS[path]
+        if not _is(value, kind):
+            raise ConfigError(f"{path} must be of type {kind.__name__}, got {value!r}")
+        if least is not None and value < least:
+            raise ConfigError(f"{path} must be at least {least}, got {value}")
+        if any(k.startswith(path + ".") for k in KEYS):
+            _check(value, path + ".")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    _check(cfg, "")
+    return cfg
 
 
 def _config_hash(cfg: dict) -> str:
@@ -94,29 +131,50 @@ def _write_csv(path: Path, header: list[str], rows) -> int:
     return written
 
 
+def _from_config(build, entry: dict):
+    """``build(entry)``, where a plain ValueError, TypeError or KeyError (no degeneracy error) is a config error."""
+    try:
+        return build(entry)
+    except DEGENERACY:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _build_rep(cfg: dict) -> Representation:
-    return representation_from_config(cfg.get("representation", cfg))
+    rep = _from_config(representation_from_config, cfg.get("representation", {}))
+    if rep.form.field_tag != "R":
+        raise ConfigError("bulk enumeration supports real representations only")
+    return rep
+
+
+def _phi(cfg: dict, rep: Representation, chamber) -> np.ndarray:
+    """The config's ``phi``, one number per coordinate, or else ``counting.default_phi`` in ``chamber``."""
+    if "phi" not in cfg:
+        return default_phi(rep, chamber)
+    phi = cfg["phi"]
+    if len(phi) != rep.dim or not all(_is(x, float) for x in phi):
+        raise ConfigError(f"phi must hold {rep.dim} numbers, one per coordinate, got {phi}")
+    return np.asarray(phi, dtype=float)
 
 
 def _capped(cfg: dict, words: int) -> None:
     """Refuse, before any word is built, a ball or sphere of more than ``max_words`` words."""
-    cap = int(cfg["max_words"])
+    cap = cfg["max_words"]
     if words > cap:
         raise CapExceededError(f"enumeration of {words} words exceeds the cap of {cap}")
 
 
 def _ball_length(rep: Representation, cfg: dict, key: str, default: int) -> int:
-    """The configured word length of a ball read through the engine: at least 1, within ``max_words``."""
-    length = int(cfg.get(key, default))
-    if length < 1:
-        raise ConfigError(f"{key} must be at least 1, got {length}")
+    """The configured word length of a ball read through the engine, within ``max_words``."""
+    length = cfg.get(key, default)
     _capped(cfg, ball_size(rep.rank, length) - 1)
     return length
 
 
 def _grid_from(cfg: dict, default_hi: float) -> np.ndarray:
     g = cfg.get("grid", {})
-    return np.linspace(0.0, float(g.get("hi", default_hi)), int(g.get("points", DEFAULT_GRID_POINTS)))
+    return np.linspace(0.0, g.get("hi", default_hi), g.get("points", DEFAULT_GRID_POINTS))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -125,9 +183,7 @@ def _grid_from(cfg: dict, default_hi: float) -> np.ndarray:
 def cmd_rep_build(cfg: dict, args) -> dict:
     rep = _build_rep(cfg)
     # the samples are strided over the whole sphere, which is built first
-    length = int(cfg.get("sample_length", 6))
-    if length < 1:
-        raise ConfigError(f"sample_length must be at least 1, got {length}")
+    length = cfg.get("sample_length", 6)
     _capped(cfg, sphere_size(rep.rank, length))
     sigs, bad = sample_limit_set(rep, length, LIMIT_SAMPLES)
     return {
@@ -146,9 +202,7 @@ def _sphere_csv_rows(rep: Representation, cfg: dict, default_length: int, rows_o
     Read off ``bulk.subtree_pieces`` under each first letter in turn, in canonical order; each piece of
     the sphere's length is mapped by ``rows_of`` and freed before the next is built.
     """
-    length = int(cfg.get("length", default_length))
-    if length < 1:
-        raise ConfigError(f"length must be at least 1, got {length}")
+    length = cfg.get("length", default_length)
     n = sphere_size(rep.rank, length)
     _capped(cfg, n)
     ctx = rep.bulk_context()
@@ -199,21 +253,18 @@ def cmd_project(cfg: dict, args) -> dict:
 
 
 def cmd_cocycle_check(cfg: dict, args) -> dict:
-    samples = int(cfg.get("samples", 300))
-    if samples < 1:
-        raise ConfigError(f"samples must be at least 1, got {samples}")
-    return identity_suite(Form.from_config(cfg), samples=samples, seed=int(cfg.get("seed", 0)))
+    return identity_suite(_from_config(Form.from_config, cfg), cfg.get("samples", 300), cfg.get("seed", 0))
 
 
 def cmd_count(cfg: dict, args) -> dict:
+    functional = cfg.get("functional", "norm_bo")
+    if functional not in FUNCTIONAL_KINDS:
+        raise ConfigError(f"unknown functional kind {functional!r}; known: {list(FUNCTIONAL_KINDS)}")
     rep = _build_rep(cfg)
     length = _ball_length(rep, cfg, "length", 8)
-    functional = cfg.get("functional", "norm_bo")
     # phi_lambda pairs phi with Jordan data placed in the canonical chamber
     chamber = canonical_chamber(rep) if functional == "phi_lambda" else None
-    phi = None
-    if functional in ("phi_bo", "phi_lambda"):
-        phi = np.asarray(cfg["phi"], dtype=float) if "phi" in cfg else default_phi(rep, chamber)
+    phi = _phi(cfg, rep, chamber) if functional in ("phi_bo", "phi_lambda") else None
     probe = count_curve(rep, "norm_at", min(3, length), np.linspace(0, 1, 2))
     hi = probe.shell_minima[min(3, length)] * (length + 1) / min(3, length)
     curve = count_curve(rep, functional, length, _grid_from(cfg, hi), phi=phi, chamber=chamber, threads=args.threads)
@@ -240,9 +291,9 @@ def cmd_count(cfg: dict, args) -> dict:
 
 def cmd_cone(cfg: dict, args) -> dict:
     rep = _build_rep(cfg)
-    l_min = int(cfg.get("length_min", 6))
+    l_min = cfg.get("length_min", 6)
     l_max = _ball_length(rep, cfg, "length_max", 9)
-    if not 1 <= l_min <= l_max:
+    if l_min > l_max:
         raise ConfigError(f"length_min must lie in [1, length_max = {l_max}], got {l_min}")
     result = cone_samples(rep, l_min, l_max, threads=args.threads)
     bo = result["slot_cloud"]
@@ -263,18 +314,18 @@ def cmd_cone(cfg: dict, args) -> dict:
 def cmd_equidistribute(cfg: dict, args) -> dict:
     rep = _build_rep(cfg)
     length = _ball_length(rep, cfg, "length", 10)
-    boxes_cfg = cfg.get("boxes")
-    if boxes_cfg is None:
-        boxes = [((1,), (2,)), ((1,), (-2,)), ((-1,), (2,)), ((-1,), (-2,))]
-    else:
-        boxes = [(tuple(a), tuple(b)) for a, b in boxes_cfg]
+    boxes_cfg = cfg.get("boxes", [[[1], [2]], [[1], [-2]], [[-1], [2]], [[-1], [-2]]])
+    if not all(_is(box, list) and len(box) == 2 and all(_is(cyl, list) and all(_is(x, int) for x in cyl)
+                                                        for cyl in box) for box in boxes_cfg):
+        raise ConfigError(f"boxes must be a list of [A, B] pairs of words whose letters are ints, got {boxes_cfg}")
+    boxes = [(tuple(a), tuple(b)) for a, b in boxes_cfg]
     for cyl in sorted({cyl for box in boxes for cyl in box}):
         for letter in cyl:
             if not 1 <= abs(letter) <= rep.rank:
                 raise ConfigError(f"cylinder letter {letter} lies outside +-1..+-{rep.rank}")
         if any(x == -y for x, y in zip(cyl, cyl[1:])):
             raise ConfigError(f"cylinder {list(cyl)} is not a reduced word")
-    phi = np.asarray(cfg["phi"], dtype=float) if "phi" in cfg else default_phi(rep)
+    phi = _phi(cfg, rep, None)
     result = equidistribution_experiment(rep, phi, length, boxes, threads=args.threads)
     rows = []
     for (a, b), mass, bracket in zip(result["boxes"], result["reweighted_final"], result["brackets"]):
@@ -343,20 +394,17 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         if args.seed is not None:
+            _check({"seed": args.seed}, "")
             cfg["seed"] = args.seed
         cfg["max_words"] = args.max_words
         summary = SUBCOMMANDS[args.subcommand](cfg, args)
-    except ConfigError as exc:
-        return fail(EXIT_CONFIG, "config", str(exc))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, (NotInBoGError, NonGenericFlagError, DegenerateFormError, NotLoxodromicError)):
-            return fail(EXIT_DEGENERACY, "degeneracy", str(exc))
+    except (ConfigError, HypothesisError) as exc:
         return fail(EXIT_CONFIG, "config", str(exc))
     except SchottkyRejection as exc:
         return fail(EXIT_CERTIFICATION, "certification", str(exc))
     except CapExceededError as exc:
         return fail(EXIT_CAP, "resource-cap", str(exc))
-    except (NumericsError,) as exc:
+    except DEGENERACY as exc:
         return fail(EXIT_DEGENERACY, "degeneracy", str(exc))
 
     payload = {"manifest": _manifest(cfg, args.subcommand), "summary": summary}

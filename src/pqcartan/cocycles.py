@@ -16,7 +16,7 @@ import numpy as np
 
 from .flags import Flag, NonGenericFlagError, flag_perp, o_generic, project_to_So, transverse
 from .forms import Form, gaussian_matrix, quad, sigma_o
-from .numerics import ScaledMatrix, compound, hodge_dual, recentred_increments
+from .numerics import HypothesisError, ScaledMatrix, compound, hodge_dual, recentred_increments
 
 # identity_suite redraws (g1, g2, xi, eta) until the pair conditions hold,
 # and gives up after this many draws per requested sample in all; nearly
@@ -189,8 +189,8 @@ def identity_suite(o: Form, samples: int, seed: int) -> dict:
     done = attempts = 0
     while done < samples:
         if attempts == ATTEMPT_BUDGET_PER_SAMPLE * samples:
-            raise ValueError(f"identity suite found {done} of {samples} generic samples "
-                             f"in {attempts} attempts")
+            raise HypothesisError(f"identity suite found {done} of {samples} generic samples "
+                                  f"in {attempts} attempts")
         attempts += 1
         g1 = _random_matrix(rng, d, o.field_tag)
         g2 = _random_matrix(rng, d, o.field_tag)

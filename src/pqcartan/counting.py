@@ -16,9 +16,11 @@ import numpy as np
 from . import bulk
 from .bulk import ShellData
 from .freegroup import Representation, sample_limit_set
-from .numerics import NumericsError, fit_line, hodge_dual, recenter, recentred_increments
+from .numerics import HypothesisError, NumericsError, fit_line, hodge_dual, recenter, recentred_increments
 from .weyl import ChamberA, WeylElement, chamber_from_signs, chamber_transition, file_to_slots, iota_of_chamber
 
+# the word functionals FunctionalHistCollector histograms
+FUNCTIONAL_KINDS = ("norm_at", "norm_bo", "phi_bo", "phi_lambda", "min_root_gap")
 ENTROPY_GRID_POINTS = 256
 PHI_CLASS_LENGTH = 5
 HAUSDORFF_POINTS = 2500
@@ -38,11 +40,14 @@ class CountCurve:
     shell_minima: dict[int, float] = field(default_factory=dict)
 
     def complete_below(self) -> float:
-        """Largest threshold the word ball certainly exhausts.
+        """Largest threshold the word ball exhausts, provided the shell minima grow with length.
 
-        Per-shell minima of the counted functional grow linearly for
-        certified representations; the last shell's minimum bounds every
-        longer word's value from below, so counts are truncation-free there.
+        The last shell's minimum of the counted functional bounds every longer
+        word's value from below only when the per-shell minima grow with
+        length, as they do for ``norm_at`` and ``norm_bo`` on the certified
+        recipes.  ``phi_lambda`` minima alternate with the parity of the
+        length: on reducible-21 power 4 this reads 11.03 at L=6, yet N(10)
+        goes from 37 to 73 between L=6 and L=8 (ROADMAP item 16).
         """
         if not self.shell_minima:
             return float(self.thresholds[-1])
@@ -57,9 +62,9 @@ class CountCurve:
 class FunctionalHistCollector:
     """Ball histogram of one word functional, with exclusion tallies.
 
-    kinds: norm_at, norm_bo, phi_bo, phi_lambda, min_root_gap.  phi_bo pairs
-    ``phi`` with b_o; phi_lambda pairs it with the Jordan projection placed in
-    the chamber whose order is ``chamber_order``.
+    kinds: ``FUNCTIONAL_KINDS``.  phi_bo pairs ``phi`` with b_o; phi_lambda
+    pairs it with the Jordan projection placed in the chamber whose order is
+    ``chamber_order``.
     """
 
     def __init__(self, kind: str, grid, phi=None, chamber_order=None):
@@ -337,7 +342,7 @@ def phi_entropy(rep: Representation, phi, length_max: int, chamber: ChamberA):
         raise ValueError("no conjugacy classes below the requested length")
     if vals.min() <= 0:
         bad = int(np.argmin(vals))
-        raise ValueError(
+        raise HypothesisError(
             f"functional non-positive on a sampled direction (class #{bad}, value {vals.min():.3g})"
         )
     hi = per_length_min[length_max]
@@ -373,7 +378,7 @@ def canonical_chamber(rep: Representation) -> ChamberA:
     """Compatible chamber selected by the first sampled limit signature."""
     seen, _ = limit_signatures(rep)
     if not seen:
-        raise ValueError("no generic limit flags sampled")
+        raise HypothesisError("no generic limit flags sampled")
     return _chamber_of(seen[0], rep.form.signature[0])
 
 
@@ -381,7 +386,7 @@ def _single_orbit_chamber(rep: Representation) -> ChamberA:
     """``canonical_chamber`` from one limit sample, which must meet a single orbit."""
     seen, _ = limit_signatures(rep)
     if len(seen) != 1:
-        raise ValueError(f"single-orbit hypothesis fails: signatures {seen}")
+        raise HypothesisError(f"single-orbit hypothesis fails: signatures {seen}")
     return _chamber_of(seen[0], rep.form.signature[0])
 
 

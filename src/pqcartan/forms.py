@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import ScaledMatrix, minor_matrix
+from .numerics import MAX_DIM, ScaledMatrix, minor_matrix
 
 
 SELF_ADJOINT_TOL = 1e-12
@@ -50,6 +50,8 @@ class Form:
             field_tag = "C" if np.iscomplexobj(g) else "R"
         dtype = np.complex128 if field_tag == "C" else np.float64
         g = g.astype(dtype)
+        if g.shape[0] > MAX_DIM:
+            raise ValueError(f"dimension {g.shape[0]} exceeds supported maximum {MAX_DIM}")
         _check_self_adjoint(g)
         g = (g + g.conj().T) / 2
         evals, evecs = np.linalg.eigh(g)

@@ -372,10 +372,10 @@ def rotation_control_rep() -> Representation:
 
 
 RECIPES = {
-    "reducible-21": lambda params: reducible_rep(**params),
-    "two-orbit": lambda params: two_orbit_rep(**params),
-    "single-orbit": lambda params: single_orbit_rep(**params),
-    "rotation-control": lambda params: rotation_control_rep(**params),
+    "reducible-21": reducible_rep,
+    "two-orbit": two_orbit_rep,
+    "single-orbit": single_orbit_rep,
+    "rotation-control": rotation_control_rep,
 }
 
 
@@ -389,10 +389,9 @@ def representation_from_config(cfg: dict):
         name = cfg["recipe"]
         if name not in RECIPES:
             raise ValueError(f"unknown recipe {name!r}; known: {sorted(RECIPES)}")
-        return RECIPES[name](dict(cfg.get("params", {})))
+        return RECIPES[name](**cfg.get("params", {}))
     if "generators" not in cfg:
         raise ValueError("config needs either 'recipe' or 'generators'")
     gens = [ScaledMatrix.of(np.array(g, dtype=np.float64)) for g in cfg["generators"]]
-    power = int(cfg.get("power", 1))
-    return build_schottky(gens, Form.from_config(cfg), power=power, metadata={"recipe": "explicit"})
+    return build_schottky(gens, Form.from_config(cfg), power=cfg.get("power", 1), metadata={"recipe": "explicit"})
 

@@ -24,6 +24,10 @@ class NumericsError(RuntimeError):
     """A numerical routine failed to produce a trustworthy answer."""
 
 
+class HypothesisError(ValueError):
+    """The input fails a hypothesis an experiment needs (one orbit, generic samples, a positive functional)."""
+
+
 def _normalize(entries: np.ndarray) -> tuple[np.ndarray, float]:
     peak = float(np.max(np.abs(entries)))
     if not np.isfinite(peak) or peak == 0.0:

@@ -84,11 +84,13 @@ def test_ball_at_max_words_runs(tmp_path, red_cfg):
     assert main(["gap-check", "--config", red_cfg, "--out", str(tmp_path / "o"), "--max-words", "160"]) == 0
 
 
-def test_a_config_max_words_entry_does_not_override_the_flag(tmp_path):
-    # --max-words is the only word cap: the flag's value replaces a config's own entry
+def test_a_config_max_words_entry_does_not_override_the_flag(tmp_path, capsys):
+    # --max-words is the only word cap: a config's own entry is a key the CLI refuses
     cfg = write_config(tmp_path, "red4.json", {"representation": {"recipe": "reducible-21", "params": {"power": 4}},
                                                "length": 4, "max_words": 10**9})
-    assert main(["gap-check", "--config", cfg, "--out", str(tmp_path / "o"), "--max-words", "159"]) == 4
+    out = str(tmp_path / "o")
+    assert main(["gap-check", "--config", cfg, "--out", out, "--max-words", "159", "--json-errors"]) == 2
+    assert "unknown config key 'max_words'" in json.loads(capsys.readouterr().out)["message"]
 
 
 def test_equidistribute_runs_within_its_ball(tmp_path):
@@ -319,8 +321,10 @@ def test_worker_count_invariance(tmp_path, sub, extra):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+RED4 = {"representation": {"recipe": "reducible-21", "params": {"power": 4}}}
 DIAGONAL = [[2.7, 0, 0], [0, 1, 0], [0, 0, 0.37]]
 LORENTZ_FORM = {"field": "R", "gram": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}
+COMPLEX_LORENTZ = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [-1, 0]]]
 
 
 def test_explicit_generator_builds_and_takes_the_seed_override(tmp_path):
@@ -365,6 +369,29 @@ def test_explicit_generators_failing_the_contraction_exit_3(tmp_path, capsys):
      2, "config", "expected a square matrix, got shape (2, 3)"),
     # a suite of no samples would report all-zero deviations for nothing checked
     ("cocycle-check", {"form": LORENTZ_FORM, "samples": 0}, 2, "config", "samples must be at least 1, got 0"),
+    # a key no subcommand reads, at the top level or in a nested entry
+    ("count", {**RED4, "length": 3, "lenght": 3}, 2, "config", "unknown config key 'lenght'"),
+    ("cone", {**RED4, "length_min": 2, "length_max": 3, "stride": 3}, 2, "config", "unknown config key 'stride'"),
+    ("count", {**RED4, "length": 3, "grid": {"lo": 5.0, "hi": 20.0}}, 2, "config", "unknown config key 'grid.lo'"),
+    # a recipe belongs in the representation entry
+    ("rep-build", {"recipe": "reducible-21", "params": {"power": 4}}, 2, "config", "unknown config key 'recipe'"),
+    # an int key takes no float, string or boolean
+    ("count", {**RED4, "length": 3.9}, 2, "config", "length must be of type int, got 3.9"),
+    ("count", {**RED4, "length": "3"}, 2, "config", "length must be of type int, got '3'"),
+    ("count", {**RED4, "length": True}, 2, "config", "length must be of type int, got True"),
+    ("cocycle-check", {"form": LORENTZ_FORM, "samples": 2.5}, 2, "config", "samples must be of type int, got 2.5"),
+    ("count", {**RED4, "length": 3, "grid": {"points": 0}}, 2, "config", "grid.points must be at least 1, got 0"),
+    ("equidistribute", {**RED4, "length": 3, "phi": [1, -1]}, 2, "config", "phi must hold 3 numbers"),
+    ("equidistribute", {**RED4, "length": 3, "boxes": [[1, 2]]}, 2, "config", "boxes must be a list of [A, B] pairs"),
+    # the experiment needs a limit set in one open orbit
+    ("equidistribute", {"representation": {"recipe": "two-orbit"}, "length": 3}, 2, "config",
+     "single-orbit hypothesis fails"),
+    # inputs the program cannot run, refused before any word is built
+    ("rep-build", [RED4], 2, "config", "is not a JSON object"),
+    ("cocycle-check", {"form": {"field": "R", "gram": np.eye(9).tolist()}}, 2, "config",
+     "dimension 9 exceeds supported maximum 8"),
+    ("rep-build", {"representation": {"generators": [DIAGONAL], "form": {"field": "C", "gram": COMPLEX_LORENTZ},
+                                      "power": 4}}, 2, "config", "bulk enumeration supports real representations only"),
 ])
 def test_error_exit_codes(tmp_path, capsys, sub, payload, code, kind, message):
     cfg = write_config(tmp_path, "err.json", payload)
@@ -374,9 +401,28 @@ def test_error_exit_codes(tmp_path, capsys, sub, payload, code, kind, message):
     assert message in error["message"]
 
 
+def test_a_seed_flag_below_the_seed_bound_exits_2(tmp_path, capsys):
+    # the flag's seed is held to the config key's bound before it replaces the entry
+    cfg = write_config(tmp_path, "coc.json", {"samples": 1})
+    assert main(["cocycle-check", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1", "--json-errors"]) == 2
+    assert "seed must be at least 0, got -1" in json.loads(capsys.readouterr().out)["message"]
+
+
+def test_a_program_error_is_no_config_error(tmp_path, red_cfg, monkeypatch):
+    # only named errors map to exit codes: a KeyError the program raises surfaces as itself
+    from pqcartan import cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("a key the program lost")
+
+    monkeypatch.setattr(cli, "anosov_gap_check", broken)
+    with pytest.raises(KeyError, match="a key the program lost"):
+        main(["gap-check", "--config", red_cfg, "--out", str(tmp_path / "o")])
+
+
 def test_cocycle_check_over_a_complex_form(tmp_path):
-    gram = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [-1, 0]]]
-    cfg = write_config(tmp_path, "cplx.json", {"form": {"field": "C", "gram": gram}, "samples": 5, "seed": 1})
+    cfg = write_config(tmp_path, "cplx.json", {"form": {"field": "C", "gram": COMPLEX_LORENTZ}, "samples": 5,
+                                               "seed": 1})
     out = tmp_path / "cplx"
     assert main(["cocycle-check", "--config", cfg, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())["summary"]
