@@ -2,21 +2,20 @@
 
 All level data are the logarithmic expansion rates of exterior powers:
 chi_j(value) is recovered from ratios of level-j pairings, and the full
-vector is their prefix-sum increments in rank order.  The level values do
-not depend on a chamber; a compatible full chamber only permutes the
-coordinates, so a caller pairing a functional in a chamber frame places
-the rank-order vector with ``ChamberA.place``.
+vector, a sum-zero ``CartanVector``, is their prefix-sum increments in rank
+order.  The level values do not depend on a chamber; a compatible full
+chamber only permutes the coordinates, so a caller pairing a functional in
+a chamber frame places the rank-order vector with ``ChamberA.place``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .flags import Flag, NonGenericFlagError, flag_perp, o_generic, project_to_So, transverse
+from .flags import Flag, flag_perp, o_generic, project_to_So, require_generic, transverse
 from .forms import Form, gaussian_matrix, quad, sigma_o
 from .numerics import HypothesisError, ScaledMatrix, compound, hodge_dual, recentred_increments
+from .projections import CartanVector
 
 # identity_suite redraws (g1, g2, xi, eta) until the pair conditions hold,
 # and gives up after this many draws per requested sample in all; nearly
@@ -28,18 +27,9 @@ ATTEMPT_BUDGET_PER_SAMPLE = 1000
 GENERIC_MARGIN = 1e-6
 
 
-@dataclass(frozen=True)
-class CocycleValue:
-    """Level values chi and the rank-order sum-zero coordinate vector."""
-
-    chi: np.ndarray
-    coords: np.ndarray
-
-
-def _from_levels(levels, chi_d: float) -> CocycleValue:
-    """Assemble the vector from the level values chi_1..chi_{d-1} and chi_d; recentering drops the lift scale."""
-    increments = recentred_increments(np.array([*levels, chi_d]))
-    return CocycleValue(np.cumsum(increments)[:-1], increments)
+def _from_levels(levels, chi_d: float) -> CartanVector:
+    """The vector of the level values chi_1..chi_{d-1} and chi_d; recentering drops the lift scale."""
+    return CartanVector(recentred_increments(np.array([*levels, chi_d])))
 
 
 def _log_det(g: ScaledMatrix) -> float:
@@ -51,52 +41,40 @@ def _compounds(g: ScaledMatrix) -> list[ScaledMatrix]:
     return [compound(g, j) for j in range(1, g.dim)]
 
 
-def busemann_tau(g: ScaledMatrix, xi: Flag) -> CocycleValue:
+def busemann_tau(g: ScaledMatrix, xi: Flag) -> CartanVector:
     """Iwasawa cocycle through exterior norms: chi_j = log |L^j g . v| / |v|."""
     return _from_levels([np.log(np.linalg.norm(cj.entries @ v)) + cj.log_scale - np.log(np.linalg.norm(v))
                          for cj, v in zip(_compounds(g), xi.wedges)], _log_det(g))
 
 
-def _generic_wedges(o: Form, xi: Flag, label: str):
-    rep = o_generic(o, xi)
-    if not rep.generic:
-        raise NonGenericFlagError(f"{label} flag degenerates at level {rep.failed_level}")
-
-
-def busemann_o(o: Form, g: ScaledMatrix, xi: Flag) -> CocycleValue:
+def busemann_o(o: Form, g: ScaledMatrix, xi: Flag) -> CartanVector:
     """Form-twisted cocycle: chi_j = (1/2) log |Q_j(L^j g v) / Q_j(v)|.
 
     Needs xi and g.xi generic; refuses otherwise rather than extrapolating.
     """
-    _generic_wedges(o, xi, "base")
-    _generic_wedges(o, xi.translate(g), "translated")
-    return _busemann_o_values(o, g, xi)
-
-
-def _busemann_o_values(o: Form, g: ScaledMatrix, xi: Flag) -> CocycleValue:
-    """busemann_o for a caller that has itself checked xi and g.xi generic."""
+    require_generic(o, xi, "base")
+    require_generic(o, xi.translate(g), "translated")
     return _from_levels([0.5 * (np.log(abs(quad(gram, cj.entries @ v))) + 2 * cj.log_scale - np.log(abs(quad(gram, v))))
                          for cj, gram, v in zip(_compounds(g), o.level_grams, xi.wedges)], _log_det(g))
 
 
-def potential(o: Form, xi: Flag) -> CocycleValue:
+def potential(o: Form, xi: Flag) -> CartanVector:
     """Comparison potential between the form and the standard inner product.
 
     Its coboundary along the action is exactly the difference of the two
     cocycles: V(g.xi) - V(xi) = twisted(g, xi) - plain(g, xi).
     """
-    _generic_wedges(o, xi, "potential")
+    require_generic(o, xi, "potential")
     return _from_levels([0.5 * np.log(abs(quad(gram, v))) - np.log(np.linalg.norm(v))
                          for gram, v in zip(o.level_grams, xi.wedges)], 0.0)
 
 
-def iota_a(value: CocycleValue) -> CocycleValue:
+def iota_a(value: CartanVector) -> CartanVector:
     """Opposition involution of the chamber: reverse-negate in rank order."""
-    flipped = -value.coords[::-1]
-    return CocycleValue(np.cumsum(flipped)[:-1], flipped)
+    return CartanVector(-value.coords[::-1])
 
 
-def dual_busemann(o: Form, g: ScaledMatrix, xi: Flag) -> CocycleValue:
+def dual_busemann(o: Form, g: ScaledMatrix, xi: Flag) -> CartanVector:
     """The dual cocycle value: twisted cocycle of sigma(g) at the dual flag.
 
     Equals the opposition image of the direct value; ``identity_suite``'s
@@ -105,7 +83,7 @@ def dual_busemann(o: Form, g: ScaledMatrix, xi: Flag) -> CocycleValue:
     return busemann_o(o, sigma_o(o, g), flag_perp(o, xi))
 
 
-def gromov_product(o: Form, xi: Flag, eta: Flag) -> CocycleValue:
+def gromov_product(o: Form, xi: Flag, eta: Flag) -> CartanVector:
     """Pairing of transverse generic flags through the dual flag of the first.
 
     chi_j = (1/2) log |<v, v'>^2 / (Q(v) Q(v'))| with v the level-j wedge of
@@ -113,8 +91,8 @@ def gromov_product(o: Form, xi: Flag, eta: Flag) -> CocycleValue:
     """
     if not transverse(xi, eta):
         raise ValueError("flags are not transverse")
-    _generic_wedges(o, xi, "first")
-    _generic_wedges(o, eta, "second")
+    require_generic(o, xi, "first")
+    require_generic(o, eta, "second")
     levels = []
     for gram, v, w in zip(o.level_grams, flag_perp(o, xi).wedges, eta.wedges):
         cross = np.conj(v) @ gram @ w
@@ -122,7 +100,7 @@ def gromov_product(o: Form, xi: Flag, eta: Flag) -> CocycleValue:
     return _from_levels(levels, 0.0)
 
 
-def cross_ratio(xi1: Flag, xi2: Flag, xi3: Flag, xi4: Flag) -> CocycleValue:
+def cross_ratio(xi1: Flag, xi2: Flag, xi3: Flag, xi4: Flag) -> CartanVector:
     """Projective vector-valued cross-ratio of four flags.
 
     chi_j = log |t1(v4) t3(v2) / (t1(v2) t3(v4))| where t_k is the level-j
@@ -209,14 +187,14 @@ def identity_suite(o: Form, samples: int, seed: int) -> dict:
             continue
         done += 1
 
-        # xi, eta and their translates below passed the checks above, so these
-        # values skip busemann_o's own re-checks
-        b1 = _busemann_o_values(o, g1, xi)
+        # every flag busemann_o checks below passed a check at least as strict
+        # above, so none raises; the translates each flag keeps reuse its sweeps
+        b1 = busemann_o(o, g1, xi)
         iota_b1 = iota_a(b1).coords
         gp = gromov_product(o, xi, eta).coords
 
-        lhs = _busemann_o_values(o, g12, xi)
-        rhs = _busemann_o_values(o, g1, xi2).coords + _busemann_o_values(o, g2, xi).coords
+        lhs = busemann_o(o, g12, xi)
+        rhs = busemann_o(o, g1, xi2).coords + busemann_o(o, g2, xi).coords
         dev["cocycle"] = max(dev["cocycle"], float(np.max(np.abs(lhs.coords - rhs))))
 
         duality = float(np.max(np.abs(dual_busemann(o, g1, xi).coords - iota_b1)))
@@ -228,7 +206,7 @@ def identity_suite(o: Form, samples: int, seed: int) -> dict:
 
         if _moved_flags_generic(o, xi1) and transverse(xi1, eta1):
             lhs_g = gromov_product(o, xi1, eta1).coords
-            rhs_g = gp - iota_b1 - _busemann_o_values(o, g1, eta).coords
+            rhs_g = gp - iota_b1 - busemann_o(o, g1, eta).coords
             dev["gromov_transformation"] = max(
                 dev["gromov_transformation"], float(np.max(np.abs(lhs_g - rhs_g)))
             )

@@ -8,11 +8,12 @@ invariant of the isometry group action).
 
 Like ``Flag.wedges``, the derived data of a flag are computed once: the
 genericity sweep and the dual flag once per flag and form object, the
-transversality margin once per ordered pair of flag objects.  Each is kept
-in the flag beside a weak reference to the partner object it was computed
-for, so reports and dual flags are shared between callers and are read-only,
-and an entry keeps neither its partner alive nor a reference cycle (a flag
-holds its dual flag, whose margin entry only weakly refers back).
+transversality margin once per ordered pair of flag objects, the translate
+once per flag and ``ScaledMatrix`` object.  Each is kept in the flag beside
+a weak reference to the partner object it was computed for, so reports, dual
+flags and translates are shared between callers and are read-only, and an
+entry keeps neither its partner alive nor a reference cycle (a flag holds
+its dual flag, whose margin entry only weakly refers back).
 """
 
 from __future__ import annotations
@@ -80,8 +81,11 @@ class Flag:
         return wedges
 
     def translate(self, g: ScaledMatrix | np.ndarray) -> "Flag":
-        m = g.entries if isinstance(g, ScaledMatrix) else np.asarray(g)
-        return Flag.of(m @ self.basis)
+        """The flag g.x, kept once per ``ScaledMatrix`` object, whose entries are read-only; an array,
+        which its caller may write into, is applied afresh on every call."""
+        if isinstance(g, ScaledMatrix):
+            return _once("translate", self, g, lambda: Flag.of(g.entries @ self.basis))
+        return Flag.of(np.asarray(g) @ self.basis)
 
     def to_json(self) -> str:
         if np.iscomplexobj(self.basis):
@@ -217,11 +221,17 @@ def project_to_So(o: Form, x: Flag) -> np.ndarray:
     return gram * (x.dim / np.trace(gram).real)
 
 
-def so_point_basis(o: Form, x: Flag) -> np.ndarray:
-    """Basis matrix whose columns are the unit-normalized orthogonal lines."""
+def require_generic(o: Form, x: Flag, label: str) -> GenericityReport:
+    """``o_generic(o, x)``, or NonGenericFlagError naming the flag and the level where it degenerates."""
     rep = o_generic(o, x)
     if not rep.generic:
-        raise NonGenericFlagError(f"flag degenerates at level {rep.failed_level}")
+        raise NonGenericFlagError(f"{label} flag degenerates at level {rep.failed_level}")
+    return rep
+
+
+def so_point_basis(o: Form, x: Flag) -> np.ndarray:
+    """Basis matrix whose columns are the unit-normalized orthogonal lines."""
+    rep = require_generic(o, x, "projected")
     scales = np.array([abs(o.quad(rep.lines[:, j])) ** -0.5 for j in range(x.dim)])
     return rep.lines * scales[None, :]
 

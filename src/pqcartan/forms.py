@@ -129,6 +129,9 @@ class Form:
     @staticmethod
     def from_json(text: str) -> "Form":
         payload = json.loads(text)
+        missing = [key for key in ("field", "gram") if key not in payload]
+        if missing:
+            raise ValueError(f"form entry has no {' or '.join(map(repr, missing))} key")
         ft = payload["field"]
         if ft not in ("R", "C"):
             raise ValueError(f"unknown field tag {ft!r}")

@@ -310,8 +310,9 @@ def sl2_schottky_pair() -> list[np.ndarray]:
     return [boost, rot @ boost @ rot.T]
 
 
-def reducible_rep(p: int = 2, q: int = 1, power: int = 3):
-    """Block Schottky pair: the single-orbit reference representation."""
+def reducible_rep(p: int = 2, q: int = 1, power: int = 4):
+    """Block Schottky pair: the single-orbit reference representation (power 4 is the least that certifies (2,1)
+    and (1,2); (3,2) needs 6)."""
     return build_reducible_example(p, q, sl2_schottky_pair(), power, {"recipe": f"reducible-{p}{q}"})
 
 
@@ -383,15 +384,20 @@ def representation_from_config(cfg: dict):
     """Build (and certify, when applicable) a representation from a config dict.
 
     Either ``recipe`` + ``params`` or explicit ``generators`` (list of d x d
-    row-major matrices) with ``form`` and ``power`` must be supplied.
+    row-major matrices) with ``form`` and ``power`` must be supplied; a key
+    of the other path is refused, not ignored.
     """
-    if "recipe" in cfg:
+    path, foreign = ("recipe", ("generators", "form", "power")) if "recipe" in cfg else ("generators", ("params",))
+    if path not in cfg:
+        raise ValueError("config needs either 'recipe' or 'generators'")
+    for key in foreign:
+        if key in cfg:
+            raise ValueError(f"a representation built from {path!r} takes no {key!r} key")
+    if path == "recipe":
         name = cfg["recipe"]
         if name not in RECIPES:
             raise ValueError(f"unknown recipe {name!r}; known: {sorted(RECIPES)}")
         return RECIPES[name](**cfg.get("params", {}))
-    if "generators" not in cfg:
-        raise ValueError("config needs either 'recipe' or 'generators'")
     gens = [ScaledMatrix.of(np.array(g, dtype=np.float64)) for g in cfg["generators"]]
     return build_schottky(gens, Form.from_config(cfg), power=cfg.get("power", 1), metadata={"recipe": "explicit"})
 

@@ -8,7 +8,7 @@ import pytest
 
 from pqcartan.bulk import index_row
 from pqcartan.cli import main
-from pqcartan.freegroup import representation_from_config
+from pqcartan.freegroup import reducible_rep, representation_from_config
 
 import oracle
 from conftest import sphere_words
@@ -392,6 +392,17 @@ def test_explicit_generators_failing_the_contraction_exit_3(tmp_path, capsys):
      "dimension 9 exceeds supported maximum 8"),
     ("rep-build", {"representation": {"generators": [DIAGONAL], "form": {"field": "C", "gram": COMPLEX_LORENTZ},
                                       "power": 4}}, 2, "config", "bulk enumeration supports real representations only"),
+    # a key of the other path in a representation entry is refused, not ignored
+    ("rep-build", {"representation": {"recipe": "reducible-21", "power": 9}}, 2, "config",
+     "a representation built from 'recipe' takes no 'power' key"),
+    ("rep-build", {"representation": {"recipe": "reducible-21",
+                                      "form": {"field": "R", "gram": np.diag([-1, 1, 1]).tolist()}}},
+     2, "config", "a representation built from 'recipe' takes no 'form' key"),
+    ("rep-build", {"representation": {"generators": [DIAGONAL], "form": LORENTZ_FORM, "power": 4,
+                                      "params": {"power": 4}}},
+     2, "config", "a representation built from 'generators' takes no 'params' key"),
+    ("cocycle-check", {"form": {"gram": LORENTZ_FORM["gram"]}, "samples": 5}, 2, "config",
+     "form entry has no 'field' key"),
 ])
 def test_error_exit_codes(tmp_path, capsys, sub, payload, code, kind, message):
     cfg = write_config(tmp_path, "err.json", payload)
@@ -399,6 +410,13 @@ def test_error_exit_codes(tmp_path, capsys, sub, payload, code, kind, message):
     error = json.loads(capsys.readouterr().out)
     assert error["error"] == kind and error["exit_code"] == code
     assert message in error["message"]
+
+
+def test_the_reducible_recipe_certifies_at_its_default_power(tmp_path):
+    # power 4 is the least that certifies the (2,1) block pair
+    assert reducible_rep().metadata["recipe"] == "reducible-21"
+    cfg = write_config(tmp_path, "red.json", {"representation": {"recipe": "reducible-21"}})
+    assert main(["rep-build", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 def test_a_seed_flag_below_the_seed_bound_exits_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from pqcartan.flags import Flag, flag_perp, o_generic, project_to_So, transverse, transversality_margin
 from pqcartan.forms import Form, sample_isometry, sigma_o
+from pqcartan.numerics import ScaledMatrix
 
 from conftest import flag_distance, random_sl
 
@@ -166,6 +167,11 @@ def test_derived_flag_data_are_computed_once_and_shared(s1, rng):
     assert rep.generic and o_generic(s1, x) is rep
     assert flag_perp(s1, x) is flag_perp(s1, x)
     assert transversality_margin(x, y) is transversality_margin(x, y)
+    # a ScaledMatrix's entries are read-only; an array may be written into between calls
+    g = ScaledMatrix.of(rng.standard_normal((3, 3)))
+    assert x.translate(g) is x.translate(g)
+    m = rng.standard_normal((3, 3))
+    assert x.translate(m) is not x.translate(m)
     with pytest.raises(ValueError, match="read-only"):
         rep.lines[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
@@ -209,11 +215,14 @@ def test_kept_flag_data_make_no_reference_cycles(s1):
 
 
 def test_a_dropped_form_never_answers_for_a_later_one(rng):
-    # each temporary form is dropped right after its sweep; were a report kept
-    # by the form's id alone, a later form reusing that id would read it
+    # each temporary form (and matrix) is dropped right after its sweep (and
+    # translate); were a value kept by the partner's id alone, a later partner
+    # reusing that id would read it
     x = Flag.of(rng.standard_normal((3, 3)))
     for _ in range(1000):
         h = rng.standard_normal((3, 3))
         gram = h.T @ np.diag([1.0, 1.0, -1.0]) @ h
         rep = o_generic(Form.of(gram), x)
         assert _same_report(rep, o_generic(Form.of(gram), Flag(x.basis)))
+        moved = x.translate(ScaledMatrix.of(h)).basis
+        assert np.array_equal(moved, x.translate(ScaledMatrix.of(h).entries).basis)
