@@ -58,7 +58,6 @@ are merged in alphabet order, so outputs are identical for any worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import wraps
 
@@ -531,6 +530,8 @@ def run_bulk(ctx: BulkContext, length_max: int, collector_specs, threads: int = 
     if threads <= 1:
         per_subtree = [_run_subtree(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # local: only a multi-worker run pays for the import
+
         with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             per_subtree = list(pool.map(_run_subtree, tasks))
     merged = per_subtree[0]

@@ -103,13 +103,11 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _manifest(cfg: dict, subcommand: str) -> dict:
-    import scipy
-
     return {
         "subcommand": subcommand,
         "config_sha256": _config_hash(cfg),
         "seed": cfg.get("seed", 0),
-        "versions": {"pqcartan": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+        "versions": {"pqcartan": __version__, "numpy": np.__version__},
     }
 
 

@@ -11,6 +11,7 @@ inverse; its fixed group is the projective isometry group of the form.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,6 +22,12 @@ from .numerics import MAX_DIM, ScaledMatrix, minor_matrix
 
 SELF_ADJOINT_TOL = 1e-12
 DEGENERACY_RTOL = 1e-9
+# numerator coefficients b_0..b_13 of the degree-13 Pade approximant of exp, and the 1-norm up to which
+# it needs no scaling (Higham 2005, Table 2.3)
+PADE13_COEFFS = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+                 129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+                 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+PADE13_THETA = 5.371920351148152
 
 
 class DegenerateFormError(ValueError):
@@ -167,13 +174,34 @@ def sample_isometry(o: Form, rng, scale: float = 0.5) -> ScaledMatrix:
     Draws a random matrix, projects it onto the -1 eigenspace of the adjoint
     map (X with adjoint(X) = -X) and exponentiates.
     """
-    from scipy.linalg import expm  # local: keeps the slow scipy.linalg import out of `import pqcartan`
-
     d = o.dim
     a = gaussian_matrix(rng, d, o.field_tag)
     x = (a - o.gram_inv @ a.conj().T @ o.gram) / 2
     x = x - np.trace(x) / d * np.eye(d, dtype=x.dtype)
-    return ScaledMatrix.of(expm(scale * x))
+    return ScaledMatrix.of(_expm(scale * x))
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) for a real or complex square matrix: Pade-13 scaling and squaring (Higham 2005).
+
+    a is scaled by 2^-s until its 1-norm is at most PADE13_THETA, where the
+    degree-13 Pade approximant r = (V - U)^-1 (V + U) has a backward error
+    below float64's unit roundoff, and r is squared s times.
+    """
+    norm = np.linalg.norm(a, 1)
+    s = math.ceil(math.log2(norm / PADE13_THETA)) if norm > PADE13_THETA else 0
+    a = a / 2.0**s
+    b = PADE13_COEFFS
+    eye = np.eye(len(a), dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def gaussian_matrix(rng, d: int, field_tag: str) -> np.ndarray:

@@ -297,8 +297,11 @@ SL2_SPREAD = 1.2
 SL2_ANGLE = 0.9
 TWO_ORBIT_EXPONENTS = ((1.3, 0.0, -1.3), (1.45, 0.1, -1.55))
 SINGLE_ORBIT_EXPONENTS = ((1.3, -1.3, 0.0), (1.45, -1.55, 0.1))
-DIAGONAL_BOOST = 0.8
-DIAGONAL_ROT = 1.1
+# exp(0.8 (E_13 + E_31) + 1.1 (E_21 - E_12)) as scipy.linalg.expm rounds it; the recipes' certificates and
+# the witness words of the tests rest on these bits, which forms._expm matches only to about 1e-16
+DIAGONAL_CONJUGATOR = ((0.7282828890461597, -0.9984381492253955, 0.7261368358002876),
+                       (0.9984381492253952, 0.4231970100804441, 0.41949308357785875),
+                       (0.7261368358002875, -0.4194930835778589, 1.3050858789657156))
 ROTATION_CONTROL_SEED = 5
 
 
@@ -319,18 +322,13 @@ def reducible_rep(p: int = 2, q: int = 1, power: int = 4):
 def _conjugated_diagonal_pair(exponents, exponents2, power, recipe):
     """Schottky pair: diag(e^exponents) and h diag(e^exponents2) h^-1, form (2,1).
 
-    h = expm(DIAGONAL_BOOST E_13 + DIAGONAL_ROT E_12) is an isometry of the
-    form (a boost in the (1,3)-plane composed with a rotation in the
-    (1,2)-plane), so the second generator keeps the line signs of the first
-    one's fixed flags.
+    h = DIAGONAL_CONJUGATOR is an isometry of the form (the exponential of a
+    boost in the (1,3)-plane plus a rotation in the (1,2)-plane), so the
+    second generator keeps the line signs of the first one's fixed flags.
     """
-    from scipy.linalg import expm  # local: keeps the slow scipy.linalg import out of `import pqcartan`
-
     o = Form.standard(2, 1)
     g1 = ScaledMatrix.of(np.diag(np.exp(np.asarray(exponents, dtype=float))))
-    e_boost = np.array([[0, 0, 1.0], [0, 0, 0], [1, 0, 0]])
-    e_rot = np.array([[0, -1.0, 0], [1, 0, 0], [0, 0, 0]])
-    h = expm(DIAGONAL_BOOST * e_boost + DIAGONAL_ROT * e_rot)
+    h = np.array(DIAGONAL_CONJUGATOR)
     core = np.diag(np.exp(np.asarray(exponents2, dtype=float)))
     g2 = ScaledMatrix.of(h @ core @ np.linalg.inv(h))
     return build_schottky([g1, g2], o, power=power, metadata={"recipe": recipe})

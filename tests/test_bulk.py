@@ -28,11 +28,9 @@ def test_ranks_and_inverses():
 
 def moderate_reps():
     """Uncertified, moderate-spread versions: the reducible pair and the power-1 two-orbit pair."""
-    from scipy.linalg import expm
-
     from pqcartan.forms import Form
-    from pqcartan.freegroup import (DIAGONAL_BOOST, DIAGONAL_ROT, TWO_ORBIT_EXPONENTS, Representation,
-                                    sl2_irreducible, sl2_schottky_pair)
+    from pqcartan.freegroup import (DIAGONAL_CONJUGATOR, TWO_ORBIT_EXPONENTS, Representation, sl2_irreducible,
+                                    sl2_schottky_pair)
     from pqcartan.numerics import ScaledMatrix
 
     gens = []
@@ -43,8 +41,7 @@ def moderate_reps():
         gens.append(ScaledMatrix.of(block))
     red = Representation.of(gens, Form.standard(2, 1))
     # two_orbit_rep(power=1) fails its contraction check, so the pair is built as freegroup builds it, uncertified
-    h = expm(DIAGONAL_BOOST * np.array([[0, 0, 1.0], [0, 0, 0], [1, 0, 0]])
-             + DIAGONAL_ROT * np.array([[0, -1.0, 0], [1, 0, 0], [0, 0, 0]]))
+    h = np.array(DIAGONAL_CONJUGATOR)
     a, b = (np.diag(np.exp(e)) for e in TWO_ORBIT_EXPONENTS)
     two = Representation.of([ScaledMatrix.of(a), ScaledMatrix.of(h @ b @ np.linalg.inv(h))], Form.standard(2, 1))
     return [red, two]

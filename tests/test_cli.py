@@ -50,12 +50,27 @@ def test_rep_build_d5(tmp_path):
     assert payload["summary"]["limit_signatures"] == [[1, -1, 1, -1, 1]]
 
 
-def test_import_does_not_load_scipy_linalg():
-    # scipy.linalg is imported only where it is used (isometry sampling,
-    # the conjugated-pair recipes), so the CLI starts without paying for it
-    code = "import sys, pqcartan, pqcartan.cli; print('scipy.linalg' in sys.modules)"
+def test_library_paths_load_neither_scipy_linalg_nor_a_process_pool(tmp_path):
+    # numpy is the only runtime dependency, and only a multi-worker run imports a process pool; the test process
+    # holds scipy itself, so a fresh interpreter builds every recipe, samples real and complex isometries and runs a
+    # single-worker rep-build, then names the modules it loaded
+    cfg = write_config(tmp_path, "two.json", {"representation": {"recipe": "two-orbit"}})
+    code = f"""
+import sys
+import numpy as np
+from pqcartan.cli import main
+from pqcartan.forms import Form, sample_isometry
+from pqcartan.freegroup import RECIPES
+for build in RECIPES.values():
+    build()
+rng = np.random.default_rng(0)
+sample_isometry(Form.standard(2, 1), rng)
+sample_isometry(Form.standard(2, 1, "C"), rng)
+assert main(["rep-build", "--config", {cfg!r}, "--out", {str(tmp_path / "out")!r}, "--threads", "1"]) == 0
+print(sorted(m for m in ("scipy.linalg", "concurrent.futures.process") if m in sys.modules))
+"""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from pqcartan import forms
 from pqcartan.forms import (
     DegenerateFormError,
     Form,
+    gaussian_matrix,
     o_adjoint,
     quad,
     restricted_signature,
@@ -124,6 +126,28 @@ def test_sample_isometry(s1, rng):
     assert isometry_defect(s1, b) < 1e-12
     worst = max(isometry_defect(s1, sample_isometry(s1, rng)) for _ in range(100))
     assert worst < 1e-8
+
+
+@pytest.mark.parametrize("p, q, field_tag", [(2, 1, "R"), (1, 2, "R"), (2, 2, "R"), (3, 2, "R"), (2, 1, "C")])
+@pytest.mark.parametrize("scale", [0.0, 0.4, 0.5])
+def test_expm_matches_scipy_on_the_isometry_algebra(p, q, field_tag, scale):
+    # sample_isometry's draws at the library's scales: the numpy exponential is scipy's to rounding, and an isometry
+    o = Form.standard(p, q, field_tag)
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        a = gaussian_matrix(rng, o.dim, field_tag)
+        x = (a - o.gram_inv @ a.conj().T @ o.gram) / 2
+        x = scale * (x - np.trace(x) / o.dim * np.eye(o.dim))
+        got, want = forms._expm(x), expm(x)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        assert isometry_defect(o, ScaledMatrix.of(got)) <= 1e-14
+
+
+def test_expm_scales_and_squares_past_the_pade_range():
+    # 1-norm 20 > PADE13_THETA: the approximant is taken at a quarter of the rotation angle and squared twice
+    t = 20.0
+    got = forms._expm(np.array([[0.0, -t], [t, 0.0]]))
+    assert np.abs(got - np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])).max() <= 1e-14
 
 
 def isometry_defect(o, h):

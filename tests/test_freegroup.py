@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import pqcartan
 from pqcartan import numerics
 from pqcartan.flags import o_generic
 from pqcartan.forms import Form
 from pqcartan.freegroup import (
+    DIAGONAL_CONJUGATOR,
     Representation,
     SchottkyRejection,
     Word,
@@ -148,6 +150,15 @@ def test_build_schottky_rejects_non_loxodromic():
         build_schottky([rot], Form.standard(2, 1), power=1)
     assert not isinstance(rej.value, ValueError)
     assert "not loxodromic" in rej.value.reasons[0]
+
+
+def test_diagonal_conjugator_is_scipys_exponential_and_an_isometry():
+    boost, rotation = np.array([[0, 0, 1.0], [0, 0, 0], [1, 0, 0]]), np.array([[0, -1.0, 0], [1, 0, 0], [0, 0, 0]])
+    want = expm(0.8 * boost + 1.1 * rotation)
+    h = np.array(DIAGONAL_CONJUGATOR)
+    assert np.all(np.abs(h - want) <= 2 * np.spacing(np.abs(want)))
+    j = np.diag([1.0, 1.0, -1.0])
+    assert np.abs(h.T @ j @ h - j).max() <= 1e-14
 
 
 def test_two_orbit_recipe_certifies():
