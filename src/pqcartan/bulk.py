@@ -10,7 +10,9 @@ One product step, ``_extend``, builds every level: it multiplies a word's
 levels by a letter's unit compound, renormalises and adds the log-scales.
 ``subtree_pieces`` applies it as a depth-first walk under one first letter
 (a piece, then the children of each prefix slice of it), so peak memory
-follows the slice of SLICE_BYTES, not the word length; words of up to
+follows the slice, not the word length: SLICE_BYTES counts what a piece
+holds, its level state, cached readings and the step's temporaries
+(``slice_words``: 7,710 words at d = 3, 1,401 at d = 5).  Words of up to
 SEED_LENGTH letters it reads as slices of the context's seed shells, so the
 step runs only past them.  ``run_bulk`` and the CLI's ``project`` and
 ``enumerate`` read balls and spheres through it.
@@ -18,9 +20,11 @@ step runs only past them.  ``run_bulk`` and the CLI's ``project`` and
 distinct prefix, for the conjugacy classes (``counting.class_periods``,
 ``counting.default_phi``), the Gromov comparison and the equidistribution
 boxes' cylinder words and the limit-set samples
-(``freegroup.sample_limit_set`` reads all its words in one batch); the
-step treats rows independently, so every word gets the same level data,
-bit for bit, whichever path reads it.
+(``freegroup.sample_limit_set`` unranks its strided ranks and reads them in
+one batch); the sphere-wide readers take a sphere one rank range at a time
+(``sphere_ranges``) and read batches of at most ``slice_words(d)`` rows.
+The step treats rows independently, so every word gets the same level
+data, bit for bit, whichever path reads it.
 
 Every level also carries a tracked attractor t, a unit vector along the
 top left singular direction of M.  For an Anosov representation the prefix
@@ -47,9 +51,9 @@ kernel and its residuals) add the squares in index order, the order numpy's
 own reduction takes there, without the reduction's per-call set-up.
 
 Enumeration order is canonical: shells by length, words lexicographic in
-the alphabet (g1, g1^-1, g2, g2^-1, ...); ``sphere_rows`` builds a sphere's
-index rows in this order, ``index_row`` one word's, and ``_ranks_of`` gives
-rows their row numbers there.
+the alphabet (g1, g1^-1, g2, g2^-1, ...); ``rows_of_ranks`` builds the
+index rows of given ranks of a sphere in this order, ``index_row`` one
+word's, and ``_ranks_of``, its inverse, gives rows their ranks there.
 The walk's pieces of one shell arrive in this order, interleaved with
 longer shells' pieces.  Worker partitioning is by first letter and results
 are merged in alphabet order, so outputs are identical for any worker count.
@@ -67,9 +71,11 @@ from .forms import Form
 from .numerics import minor_matrix, recentred_increments
 from .weyl import file_to_slots
 
-# level state of one walk piece: 40,329 words at d = 3, 3,692 at d = 5; small pieces pay per-call overhead
-# in the 3x3 kernels (600-word pieces: about 15% fewer words/s at d = 3, L = 10)
-SLICE_BYTES = 8 << 20
+# bytes one walk piece or sphere-wide read holds (``slice_words``): 7,710 words at d = 3, 1,401 at d = 5.
+# Measured, best of 24 passes on 1 BLAS thread: the d = 3 ball to L = 10 with four functionals and the class
+# entropy to L = 11 took 0.43 s at 4 MiB, 0.44 at 3 MiB and 0.45 with unsplit shells; the d = 5 shells to
+# L = 8 took 0.093, 0.097 and 0.091 s; its peak RSS is 41.5 MB at 4 MiB, 39.6 at 3 and 48.8 unsplit
+SLICE_BYTES = 4 << 20
 POWER_ITERS = 64
 RESIDUAL_TOL = 1e-6
 SEED_LENGTH = 3  # shells built once per context; their words need the stepwise fallback
@@ -102,19 +108,39 @@ def cyclically_reduced(rows: np.ndarray) -> np.ndarray:
     return rows[:, 0] != rows[:, -1] ^ 1
 
 
-def sphere_rows(k: int, length: int) -> np.ndarray:
-    """(n, length) int8 alphabet-index rows of the sphere's words, canonical order.
+def rows_of_ranks(ranks, k: int, length: int) -> np.ndarray:
+    """(n, length) int8 alphabet-index rows of the words of the given canonical ranks in their sphere.
 
-    Row i is the word of rank i; raises ValueError below length 1.
+    The inverse of ``_ranks_of``: a rank's base-(2k-1) digits after the first
+    letter are each letter's position among the letters that may follow its
+    predecessor.  Raises ValueError below length 1 or for a rank outside the sphere.
     """
     if length < 1:
-        raise ValueError(f"sphere_rows needs length >= 1, got {length}")
-    table = successor_table(2 * k)
-    rows = np.arange(2 * k, dtype=np.int8)[:, None]
-    for _ in range(length - 1):
-        nxt = table[rows[:, -1]].reshape(-1, 1)
-        rows = np.concatenate([np.repeat(rows, table.shape[1], axis=0), nxt], axis=1)
-    return rows
+        raise ValueError(f"rows_of_ranks needs length >= 1, got {length}")
+    rest = np.array(ranks, dtype=np.int64).reshape(-1)
+    if rest.size and (rest.min() < 0 or rest.max() >= sphere_size(k, length)):
+        raise ValueError(f"rows_of_ranks needs ranks in [0, {sphere_size(k, length)})")
+    cols = np.empty((length, rest.size), dtype=np.int8)  # letter by letter; rows are transposed at the end
+    for j in range(length - 1, 0, -1):
+        q = rest // (2 * k - 1)
+        rest -= q * (2 * k - 1)
+        cols[j] = rest
+        rest = q
+    cols[0] = rest
+    for j in range(1, length):
+        cols[j] += cols[j] >= cols[j - 1] ^ 1
+    return np.ascontiguousarray(cols.T)
+
+
+def sphere_ranges(k: int, length: int):
+    """The sphere's index rows in consecutive rank ranges, canonical order.
+
+    A range has SLICE_BYTES // (8 length) rows: a sphere-wide reader holds
+    about 8 bytes a letter while it unranks and filters a range.
+    """
+    n, step = sphere_size(k, length), max(1, SLICE_BYTES // (8 * length))
+    for lo in range(0, n, step):
+        yield rows_of_ranks(np.arange(lo, min(lo + step, n)), k, length)
 
 
 def _ranks_of(idx_rows: np.ndarray, k: int) -> np.ndarray:
@@ -418,15 +444,23 @@ class ShellData:
         """Per level: (eigenvectors, Rayleigh values, residuals) of M.
 
         Read at M t / |M t| on cyclically reduced words longer than SEED_LENGTH; every other row, and a
-        row whose residual there is not below RESIDUAL_TOL, takes the stepwise kernel's values.
+        row whose residual there is not below RESIDUAL_TOL, takes the stepwise kernel's values, in one
+        call per level width (the kernel treats rows independently, and its cost is mostly per call).
         """
         fast = cyclically_reduced(self.idx_rows) & (self.length > SEED_LENGTH)
         tops = [_eig_read(m, _normalize_rows(np.einsum("nij,nj->ni", m, t)))
                 for m, t in zip(self.comps, self.attractors)]
-        for m, (x, mu, resid) in zip(self.comps, tops):
-            redo = np.flatnonzero(~(fast & (resid < RESIDUAL_TOL)))
-            if redo.size:
-                x[redo], mu[redo], resid[redo] = _top_eig_power(m[redo])
+        redo = [np.flatnonzero(~(fast & (resid < RESIDUAL_TOL))) for _, _, resid in tops]
+        by_width: dict[int, list[int]] = {}
+        for j, m in enumerate(self.comps):
+            if redo[j].size:
+                by_width.setdefault(m.shape[1], []).append(j)
+        for levels in by_width.values():
+            stepwise = _top_eig_power(np.concatenate([self.comps[j][redo[j]] for j in levels]))
+            ends = np.cumsum([redo[j].size for j in levels])
+            for j, hi in zip(levels, ends):
+                for top, values in zip(tops[j], stepwise):
+                    top[redo[j]] = values[hi - redo[j].size:hi]
         return tops
 
     def jordan_vectors(self) -> list[np.ndarray]:
@@ -472,8 +506,16 @@ def _children(shell: ShellData, table: np.ndarray) -> ShellData:
 
 
 def slice_words(d: int) -> int:
-    """Words per walk piece: SLICE_BYTES over one word's level state, sum_j C(d,j)^2 + C(d,j) + 1 doubles."""
-    return max(1, SLICE_BYTES // (8 * sum(math.comb(d, j) ** 2 + math.comb(d, j) + 1 for j in range(1, d))))
+    """Words per walk piece: SLICE_BYTES over what a word of a piece holds, sum_j (C_j^2 + 2 C_j + 1) + 12 d doubles.
+
+    That is the word's level state (C_j^2 + C_j + 1 doubles a level, C_j = C(d, j)) and what reading it adds:
+    one more C_j-vector a level and 12 doubles a line, for the cached Cartan, twisted, slot and Jordan values
+    and the product step's temporaries (a piece peaks at 558 bytes a word at d = 3 under the four ball
+    functionals against 544 counted, and at 3,032 at d = 5 under the comparison and direction collectors
+    against 2,992).
+    """
+    return max(1, SLICE_BYTES // (8 * (sum(math.comb(d, j) ** 2 + 2 * math.comb(d, j) + 1 for j in range(1, d))
+                                       + 12 * d)))
 
 
 def subtree_pieces(ctx: BulkContext, first: int, length_max: int):

@@ -180,7 +180,7 @@ def _grid_from(cfg: dict, default_hi: float) -> np.ndarray:
 
 def cmd_rep_build(cfg: dict, args) -> dict:
     rep = _build_rep(cfg)
-    # the samples are strided over the whole sphere, which is built first
+    # the samples are strided over the whole sphere, which the word cap counts
     length = cfg.get("sample_length", 6)
     _capped(cfg, sphere_size(rep.rank, length))
     sigs, bad = sample_limit_set(rep, length, LIMIT_SAMPLES)

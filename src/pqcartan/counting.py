@@ -9,6 +9,7 @@ count never changes results.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -282,37 +283,57 @@ def estimate_exponent(curve: CountCurve, window: tuple[float, float]):
 # -- conjugacy classes -------------------------------------------------------
 
 
-def _cyclically_reduced_rows(k: int, length: int) -> np.ndarray:
-    """(n, length) int8 alphabet-index rows of the cyclically reduced words, canonical order."""
-    rows = bulk.sphere_rows(k, length)
-    return rows[bulk.cyclically_reduced(rows)]
+def _batches(blocks, size: int):
+    """The rows of consecutive blocks, in order, regrouped into batches of ``size`` rows (the last may be short)."""
+    held, count = [], 0
+    for block in blocks:
+        while block.shape[0]:
+            held.append(block[: size - count])
+            count += held[-1].shape[0]
+            block = block[held[-1].shape[0]:]
+            if count == size:
+                yield np.concatenate(held)
+                held, count = [], 0
+    if count:
+        yield np.concatenate(held)
 
 
-def conjugacy_class_indices(k: int, length: int) -> np.ndarray:
-    """Index rows of the minimal-rotation representatives of length-n classes, canonical order.
+def conjugacy_class_indices(k: int, length: int):
+    """Index rows of the minimal-rotation representatives of length-n classes, in canonical order.
 
-    A row is kept when its base-2k int64 key (``np.ravel_multi_index``) is at most each
-    rotation's key; it fits while (2k)^L <= 2^63 (L <= 31 at k = 2, 24 at k = 3).
+    Yields them one rank range of the sphere at a time (``bulk.sphere_ranges``), so no reader holds the
+    sphere.  A cyclically reduced row that starts with its least letter is kept when its base-2k int64 key
+    (``np.ravel_multi_index``) is at most each rotation's key; it fits while (2k)^L <= 2^63 (L <= 31 at
+    k = 2, 24 at k = 3).
     """
-    rows = _cyclically_reduced_rows(k, length)
     powers = (2 * k) ** np.arange(length, dtype=np.int64)
-    key = np.ravel_multi_index(rows.T, (2 * k,) * length)
-    keep = np.ones(rows.shape[0], dtype=bool)
-    for r in range(1, length):
-        keep &= key <= (key % powers[length - r]) * powers[r] + key // powers[length - r]
-    return rows[keep]
+    for rows in bulk.sphere_ranges(k, length):
+        least = functools.reduce(np.minimum, rows.T)  # per row, its least letter
+        rows = rows[bulk.cyclically_reduced(rows) & (rows[:, 0] == least)]
+        key = np.ravel_multi_index(rows.T, (2 * k,) * length)
+        keep = np.ones(rows.shape[0], dtype=bool)
+        for r in range(1, length):
+            keep &= key <= (key % powers[length - r]) * powers[r] + key // powers[length - r]
+        yield rows[keep]
 
 
 def _class_jordan(rep: Representation, chamber: ChamberA, length: int):
     """Jordan projections of the length-n class representatives, in the chamber frame.
 
-    Raises NumericsError when a representative has no real dominant eigenpair on some level.
+    Yields them in canonical order, read through ``BulkContext.shell`` in batches of
+    ``bulk.slice_words(d)`` representatives.  Raises NumericsError, after the last batch, when a
+    representative has no real dominant eigenpair on some level.
     """
-    lam, ok = rep.bulk_context().shell(conjugacy_class_indices(rep.rank, length)).jordan_coords()
-    if not ok.all():
-        raise NumericsError(f"{np.count_nonzero(~ok)} of {ok.size} length-{length} class representatives "
+    ctx = rep.bulk_context()
+    bad = total = 0
+    for rows in _batches(conjugacy_class_indices(rep.rank, length), bulk.slice_words(rep.dim)):
+        lam, ok = ctx.shell(rows).jordan_coords()
+        bad += np.count_nonzero(~ok)
+        total += ok.size
+        yield chamber.place(lam)
+    if bad:
+        raise NumericsError(f"{bad} of {total} length-{length} class representatives "
                             "have no real dominant eigenvalue on some level (Jordan mask)")
-    return chamber.place(lam)
 
 
 def class_periods(rep: Representation, phi: np.ndarray, chamber: ChamberA, length_max: int):
@@ -323,9 +344,9 @@ def class_periods(rep: Representation, phi: np.ndarray, chamber: ChamberA, lengt
     values = []
     per_length_min: dict[int, float] = {}
     for length in range(1, length_max + 1):
-        vals = _class_jordan(rep, chamber, length) @ phi
-        values.append(vals)
-        per_length_min[length] = float(vals.min())
+        vals = [framed @ phi for framed in _class_jordan(rep, chamber, length)]
+        values += vals
+        per_length_min[length] = float(np.min([v.min() for v in vals]))
     all_vals = np.concatenate(values) if values else np.zeros(0)
     return all_vals, per_length_min
 
@@ -395,9 +416,9 @@ def default_phi(rep: Representation, chamber: ChamberA | None = None) -> np.ndar
     chamber = chamber if chamber is not None else canonical_chamber(rep)
     dirs = []
     for length in range(1, PHI_CLASS_LENGTH + 1):
-        framed = _class_jordan(rep, chamber, length)
-        nrm = np.linalg.norm(framed, axis=1, keepdims=True)
-        dirs.append(framed / np.maximum(nrm, 1e-30))
+        for framed in _class_jordan(rep, chamber, length):
+            nrm = np.linalg.norm(framed, axis=1, keepdims=True)
+            dirs.append(framed / np.maximum(nrm, 1e-30))
     bary = recenter(np.concatenate(dirs).mean(axis=0))
     return bary / np.linalg.norm(bary)
 
@@ -526,7 +547,9 @@ def gromov_comparison(rep: Representation, phi, cylinder_a, cylinder_b, length_m
     repelling and attracting fixed flags, both read off per-level dominant
     eigenvectors of the word and its inverse, so arbitrarily long words stay
     well-conditioned.  Words are restricted to those whose cyclic reduction
-    starts in cylinder_b and whose inverse's starts in cylinder_a.
+    starts in cylinder_b and whose inverse's starts in cylinder_a.  Each
+    length's cyclically reduced words are filtered one sphere rank range at a
+    time and read in batches of ``bulk.slice_words(d)`` words.
     """
     chamber = _single_orbit_chamber(rep)
     phi = np.asarray(phi, dtype=float)
@@ -536,22 +559,22 @@ def gromov_comparison(rep: Representation, phi, cylinder_a, cylinder_b, length_m
     out: dict[int, float] = {}
     counts: dict[int, int] = {}
     for length in range(length_min, length_max + 1):
-        rows = _cyclically_reduced_rows(rep.rank, length)
-        rows = rows[_cylinder_mask(rows, a_idx, b_idx)]
-        if rows.shape[0] == 0:
-            continue
-        shell = ctx.shell(rows)
-        bo, _, _ = shell.bo_data()
-        valid = shell.bo_valid_mask()
-        lam, lam_ok = shell.jordan_coords()
-        framed = chamber.place(lam)
-        coords = _word_bracket(ctx, ctx.shell(rows[:, ::-1] ^ 1).jordan_vectors(), shell.jordan_vectors())
-        bracket = chamber.place(coords) @ phi
-        dev = np.abs(bo @ phi - framed @ phi + bracket)
-        keep = valid & lam_ok
-        if keep.any():
-            out[length] = float(dev[keep].max())
-            counts[length] = int(keep.sum())
+        maxima, kept = [], 0
+        cylinders = (rows[bulk.cyclically_reduced(rows) & _cylinder_mask(rows, a_idx, b_idx)]
+                     for rows in bulk.sphere_ranges(rep.rank, length))
+        for rows in _batches(cylinders, bulk.slice_words(rep.dim)):
+            shell = ctx.shell(rows)
+            bo, _, _ = shell.bo_data()
+            lam, lam_ok = shell.jordan_coords()
+            coords = _word_bracket(ctx, ctx.shell(rows[:, ::-1] ^ 1).jordan_vectors(), shell.jordan_vectors())
+            dev = np.abs(bo @ phi - chamber.place(lam) @ phi + chamber.place(coords) @ phi)
+            keep = shell.bo_valid_mask() & lam_ok
+            if keep.any():
+                maxima.append(dev[keep].max())
+                kept += int(keep.sum())
+        if kept:
+            out[length] = float(np.max(maxima))
+            counts[length] = kept
     return {"max_deviation": out, "counts": counts, "chamber": chamber}
 
 

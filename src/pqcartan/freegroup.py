@@ -14,7 +14,7 @@ from math import comb
 import numpy as np
 
 from . import bulk
-from .bulk import BulkContext, sphere_rows
+from .bulk import BulkContext, rows_of_ranks, sphere_size
 from .flags import Flag, line_hyperplane_distance, o_generic
 from .forms import DEGENERACY_RTOL, Form
 from .numerics import ScaledMatrix
@@ -260,7 +260,8 @@ def sample_limit_set(rep: Representation, length: int, count: int):
     """Orbit signatures of the Cartan attractor flags of evenly spaced words.
 
     The candidates are the words of rank 0, s, 2s, ... for the stride
-    s = sphere size // count, read off the engine in one batch and taken in
+    s = sphere size // count, unranked (``rows_of_ranks``) without building
+    the sphere, read off the engine in one batch and taken in
     order until count of them are classified.  A word is classified by the
     form signs of its tracked attractors (``ShellData.attractor_signs``);
     one without a singular gap (its attractor flag is not determined) or
@@ -269,8 +270,8 @@ def sample_limit_set(rep: Representation, length: int, count: int):
     For an Anosov representation these flags converge to the limit set.
     Returns (signatures, reports): sign tuples and (word, reason) pairs.
     """
-    rows = sphere_rows(rep.rank, length)
-    rows = rows[:: max(1, len(rows) // max(1, count))]
+    n = sphere_size(rep.rank, length)
+    rows = rows_of_ranks(np.arange(0, n, max(1, n // max(1, count))), rep.rank, length)
     shell = rep.bulk_context().shell(rows)
     gapless = shell.min_root_gap() <= GAP_TOL
     degenerate = np.abs(shell.attractor_forms()) < DEGENERACY_RTOL

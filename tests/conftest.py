@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pqcartan import bulk
-from pqcartan.bulk import _ranks_of, index_row, sphere_rows
+from pqcartan.bulk import _ranks_of, index_row, successor_table
 from pqcartan.flags import Flag
 from pqcartan.forms import Form, sample_isometry
 from pqcartan.freegroup import Representation, Word, row_word
@@ -57,9 +57,25 @@ def sample_decomposable(rng, o, x=None, lift_perm=None):
 
 
 # float64 references that tests compare the library against: reduced words
-# in canonical order and their ranks, the slot-chamber opposition, the sine
+# in canonical order (as index rows and as words) and their ranks, the slot-chamber opposition, the sine
 # distance of flags, and a word's singular flag assembled from one SVD per
 # exterior-power level of the engine's product
+
+
+def sphere_rows(k: int, length: int) -> np.ndarray:
+    """(n, length) int8 alphabet-index rows of the sphere's words, canonical order, built letter by letter.
+
+    Row i is the word of rank i; raises ValueError below length 1.  The reference for
+    ``bulk.rows_of_ranks``, which unranks rows without building the sphere.
+    """
+    if length < 1:
+        raise ValueError(f"sphere_rows needs length >= 1, got {length}")
+    table = successor_table(2 * k)
+    rows = np.arange(2 * k, dtype=np.int8)[:, None]
+    for _ in range(length - 1):
+        nxt = table[rows[:, -1]].reshape(-1, 1)
+        rows = np.concatenate([np.repeat(rows, table.shape[1], axis=0), nxt], axis=1)
+    return rows
 
 
 def sphere_words(k: int, length: int):

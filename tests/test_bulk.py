@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from pqcartan.projections import cartan
 from pqcartan.weyl import merge_to_slots
 
 import oracle
-from conftest import singular_flag, sphere_words, word_rank
+from conftest import singular_flag, sphere_rows, sphere_words, word_rank
 
 
 def test_sizes():
@@ -54,7 +56,7 @@ def moderate_words(rep):
     """(row, exact product, shell, row index in the shell) of every word of length 1..MODERATE_LENGTH."""
     ctx = rep.bulk_context()
     for length in range(1, MODERATE_LENGTH + 1):
-        rows = bulk.sphere_rows(rep.rank, length)
+        rows = sphere_rows(rep.rank, length)
         shell = ctx.shell(rows)
         for i, row in enumerate(rows):
             yield row, oracle.row_product(rep, row), shell, i
@@ -100,7 +102,7 @@ def test_pq_project_of_moderate_words_matches_high_precision(idx):
 def test_bulk_long_words_match_high_precision():
     # six evenly spaced words of the L=10 sphere: Cartan, slot and Jordan projections
     rep = reducible_rep(power=4)
-    rows = bulk.sphere_rows(rep.rank, 10)
+    rows = sphere_rows(rep.rank, 10)
     rows = rows[:: len(rows) // 5]
     shell = rep.bulk_context().shell(rows)
     bo = shell.bo_data()[0]
@@ -118,7 +120,7 @@ def test_bulk_cartan_matches_high_precision_at_length_10(make_rep):
     # the tracked-attractor Cartan reading at L=10 against exact log singular
     # values; M^T M spans about e^190 here, beyond what dps 80 resolves
     rep = make_rep()
-    rows = bulk.sphere_rows(rep.rank, 10)[::7874]
+    rows = sphere_rows(rep.rank, 10)[::7874]
     shell = rep.bulk_context().shell(rows)
     coords = shell.cartan_coords()
     assert len(rows) == 10 and np.isfinite(coords).all() and shell.membership_mask().all()
@@ -131,7 +133,7 @@ def test_bulk_cartan_matches_high_precision_at_length_10(make_rep):
 def test_bulk_cartan_of_d5_words_matches_high_precision():
     # 20 evenly spaced words of the L=5 sphere of reducible-32 power 6
     rep = reducible_rep(p=3, q=2, power=6)
-    rows = bulk.sphere_rows(rep.rank, 5)
+    rows = sphere_rows(rep.rank, 5)
     rows = rows[np.linspace(0, len(rows) - 1, 20).round().astype(int)]
     worst = max(float(np.max(np.abs(got - oracle.cartan(oracle.row_product(rep, row)))))
                 for row, got in zip(rows, rep.bulk_context().shell(rows).cartan_coords()))
@@ -164,7 +166,7 @@ def test_jordan_of_non_cyclically_reduced_words_matches_high_precision():
     # 40 evenly spaced Jordan-valid words of the L=10 sphere whose first
     # letter is the inverse of their last, against the exact eigenvalue moduli
     rep = reducible_rep(power=4)
-    rows = bulk.sphere_rows(rep.rank, 10)
+    rows = sphere_rows(rep.rank, 10)
     rows, lam = _evenly_spaced_valid_jordan(rep, rows[rows[:, 0] == (rows[:, -1] ^ 1)])
     worst = max(float(np.max(np.abs(got - oracle.jordan(oracle.row_product(rep, row)))))
                 for row, got in zip(rows, lam))
@@ -182,7 +184,7 @@ def test_jordan_of_cyclically_reduced_words_matches_high_precision(make_rep):
     # the one-step reading from the tracked attractor on 40 evenly spaced
     # Jordan-valid cyclically reduced words of the L=10 sphere
     rep = make_rep()
-    rows = bulk.sphere_rows(rep.rank, 10)
+    rows = sphere_rows(rep.rank, 10)
     rows, lam = _evenly_spaced_valid_jordan(rep, rows[bulk.cyclically_reduced(rows)])
     for row, got in zip(rows, lam):
         assert np.max(np.abs(got - oracle.jordan(oracle.row_product(rep, row)))) < 1e-8
@@ -195,7 +197,7 @@ def test_jordan_one_step_matches_stepwise_kernel(make_rep, length):
     # every cyclically reduced word: the one-step eigenvalue against the
     # 64-step kernel on the same levels, and the same validity mask
     rep = make_rep()
-    rows = bulk.sphere_rows(rep.rank, length)
+    rows = sphere_rows(rep.rank, length)
     shell = rep.bulk_context().shell(rows[bulk.cyclically_reduced(rows)])
     ok = np.ones(shell.count, dtype=bool)
     for m, (_, mu, resid) in zip(shell.comps, shell._jordan_tops()):
@@ -212,7 +214,7 @@ def test_jordan_stepwise_rows_are_bit_identical():
     # SEED_LENGTH letters, keep the stepwise kernel's values exactly
     rep = reducible_rep(power=4)
     for length in range(1, 7):
-        rows = bulk.sphere_rows(rep.rank, length)
+        rows = sphere_rows(rep.rank, length)
         shell = rep.bulk_context().shell(rows)
         stepwise = _stepwise_rows(rows)
         assert stepwise.any()
@@ -247,7 +249,7 @@ def test_jordan_stepwise_kernel_reached_only_by_fallback_rows(monkeypatch):
     run_bulk(ctx, 8, [(FunctionalHistCollector, spec)])
     want = Counter()
     for length in range(1, 9):
-        rows = bulk.sphere_rows(rep.rank, length)
+        rows = sphere_rows(rep.rank, length)
         shell = ctx.shell(rows)
         for m in shell.comps:
             want.update(a.tobytes() for a in m[_stepwise_rows(rows)])
@@ -347,7 +349,7 @@ def test_bulk_attractor_signs_match_flags(make_rep):
     from pqcartan.flags import o_generic
 
     rep = make_rep()
-    signs = rep.bulk_context().shell(bulk.sphere_rows(2, 3)).attractor_signs()
+    signs = rep.bulk_context().shell(sphere_rows(2, 3)).attractor_signs()
     for w in sphere_words(2, 3):
         i = word_rank(w.letters, 2)
         sig = o_generic(rep.form, singular_flag(rep, w)).signs
@@ -405,7 +407,7 @@ def test_rows_entry_point_reads_shuffled_duplicate_rows_as_single_rows(make_rep,
     # row's bytes do not depend on which rows share the call, nor on their order
     rep = make_rep()
     ctx = rep.bulk_context()
-    sphere = bulk.sphere_rows(rep.rank, length)
+    sphere = sphere_rows(rep.rank, length)
     pick = np.random.default_rng(19).integers(0, sphere.shape[0], size=40)
     rows = sphere[np.concatenate([pick, pick[:8], [pick[0]] * 3])]
     assert len(np.unique(rows, axis=0)) < rows.shape[0]
@@ -422,7 +424,7 @@ def test_rows_entry_point_extends_each_distinct_prefix_once(monkeypatch):
     from pqcartan.counting import conjugacy_class_indices
 
     ctx = reducible_rep(power=4).bulk_context()
-    rows = conjugacy_class_indices(2, 11)
+    rows = np.concatenate(list(conjugacy_class_indices(2, 11)))
     built = []
     extend = bulk._extend
 
@@ -434,6 +436,28 @@ def test_rows_entry_point_extends_each_distinct_prefix_once(monkeypatch):
     ctx.shell(rows)
     distinct = sum(len(np.unique(rows[:, :t], axis=0)) for t in range(bulk.SEED_LENGTH + 1, 12))
     assert sum(built) == distinct == 34_983
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_rows_of_ranks_inverts_the_ranks(monkeypatch, k):
+    # any ranks, repeated and out of order, unrank to the sphere's rows of those ranks;
+    # consecutive rank ranges of SLICE_BYTES at 8 bytes a letter cover the sphere in canonical order
+    monkeypatch.setattr(bulk, "SLICE_BYTES", 8 * 8 * 7)
+    rng = np.random.default_rng(k)
+    for length in range(1, 9):
+        sphere = sphere_rows(k, length)
+        n = sphere.shape[0]
+        ranks = np.concatenate([np.arange(min(n, 40)), rng.integers(0, n, 200), [n - 1, 0]])
+        rows = bulk.rows_of_ranks(ranks, k, length)
+        assert rows.dtype == np.int8 and rows.shape == (ranks.size, length)
+        assert rows.tobytes() == sphere[ranks].tobytes()
+        assert np.array_equal(bulk._ranks_of(rows, k), ranks)
+        ranges = list(bulk.sphere_ranges(k, length))
+        assert max(r.shape[0] for r in ranges) == min(n, 56 // length)
+        assert np.concatenate(ranges).tobytes() == sphere.tobytes()
+    for bad in (-1, sphere_size(k, 4)):
+        with pytest.raises(ValueError, match="ranks in"):
+            bulk.rows_of_ranks([0, bad], k, 4)
 
 
 @pytest.mark.parametrize("rows", [[0, 2], np.zeros((3, 0), dtype=np.int8), np.zeros((1, 2, 2), dtype=np.int8)],
@@ -469,7 +493,7 @@ def test_thread_partitions_identical():
 def test_chunking_does_not_change_results(monkeypatch):
     rep = reducible_rep(power=4)
     ctx = rep.bulk_context()
-    monkeypatch.setattr(bulk, "SLICE_BYTES", 1500)
+    monkeypatch.setattr(bulk, "SLICE_BYTES", 7 * 544)  # slice_words counts 544 bytes a word at d = 3
     assert bulk.slice_words(3) == 7
     [a] = run_bulk(ctx, 4, [(Pieces, {})])
     monkeypatch.undo()
@@ -479,7 +503,7 @@ def test_chunking_does_not_change_results(monkeypatch):
     assert bo_a.tobytes() == bo_b.tobytes()
 
 
-@pytest.mark.parametrize("make_rep,slice_bytes", [(lambda: reducible_rep(power=4), 1500),
+@pytest.mark.parametrize("make_rep,slice_bytes", [(lambda: reducible_rep(power=4), 7 * 544),
                                                   (lambda: reducible_rep(p=3, q=2, power=6), 30000)],
                          ids=["d3", "d5"])
 def test_no_piece_holds_more_than_one_slice(monkeypatch, make_rep, slice_bytes):
@@ -498,11 +522,30 @@ def test_no_piece_holds_more_than_one_slice(monkeypatch, make_rep, slice_bytes):
     assert lengths != sorted(lengths)
 
 
-def test_default_slice_keeps_benchmark_shells_whole():
-    # one subtree's shell L - 1 is a single parent slice: ball_d3 (d = 3, L = 10)
-    # and shells_d5 (d = 5, L = 8) see the same pieces as shell-by-shell reading
-    assert bulk.slice_words(3) >= 3 ** 9
-    assert bulk.slice_words(5) >= 3 ** 7
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_walk_and_class_peaks_grow_by_less_than_two_slices_over_two_lengths():
+    # each level on the walk's path holds at most one piece, and a piece at most SLICE_BYTES, so two more
+    # levels add less than two slices; the class reads take one rank range of the sphere and one batch of
+    # slice_words(d) representatives at a time, so only the class values themselves grow with the length
+    from pqcartan.counting import FunctionalHistCollector, class_periods
+    from pqcartan.weyl import ChamberA
+
+    rep = reducible_rep(power=4)
+    ctx = rep.bulk_context()
+    spec = {"kind": "norm_at", "grid": np.linspace(0.0, 144.0, 768), "phi": None, "chamber_order": (0, 1, 2)}
+    walk = [_traced_peak(lambda: run_bulk(ctx, length, [(FunctionalHistCollector, spec)])) for length in (10, 12)]
+    classes = [_traced_peak(lambda: class_periods(rep, np.array([1.0, 0.0, -1.0]), ChamberA((0, 1, 2)), length))
+               for length in (10, 12)]
+    assert walk[1] - walk[0] < 2 * bulk.SLICE_BYTES
+    assert classes[1] - classes[0] < 2 * bulk.SLICE_BYTES
 
 
 def _stepwise_walk(ctx, first, length_max):

@@ -244,7 +244,7 @@ def test_project_and_enumerate_slices_match_unsliced_run(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_projection_rows", spy)
     for sub, name in (("project", "projections.csv"), ("enumerate", "sphere.csv"), ("cone", "cone.csv")):
         outs = []
-        for slice_bytes in (bulk.SLICE_BYTES, 100 * 208):  # 208 bytes of level state per word at d = 3
+        for slice_bytes in (bulk.SLICE_BYTES, 100 * 544):  # slice_words counts 544 bytes a word at d = 3
             monkeypatch.setattr(bulk, "SLICE_BYTES", slice_bytes)
             outs.append(tmp_path / f"{sub}-{slice_bytes}")
             assert main([sub, "--config", cfg, "--out", str(outs[-1])]) == 0

@@ -27,6 +27,8 @@ from pqcartan.counting import (
 )
 from pqcartan.freegroup import Representation, reducible_rep, single_orbit_rep, two_orbit_rep
 
+from conftest import sphere_rows
+
 
 @pytest.fixture(scope="module")
 def red():
@@ -106,12 +108,10 @@ def test_norm_bo_curve_invariant_under_isometry_conjugation(red, rng):
 def test_conjugacy_class_indices_match_rotation_definition(k, length_max):
     # a class representative is a cyclically reduced row no larger, as a
     # tuple, than any of its rotations; rows come in canonical order
-    from pqcartan.bulk import sphere_rows
-
     for length in range(1, length_max + 1):
         want = [row for row in map(tuple, sphere_rows(k, length).tolist())
                 if row[0] != row[-1] ^ 1 and all(row <= row[r:] + row[:r] for r in range(1, length))]
-        got = conjugacy_class_indices(k, length)
+        got = np.concatenate(list(conjugacy_class_indices(k, length)))
         assert got.dtype == np.int8
         assert [tuple(r) for r in got.tolist()] == want
 
@@ -180,7 +180,7 @@ def test_phi_periods_match_sl2_translation_lengths(red):
     images = {1: a2, -1: np.linalg.inv(a2), 2: b2, -2: np.linalg.inv(b2)}
     refs = []
     for rows_len in range(1, 7):
-        for row in conjugacy_class_indices(2, rows_len):
+        for row in np.concatenate(list(conjugacy_class_indices(2, rows_len))):
             m = np.eye(2)
             for idx in row:
                 letter = (int(idx) // 2 + 1) * (1 if idx % 2 == 0 else -1)
@@ -449,3 +449,25 @@ def test_collectors_do_not_depend_on_the_slice_size(monkeypatch, make_rep, lengt
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == w
+
+
+def test_sphere_wide_readers_do_not_depend_on_the_slice_size(monkeypatch, red):
+    # class values, the default functional, cylinder deviations and limit samples are read one rank
+    # range and one batch at a time; 7-word slices split every length past 3 into many reads
+    from pqcartan.freegroup import sample_limit_set
+    from pqcartan.weyl import ChamberA
+
+    so = single_orbit_rep()
+
+    def outputs():
+        vals, minima = class_periods(red, np.array([1.0, 0.0, -1.0]), ChamberA((0, 1, 2)), 8)
+        phi = default_phi(so)
+        gromov = gromov_comparison(so, phi, (1,), (2,), 8, 2)
+        return [vals.tobytes(), repr(sorted(minima.items())), phi.tobytes(),
+                repr(sorted(gromov["max_deviation"].items())), repr(sorted(gromov["counts"].items())),
+                repr(sample_limit_set(red, 8, 40))]
+
+    want = outputs()
+    monkeypatch.setattr(bulk, "SLICE_BYTES", 7 * 544)
+    assert bulk.slice_words(3) == 7
+    assert outputs() == want

@@ -22,11 +22,11 @@ from pqcartan.freegroup import (
 )
 from pqcartan.numerics import ScaledMatrix
 from pqcartan.projections import eigen_flag
-from pqcartan.bulk import index_letter, sphere_rows, sphere_size
+from pqcartan.bulk import index_letter, rows_of_ranks, sphere_size
 from pqcartan.counting import anosov_gap_check
 
 import oracle
-from conftest import flag_distance, singular_flag, sphere_words, word_rank
+from conftest import flag_distance, singular_flag, sphere_rows, sphere_words, word_rank
 
 
 def test_word_reduction_and_ops():
@@ -69,11 +69,13 @@ def enumerate_sphere(k, length):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_sphere_rows_follow_enumerate_sphere(k):
+    # the letter-by-letter reference and the library's unranking of every rank
     for length in range(1, 6):
         rows = sphere_rows(k, length)
         words = list(enumerate_sphere(k, length))
         assert rows.shape == (len(words), length)
         assert [Word(tuple(index_letter(i) for i in r)) for r in rows.tolist()] == words
+        assert rows_of_ranks(np.arange(len(words)), k, length).tobytes() == rows.tobytes()
 
 
 @pytest.mark.parametrize("length", [0, -1])
@@ -81,6 +83,8 @@ def test_sphere_rows_refuses_length_below_one(length):
     # the identity has no index row; length 0 once returned the one-letter rows
     with pytest.raises(ValueError, match="length >= 1"):
         sphere_rows(2, length)
+    with pytest.raises(ValueError, match="length >= 1"):
+        rows_of_ranks([0], 2, length)
 
 
 def test_enumerate_matches_high_precision():

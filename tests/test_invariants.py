@@ -16,6 +16,8 @@ from pqcartan.freegroup import (
 )
 from pqcartan.numerics import ScaledMatrix
 
+from conftest import sphere_rows
+
 
 def test_cartan_additivity_defect_bounded():
     # |a_j(g h) - a_j(g) - a_j(h)| stays bounded along shells when the
@@ -24,7 +26,7 @@ def test_cartan_additivity_defect_bounded():
     length_max = 9
     ctx = rep.bulk_context()
     k = rep.rank
-    rows = {l: bulk.sphere_rows(k, l) for l in range(1, length_max + 1)}
+    rows = {l: sphere_rows(k, l) for l in range(1, length_max + 1)}
     at = {l: ctx.shell(r).cartan_coords() for l, r in rows.items()}
     b_index, b_inv_index = 2, 3  # alphabet indices of the second generator pair
     at_gen = at[1][b_index]
