@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .forms import DEGENERACY_RTOL, Form
-from .numerics import ScaledMatrix, wedge_coordinates
+from .numerics import ScaledMatrix, hodge_dual, wedge_coordinates
 
 TRANSVERSALITY_RTOL = 1e-8
 FLAG_CONDITION_CAP = 1e12
@@ -68,9 +68,6 @@ class Flag:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    def subspace(self, j: int) -> np.ndarray:
-        return self.basis[:, :j]
 
     @cached_property
     def wedges(self) -> tuple[np.ndarray, ...]:
@@ -144,15 +141,18 @@ def transversality_margin(x: Flag, y: Flag) -> float:
 
 
 def _transversality_margin(x: Flag, y: Flag) -> float:
+    """Least level-j sine distance from x^j to the hyperplane of y^{d-j}: a function of the two flags alone."""
     if x.dim != y.dim:
         raise ValueError("flags of different dimensions")
-    d = x.dim
-    worst = np.inf
-    for j in range(1, d):
-        m = np.concatenate([x.subspace(j), y.subspace(d - j)], axis=1)
-        sv = np.linalg.svd(m, compute_uv=False)
-        worst = min(worst, float(sv[-1] / sv[0]))
-    return worst
+    return min((fixed_pair_separation(x, y, j)[2] for j in range(1, x.dim)), default=np.inf)
+
+
+def fixed_pair_separation(plus: Flag, minus: Flag, j: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(level-j line of ``plus``, covector of the level-j hyperplane of ``minus``, their sine distance)."""
+    d = plus.dim
+    line = plus.wedges[j - 1]
+    theta = hodge_dual(minus.wedges[d - j - 1], d, j)
+    return line, theta, line_hyperplane_distance(line, theta)
 
 
 def o_generic(o: Form, x: Flag) -> GenericityReport:

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import bulk
 from .bulk import BulkContext, rows_of_ranks, sphere_size
-from .flags import Flag, line_hyperplane_distance, o_generic
+from .flags import Flag, fixed_pair_separation, line_hyperplane_distance, o_generic
 from .forms import DEGENERACY_RTOL, Form
 from .numerics import ScaledMatrix
-from .projections import GAP_TOL, NotLoxodromicError, eigen_flag, fixed_pair_separation, ping_pong_levels
+from .projections import GAP_TOL, NotLoxodromicError, eigen_flag, ping_pong_levels
 
 
 def reduce_letters(letters) -> tuple[int, ...]:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flags import Flag, line_hyperplane_distance
-from .numerics import ScaledMatrix, compound, eigen, hodge_dual, real_columns, recenter, require_resolved
+from .flags import Flag, fixed_pair_separation
+from .numerics import ScaledMatrix, compound, eigen, real_columns, recenter, require_resolved
 
 GAP_TOL = 1e-6
 
@@ -89,14 +89,6 @@ def ping_pong_levels(g: ScaledMatrix, plus: Flag, minus: Flag, r: float, eps: fl
         if sep < 2 * r or not _contracts(compound(g, j).entries, line, theta, eps):
             return False
     return True
-
-
-def fixed_pair_separation(plus: Flag, minus: Flag, j: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """(level-j line of ``plus``, covector of the level-j hyperplane of ``minus``, their sine distance)."""
-    d = plus.dim
-    line = plus.wedges[j - 1]
-    theta = hodge_dual(minus.wedges[d - j - 1], d, j)
-    return line, theta, line_hyperplane_distance(line, theta)
 
 
 def _contracts(t: np.ndarray, plus_line: np.ndarray, theta: np.ndarray, eps: float) -> bool:

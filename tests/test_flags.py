@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from pqcartan.cocycles import gromov_product
 from pqcartan.flags import Flag, flag_perp, o_generic, project_to_So, transverse, transversality_margin
 from pqcartan.forms import Form, sample_isometry, sigma_o
 from pqcartan.numerics import ScaledMatrix
@@ -19,6 +20,25 @@ def test_transverse_examples():
     std = Flag.standard(3)
     assert transverse(std, reversed_flag(3))
     assert not transverse(std, std)
+
+
+def test_transversality_depends_on_the_flags_not_their_bases(s1):
+    # x^2 spanned by q1 and q1 + 1e-9 q2: the same flag as q, in a basis of condition about 2e9
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    y = Flag.of(np.linalg.qr(rng.standard_normal((3, 3)))[0])
+    skew = np.array([[1.0, 1.0, 0.0], [0.0, 1e-9, 0.0], [0.0, 0.0, 1.0]])
+    orthonormal, skewed = Flag.of(q), Flag.of(q @ skew)
+    assert 1e9 < np.linalg.cond(skewed.basis) < 1e10
+    assert transverse(orthonormal, y) and transverse(skewed, y)
+    assert transversality_margin(skewed, y) == pytest.approx(transversality_margin(orthonormal, y), abs=1e-6)
+    np.testing.assert_allclose(gromov_product(s1, skewed, y).coords, gromov_product(s1, orthonormal, y).coords,
+                               rtol=0, atol=1e-6)
+
+
+def test_transversality_margin_refuses_flags_of_different_dimensions():
+    with pytest.raises(ValueError, match="different dimensions"):
+        transversality_margin(Flag.standard(3), Flag.standard(4))
 
 
 def test_transverse_random_frequency(rng):
