@@ -53,7 +53,8 @@ own reduction takes there, without the reduction's per-call set-up.
 Enumeration order is canonical: shells by length, words lexicographic in
 the alphabet (g1, g1^-1, g2, g2^-1, ...); ``rows_of_ranks`` builds the
 index rows of given ranks of a sphere in this order, ``index_row`` one
-word's, and ``_ranks_of``, its inverse, gives rows their ranks there.
+word's, and ``_ranks_of``, its inverse, gives rows their ranks there;
+``word_names`` prints rows as names (a.b'.a).
 The walk's pieces of one shell arrive in this order, interleaved with
 longer shells' pieces.  Worker partitioning is by first letter and results
 are merged in alphabet order, so outputs are identical for any worker count.
@@ -98,9 +99,19 @@ def index_letter(idx: int) -> int:
     return gen if idx % 2 == 0 else -gen
 
 
+# by alphabet index: generator i is the i-th Latin letter, its inverse the letter primed
+LETTER_NAMES = np.array(["abcdefgh"[abs(letter) - 1] + "'" * (letter < 0) for letter in map(index_letter, range(16))],
+                        dtype=object)
+
+
 def index_row(letters) -> np.ndarray:
     """The int8 alphabet-index row of a word's letters."""
     return np.array([letter_index(l) for l in letters], dtype=np.int8)
+
+
+def word_names(rows) -> list[str]:
+    """The printed names of alphabet-index rows: letter names joined by dots, as in a.b'.a."""
+    return [".".join(names) for names in LETTER_NAMES[np.asarray(rows)].tolist()]
 
 
 def cyclically_reduced(rows: np.ndarray) -> np.ndarray:

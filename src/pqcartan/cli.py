@@ -10,7 +10,6 @@ give byte-equal artifacts for any worker count.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -20,13 +19,13 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .bulk import ShellData, ball_size, sphere_size, subtree_pieces
+from .bulk import ShellData, ball_size, sphere_size, subtree_pieces, word_names
 from .cocycles import identity_suite
 from .counting import (FUNCTIONAL_KINDS, anosov_gap_check, canonical_chamber, cone_samples, count_curve,
                        default_phi, equidistribution_experiment, estimate_exponent)
 from .flags import NonGenericFlagError
 from .forms import DegenerateFormError, Form
-from .freegroup import Representation, SchottkyRejection, representation_from_config, row_word, sample_limit_set
+from .freegroup import Representation, SchottkyRejection, representation_from_config, sample_limit_set
 from .numerics import HypothesisError, NumericsError
 from .pq_cartan import MODULUS_CLUSTER_TOL, NotInBoGError
 from .projections import NotLoxodromicError
@@ -40,6 +39,7 @@ EXIT_DEGENERACY = 5
 
 DEFAULT_GRID_POINTS = 256
 DEFAULT_WORD_CAP = 50_000_000
+FORMAT_ROWS = 1024  # CSV rows formatted at a time, so a sphere piece's Python strings and floats stay small
 LIMIT_SAMPLES = 40
 
 # every key a config may hold, whichever subcommand reads it, since one config may serve several:
@@ -118,14 +118,17 @@ def _write_json(path: Path, payload: dict):
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> int:
+def _write_csv(path: Path, header: list[str], lines) -> int:
+    """Write the header and each formatted line, CRLF-terminated as ``csv.writer`` ends rows; returns the line count.
+
+    A line's fields are quoted by its format where ``csv.writer`` would quote them (a field holding a comma).
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
+    written = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        written = 0
-        for written, row in enumerate(rows, 1):
-            w.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for written, line in enumerate(lines, 1):
+            fh.write(line + "\r\n")
     return written
 
 
@@ -220,8 +223,8 @@ def cmd_enumerate(cfg: dict, args) -> dict:
     def rows_of(shell: ShellData):
         # the engine's levels are projective: the letters' own log-scales are added back
         log_scales = shell.scales[0] + rep.image_scales[shell.idx_rows].sum(axis=1)
-        return ([str(row_word(row)), shell.length, f"{s:.12g}"] + [f"{x:.12g}" for x in m.reshape(-1)]
-                for row, s, m in zip(shell.idx_rows.tolist(), log_scales, shell.comps[0]))
+        m = shell.comps[0].reshape(shell.count, -1)
+        return _lines(f"%s,{shell.length}" + ",%.12g" * (1 + m.shape[1]), shell.idx_rows, log_scales[:, None], m)
 
     length, n, out = _sphere_csv_rows(rep, cfg, 4, rows_of)
     d = rep.dim
@@ -230,14 +233,27 @@ def cmd_enumerate(cfg: dict, args) -> dict:
     return {"words": n, "length": length}
 
 
+def _lines(line: str, idx_rows: np.ndarray, *columns: np.ndarray) -> Iterator[str]:
+    """``line % (name, *fields)`` per word: its name, then its entries of each (n, m) column block in turn.
+
+    Formatted FORMAT_ROWS words at a time; the blocks are joined as float64, so a ``%d`` field prints an integer.
+    """
+    for lo in range(0, len(idx_rows), FORMAT_ROWS):
+        rows = slice(lo, lo + FORMAT_ROWS)
+        fields = np.concatenate([c[rows] for c in columns], axis=1).tolist()
+        yield from (line % (name, *f) for name, f in zip(word_names(idx_rows[rows]), fields))
+
+
 def _projection_rows(shell: ShellData):
     bo, signs, gaps = shell.bo_data()
+    ok = shell.bo_valid_mask()
+    d = bo.shape[1]
     w_g = merge_to_slots(np.where(signs > 0, 1, -1))
-    # a simple eigenline's restricted form is 1x1, so its isotropy margin is 1
-    return ([str(row_word(row)), shell.length] + [f"{x:.10g}" for x in a] + [f"{x:.10g}" for x in b]
-            + ["".join(map(str, w)), f"{gap:.4g}", 1, int(gap < 10 * MODULUS_CLUSTER_TOL)]
-            for row, ok, a, b, w, gap in zip(shell.idx_rows.tolist(), shell.bo_valid_mask(), shell.cartan_coords(),
-                                             bo, w_g, gaps.min(axis=1)) if ok)
+    gap = gaps.min(axis=1, keepdims=True)
+    # w_g is its slot digits run together; a simple eigenline's restricted form is 1x1, so its isotropy margin is 1
+    line = f"%s,{shell.length}" + ",%.10g" * (2 * d) + "," + "%d" * d + ",%.4g,1,%d"
+    return _lines(line, shell.idx_rows[ok], shell.cartan_coords()[ok], bo[ok], w_g[ok], gap[ok],
+                  gap[ok] < 10 * MODULUS_CLUSTER_TOL)
 
 
 def cmd_project(cfg: dict, args) -> dict:
@@ -266,11 +282,8 @@ def cmd_count(cfg: dict, args) -> dict:
     probe = count_curve(rep, "norm_at", min(3, length), np.linspace(0, 1, 2))
     hi = probe.shell_minima[min(3, length)] * (length + 1) / min(3, length)
     curve = count_curve(rep, functional, length, _grid_from(cfg, hi), phi=phi, chamber=chamber, threads=args.threads)
-    _write_csv(
-        Path(args.out) / "counts.csv",
-        ["threshold", "count"],
-        [[f"{t:.10g}", int(c)] for t, c in zip(curve.thresholds, curve.counts)],
-    )
+    _write_csv(Path(args.out) / "counts.csv", ["threshold", "count"],
+               ("%.10g,%d" % tc for tc in zip(curve.thresholds.tolist(), curve.counts.tolist())))
     t_hi = curve.complete_below()
     summary: dict = {
         "functional": functional,
@@ -296,10 +309,11 @@ def cmd_cone(cfg: dict, args) -> dict:
     result = cone_samples(rep, l_min, l_max, threads=args.threads)
     bo = result["slot_cloud"]
     union = result["translate_union"]
-    rows = [["bo"] + [f"{x:.10g}" for x in v] for v in bo]
-    rows += [["cartan_translate"] + [f"{x:.10g}" for x in v] for v in union]
+    coords = ",%.10g" * rep.dim
+    lines = [("bo" + coords) % tuple(v) for v in bo.tolist()]
+    lines += [("cartan_translate" + coords) % tuple(v) for v in union.tolist()]
     header = ["source"] + [f"x{i}" for i in range(rep.dim)]
-    _write_csv(Path(args.out) / "cone.csv", header, rows)
+    _write_csv(Path(args.out) / "cone.csv", header, lines)
     return {
         "weyl_count": len(result["weyl_set"]),
         "weyl_set": [list(w.perm) for w in result["weyl_set"]],
@@ -318,6 +332,8 @@ def cmd_equidistribute(cfg: dict, args) -> dict:
         raise ConfigError(f"boxes must be a list of [A, B] pairs of words whose letters are ints, got {boxes_cfg}")
     boxes = [(tuple(a), tuple(b)) for a, b in boxes_cfg]
     for cyl in sorted({cyl for box in boxes for cyl in box}):
+        if not cyl:
+            raise ConfigError("cylinder [] is empty: a cylinder is a word of at least one letter")
         for letter in cyl:
             if not 1 <= abs(letter) <= rep.rank:
                 raise ConfigError(f"cylinder letter {letter} lies outside +-1..+-{rep.rank}")
@@ -325,10 +341,10 @@ def cmd_equidistribute(cfg: dict, args) -> dict:
             raise ConfigError(f"cylinder {list(cyl)} is not a reduced word")
     phi = _phi(cfg, rep, None)
     result = equidistribution_experiment(rep, phi, length, boxes, threads=args.threads)
-    rows = []
-    for (a, b), mass, bracket in zip(result["boxes"], result["reweighted_final"], result["brackets"]):
-        rows.append([str(a), str(b), f"{mass:.10g}", f"{bracket:.10g}"])
-    _write_csv(Path(args.out) / "boxes.csv", ["cyl_minus", "cyl_plus", "reweighted_mass", "bracket"], rows)
+    # a cylinder prints as a letter tuple, which holds a comma since no cylinder is empty, so it is quoted
+    lines = ['"%s","%s",%.10g,%.10g' % (a, b, mass, bracket)
+             for (a, b), mass, bracket in zip(result["boxes"], result["reweighted_final"], result["brackets"])]
+    _write_csv(Path(args.out) / "boxes.csv", ["cyl_minus", "cyl_plus", "reweighted_mass", "bracket"], lines)
     return {
         "entropy": result["entropy"],
         "product_defect": result["product_defect"],
@@ -342,11 +358,8 @@ def cmd_gap_check(cfg: dict, args) -> dict:
     if length < 2:
         raise ConfigError(f"length must be at least 2 to fit a line through shell minima, got {length}")
     c, cp, minima = anosov_gap_check(rep, length, threads=args.threads)
-    _write_csv(
-        Path(args.out) / "gaps.csv",
-        ["shell", "min_root_gap"],
-        [[s, f"{v:.10g}"] for s, v in sorted(minima.items())],
-    )
+    _write_csv(Path(args.out) / "gaps.csv", ["shell", "min_root_gap"],
+               ("%d,%.10g" % sv for sv in sorted(minima.items())))
     return {
         "c": c,
         "c_prime": cp,

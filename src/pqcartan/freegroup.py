@@ -1,9 +1,8 @@
-"""Free-group words, Schottky builders with certification, limit sampling.
+"""Free-group representations: Schottky builders with certification, reference recipes, limit sampling.
 
 Letters are nonzero integers: i stands for the i-th generator, -i for its
-inverse.  The canonical alphabet order is (1, -1, 2, -2, ...); spheres are
-enumerated lexicographically in this order, shortest first, and the
-enumeration is partitionable by first letter for parallel runs.
+inverse.  Words are held as alphabet-index rows in ``bulk`` (canonical
+alphabet order (1, -1, 2, -2, ...)), which also prints their names.
 """
 
 from __future__ import annotations
@@ -13,47 +12,11 @@ from math import comb
 
 import numpy as np
 
-from . import bulk
-from .bulk import BulkContext, rows_of_ranks, sphere_size
+from .bulk import BulkContext, rows_of_ranks, sphere_size, word_names
 from .flags import Flag, fixed_pair_separation, line_hyperplane_distance, o_generic
 from .forms import DEGENERACY_RTOL, Form
 from .numerics import ScaledMatrix
 from .projections import GAP_TOL, NotLoxodromicError, eigen_flag, ping_pong_levels
-
-
-def reduce_letters(letters) -> tuple[int, ...]:
-    out: list[int] = []
-    for l in letters:
-        if l == 0:
-            raise ValueError("letters are nonzero integers")
-        if out and out[-1] == -l:
-            out.pop()
-        else:
-            out.append(l)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class Word:
-    """A reduced word; multiplication re-reduces at the seam."""
-
-    letters: tuple[int, ...]
-
-    @staticmethod
-    def of(letters) -> "Word":
-        return Word(reduce_letters(letters))
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word.of(self.letters + other.letters)
-
-    def inverse(self) -> "Word":
-        return Word(tuple(-l for l in reversed(self.letters)))
-
-    def __str__(self) -> str:
-        if not self.letters:
-            return "e"
-        names = "abcdefgh"
-        return ".".join(names[abs(l) - 1] + ("'" if l < 0 else "") for l in self.letters)
 
 
 @dataclass
@@ -94,26 +57,10 @@ class Representation:
     def dim(self) -> int:
         return self.form.dim
 
-    def letter_image(self, letter: int) -> ScaledMatrix:
-        i = bulk.letter_index(letter)
-        return ScaledMatrix(self.images_std[i], float(self.image_scales[i]))
-
-    def image(self, word: Word | tuple) -> ScaledMatrix:
-        letters = word.letters if isinstance(word, Word) else tuple(word)
-        acc = ScaledMatrix.identity(self.dim, self.form.field_tag)
-        for l in letters:
-            acc = acc @ self.letter_image(l)
-        return acc
-
     def bulk_context(self) -> BulkContext:
         if self._bulk is None:
             self._bulk = BulkContext.of(self.images_std, self.form)
         return self._bulk
-
-
-def row_word(row) -> Word:
-    """The word of an alphabet-index row."""
-    return Word(tuple(bulk.index_letter(i) for i in row))
 
 
 class SchottkyRejection(Exception):
@@ -268,7 +215,7 @@ def sample_limit_set(rep: Representation, length: int, count: int):
     whose attractor j-plane is degenerate for the form (|t^T J_j t| below
     DEGENERACY_RTOL at some level j) is reported, never silently dropped.
     For an Anosov representation these flags converge to the limit set.
-    Returns (signatures, reports): sign tuples and (word, reason) pairs.
+    Returns (signatures, reports): sign tuples and (word name, reason) pairs.
     """
     n = sphere_size(rep.rank, length)
     rows = rows_of_ranks(np.arange(0, n, max(1, n // max(1, count))), rep.rank, length)
@@ -277,16 +224,18 @@ def sample_limit_set(rep: Representation, length: int, count: int):
     degenerate = np.abs(shell.attractor_forms()) < DEGENERACY_RTOL
     signs = shell.attractor_signs().astype(int)
     signatures, reports = [], []
-    for i, row in enumerate(rows.tolist()):
+    for i in range(len(rows)):
         if len(signatures) >= count:
             break
         if gapless[i]:
-            reports.append((row_word(row), "no singular gap"))
+            reports.append((i, "no singular gap"))
         elif degenerate[i].any():
-            reports.append((row_word(row), f"non-generic sample at level {np.argmax(degenerate[i]) + 1}"))
+            reports.append((i, f"non-generic sample at level {np.argmax(degenerate[i]) + 1}"))
         else:
             signatures.append(tuple(signs[i].tolist()))
-    return signatures, reports
+    # only the reported words are named, so a rank past the eight of bulk.LETTER_NAMES samples all the same
+    names = word_names(rows[[i for i, _ in reports]])
+    return signatures, [(name, reason) for name, (_, reason) in zip(names, reports)]
 
 
 # ---------------------------------------------------------------------------

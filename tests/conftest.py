@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from pqcartan import bulk
-from pqcartan.bulk import _ranks_of, index_row, successor_table
+from pqcartan.bulk import _ranks_of, index_letter, index_row, letter_index, successor_table
 from pqcartan.flags import Flag
 from pqcartan.forms import Form, sample_isometry
-from pqcartan.freegroup import Representation, Word, row_word
+from pqcartan.freegroup import Representation
 from pqcartan.numerics import NumericsError, ScaledMatrix, subset_table
 from pqcartan.weyl import WeylElement, opposition_b
 
@@ -57,9 +57,9 @@ def sample_decomposable(rng, o, x=None, lift_perm=None):
 
 
 # float64 references that tests compare the library against: reduced words
-# in canonical order (as index rows and as words) and their ranks, the slot-chamber opposition, the sine
-# distance of flags, and a word's singular flag assembled from one SVD per
-# exterior-power level of the engine's product
+# in canonical order (as index rows and as letter tuples), their ranks and printed names, a word's dense
+# product, the slot-chamber opposition, the sine distance of flags, and a word's singular flag assembled
+# from one SVD per exterior-power level of the engine's product
 
 
 def sphere_rows(k: int, length: int) -> np.ndarray:
@@ -79,12 +79,36 @@ def sphere_rows(k: int, length: int) -> np.ndarray:
 
 
 def sphere_words(k: int, length: int):
-    """All reduced words of the given length, canonical order."""
+    """All reduced words of the given length as letter tuples, canonical order."""
     if length == 0:
-        yield Word(())
+        yield ()
         return
     for row in sphere_rows(k, length).tolist():
-        yield row_word(row)
+        yield row_letters(row)
+
+
+def row_letters(row) -> tuple[int, ...]:
+    """The letters of an alphabet-index row."""
+    return tuple(index_letter(i) for i in row)
+
+
+def inverse_word(letters) -> tuple[int, ...]:
+    """The letters of a reduced word's inverse."""
+    return tuple(-letter for letter in reversed(letters))
+
+
+def word_name(letters) -> str:
+    """A word's printed name, letter by letter: a, a', b, ... joined by dots; the reference for ``bulk.word_names``."""
+    return ".".join("abcdefgh"[abs(letter) - 1] + ("'" if letter < 0 else "") for letter in letters)
+
+
+def word_image(rep: Representation, letters) -> ScaledMatrix:
+    """The float64 product of a word's stored letter images, folded left to right from the identity."""
+    acc = ScaledMatrix.identity(rep.dim, rep.form.field_tag)
+    for letter in letters:
+        i = letter_index(letter)
+        acc = acc @ ScaledMatrix(rep.images_std[i], float(rep.image_scales[i]))
+    return acc
 
 
 def word_rank(word, k: int) -> int:
@@ -114,10 +138,10 @@ def line_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.linalg.norm(resid))
 
 
-def singular_flag(rep: Representation, word: Word) -> Flag:
+def singular_flag(rep: Representation, letters) -> Flag:
     """Cartan attractor of the word's image: an SVD of each exterior-power level, stacked into a flag."""
     d = rep.dim
-    comps = rep.bulk_context().shell(bulk.index_row(word.letters)[None]).comps
+    comps = rep.bulk_context().shell(bulk.index_row(letters)[None]).comps
     cols = np.zeros((d, d))
     q_prev = np.zeros((d, 0))
     for j in range(1, d):

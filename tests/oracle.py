@@ -4,8 +4,8 @@ Exact products of float64 matrices in mpmath, and the readings the engine
 and the word-wise API are checked against: recentred log singular values
 (Cartan), recentred log eigenvalue moduli (Jordan), and the slot vector b_o
 of the twisted square with its rank -> slot map.  A representation is read
-only through its stored letters (``rep.letter_image(l).true_matrix()``) and
-a form only through its signature, so no reading here goes through the
+only through its stored letters (``rep.images_std`` and ``rep.image_scales``)
+and a form only through its signature, so no reading here goes through the
 library's kernels, slot map or recentring.
 
 Every value is computed at DPS digits under ``mpmath.workdps``, which leaves
@@ -32,8 +32,7 @@ def row_product(rep, row):
 
     Index 2i is generator i + 1 and index 2i + 1 its inverse.
     """
-    return product([rep.letter_image((i // 2 + 1) * (-1 if i % 2 else 1)).true_matrix()
-                    for i in np.asarray(row).tolist()])
+    return product([np.exp(rep.image_scales[i]) * rep.images_std[i] for i in np.asarray(row).tolist()])
 
 
 def unit_and_log_norm(exact):

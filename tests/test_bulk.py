@@ -5,13 +5,13 @@ import pytest
 
 from pqcartan import bulk
 from pqcartan.bulk import ShellData, ball_size, run_bulk, sphere_size
-from pqcartan.freegroup import reducible_rep, row_word, single_orbit_rep, two_orbit_rep
+from pqcartan.freegroup import reducible_rep, single_orbit_rep, two_orbit_rep
 from pqcartan.pq_cartan import pq_project
 from pqcartan.projections import cartan
 from pqcartan.weyl import merge_to_slots
 
 import oracle
-from conftest import singular_flag, sphere_rows, sphere_words, word_rank
+from conftest import inverse_word, row_letters, singular_flag, sphere_rows, sphere_words, word_image, word_rank
 
 
 def test_sizes():
@@ -23,9 +23,9 @@ def test_sizes():
 def test_ranks_and_inverses():
     words = list(sphere_words(2, 4))
     for i, w in enumerate(words):
-        assert word_rank(w.letters, 2) == i
-        inv_rank = word_rank(w.inverse().letters, 2)
-        assert words[inv_rank] == w.inverse()
+        assert word_rank(w, 2) == i
+        inv_rank = word_rank(inverse_word(w), 2)
+        assert words[inv_rank] == inverse_word(w)
 
 
 def moderate_reps():
@@ -67,7 +67,7 @@ def test_bulk_matches_wordwise(idx):
     rep = moderate_reps()[idx]
     o = rep.form
     for row, exact, shell, i in moderate_words(rep):
-        mat = rep.image(row_word(row))
+        mat = word_image(rep, row_letters(row))
         bo, signs, _ = shell.bo_data()
         assert shell.ranks()[i] == i
         assert np.max(np.abs(shell.cartan_coords()[i] - cartan(mat).coords)) < 1e-6
@@ -96,7 +96,7 @@ def test_pq_project_of_moderate_words_matches_high_precision(idx):
     rep = moderate_reps()[idx]
     for row, exact, _, _ in moderate_words(rep):
         want, _ = oracle.slot_projection(exact, rep.form.signature)
-        assert np.max(np.abs(pq_project(rep.form, rep.image(row_word(row))).b_o.coords - want)) < 1e-6
+        assert np.max(np.abs(pq_project(rep.form, word_image(rep, row_letters(row))).b_o.coords - want)) < 1e-6
 
 
 def test_bulk_long_words_match_high_precision():
@@ -351,7 +351,7 @@ def test_bulk_attractor_signs_match_flags(make_rep):
     rep = make_rep()
     signs = rep.bulk_context().shell(sphere_rows(2, 3)).attractor_signs()
     for w in sphere_words(2, 3):
-        i = word_rank(w.letters, 2)
+        i = word_rank(w, 2)
         sig = o_generic(rep.form, singular_flag(rep, w)).signs
         assert tuple(int(s) for s in signs[i]) == sig
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pqcartan.cli import main
 from pqcartan.freegroup import reducible_rep, representation_from_config
 
 import oracle
-from conftest import sphere_words
+from conftest import sphere_words, word_name
 
 
 def write_config(tmp_path, name, payload):
@@ -130,8 +131,9 @@ def test_equidistribute_d5_two_letter_cylinders(tmp_path):
 
 @pytest.mark.parametrize("cylinder,message", [([0], "cylinder letter 0 "), ([3], "cylinder letter 3 "),
                                               ([2, -3], "cylinder letter -3 "),
-                                              ([1, -1], "cylinder [1, -1] is not a reduced word")],
-                         ids=["zero", "past-rank", "past-rank-inverse", "unreduced"])
+                                              ([1, -1], "cylinder [1, -1] is not a reduced word"),
+                                              ([], "cylinder [] is empty")],
+                         ids=["zero", "past-rank", "past-rank-inverse", "unreduced", "empty"])
 def test_equidistribute_refuses_a_cylinder_that_is_no_word(tmp_path, capsys, monkeypatch, cylinder, message):
     # refused as a config error before the engine builds any word
     from pqcartan.freegroup import Representation
@@ -273,11 +275,11 @@ def test_project_matches_high_precision(tmp_path, representation, length, size):
     with open(out / "projections.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     words = list(sphere_words(rep.rank, length))
-    assert [r[0] for r in rows] == [str(w) for w in words]
+    assert [r[0] for r in rows] == [word_name(w) for w in words]
     values = np.array([[float(x) for x in r[2:2 + 2 * d] + r[-3:]] for r in rows])
     assert np.isfinite(values).all()
     for i in np.linspace(0, size - 1, 40).round().astype(int):
-        exact = oracle.row_product(rep, index_row(words[i].letters))
+        exact = oracle.row_product(rep, index_row(words[i]))
         b_o, slots = oracle.slot_projection(exact, rep.form.signature)
         assert np.max(np.abs(values[i, :d] - oracle.cartan(exact))) < 1e-8
         assert np.max(np.abs(values[i, d:2 * d] - b_o)) < 1e-8
@@ -340,6 +342,32 @@ RED4 = {"representation": {"recipe": "reducible-21", "params": {"power": 4}}}
 DIAGONAL = [[2.7, 0, 0], [0, 1, 0], [0, 0, 0.37]]
 LORENTZ_FORM = {"field": "R", "gram": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}
 COMPLEX_LORENTZ = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [-1, 0]]]
+
+
+@pytest.mark.parametrize("sub,name,extra,lines", [
+    ("project", "projections.csv", {"length": 3}, 37),
+    ("project", "projections.csv", {"representation": {"recipe": "rotation-control"}, "length": 3}, 1),
+    ("enumerate", "sphere.csv", {"length": 3}, 37),
+    ("count", "counts.csv", {"length": 4}, 257),
+    ("cone", "cone.csv", {"length_min": 3, "length_max": 4}, None),
+    ("gap-check", "gaps.csv", {"length": 4}, 5),
+    ("equidistribute", "boxes.csv", {"length": 3, "boxes": [[[1, 2], [2]], [[1, 2], [-2]], [[-1], [2]], [[-1], [-2]]]},
+     5),
+], ids=["project", "project-all-masked", "enumerate", "count", "cone", "gap-check", "equidistribute"])
+def test_csv_artifacts_are_what_csv_writer_renders(tmp_path, sub, name, extra, lines):
+    # each row is written by one format string; the bytes are csv.writer's rendering of the fields they
+    # hold: CRLF after every row, the header included, and quotes only around a field holding a comma
+    cfg = write_config(tmp_path, "c.json", {**RED4, **extra})
+    out = tmp_path / "o"
+    assert main([sub, "--config", cfg, "--out", str(out)]) == 0
+    with open(out / name, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rendered = io.StringIO(newline="")
+    csv.writer(rendered).writerows(rows)
+    assert (out / name).read_bytes() == rendered.getvalue().encode("utf-8")
+    # an unquoted field holding a comma would re-render alike, but as two fields
+    assert all(len(row) == len(rows[0]) for row in rows)
+    assert len(rows) == lines if lines is not None else len(rows) > 1
 
 
 def test_explicit_generator_builds_and_takes_the_seed_override(tmp_path):

@@ -20,7 +20,7 @@ from pqcartan.forms import Form, sample_isometry
 from pqcartan.numerics import ScaledMatrix
 from pqcartan.projections import eigen_flag, jordan
 
-from conftest import sphere_words
+from conftest import inverse_word, sphere_words, word_image
 
 
 def test_busemann_tau_isometry_vanishes(rng):
@@ -271,8 +271,8 @@ def test_phi_dual_periods_on_schottky(s1):
         if checked >= 50:
             break
         checked += 1
-        g = rep.image(w)
-        gi = rep.image(w.inverse())
+        g = word_image(rep, w)
+        gi = word_image(rep, inverse_word(w))
         plus = eigen_flag(g)
         minus = eigen_flag(gi)
         # dual period at gamma equals the period of the inverse

@@ -27,7 +27,7 @@ from pqcartan.counting import (
 )
 from pqcartan.freegroup import Representation, reducible_rep, single_orbit_rep, two_orbit_rep
 
-from conftest import sphere_rows
+from conftest import sphere_rows, word_image
 
 
 @pytest.fixture(scope="module")
@@ -359,21 +359,19 @@ def test_gromov_bracket_exact_on_axis(red):
     # a high power of one generator: the slot projection, the Jordan
     # projection and the bracket at the fixed pair close exactly
     from pqcartan.cocycles import gromov_product
-    from pqcartan.freegroup import Word
     from pqcartan.pq_cartan import pq_project
 
     chamber = canonical_chamber(red)
     phi = default_phi(red)
     # one letter is already the 4th power of a base generator; longer axis
     # words exceed the dense eigendecomposition's float64 range
-    w = Word.of((2,))
-    g = red.image(w)
+    g = word_image(red, (2,))
     r = pq_project(red.form, g)
     from pqcartan.projections import eigen_flag, jordan
 
     lam_framed = chamber.place(jordan(g).coords)
     plus = eigen_flag(g)
-    minus = eigen_flag(red.image(w.inverse()))
+    minus = eigen_flag(word_image(red, (-2,)))
     bracket = chamber.place(gromov_product(red.form, minus, plus).coords)
     dev = abs(r.b_o.coords @ phi - lam_framed @ phi + bracket @ phi)
     # tolerance set by the dense eigen path at this spectral spread
@@ -397,7 +395,7 @@ def test_word_bracket_matches_dense_gromov_product(make_rep):
             if a == b:
                 continue
             tops = [ctx.shell(bulk.index_row((x,))[None]).jordan_vectors() for x in (a, b)]
-            want = gromov_product(rep.form, eigen_flag(rep.image((a,))), eigen_flag(rep.image((b,))))
+            want = gromov_product(rep.form, eigen_flag(word_image(rep, (a,))), eigen_flag(word_image(rep, (b,))))
             assert np.abs(_word_bracket(ctx, *tops)[0] - want.coords).max() < 1e-9
 
 

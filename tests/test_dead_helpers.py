@@ -53,8 +53,6 @@ REPO = Path(__file__).resolve().parents[1]
 ACCEPTANCE_EXPERIMENTS = {"theorem_b_trend", "gromov_comparison", "comparison_boundedness"}
 EXPORTED_CLASSES = {name for name in pqcartan.__all__ if isinstance(getattr(pqcartan, name), type)}
 ALLOWED_METHODS = {
-    ("Word", "inverse"),  # ROADMAP aim 2: a Word keeps reduction, product, inverse and printing
-    ("Representation", "image"),  # the dense word product the tests compare the engine against
     ("ChamberA", "read"),  # the inverse of ``place``, named with it in ROADMAP aim 2 and the README
 }
 

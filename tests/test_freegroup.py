@@ -10,7 +10,6 @@ from pqcartan.freegroup import (
     DIAGONAL_CONJUGATOR,
     Representation,
     SchottkyRejection,
-    Word,
     build_reducible_example,
     build_schottky,
     reducible_rep,
@@ -22,17 +21,12 @@ from pqcartan.freegroup import (
 )
 from pqcartan.numerics import ScaledMatrix
 from pqcartan.projections import eigen_flag
-from pqcartan.bulk import index_letter, rows_of_ranks, sphere_size
+from pqcartan.bulk import index_letter, index_row, rows_of_ranks, sphere_size, word_names
 from pqcartan.counting import anosov_gap_check
 
 import oracle
-from conftest import flag_distance, singular_flag, sphere_rows, sphere_words, word_rank
-
-
-def test_word_reduction_and_ops():
-    w = Word.of((1, 2, -2, 1))
-    assert w.letters == (1, 1)
-    assert (w * w.inverse()).letters == ()
+from conftest import (flag_distance, inverse_word, row_letters, singular_flag, sphere_rows, sphere_words, word_image,
+                      word_name, word_rank)
 
 
 def test_sphere_counts():
@@ -46,7 +40,7 @@ def test_sphere_order_deterministic_and_ranked():
     words = list(sphere_words(2, 3))
     assert words == list(sphere_words(2, 3))
     for i, w in enumerate(words):
-        assert word_rank(w.letters, 2) == i
+        assert word_rank(w, 2) == i
 
 
 def enumerate_sphere(k, length):
@@ -58,7 +52,7 @@ def enumerate_sphere(k, length):
 
     def rec(stack):
         if len(stack) == length:
-            yield Word(tuple(stack))
+            yield tuple(stack)
             return
         for l in alphabet:
             if not stack or l != -stack[-1]:
@@ -69,13 +63,14 @@ def enumerate_sphere(k, length):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_sphere_rows_follow_enumerate_sphere(k):
-    # the letter-by-letter reference and the library's unranking of every rank
+    # the letter-by-letter reference, the library's unranking of every rank and its printed names
     for length in range(1, 6):
         rows = sphere_rows(k, length)
         words = list(enumerate_sphere(k, length))
         assert rows.shape == (len(words), length)
-        assert [Word(tuple(index_letter(i) for i in r)) for r in rows.tolist()] == words
+        assert [row_letters(r) for r in rows.tolist()] == words
         assert rows_of_ranks(np.arange(len(words)), k, length).tobytes() == rows.tobytes()
+        assert word_names(rows) == [word_name(w) for w in words]
 
 
 @pytest.mark.parametrize("length", [0, -1])
@@ -88,7 +83,7 @@ def test_sphere_rows_refuses_length_below_one(length):
 
 
 def test_enumerate_matches_high_precision():
-    # the dense product Representation.image and the engine's level-1 matrix
+    # the dense product of the letters' images and the engine's level-1 matrix
     # with the letters' log-scales added back (what the CLI's ``enumerate``
     # writes) against the exact product, on 100 evenly spaced L=12 words
     rep = reducible_rep(power=4)
@@ -97,11 +92,11 @@ def test_enumerate_matches_high_precision():
     engine_scales = shell.scales[0] + rep.image_scales[rows].sum(axis=1)
     count = 0
     for row, level, level_scale in zip(rows.tolist(), shell.comps[0], engine_scales):
-        w = Word(tuple(index_letter(i) for i in row))
-        assert word_rank(w.letters, 2) == 7000 * count
+        w = row_letters(row)
+        assert word_rank(w, 2) == 7000 * count
         count += 1
         unit, log_norm = oracle.unit_and_log_norm(oracle.row_product(rep, row))
-        mat = rep.image(w)
+        mat = word_image(rep, w)
         for entries, log_scale in ((mat.entries, mat.log_scale), (level, level_scale)):
             sign = np.sign(np.vdot(unit, entries))
             assert np.max(np.abs(sign * entries - unit)) < 1e-8
@@ -122,9 +117,9 @@ def test_image_inverse_consistency():
         gens.append(ScaledMatrix.of(block))
     rep = Representation.of(gens, Form.standard(2, 1))
     for w in sphere_words(2, 6):
-        if word_rank(w.letters, 2) % 31 != 0:
+        if word_rank(w, 2) % 31 != 0:
             continue
-        prod = (rep.image(w) @ rep.image(w.inverse())).true_matrix()
+        prod = (word_image(rep, w) @ word_image(rep, inverse_word(w))).true_matrix()
         scale = np.trace(prod) / 3
         assert np.max(np.abs(prod / scale - np.eye(3))) < 1e-9
 
@@ -178,8 +173,7 @@ def test_reducible_example_properties():
     assert isinstance(rep, Representation)
     assert rep.metadata["zariski_dense"] is False
     # singular values of a block image are (s, 1, 1/s): both root gaps equal
-    g = rep.letter_image(1)
-    sv = np.sort(np.linalg.svd(g.entries, compute_uv=False))[::-1]
+    sv = np.sort(np.linalg.svd(rep.images_std[0], compute_uv=False))[::-1]
     logs = np.log(sv)
     assert abs(logs[0] - logs[1] - (logs[1] - logs[2])) < 1e-9
     assert abs(logs[1] - logs.mean()) < 1e-9
@@ -203,12 +197,12 @@ def test_limit_samples_are_strided_singular_flags(recipe):
         for row in sphere_rows(rep.rank, length)[::stride].tolist():
             if len(want_sigs) == count:
                 break
-            w = Word(tuple(index_letter(i) for i in row))
+            w = row_letters(row)
             report = o_generic(rep.form, singular_flag(rep, w))
             if report.generic:
                 want_sigs.append(report.signs)
             else:
-                want_bad.append((w, f"non-generic sample at level {report.failed_level}"))
+                want_bad.append((word_name(w), f"non-generic sample at level {report.failed_level}"))
         assert sigs == want_sigs
         assert bad == want_bad
 
@@ -222,9 +216,8 @@ def test_limit_samples_with_degenerate_attractor_planes_are_reported():
     rep = Representation.of([ScaledMatrix.of(g)], Form.standard(2, 1))
     sigs, bad = sample_limit_set(rep, 4, 10)
     assert sigs == []
-    assert bad == [(Word((1,) * 4), "non-generic sample at level 2"),
-                   (Word((-1,) * 4), "non-generic sample at level 1")]
-    for w, reason in bad:
+    assert bad == [("a.a.a.a", "non-generic sample at level 2"), ("a'.a'.a'.a'", "non-generic sample at level 1")]
+    for w, (_, reason) in zip(((1,) * 4, (-1,) * 4), bad):
         report = o_generic(rep.form, singular_flag(rep, w))
         assert not report.generic and reason.endswith(f"level {report.failed_level}")
 
@@ -235,7 +228,7 @@ def test_limit_samples_without_singular_gap_are_reported():
     rep = rotation_control_rep()
     sigs, bad = sample_limit_set(rep, 6, 40)
     assert sigs == []
-    assert bad == [(w, "no singular gap") for w in list(sphere_words(2, 6))[::24]]
+    assert bad == [(word_name(w), "no singular gap") for w in list(sphere_words(2, 6))[::24]]
     assert len(bad) == 41
 
 
@@ -270,20 +263,18 @@ def test_gap_scales_with_power():
 
 def test_limit_flags_approach_fixed_flags():
     rep = reducible_rep(power=4)
-    w = Word.of((1, 2))
-    fixed = eigen_flag(rep.image(w))
+    w = (1, 2)
+    fixed = eigen_flag(word_image(rep, w))
     dists = []
     for n in (1, 2, 4):
-        power_word = Word.of(w.letters * n)
+        power_word = w * n
         dists.append(flag_distance(singular_flag(rep, power_word), fixed))
     assert dists[2] < dists[0]
     assert dists[2] < 1e-6
 
 
 def test_word_str_roundtrippable():
-    w = Word.of((1, -2, 1))
-    assert str(w) == "a.b'.a"
-    assert str(Word.of(())) == "e"
+    assert word_names(index_row((1, -2, 1))[None]) == ["a.b'.a"]
 
 
 @pytest.mark.parametrize("build", [lambda: reducible_rep(power=4), lambda: reducible_rep(p=3, q=2, power=6),

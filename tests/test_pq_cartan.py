@@ -17,7 +17,7 @@ from pqcartan.pq_cartan import (
     twisted_square,
 )
 
-from conftest import iota_b, random_sl, random_slot_vector, sample_decomposable
+from conftest import iota_b, random_sl, random_slot_vector, sample_decomposable, word_image
 
 
 def brute_force_slots(o, g, tol=1e-8):
@@ -282,17 +282,17 @@ def test_isometries_are_members_at_distance_zero(p, q, field, rng):
 
 
 def test_refuses_past_float64_resolution():
-    from pqcartan.freegroup import Word, reducible_rep
+    from pqcartan.freegroup import reducible_rep
 
     rep = reducible_rep(power=4)
     # the twisted square spans e^55.7, past log(1/eps) = 36.04; the dense
     # path used to return b_o = (18.53, -9.20, -9.32), the engine (27.85, -27.85, 0)
-    g = rep.image(Word.of((1, 1, 1, 1, 2, 1)))
+    g = word_image(rep, (1, 1, 1, 1, 2, 1))
     for fn in (pq_project, distance_So, membership):
         with pytest.raises(NumericsError, match="past float64 resolution"):
             fn(rep.form, g)
     # a single letter spans e^19.2 and is resolved
-    r = pq_project(rep.form, rep.image(Word.of((1,))))
+    r = pq_project(rep.form, word_image(rep, (1,)))
     assert np.allclose(r.b_o.coords, [4.8, -4.8, 0.0], atol=1e-12)
 
 

@@ -5,12 +5,12 @@ from scipy.linalg import expm
 from pqcartan.flags import Flag, flag_perp
 from pqcartan.forms import o_adjoint, sample_isometry, sigma_o
 from pqcartan.bulk import index_row
-from pqcartan.freegroup import Word, reducible_rep, single_orbit_rep, two_orbit_rep
+from pqcartan.freegroup import reducible_rep, single_orbit_rep, two_orbit_rep
 from pqcartan.numerics import NumericsError, ScaledMatrix, eigen, recenter
 from pqcartan.projections import NotLoxodromicError, cartan, eigen_flag, jordan, ping_pong_levels
 
 import oracle
-from conftest import flag_distance, random_sl, sphere_words
+from conftest import flag_distance, random_sl, sphere_words, word_image
 
 
 def test_cartan_identity_and_diagonal():
@@ -28,7 +28,7 @@ def test_cartan_identity_and_diagonal():
 def test_cartan_and_jordan_refuse_past_float64_resolution(make_rep, letters):
     # unchecked, cartan was off mpmath by 5.0 and 6.6 on the first two and not finite on the third,
     # and jordan off by 6.7 on b.b.b and 0.13 on a'.a'.a'.b
-    g = make_rep().image(Word.of(letters))
+    g = word_image(make_rep(), letters)
     for projection in (cartan, jordan):
         with pytest.raises(NumericsError):
             projection(g)
@@ -43,7 +43,7 @@ def test_cartan_and_jordan_refuse_past_float64_resolution(make_rep, letters):
 def test_cartan_is_refused_or_matches_high_precision(make_rep, letters):
     rep = make_rep()
     try:
-        got = cartan(rep.image(Word.of(letters))).coords
+        got = cartan(word_image(rep, letters)).coords
     except NumericsError:
         return
     assert np.max(np.abs(got - oracle.cartan(oracle.row_product(rep, index_row(letters))))) < 1e-8
@@ -53,7 +53,7 @@ def test_cartan_is_refused_or_matches_high_precision(make_rep, letters):
 def test_resolvable_cartan_and_jordan_keep_their_values(make_rep, rng):
     # below the bound both are the plain readings, bit for bit
     rep = make_rep()
-    elements = [rep.image(w) for length in (1, 2) for w in sphere_words(rep.rank, length)]
+    elements = [word_image(rep, w) for length in (1, 2) for w in sphere_words(rep.rank, length)]
     for g in elements + [random_sl(rng, d) for d in (2, 3, 5) for _ in range(10)]:
         assert np.array_equal(cartan(g).coords, recenter(np.log(np.linalg.svd(g.entries, compute_uv=False))))
         assert np.array_equal(jordan(g).coords, eigen(g).recentered_moduli())
