@@ -69,7 +69,7 @@ from functools import wraps
 import numpy as np
 
 from .forms import Form
-from .numerics import minor_matrix, recentred_increments
+from .numerics import minor_matrix, recentred_increments, vector_norm
 from .weyl import file_to_slots
 
 # bytes one walk piece or sphere-wide read holds (``slice_words``): 7,710 words at d = 3, 1,401 at d = 5.
@@ -177,21 +177,17 @@ class BulkContext:
     @staticmethod
     def of(images_std: list[np.ndarray], form: Form) -> "BulkContext":
         """images_std: 2k matrices (gen, gen^-1 alternating) in the coordinates of ``form``, a standard form."""
-        if any(np.iscomplexobj(m) for m in images_std):
+        images = np.array(images_std)
+        if np.iscomplexobj(images):
             raise ValueError("bulk enumeration supports real representations only")
-        d = images_std[0].shape[0]
-        k = len(images_std) // 2
+        k, d = len(images) // 2, images.shape[-1]
         gen_entries, gen_scales = [], []
         for j in range(1, d):
-            ents, scales = [], []
-            for m in images_std:
-                cj = minor_matrix(m, j)
-                nrm = np.linalg.norm(cj)
-                ents.append(cj / nrm)
-                scales.append(np.log(nrm))
-            gen_entries.append(np.array(ents))
-            gen_scales.append(np.array(scales))
-        logdets = np.array([np.linalg.slogdet(m)[1] for m in images_std])
+            minors = minor_matrix(images, j)
+            nrm = vector_norm(minors.reshape(len(images), -1))
+            gen_entries.append(minors / nrm[:, None, None])
+            gen_scales.append(np.log(nrm))
+        logdets = np.linalg.slogdet(images)[1]
         ctx = BulkContext(k, d, form.signature[0], [np.diagonal(gram) for gram in form.level_grams])
         # each letter's attractor: the top eigenvector of its symmetric Gram M M^T, exact from LAPACK
         ctx.spheres = [ShellData(ctx, np.arange(2 * k, dtype=np.int8)[:, None], gen_entries, gen_scales, logdets,

@@ -112,10 +112,11 @@ def _manifest(cfg: dict, subcommand: str) -> dict:
 
 
 def _write_json(path: Path, payload: dict):
+    """Write strict JSON: a NaN or infinity raises ValueError before the file is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path: Path, header: list[str], lines) -> int:
@@ -339,6 +340,9 @@ def cmd_equidistribute(cfg: dict, args) -> dict:
                 raise ConfigError(f"cylinder letter {letter} lies outside +-1..+-{rep.rank}")
         if any(x == -y for x, y in zip(cyl, cyl[1:])):
             raise ConfigError(f"cylinder {list(cyl)} is not a reduced word")
+    for a, b in boxes:
+        if a == b:
+            raise ConfigError(f"box {[list(a), list(b)]} pairs cylinder {list(a)} with itself, not two words")
     phi = _phi(cfg, rep, None)
     result = equidistribution_experiment(rep, phi, length, boxes, threads=args.threads)
     # a cylinder prints as a letter tuple, which holds a comma since no cylinder is empty, so it is quoted

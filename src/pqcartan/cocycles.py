@@ -6,15 +6,19 @@ vector, a sum-zero ``CartanVector``, is their prefix-sum increments in rank
 order.  The level values do not depend on a chamber; a compatible full
 chamber only permutes the coordinates, so a caller pairing a functional in
 a chamber frame places the rank-order vector with ``ChamberA.place``.
+
+Every cocycle takes stacks of matrices and flags, as ``ScaledMatrix`` and
+``Flag`` hold them, and returns (n, d) values, each with the bits of its own call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .flags import Flag, flag_perp, o_generic, project_to_So, require_generic, transverse
-from .forms import Form, gaussian_matrix, quad, sigma_o
-from .numerics import HypothesisError, ScaledMatrix, compound, hodge_dual, recentred_increments
+from .flags import Flag, NonGenericFlagError, flag_perp, o_generic, project_to_So, require_generic, transverse
+from .forms import Form, gaussian_matrix, pair, quad, sigma_o
+from .numerics import (HypothesisError, ScaledMatrix, compound, hodge_dual, modulus_of_product,
+                       recentred_increments, vector_norm)
 from .projections import CartanVector
 
 # identity_suite redraws (g1, g2, xi, eta) until the pair conditions hold,
@@ -27,24 +31,25 @@ ATTEMPT_BUDGET_PER_SAMPLE = 1000
 GENERIC_MARGIN = 1e-6
 
 
-def _from_levels(levels, chi_d: float) -> CartanVector:
+def _from_levels(levels, chi_d) -> CartanVector:
     """The vector of the level values chi_1..chi_{d-1} and chi_d; recentering drops the lift scale."""
-    return CartanVector(recentred_increments(np.array([*levels, chi_d])))
+    return CartanVector(recentred_increments(np.stack(np.broadcast_arrays(*levels, chi_d), axis=-1)))
 
 
-def _log_det(g: ScaledMatrix) -> float:
-    sign, logabs = np.linalg.slogdet(g.entries)
-    return float(logabs) + g.dim * g.log_scale
+def _log_det(g: ScaledMatrix):
+    return np.linalg.slogdet(g.entries)[1] + g.dim * g.log_scale
 
 
-def _compounds(g: ScaledMatrix) -> list[ScaledMatrix]:
-    return [compound(g, j) for j in range(1, g.dim)]
+def _moved_wedges(g: ScaledMatrix, xi: Flag):
+    """Per level j: (the unit j-th compound of g applied to xi's j-wedge v, that compound's log-scale, v)."""
+    return [((cj.entries @ v[..., None])[..., 0], cj.log_scale, v)
+            for cj, v in zip((compound(g, j) for j in range(1, g.dim)), xi.wedges)]
 
 
 def busemann_tau(g: ScaledMatrix, xi: Flag) -> CartanVector:
     """Iwasawa cocycle through exterior norms: chi_j = log |L^j g . v| / |v|."""
-    return _from_levels([np.log(np.linalg.norm(cj.entries @ v)) + cj.log_scale - np.log(np.linalg.norm(v))
-                         for cj, v in zip(_compounds(g), xi.wedges)], _log_det(g))
+    return _from_levels([np.log(vector_norm(gv)) + scale - np.log(vector_norm(v))
+                         for gv, scale, v in _moved_wedges(g, xi)], _log_det(g))
 
 
 def busemann_o(o: Form, g: ScaledMatrix, xi: Flag) -> CartanVector:
@@ -54,8 +59,8 @@ def busemann_o(o: Form, g: ScaledMatrix, xi: Flag) -> CartanVector:
     """
     require_generic(o, xi, "base")
     require_generic(o, xi.translate(g), "translated")
-    return _from_levels([0.5 * (np.log(abs(quad(gram, cj.entries @ v))) + 2 * cj.log_scale - np.log(abs(quad(gram, v))))
-                         for cj, gram, v in zip(_compounds(g), o.level_grams, xi.wedges)], _log_det(g))
+    return _from_levels([0.5 * (np.log(np.abs(quad(gram, gv))) + 2 * scale - np.log(np.abs(quad(gram, v))))
+                         for (gv, scale, v), gram in zip(_moved_wedges(g, xi), o.level_grams)], _log_det(g))
 
 
 def potential(o: Form, xi: Flag) -> CartanVector:
@@ -65,13 +70,13 @@ def potential(o: Form, xi: Flag) -> CartanVector:
     cocycles: V(g.xi) - V(xi) = twisted(g, xi) - plain(g, xi).
     """
     require_generic(o, xi, "potential")
-    return _from_levels([0.5 * np.log(abs(quad(gram, v))) - np.log(np.linalg.norm(v))
+    return _from_levels([0.5 * np.log(np.abs(quad(gram, v))) - np.log(vector_norm(v))
                          for gram, v in zip(o.level_grams, xi.wedges)], 0.0)
 
 
 def iota_a(value: CartanVector) -> CartanVector:
     """Opposition involution of the chamber: reverse-negate in rank order."""
-    return CartanVector(-value.coords[::-1])
+    return CartanVector(-value.coords[..., ::-1])
 
 
 def dual_busemann(o: Form, g: ScaledMatrix, xi: Flag) -> CartanVector:
@@ -89,14 +94,14 @@ def gromov_product(o: Form, xi: Flag, eta: Flag) -> CartanVector:
     chi_j = (1/2) log |<v, v'>^2 / (Q(v) Q(v'))| with v the level-j wedge of
     the dual flag of xi and v' that of eta.  No symmetry is asserted.
     """
-    if not transverse(xi, eta):
+    if not np.all(transverse(xi, eta)):
         raise ValueError("flags are not transverse")
     require_generic(o, xi, "first")
     require_generic(o, eta, "second")
     levels = []
     for gram, v, w in zip(o.level_grams, flag_perp(o, xi).wedges, eta.wedges):
-        cross = np.conj(v) @ gram @ w
-        levels.append(0.5 * np.log(abs(cross * cross) / abs(quad(gram, v) * quad(gram, w))))
+        cross = pair(gram, v, w)
+        levels.append(0.5 * np.log(modulus_of_product(cross, cross) / np.abs(quad(gram, v) * quad(gram, w))))
     return _from_levels(levels, 0.0)
 
 
@@ -109,13 +114,14 @@ def cross_ratio(xi1: Flag, xi2: Flag, xi3: Flag, xi4: Flag) -> CartanVector:
     makes every choice of representative cancel.
     """
     for a, b in ((xi1, xi2), (xi1, xi4), (xi2, xi3), (xi3, xi4)):
-        if not transverse(a, b):
+        if not np.all(transverse(a, b)):
             raise ValueError("required transversality pair fails")
     d = xi1.dim
     levels = []
     for j, v2, v4 in zip(range(1, d), xi2.wedges, xi4.wedges):
         t1, t3 = (hodge_dual(f.wedges[d - j - 1], d, j) for f in (xi1, xi3))
-        levels.append(np.log(abs(np.vdot(t1, v4) * np.vdot(t3, v2)) / abs(np.vdot(t1, v2) * np.vdot(t3, v4))))
+        levels.append(np.log(modulus_of_product(np.vecdot(t1, v4), np.vecdot(t3, v2))
+                             / modulus_of_product(np.vecdot(t1, v2), np.vecdot(t3, v4))))
     return _from_levels(levels, 0.0)
 
 
@@ -142,8 +148,12 @@ def _random_generic_flag(rng, o: Form) -> Flag:
 
 
 def _moved_flags_generic(o: Form, *flags: Flag) -> bool:
-    """Whether every moved flag reaches the margin the flag draws reach."""
-    return all(o_generic(o, f).margin >= GENERIC_MARGIN for f in flags)
+    """Whether every moved flag reaches the margin the flag draws reach, from one sweep of their stack."""
+    return bool(np.all(o_generic(o, Flag(np.stack([f.basis for f in flags]))).margin >= GENERIC_MARGIN))
+
+
+def _peak(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values)))
 
 
 def identity_suite(o: Form, samples: int, seed: int) -> dict:
@@ -154,73 +164,61 @@ def identity_suite(o: Form, samples: int, seed: int) -> dict:
     the Gromov/cross-ratio equality, and equivariance of the flag-to-point
     projection.  All inputs are drawn from a seeded generator and resampled
     until generic, so reports are reproducible.  Each report is a maximum over
-    rank-order coordinates, which a choice of chamber only permutes.
+    rank-order coordinates, which a choice of chamber only permutes.  Samples
+    are drawn one at a time; each family evaluates their stack, one call per quantity.
     """
     if samples < 1:
         raise ValueError(f"identity suite needs at least 1 sample, got {samples}")
     rng = np.random.default_rng(seed)
     d = o.dim
-    dev = {k: 0.0 for k in (
-        "cocycle", "duality", "coboundary", "gromov_transformation",
-        "cross_ratio_equality", "projection_equivariance",
-    )}
-    done = attempts = 0
-    while done < samples:
+    drawn, attempts = [], 0
+    while len(drawn) < samples:
         if attempts == ATTEMPT_BUDGET_PER_SAMPLE * samples:
-            raise HypothesisError(f"identity suite found {done} of {samples} generic samples "
+            raise HypothesisError(f"identity suite found {len(drawn)} of {samples} generic samples "
                                   f"in {attempts} attempts")
         attempts += 1
-        g1 = _random_matrix(rng, d, o.field_tag)
-        g2 = _random_matrix(rng, d, o.field_tag)
-        xi = _random_generic_flag(rng, o)
-        eta = _random_generic_flag(rng, o)
-        g12 = g1 @ g2
-        xi1, xi2, eta1 = xi.translate(g1), xi.translate(g2), eta.translate(g1)
+        g1, g2 = (_random_matrix(rng, d, o.field_tag) for _ in range(2))
+        xi, eta = (_random_generic_flag(rng, o) for _ in range(2))
+        xi2 = xi.translate(g2)
         # xi and eta were drawn generic; only their translates are checked
-        if not (_moved_flags_generic(o, xi2, xi.translate(g12), xi2.translate(g1), eta1)
+        if not (_moved_flags_generic(o, xi2, xi.translate(g1 @ g2), xi2.translate(g1), eta.translate(g1))
                 and transverse(xi, eta)):
             continue
-        # the projection-equivariance family projects xi for the moved form
-        # and g1.xi for the form itself
-        o_moved = o.translate(np.linalg.inv(g1.entries))
-        if not (o_generic(o_moved, xi).generic and o_generic(o, xi1).generic):
+        # the projection-equivariance family projects xi for the moved form,
+        # one form per sample, and g1.xi for the form itself
+        try:
+            lhs_p = project_to_So(o.translate(np.linalg.inv(g1.entries)), xi)
+        except NonGenericFlagError:
             continue
-        done += 1
+        if not o_generic(o, xi.translate(g1)).generic:
+            continue
+        drawn.append((g1, g2, xi.basis, eta.basis, lhs_p))
 
-        # every flag busemann_o checks below passed a check at least as strict
-        # above, so none raises; the translates each flag keeps reuse its sweeps
-        b1 = busemann_o(o, g1, xi)
-        iota_b1 = iota_a(b1).coords
-        gp = gromov_product(o, xi, eta).coords
-
-        lhs = busemann_o(o, g12, xi)
-        rhs = busemann_o(o, g1, xi2).coords + busemann_o(o, g2, xi).coords
-        dev["cocycle"] = max(dev["cocycle"], float(np.max(np.abs(lhs.coords - rhs))))
-
-        duality = float(np.max(np.abs(dual_busemann(o, g1, xi).coords - iota_b1)))
-        dev["duality"] = max(dev["duality"], duality)
-
-        v_move = potential(o, xi1).coords - potential(o, xi).coords
-        beta_diff = b1.coords - busemann_tau(g1, xi).coords
-        dev["coboundary"] = max(dev["coboundary"], float(np.max(np.abs(v_move - beta_diff))))
-
-        if _moved_flags_generic(o, xi1) and transverse(xi1, eta1):
-            lhs_g = gromov_product(o, xi1, eta1).coords
-            rhs_g = gp - iota_b1 - busemann_o(o, g1, eta).coords
-            dev["gromov_transformation"] = max(
-                dev["gromov_transformation"], float(np.max(np.abs(lhs_g - rhs_g)))
-            )
-
-        br = cross_ratio(flag_perp(o, eta), flag_perp(o, xi), xi, eta).coords
-        dev["cross_ratio_equality"] = max(
-            dev["cross_ratio_equality"], float(np.max(np.abs(gp + 0.5 * br)))
-        )
-
-        lhs_p = project_to_So(o_moved, xi)
-        rhs_raw = g1.entries.conj().T @ project_to_So(o, xi1) @ g1.entries
-        rhs_p = rhs_raw * (d / np.trace(rhs_raw).real)
-        dev["projection_equivariance"] = max(
-            dev["projection_equivariance"],
-            float(np.max(np.abs(lhs_p - rhs_p)) / np.max(np.abs(lhs_p))),
-        )
-    return {"samples": done, "seed": seed, "max_deviations": dev}
+    g1s, g2s, xis, etas, lhs_ps = zip(*drawn)
+    g1, g2 = (ScaledMatrix(np.stack([g.entries for g in gs]), np.array([g.log_scale for g in gs])) for gs in (g1s, g2s))
+    xi, eta = Flag(np.stack(xis)), Flag(np.stack(etas))
+    xi1, eta1 = xi.translate(g1), eta.translate(g1)
+    # every flag busemann_o checks passed a check at least as strict in the draw, so none raises
+    b1 = busemann_o(o, g1, xi)
+    iota_b1 = iota_a(b1).coords
+    gp = gromov_product(o, xi, eta).coords
+    rhs = busemann_o(o, g1, xi.translate(g2)).coords + busemann_o(o, g2, xi).coords
+    dev = {"cocycle": _peak(busemann_o(o, g1 @ g2, xi).coords - rhs),
+           "duality": _peak(dual_busemann(o, g1, xi).coords - iota_b1),
+           "coboundary": _peak(potential(o, xi1).coords - potential(o, xi).coords
+                               - (b1.coords - busemann_tau(g1, xi).coords)),
+           "gromov_transformation": 0.0}
+    # the Gromov transformation family takes the samples where g1 keeps the pair generic and transverse
+    ok = (o_generic(o, xi1).margin >= GENERIC_MARGIN) & transverse(xi1, eta1)
+    if ok.any():
+        lhs_g = gromov_product(o, Flag(xi1.basis[ok]), Flag(eta1.basis[ok])).coords
+        g1_ok = ScaledMatrix(g1.entries[ok], g1.log_scale[ok])
+        rhs_g = gp[ok] - iota_b1[ok] - busemann_o(o, g1_ok, Flag(eta.basis[ok])).coords
+        dev["gromov_transformation"] = _peak(lhs_g - rhs_g)
+    dev["cross_ratio_equality"] = _peak(gp + 0.5 * cross_ratio(flag_perp(o, eta), flag_perp(o, xi), xi, eta).coords)
+    lhs_p = np.stack(lhs_ps)
+    rhs_raw = g1.entries.conj().swapaxes(1, 2) @ project_to_So(o, xi1) @ g1.entries
+    rhs_p = rhs_raw * (d / np.trace(rhs_raw, axis1=1, axis2=2).real)[:, None, None]
+    dev["projection_equivariance"] = float(np.max(np.max(np.abs(lhs_p - rhs_p), axis=(1, 2))
+                                                  / np.max(np.abs(lhs_p), axis=(1, 2))))
+    return {"samples": len(drawn), "seed": seed, "max_deviations": dev}

@@ -259,10 +259,11 @@ def rescaled_variation(curve: CountCurve, h: float, window: tuple[float, float])
 
 
 def estimate_exponent(curve: CountCurve, window: tuple[float, float]):
-    """Least-squares slope of log counts on the window, with window sensitivity."""
+    """Least-squares slope of log counts on a window of three distinct thresholds, with window sensitivity."""
+    # the grid does not decrease, so each nonzero step between neighbours adds one distinct threshold
     lo, hi = window
     mask = _window_mask(curve, lo, hi)
-    if mask.sum() < 3:
+    if np.count_nonzero(np.diff(curve.thresholds[mask])) < 2:
         raise ValueError("window holds fewer than three usable grid points")
     t = curve.thresholds[mask]
     y = np.log(curve.counts[mask].astype(float))
@@ -274,7 +275,7 @@ def estimate_exponent(curve: CountCurve, window: tuple[float, float]):
     sensitivity = []
     for delta in (-shift, shift):
         m2 = _window_mask(curve, lo + delta, hi + delta)
-        if m2.sum() >= 3:
+        if np.count_nonzero(np.diff(curve.thresholds[m2])) >= 2:
             y2 = np.log(curve.counts[m2].astype(float))
             sensitivity.append(float(fit_line(curve.thresholds[m2], y2)[0]))
     return float(slope), stderr, {"intercept": float(intercept), "shifted_slopes": sensitivity}
@@ -650,8 +651,9 @@ def equidistribution_experiment(rep: Representation, phi, length_max: int, boxes
     representative cylinder endpoints, the box matrix should approach a
     rank-one product, and the defect is its second-to-first singular ratio.
     The endpoints are the fixed flags of the two cylinder words; a box whose
-    cylinders are not two distinct non-empty words has a NaN bracket, and
-    then the defect is NaN.
+    cylinders are not two distinct non-empty words has a NaN bracket.  The
+    defect is None unless the boxes fill a grid of at least 2 x 2 cylinders
+    with numeric brackets and some positive mass.
     """
     chamber = _single_orbit_chamber(rep)
     phi = np.asarray(phi, dtype=float)
@@ -675,15 +677,15 @@ def equidistribution_experiment(rep: Representation, phi, length_max: int, boxes
     reweighted_final = masses[:, -1] * np.exp(h * brackets)
     a_labels = sorted({a for a, _ in boxes})
     b_labels = sorted({b for _, b in boxes})
-    defect = float("nan")
-    defect_matrix = None
+    defect = defect_matrix = None
     if (len(a_labels) >= 2 and len(b_labels) >= 2 and len(boxes) == len(a_labels) * len(b_labels)
             and not np.isnan(reweighted_final).any()):
         m = np.zeros((len(a_labels), len(b_labels)))
         for (a, b), v in zip(boxes, reweighted_final):
             m[a_labels.index(a), b_labels.index(b)] = v
         u, sv, vt = np.linalg.svd(m)
-        defect = float(sv[1] / sv[0]) if sv[0] > 0 else float("nan")
+        if sv[0] > 0:
+            defect = float(sv[1] / sv[0])
         rank_one = sv[0] * np.outer(u[:, 0], vt[0])
         defect_matrix = m - rank_one
     return {

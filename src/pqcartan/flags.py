@@ -6,27 +6,21 @@ by a signed Gram-Schmidt sweep down the flag, which also produces the
 orthogonal line decomposition and its sign sequence (the open-orbit
 invariant of the isometry group action).
 
-Like ``Flag.wedges``, the derived data of a flag are computed once: the
-genericity sweep and the dual flag once per flag and form object, the
-transversality margin once per ordered pair of flag objects, the translate
-once per flag and ``ScaledMatrix`` object.  Each is kept in the flag beside
-a weak reference to the partner object it was computed for, so reports, dual
-flags and translates are shared between callers and are read-only, and an
-entry keeps neither its partner alive nor a reference cycle (a flag holds
-its dual flag, whose margin entry only weakly refers back).
+A ``Flag`` may hold a stack of (n, d, d) bases, and every function here takes
+stacks along leading axes, row by row, with the bits of one flag at a time:
+a margin, a verdict or a report field then holds one entry per row.
 """
 
 from __future__ import annotations
 
 import json
-import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .forms import DEGENERACY_RTOL, Form
-from .numerics import ScaledMatrix, hodge_dual, wedge_coordinates
+from .forms import DEGENERACY_RTOL, Form, quad
+from .numerics import ScaledMatrix, hodge_dual, unstack, vector_norm, wedge_coordinates
 
 TRANSVERSALITY_RTOL = 1e-8
 FLAG_CONDITION_CAP = 1e12
@@ -38,7 +32,7 @@ class NonGenericFlagError(ValueError):
 
 @dataclass(frozen=True)
 class Flag:
-    """Full flag as a basis matrix; column j-1 completes the j-th subspace."""
+    """Full flag as a basis matrix, or a stack of them; column j-1 completes the j-th subspace."""
 
     basis: np.ndarray
 
@@ -47,10 +41,10 @@ class Flag:
         b = np.asarray(columns)
         dtype = np.complex128 if np.iscomplexobj(b) else np.float64
         b = b.astype(dtype)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
+        if b.ndim < 2 or b.shape[-2] != b.shape[-1]:
             raise ValueError(f"flag basis must be square, got {b.shape}")
-        b = b / np.linalg.norm(b, axis=0, keepdims=True)
-        if np.linalg.cond(b) > FLAG_CONDITION_CAP:
+        b = b / np.linalg.norm(b, axis=-2, keepdims=True)
+        if np.any(np.linalg.cond(b) > FLAG_CONDITION_CAP):
             raise ValueError("flag basis condition number above cap")
         b.setflags(write=False)
         return Flag(b)
@@ -67,7 +61,7 @@ class Flag:
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self.basis.shape[-1]
 
     @cached_property
     def wedges(self) -> tuple[np.ndarray, ...]:
@@ -77,12 +71,9 @@ class Flag:
             w.setflags(write=False)
         return wedges
 
-    def translate(self, g: ScaledMatrix | np.ndarray) -> "Flag":
-        """The flag g.x, kept once per ``ScaledMatrix`` object, whose entries are read-only; an array,
-        which its caller may write into, is applied afresh on every call."""
-        if isinstance(g, ScaledMatrix):
-            return _once("translate", self, g, lambda: Flag.of(g.entries @ self.basis))
-        return Flag.of(np.asarray(g) @ self.basis)
+    def translate(self, g: ScaledMatrix) -> "Flag":
+        """The flag g.x; a stack of flags or of matrices gives the stack of translates."""
+        return Flag.of(g.entries @ self.basis)
 
     def to_json(self) -> str:
         if np.iscomplexobj(self.basis):
@@ -106,48 +97,29 @@ class Flag:
 class GenericityReport:
     """Verdict at DEGENERACY_RTOL, its margin (least relative |form value| of the swept lines), line signs.
 
-    ``lines`` (the unit orthogonal lines, as columns) is read-only: one report serves every caller.
-    """
+    ``lines`` holds the unit orthogonal lines as columns.  A stack's report holds one entry per row (``failed_level``
+    0 on a generic row); a non-generic row's signs and lines mean nothing past its level."""
 
-    generic: bool
-    signs: tuple[int, ...] | None
-    margin: float
+    generic: bool | np.ndarray
+    signs: tuple[int, ...] | np.ndarray | None
+    margin: float | np.ndarray
     lines: np.ndarray | None
-    failed_level: int | None = None
+    failed_level: int | np.ndarray | None = None
 
 
-def transverse(x: Flag, y: Flag) -> bool:
+def transverse(x: Flag, y: Flag) -> bool | np.ndarray:
     """Whether every x^j is linearly disjoint from y^{d-j}."""
     return transversality_margin(x, y) > TRANSVERSALITY_RTOL
 
 
-def _once(kind: str, flag: Flag, partner, compute):
-    """compute(), kept in the flag's ``__dict__`` (as ``Flag.wedges`` is) under (kind, id(partner)).
-
-    A kept value is reused only for the very partner object it was computed
-    for: the entry holds a weak reference to that partner, which no longer
-    answers once the partner is gone, so a later object that reuses its id
-    gets its own computation.
-    """
-    key = (kind, id(partner))
-    kept = flag.__dict__.get(key)
-    if kept is None or kept[0]() is not partner:
-        kept = flag.__dict__[key] = (weakref.ref(partner), compute())
-    return kept[1]
-
-
-def transversality_margin(x: Flag, y: Flag) -> float:
-    return _once("transversality", x, y, lambda: _transversality_margin(x, y))
-
-
-def _transversality_margin(x: Flag, y: Flag) -> float:
+def transversality_margin(x: Flag, y: Flag) -> float | np.ndarray:
     """Least level-j sine distance from x^j to the hyperplane of y^{d-j}: a function of the two flags alone."""
     if x.dim != y.dim:
         raise ValueError("flags of different dimensions")
-    return min((fixed_pair_separation(x, y, j)[2] for j in range(1, x.dim)), default=np.inf)
+    return unstack(reduce(np.minimum, (fixed_pair_separation(x, y, j)[2] for j in range(1, x.dim)), np.inf))
 
 
-def fixed_pair_separation(plus: Flag, minus: Flag, j: int) -> tuple[np.ndarray, np.ndarray, float]:
+def fixed_pair_separation(plus: Flag, minus: Flag, j: int) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """(level-j line of ``plus``, covector of the level-j hyperplane of ``minus``, their sine distance)."""
     d = plus.dim
     line = plus.wedges[j - 1]
@@ -160,35 +132,41 @@ def o_generic(o: Form, x: Flag) -> GenericityReport:
 
     Succeeds exactly when the form restricted to every flag subspace is
     non-degenerate; then the orthogonal line decomposition is unique and its
-    sign sequence is returned.  Degeneracies abort rather than pivot.
+    sign sequence is returned.  Degeneracies abort rather than pivot: a
+    report (a stack's row) is read up to its first degenerate level.
     """
-    return _once("generic", x, o, lambda: _sweep(o, x))
-
-
-def _sweep(o: Form, x: Flag) -> GenericityReport:
     d = x.dim
     lines = np.array(x.basis, copy=True)
-    signs = []
-    margin = np.inf
-    form_norm = o.norm
-    for j in range(d):
-        u = lines[:, j]
-        for k in range(j):
-            w = lines[:, k]
-            u = u - (o.pair(w, u) / o.pair(w, w)) * w
-        nrm = np.linalg.norm(u)
-        if nrm == 0.0:
-            return GenericityReport(False, None, 0.0, None, failed_level=j + 1)
-        u = u / nrm
-        val = o.quad(u)
-        rel = abs(val) / form_norm
-        margin = min(margin, rel)
-        if rel < DEGENERACY_RTOL:
-            return GenericityReport(False, None, float(margin), None, failed_level=j + 1)
-        signs.append(1 if val > 0 else -1)
-        lines[:, j] = u
-    lines.setflags(write=False)
-    return GenericityReport(True, tuple(signs), float(margin), lines)
+    vals, zero = np.empty(lines.shape[:-1]), np.empty(lines.shape[:-1], dtype=bool)
+    # per finished line w_k: the row w_k* J and the form value <w_k, w_k> the later levels divide by
+    rows, values = [], []
+    # past a degenerate level a row divides by zero; those values are never read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(d):
+            u = lines[..., :, j]
+            for k in range(j):
+                u = u - ((rows[k] @ u[..., :, None])[..., 0, 0] / values[k])[..., None] * lines[..., :, k]
+            nrm = vector_norm(u)
+            zero[..., j] = nrm == 0.0
+            u = u / nrm[..., None]
+            lines[..., :, j] = u
+            row = np.conj(u)[..., None, :] @ o.gram
+            vals[..., j] = np.real((row @ u[..., :, None])[..., 0, 0])
+            rows.append(row)
+            values.append((row @ lines[..., :, j, None])[..., 0, 0])
+    rel = np.abs(vals) / o.norm
+    rel[zero] = 0.0
+    stops = rel < DEGENERACY_RTOL
+    failed = np.where(stops.any(axis=-1), stops.argmax(axis=-1) + 1, 0)
+    # the least relative form value of the levels swept: before a degenerate level every one is larger
+    swept = np.arange(d) < np.where(failed > 0, failed, d)[..., None]
+    margin = np.where(swept, rel, np.inf).min(axis=-1)
+    signs = np.where(vals > 0, 1, -1)
+    if lines.ndim > 2:
+        return GenericityReport(failed == 0, signs, margin, lines, failed)
+    if failed:
+        return GenericityReport(False, None, float(margin), None, failed_level=int(failed))
+    return GenericityReport(True, tuple(signs.tolist()), float(margin), lines)
 
 
 def flag_perp(o: Form, x: Flag) -> Flag:
@@ -198,13 +176,8 @@ def flag_perp(o: Form, x: Flag) -> Flag:
     complement, so the reversed Q-factor of the basis conjugated by J^{-1}
     assembles the whole dual flag at once.
     """
-    return _once("perp", x, o, lambda: _dual_flag(o, x))
-
-
-def _dual_flag(o: Form, x: Flag) -> Flag:
     q, _ = np.linalg.qr(x.basis)
-    reversed_q = q[:, ::-1]
-    return Flag.of(o.gram_inv @ reversed_q)
+    return Flag.of(o.gram_inv @ q[..., ::-1])
 
 
 def project_to_So(o: Form, x: Flag) -> np.ndarray:
@@ -216,32 +189,35 @@ def project_to_So(o: Form, x: Flag) -> np.ndarray:
     """
     b = so_point_basis(o, x)
     binv = np.linalg.inv(b)
-    gram = binv.conj().T @ binv
-    gram = (gram + gram.conj().T) / 2
-    return gram * (x.dim / np.trace(gram).real)
+    gram = binv.conj().swapaxes(-1, -2) @ binv
+    gram = (gram + gram.conj().swapaxes(-1, -2)) / 2
+    return gram * (x.dim / np.trace(gram, axis1=-2, axis2=-1).real)[..., None, None]
 
 
 def require_generic(o: Form, x: Flag, label: str) -> GenericityReport:
-    """``o_generic(o, x)``, or NonGenericFlagError naming the flag and the level where it degenerates."""
+    """``o_generic(o, x)``, or NonGenericFlagError naming the flag, a stack's first degenerate row, and its level."""
     rep = o_generic(o, x)
-    if not rep.generic:
+    if np.all(rep.generic):
+        return rep
+    if x.basis.ndim == 2:
         raise NonGenericFlagError(f"{label} flag degenerates at level {rep.failed_level}")
-    return rep
+    row = int(np.flatnonzero(~rep.generic)[0])
+    raise NonGenericFlagError(f"{label} flag of row {row} degenerates at level {rep.failed_level.flat[row]}")
 
 
 def so_point_basis(o: Form, x: Flag) -> np.ndarray:
-    """Basis matrix whose columns are the unit-normalized orthogonal lines."""
-    rep = require_generic(o, x, "projected")
-    scales = np.array([abs(o.quad(rep.lines[:, j])) ** -0.5 for j in range(x.dim)])
-    return rep.lines * scales[None, :]
+    """Basis matrix whose columns are the unit-normalized orthogonal lines (``float_power`` rounds as float ``**``)."""
+    lines = require_generic(o, x, "projected").lines
+    scales = np.stack([np.abs(quad(o.gram, lines[..., :, j])) for j in range(x.dim)], axis=-1)
+    return lines * np.float_power(scales, -0.5)[..., None, :]
 
 
-def line_hyperplane_distance(line: np.ndarray, dual_wedge: np.ndarray, gram: np.ndarray | None = None) -> float:
-    """Sine distance from a projective point to the hyperplane a wedge annihilates.
+def line_hyperplane_distance(line: np.ndarray, dual_wedge: np.ndarray, gram: np.ndarray | None = None):
+    """Sine distance from a projective point to the hyperplane a wedge annihilates (row by row for stacks).
 
     The hyperplane in the level-j projective space is the kernel of the
     pairing against ``dual_wedge`` through ``gram`` (Euclidean when omitted).
     """
-    theta = dual_wedge if gram is None else gram @ dual_wedge
-    num = abs(np.vdot(theta, line))
-    return float(num / (np.linalg.norm(theta) * np.linalg.norm(line)))
+    theta = dual_wedge if gram is None else (gram @ dual_wedge[..., None])[..., 0]
+    dot = np.vecdot(theta, line)  # its modulus by hypot, as numpy's complex scalars take it
+    return unstack(np.hypot(dot.real, dot.imag) / (vector_norm(theta) * vector_norm(line)))

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import MAX_DIM, ScaledMatrix, minor_matrix
+from .numerics import MAX_DIM, ScaledMatrix, minor_matrix, unstack
 
 
 SELF_ADJOINT_TOL = 1e-12
@@ -109,13 +109,6 @@ class Form:
             grams.append(gram_j)
         return tuple(grams)
 
-    def pair(self, u: np.ndarray, v: np.ndarray):
-        """<u, v> = u* J v."""
-        return np.conj(u) @ self.gram @ v
-
-    def quad(self, u: np.ndarray) -> float:
-        return quad(self.gram, u)
-
     def translate(self, g: np.ndarray) -> "Form":
         """The form g.o, whose isometry group is g H g^{-1}."""
         gi = np.linalg.inv(g)
@@ -150,21 +143,26 @@ class Form:
         return Form.of(gram, ft)
 
 
-def quad(gram: np.ndarray, u: np.ndarray) -> float:
-    """The real value u* G u of the form with Gram matrix G."""
-    return float(np.real(np.conj(u) @ gram @ u))
+def pair(gram: np.ndarray, v: np.ndarray, w: np.ndarray):
+    """<v, w> = v* G w of each pair of vectors (last axis), by the products of ``np.conj(v) @ G @ w``."""
+    return (np.conj(v)[..., None, :] @ gram @ w[..., :, None])[..., 0, 0]
+
+
+def quad(gram: np.ndarray, u: np.ndarray) -> float | np.ndarray:
+    """The real value u* G u of the form with Gram matrix G, of each vector of a stack."""
+    return unstack(np.real(pair(gram, u, u)))
 
 
 def o_adjoint(o: Form, g: ScaledMatrix) -> ScaledMatrix:
-    """The adjoint J^{-1} g* J of g with respect to the form."""
+    """The adjoint J^{-1} g* J of g (of each matrix of a stack) with respect to the form."""
     if g.dim != o.dim:
         raise ValueError(f"dimension mismatch: form {o.dim}, matrix {g.dim}")
-    raw = o.gram_inv @ g.entries.conj().T @ o.gram
+    raw = o.gram_inv @ g.entries.conj().swapaxes(-1, -2) @ o.gram
     return ScaledMatrix.of(raw, g.log_scale)
 
 
 def sigma_o(o: Form, g: ScaledMatrix) -> ScaledMatrix:
-    """The involution g -> adjoint of g^{-1}; fixed points are the isometries."""
+    """The involution g -> adjoint of g^{-1}, matrix by matrix; fixed points are the isometries."""
     return o_adjoint(o, g.inv())
 
 

@@ -28,31 +28,34 @@ class HypothesisError(ValueError):
     """The input fails a hypothesis an experiment needs (one orbit, generic samples, a positive functional)."""
 
 
-def _normalize(entries: np.ndarray) -> tuple[np.ndarray, float]:
-    peak = float(np.max(np.abs(entries)))
-    if not np.isfinite(peak) or peak == 0.0:
+def _normalize(entries: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+    """Each matrix of a stack at unit Frobenius norm, and the log of the factor it lost."""
+    peak = np.max(np.abs(entries), axis=(-2, -1), keepdims=True)
+    if not np.all(np.isfinite(peak)) or np.any(peak == 0.0):
         raise NumericsError("matrix with zero or non-finite entries")
     scaled = entries / peak
-    nrm = float(np.linalg.norm(scaled))
-    out = scaled / nrm
+    nrm = vector_norm(scaled.reshape(*scaled.shape[:-2], -1))
+    out = scaled / nrm[..., None, None]
     out.setflags(write=False)
-    return out, float(np.log(peak) + np.log(nrm))
+    return out, unstack(np.log(peak[..., 0, 0]) + np.log(nrm))
 
 
 @dataclass(frozen=True)
 class ScaledMatrix:
-    """A d x d matrix stored as (unit-Frobenius entries, log-scale)."""
+    """A d x d matrix stored as (unit-Frobenius entries, log-scale), or a stack: (n, d, d) entries, (n,) log-scales.
+
+    ``of``, ``inv`` and ``@`` act on a stack matrix by matrix, with the bits of one matrix at a time."""
 
     entries: np.ndarray
-    log_scale: float = 0.0
+    log_scale: float | np.ndarray = 0.0
 
     @staticmethod
-    def of(matrix, log_scale: float = 0.0) -> "ScaledMatrix":
+    def of(matrix, log_scale: float | np.ndarray = 0.0) -> "ScaledMatrix":
         m = np.asarray(matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if m.shape[0] > MAX_DIM:
-            raise ValueError(f"dimension {m.shape[0]} exceeds supported maximum {MAX_DIM}")
+        if m.shape[-1] > MAX_DIM:
+            raise ValueError(f"dimension {m.shape[-1]} exceeds supported maximum {MAX_DIM}")
         dtype = np.complex128 if np.iscomplexobj(m) else np.float64
         ent, shift = _normalize(m.astype(dtype))
         return ScaledMatrix(ent, log_scale + shift)
@@ -64,7 +67,7 @@ class ScaledMatrix:
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     @property
     def field(self) -> str:
@@ -112,6 +115,27 @@ def multiply(a: ScaledMatrix, b: ScaledMatrix) -> ScaledMatrix:
     return ScaledMatrix.of(a.entries @ b.entries, a.log_scale + b.log_scale)
 
 
+def unstack(value):
+    """A 0-d result as its Python scalar, so one input keeps its result type; a stack's array as it is."""
+    return np.asarray(value).item() if np.ndim(value) == 0 else value
+
+
+def vector_norm(v: np.ndarray):
+    """Norm over the last axis by the BLAS dot(s) ``np.linalg.norm`` takes of one vector (``axis=`` sums otherwise)."""
+    v = np.ascontiguousarray(v)
+    if np.iscomplexobj(v):
+        return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    return np.sqrt(np.vecdot(v, v))
+
+
+def modulus_of_product(a, b):
+    """|a b| rounded as by numpy's complex scalars: four plain real products, then the hypot (exact for reals).
+
+    numpy's complex arrays multiply with fused multiply-adds and take ``abs`` otherwise than ``hypot``.
+    """
+    return np.hypot(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
 @lru_cache(maxsize=None)
 def subset_table(d: int, j: int) -> np.ndarray:
     """(binom(d, j), j) read-only table of the j-subsets of range(d), lexicographic.
@@ -144,18 +168,19 @@ def hodge_dual(w: np.ndarray, d: int, j: int) -> np.ndarray:
 
 
 def minor_matrix(m: np.ndarray, j: int) -> np.ndarray:
-    """The j-th compound: matrix of j x j minors in lexicographic subset order."""
+    """The j-th compound of each matrix of a stack: the j x j minors in lexicographic subset order, C-contiguous
+    (``det`` of a fancy-indexed stack lays the stack axis innermost, and a product would sum otherwise)."""
     if j == 1:
         return m.copy()
-    subs = subset_table(m.shape[0], j)
-    return np.linalg.det(m[subs[:, None, :, None], subs[None, :, None, :]])
+    subs = subset_table(m.shape[-1], j)
+    return np.ascontiguousarray(np.linalg.det(m[..., subs[:, None, :, None], subs[None, :, None, :]]))
 
 
 def compound(g: ScaledMatrix, j: int) -> ScaledMatrix:
     """Exterior-power matrix of level j; multiplicative in g.
 
     Built directly, not through ``ScaledMatrix.of``: a level is C(d, j) wide,
-    past MAX_DIM at d = 5, j = 2.
+    past MAX_DIM at d = 5, j = 2.  A stack gives the stack of its compounds.
     """
     d = g.dim
     if not 1 <= j <= d - 1:
@@ -255,8 +280,8 @@ def real_columns(cols: np.ndarray) -> np.ndarray:
 
 
 def wedge_coordinates(columns: np.ndarray, j: int) -> np.ndarray:
-    """Pluecker coordinates of the span of the first j columns (lex order)."""
+    """Pluecker coordinates of the span of the first j columns (lex order), of each matrix of a stack."""
     if j == 1:
-        return columns[:, 0].copy()
-    return np.linalg.det(columns[subset_table(columns.shape[0], j), :j])
+        return columns[..., :, 0].copy()
+    return np.ascontiguousarray(np.linalg.det(columns[..., subset_table(columns.shape[-2], j), :j]))
 

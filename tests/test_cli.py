@@ -132,8 +132,9 @@ def test_equidistribute_d5_two_letter_cylinders(tmp_path):
 @pytest.mark.parametrize("cylinder,message", [([0], "cylinder letter 0 "), ([3], "cylinder letter 3 "),
                                               ([2, -3], "cylinder letter -3 "),
                                               ([1, -1], "cylinder [1, -1] is not a reduced word"),
-                                              ([], "cylinder [] is empty")],
-                         ids=["zero", "past-rank", "past-rank-inverse", "unreduced", "empty"])
+                                              ([], "cylinder [] is empty"),
+                                              ([1], "box [[1], [1]] pairs cylinder [1] with itself")],
+                         ids=["zero", "past-rank", "past-rank-inverse", "unreduced", "empty", "same-word"])
 def test_equidistribute_refuses_a_cylinder_that_is_no_word(tmp_path, capsys, monkeypatch, cylinder, message):
     # refused as a config error before the engine builds any word
     from pqcartan.freegroup import Representation
@@ -150,6 +151,45 @@ def test_equidistribute_refuses_a_cylinder_that_is_no_word(tmp_path, capsys, mon
     body = json.loads(capsys.readouterr().out)
     assert body["error"] == "config" and message in body["message"]
     assert not (out / "summary.json").exists()
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_equidistribute_writes_null_for_a_product_defect_the_boxes_do_not_define(tmp_path):
+    # two boxes over one cylinder pair: no 2 x 2 grid, so no matrix to decompose
+    cfg = write_config(tmp_path, "box.json", {
+        "representation": {"recipe": "reducible-21", "params": {"power": 4}}, "length": 4,
+        "boxes": [[[1], [2]], [[-1], [2]]]})
+    out = tmp_path / "o"
+    assert main(["equidistribute", "--config", cfg, "--out", str(out)]) == 0
+    summary = _strict_json((out / "summary.json").read_text())["summary"]
+    assert summary["product_defect"] is None and summary["length"] == 4
+
+
+def test_count_without_three_distinct_thresholds_reports_the_slope_error(tmp_path):
+    # every rotation-control word is excluded, so all 256 thresholds are 0
+    cfg = write_config(tmp_path, "rot.json", {"representation": {"recipe": "rotation-control"}, "length": 4})
+    out = tmp_path / "rot"
+    assert main(["count", "--config", cfg, "--out", str(out)]) == 0
+    summary = _strict_json((out / "summary.json").read_text())["summary"]
+    assert summary["slope_error"] == "window holds fewer than three usable grid points"
+    assert "slope" not in summary and "stderr" not in summary
+
+
+def test_a_summary_that_is_not_strict_json_leaves_no_file(tmp_path, monkeypatch):
+    from pqcartan import cli
+
+    monkeypatch.setattr(cli, "identity_suite", lambda o, samples, seed: {"max_deviations": {"cocycle": float("nan")}})
+    cfg = write_config(tmp_path, "cc.json", {"samples": 1})
+    out = tmp_path / "cc"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        main(["cocycle-check", "--config", cfg, "--out", str(out)])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sub,lengths,message", [

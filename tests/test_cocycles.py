@@ -308,10 +308,11 @@ def test_identity_suite_caps_rejection_attempts(s1, monkeypatch):
 
 
 def test_identity_suite_checks_pass_through_the_public_cocycles(s1, monkeypatch):
-    # per sample the suite calls busemann_o six times (once through
-    # dual_busemann; the Gromov transformation family runs on every sample of
-    # seed 201), potential and gromov_product twice each, all with their own
-    # checks, and its draw checks are strict enough that none of them refuses
+    # per sample the suite checks the rows of six busemann_o stacks (one
+    # through dual_busemann; the Gromov transformation family runs on every
+    # sample of seed 201), and of two potential and two gromov_product stacks,
+    # each with its own checks, and its draw checks are strict enough that
+    # none of them refuses
     from collections import Counter
 
     from pqcartan import cocycles
@@ -320,7 +321,7 @@ def test_identity_suite_checks_pass_through_the_public_cocycles(s1, monkeypatch)
     check = cocycles.require_generic
 
     def spy(o, xi, label):
-        labels[label] += 1
+        labels[label] += len(xi.basis)
         try:
             return check(o, xi, label)
         except NonGenericFlagError as exc:
@@ -333,36 +334,6 @@ def test_identity_suite_checks_pass_through_the_public_cocycles(s1, monkeypatch)
     assert labels == {"base": 6 * 20, "translated": 6 * 20, "potential": 2 * 20, "first": 2 * 20, "second": 2 * 20}
 
 
-def test_identity_suite_computes_each_flag_quantity_once(s1, monkeypatch):
-    # counts computations, keyed by content, not calls: per sample the suite
-    # asks for 19 sweeps, 5 dual flags and 8 transversality tests, of which
-    # only 10, 3 and 5 are distinct, and each of those is computed once
-    from collections import Counter
-
-    from pqcartan import flags
-
-    def by_form(o, x):
-        return o.gram.tobytes(), x.basis.tobytes()
-
-    def by_pair(x, y):
-        return x.basis.tobytes(), y.basis.tobytes()
-
-    counts = {}
-    for name, key in (("_sweep", by_form), ("_dual_flag", by_form), ("_transversality_margin", by_pair)):
-        seen = counts[name] = Counter()
-
-        def spy(a, b, compute=getattr(flags, name), key=key, seen=seen):
-            seen[key(a, b)] += 1
-            return compute(a, b)
-
-        monkeypatch.setattr(flags, name, spy)
-    report = identity_suite(s1, samples=20, seed=201)
-    assert report["samples"] == 20
-    assert {name: max(seen.values()) for name, seen in counts.items()} == dict.fromkeys(counts, 1)
-    assert {name: sum(seen.values()) for name, seen in counts.items()} == {
-        "_sweep": 10 * 20, "_dual_flag": 3 * 20, "_transversality_margin": 5 * 20}
-
-
 @pytest.mark.parametrize("samples", [0, -3])
 def test_identity_suite_refuses_fewer_than_one_sample(s1, samples, monkeypatch):
     from pqcartan import cocycles
@@ -373,3 +344,80 @@ def test_identity_suite_refuses_fewer_than_one_sample(s1, samples, monkeypatch):
     monkeypatch.setattr(cocycles, "_random_matrix", no_draw)
     with pytest.raises(ValueError, match=f"at least 1 sample, got {samples}"):
         identity_suite(s1, samples=samples, seed=3)
+
+
+def _stack_of(singles):
+    """One array of the single calls' results, each a number or an array."""
+    return np.array([np.asarray(s) for s in singles])
+
+
+@pytest.mark.parametrize("p,q,field", [(2, 1, "R"), (2, 1, "C"), (3, 2, "R"), (3, 2, "C")],
+                         ids=["R21", "C21", "R32", "C32"])
+def test_stacks_equal_single_calls_bit_for_bit(p, q, field):
+    from pqcartan.flags import (fixed_pair_separation, line_hyperplane_distance, project_to_So, require_generic,
+                                transversality_margin)
+    from pqcartan.forms import o_adjoint, quad, sigma_o
+    from pqcartan.numerics import compound, minor_matrix, wedge_coordinates
+
+    o = Form.standard(p, q, field)
+    d = o.dim
+    rng = np.random.default_rng(11)
+    drawn = []
+    while len(drawn) < 5:
+        g, xi, eta = _random_matrix(rng, d, field), _random_generic_flag(rng, o), _random_generic_flag(rng, o)
+        if transverse(xi, eta) and all(o_generic(o, f.translate(g)).margin >= GENERIC_MARGIN for f in (xi, eta)):
+            drawn.append((g, xi, eta))
+    gs, xis, etas = zip(*drawn)
+    stacked = (ScaledMatrix(np.stack([g.entries for g in gs]), np.array([g.log_scale for g in gs])),
+               Flag(np.stack([f.basis for f in xis])), Flag(np.stack([f.basis for f in etas])))
+
+    def matrix(m):
+        return [m.entries, m.log_scale]
+
+    levels = range(1, d)
+    calls = {
+        "ScaledMatrix.of": lambda g, xi, eta: matrix(ScaledMatrix.of(3.0 * g.entries, g.log_scale)),
+        "@": lambda g, xi, eta: matrix(g @ g),
+        "inv": lambda g, xi, eta: matrix(g.inv()),
+        "compound": lambda g, xi, eta: [a for j in levels for a in matrix(compound(g, j))],
+        "minor_matrix": lambda g, xi, eta: [minor_matrix(g.entries, j) for j in levels],
+        "wedge_coordinates": lambda g, xi, eta: [wedge_coordinates(xi.basis, j) for j in levels],
+        "quad": lambda g, xi, eta: [quad(o.gram, xi.basis[..., :, 0])],
+        "o_adjoint": lambda g, xi, eta: matrix(o_adjoint(o, g)),
+        "sigma_o": lambda g, xi, eta: matrix(sigma_o(o, g)),
+        "Flag.of": lambda g, xi, eta: [Flag.of(g.entries).basis],
+        "Flag.wedges": lambda g, xi, eta: list(xi.wedges),
+        "Flag.translate": lambda g, xi, eta: [xi.translate(g).basis],
+        "o_generic": lambda g, xi, eta: [(r := o_generic(o, xi)).generic, r.signs, r.margin, r.lines],
+        "require_generic": lambda g, xi, eta: [require_generic(o, eta, "second").margin],
+        "flag_perp": lambda g, xi, eta: [flag_perp(o, xi).basis],
+        "transversality_margin": lambda g, xi, eta: [transversality_margin(xi, eta)],
+        "transverse": lambda g, xi, eta: [transverse(xi, eta)],
+        "fixed_pair_separation": lambda g, xi, eta: [a for j in levels for a in fixed_pair_separation(xi, eta, j)],
+        "line_hyperplane_distance": lambda g, xi, eta: [line_hyperplane_distance(v, w, gram) for v, w, gram in
+                                                         zip(xi.wedges, eta.wedges, o.level_grams)],
+        "project_to_So": lambda g, xi, eta: [project_to_So(o, xi)],
+        "busemann_tau": lambda g, xi, eta: [busemann_tau(g, xi).coords],
+        "busemann_o": lambda g, xi, eta: [busemann_o(o, g, xi).coords],
+        "potential": lambda g, xi, eta: [potential(o, xi).coords],
+        "dual_busemann": lambda g, xi, eta: [dual_busemann(o, g, xi).coords],
+        "gromov_product": lambda g, xi, eta: [gromov_product(o, xi, eta).coords],
+        "cross_ratio": lambda g, xi, eta: [cross_ratio(flag_perp(o, eta), flag_perp(o, xi), xi, eta).coords],
+        "iota_a": lambda g, xi, eta: [iota_a(busemann_o(o, g, eta)).coords],
+    }
+    for name, call in calls.items():
+        singles = [call(*args) for args in drawn]
+        for k, value in enumerate(call(*stacked)):
+            want = _stack_of(s[k] for s in singles)
+            got = np.asarray(value)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, k)
+
+    # a stack with one non-generic row: reported row by row, refused by the checked calls
+    iso = np.eye(d, dtype=complex if field == "C" else float)
+    iso[d - 1, 0] = 1.0  # e_1 + e_d is isotropic
+    rows = Flag(np.stack([xis[0].basis, Flag.of(iso).basis, xis[1].basis]))
+    report = o_generic(o, rows)
+    assert report.generic.tolist() == [True, False, True] and report.failed_level.tolist() == [0, 1, 0]
+    assert report.margin[1] == o_generic(o, Flag.of(iso)).margin
+    with pytest.raises(NonGenericFlagError, match="^base flag of row 1 degenerates at level 1$"):
+        busemann_o(o, ScaledMatrix(stacked[0].entries[:3], stacked[0].log_scale[:3]), rows)

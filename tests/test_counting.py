@@ -276,13 +276,13 @@ def test_equidistribution_empty_cylinder_has_no_bracket(red):
     assert np.isnan(out["brackets"][:2]).all() and np.isfinite(out["brackets"][2])
 
 
-def test_equidistribution_grid_with_diagonal_boxes_has_nan_defect(red):
+def test_equidistribution_grid_with_diagonal_boxes_has_no_defect(red):
     # the 2x2 grid over letters 1 and 2 holds two equal-cylinder boxes, whose
     # NaN brackets leave no reweighted matrix to decompose
     boxes = [((a,), (b,)) for a in (1, 2) for b in (1, 2)]
     out = equidistribution_experiment(red, default_phi(red), 4, boxes)
     assert np.isnan(out["brackets"][[0, 3]]).all() and np.isfinite(out["brackets"][[1, 2]]).all()
-    assert np.isnan(out["product_defect"]) and out["product_defect_matrix"] is None
+    assert out["product_defect"] is None and out["product_defect_matrix"] is None
 
 
 def test_hausdorff_basic():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pqcartan.flags import Flag
+from pqcartan.numerics import ScaledMatrix
 from pqcartan.weyl import (
     ChamberA,
     WeylElement,
@@ -136,7 +137,7 @@ def test_chamber_flag_equivariance(rng):
         perm = tuple(rng.permutation(3))
         w = WeylElement(perm)
         c = ChamberA(tuple(rng.permutation(3)))
-        lhs = Flag.coordinate(c.order).translate(w.lift())
+        lhs = Flag.coordinate(c.order).translate(ScaledMatrix.of(w.lift()))
         rhs = Flag.coordinate(tuple(w.perm[i] for i in c.order))
         assert flag_distance(lhs, rhs) < 1e-12
 
