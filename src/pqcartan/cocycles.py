@@ -15,17 +15,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .flags import Flag, NonGenericFlagError, flag_perp, o_generic, project_to_So, require_generic, transverse
+from .flags import Flag, flag_perp, o_generic, project_to_So, require_generic, transverse, unit_basis
 from .forms import Form, gaussian_matrix, pair, quad, sigma_o
 from .numerics import (HypothesisError, ScaledMatrix, compound, hodge_dual, modulus_of_product,
                        recentred_increments, vector_norm)
 from .projections import CartanVector
 
-# identity_suite redraws (g1, g2, xi, eta) until the pair conditions hold,
-# and gives up after this many draws per requested sample in all; nearly
-# every draw passes, so running out means the pair conditions almost never
-# hold.  The flags themselves come from _random_generic_flag, whose own
-# rejection loop this budget does not count.
+# identity_suite checks (g1, g2, xi, eta) candidates until the pair conditions
+# hold, and gives up after this many candidates per requested sample in all;
+# nearly every candidate passes, so running out means the pair conditions
+# almost never hold.  A block skipped by its own role's matrix or flag check
+# is not a candidate, and this budget does not count it.
 ATTEMPT_BUDGET_PER_SAMPLE = 1000
 # the genericity margin (``GenericityReport.margin``) every flag the suite draws or moves must reach
 GENERIC_MARGIN = 1e-6
@@ -130,26 +130,114 @@ def cross_ratio(xi1: Flag, xi2: Flag, xi3: Flag, xi4: Flag) -> CartanVector:
 # ---------------------------------------------------------------------------
 
 
-def _random_matrix(rng, d: int, field: str) -> ScaledMatrix:
-    while True:
-        m = ScaledMatrix.of(gaussian_matrix(rng, d, field) + np.eye(d))
-        if np.linalg.cond(m.entries) <= 1e6:
-            return m
+def _refuses(call, *args) -> bool:
+    """Whether ``call(*args)`` raises a ValueError."""
+    try:
+        call(*args)
+    except ValueError:
+        return True
+    return False
 
 
-def _random_generic_flag(rng, o: Form) -> Flag:
-    while True:
-        try:
-            f = Flag.of(gaussian_matrix(rng, o.dim, o.field_tag))
-        except ValueError:
+def _pair_checks(o: Form, g1: ScaledMatrix, g2: ScaledMatrix, xi: np.ndarray, eta: np.ndarray):
+    """The pair conditions of ``identity_suite`` on stacks of candidates, as stacks.
+
+    Returns (accepted, raises, projections, refuse): which candidates pass,
+    which ones a check refuses by raising, when taken one at a time in the
+    suite's check order (a moved flag above the flag condition cap, or a
+    moved form ``Form.of`` refuses), xi's projection for the form moved by
+    g1^-1 where it is computed, and refuse(k), which raises candidate k's error.
+    """
+    raw_xi2 = g2.entries @ xi
+    raw = np.stack([raw_xi2, (g1 @ g2).entries @ xi, g1.entries @ unit_basis(raw_xi2)[0], g1.entries @ eta], axis=1)
+    moved, over_cap = unit_basis(raw)
+    raw_xi1 = g1.entries @ xi
+    xi1, over_cap_xi1 = unit_basis(raw_xi1)
+    # xi and eta were drawn generic; only their translates are checked
+    fits = ((o_generic(o, Flag(moved)).margin >= GENERIC_MARGIN).all(axis=1)
+            & transverse(Flag(xi), Flag(eta)) & ~over_cap.any(axis=1))
+    # the projection-equivariance family projects xi for the moved form, one form per sample
+    inv_g1 = np.linalg.inv(g1.entries)
+    rows = np.flatnonzero(fits)
+    form_refused = np.zeros(len(xi), dtype=bool)
+    try:
+        moved_forms = o.translate(inv_g1[rows])
+    except ValueError:
+        # Form.of refuses a stack as a whole: find the candidates it refuses one at a time
+        form_refused[rows] = [_refuses(o.translate, inv_g1[k]) for k in rows]
+        rows = rows[~form_refused[rows]]
+        moved_forms = o.translate(inv_g1[rows])
+    rows = rows[o_generic(moved_forms, Flag(xi[rows])).generic]
+    projections = np.zeros_like(xi)
+    projections[rows] = project_to_So(o.translate(inv_g1[rows]), Flag(xi[rows]))
+    projected = np.zeros(len(xi), dtype=bool)
+    projected[rows] = True
+    raises = over_cap.any(axis=1) | form_refused | (projected & over_cap_xi1)
+    accepted = projected & ~over_cap_xi1 & o_generic(o, Flag(xi1)).generic
+
+    def refuse(k):
+        if over_cap[k].any():
+            Flag.of(raw[k])
+        if form_refused[k]:
+            o.translate(inv_g1[k])
+        Flag.of(raw_xi1[k])
+
+    return accepted, raises, projections, refuse
+
+
+def _draw_samples(o: Form, samples: int, seed: int):
+    """The (g1, g2, xi, eta, xi projected for the form moved by g1^-1) stacks ``identity_suite`` evaluates.
+
+    Draws in rounds.  A round draws four Gaussian blocks per sample still
+    needed in one call, the rng stream of as many one-block draws, and
+    screens every block both as a matrix (block + I of condition at most
+    1e6) and as a flag (within the flag condition cap and GENERIC_MARGIN
+    generic).  In stream order g1, g2, xi and eta each take the next block
+    that passes their check; an unfinished candidate's blocks open the next
+    round.  The candidates' pair conditions are checked as stacks and read
+    in order, each candidate one attempt, so the samples and any refusal
+    are those of drawing and checking one candidate at a time.
+    """
+    rng = np.random.default_rng(seed)
+    d = o.dim
+    blocks = gaussian_matrix(rng, (0, d, d), o.field_tag)  # no unfinished candidate yet
+    parts, count, attempts = [], 0, 0
+    while count < samples:
+        blocks = np.concatenate([blocks, gaussian_matrix(rng, (4 * (samples - count), d, d), o.field_tag)])
+        mats = ScaledMatrix.of(blocks + np.eye(d))
+        bases, over_cap = unit_basis(blocks)
+        as_matrix = (np.linalg.cond(mats.entries) <= 1e6).tolist()
+        as_flag = (~over_cap & (o_generic(o, Flag(bases)).margin >= GENERIC_MARGIN)).tolist()
+        candidates, part = [], []
+        for b, checks in enumerate(zip(as_matrix, as_matrix, as_flag, as_flag)):
+            if checks[len(part)]:
+                part.append(b)
+                if len(part) == 4:
+                    candidates.append(part)
+                    part = []
+        blocks = blocks[part]
+        if not candidates:
             continue
-        if o_generic(o, f).margin >= GENERIC_MARGIN:
-            return f
-
-
-def _moved_flags_generic(o: Form, *flags: Flag) -> bool:
-    """Whether every moved flag reaches the margin the flag draws reach, from one sweep of their stack."""
-    return bool(np.all(o_generic(o, Flag(np.stack([f.basis for f in flags]))).margin >= GENERIC_MARGIN))
+        i1, i2, ix, ie = np.array(candidates).T
+        g1, g2 = (ScaledMatrix(mats.entries[i], mats.log_scale[i]) for i in (i1, i2))
+        accepted, raises, projections, refuse = _pair_checks(o, g1, g2, bases[ix], bases[ie])
+        take = []
+        for k in range(len(candidates)):
+            if count == samples:
+                break
+            if attempts == ATTEMPT_BUDGET_PER_SAMPLE * samples:
+                raise HypothesisError(f"identity suite found {count} of {samples} generic samples "
+                                      f"in {attempts} attempts")
+            attempts += 1
+            if raises[k]:
+                refuse(k)
+            if accepted[k]:
+                take.append(k)
+                count += 1
+        parts.append((g1.entries[take], g1.log_scale[take], g2.entries[take], g2.log_scale[take],
+                      bases[ix[take]], bases[ie[take]], projections[take]))
+    g1e, g1s, g2e, g2s, xi, eta, lhs_p = (np.concatenate(a) for a in zip(*parts))
+    return ScaledMatrix(g1e, g1s), ScaledMatrix(g2e, g2s), Flag(xi), Flag(eta), lhs_p
 
 
 def _peak(values: np.ndarray) -> float:
@@ -165,38 +253,14 @@ def identity_suite(o: Form, samples: int, seed: int) -> dict:
     projection.  All inputs are drawn from a seeded generator and resampled
     until generic, so reports are reproducible.  Each report is a maximum over
     rank-order coordinates, which a choice of chamber only permutes.  Samples
-    are drawn one at a time; each family evaluates their stack, one call per quantity.
+    are drawn in rounds of stacked draws and checks (``_draw_samples``), with
+    the samples of drawing one at a time; each family evaluates their stack,
+    one call per quantity.
     """
     if samples < 1:
         raise ValueError(f"identity suite needs at least 1 sample, got {samples}")
-    rng = np.random.default_rng(seed)
+    g1, g2, xi, eta, lhs_p = _draw_samples(o, samples, seed)
     d = o.dim
-    drawn, attempts = [], 0
-    while len(drawn) < samples:
-        if attempts == ATTEMPT_BUDGET_PER_SAMPLE * samples:
-            raise HypothesisError(f"identity suite found {len(drawn)} of {samples} generic samples "
-                                  f"in {attempts} attempts")
-        attempts += 1
-        g1, g2 = (_random_matrix(rng, d, o.field_tag) for _ in range(2))
-        xi, eta = (_random_generic_flag(rng, o) for _ in range(2))
-        xi2 = xi.translate(g2)
-        # xi and eta were drawn generic; only their translates are checked
-        if not (_moved_flags_generic(o, xi2, xi.translate(g1 @ g2), xi2.translate(g1), eta.translate(g1))
-                and transverse(xi, eta)):
-            continue
-        # the projection-equivariance family projects xi for the moved form,
-        # one form per sample, and g1.xi for the form itself
-        try:
-            lhs_p = project_to_So(o.translate(np.linalg.inv(g1.entries)), xi)
-        except NonGenericFlagError:
-            continue
-        if not o_generic(o, xi.translate(g1)).generic:
-            continue
-        drawn.append((g1, g2, xi.basis, eta.basis, lhs_p))
-
-    g1s, g2s, xis, etas, lhs_ps = zip(*drawn)
-    g1, g2 = (ScaledMatrix(np.stack([g.entries for g in gs]), np.array([g.log_scale for g in gs])) for gs in (g1s, g2s))
-    xi, eta = Flag(np.stack(xis)), Flag(np.stack(etas))
     xi1, eta1 = xi.translate(g1), eta.translate(g1)
     # every flag busemann_o checks passed a check at least as strict in the draw, so none raises
     b1 = busemann_o(o, g1, xi)
@@ -216,9 +280,8 @@ def identity_suite(o: Form, samples: int, seed: int) -> dict:
         rhs_g = gp[ok] - iota_b1[ok] - busemann_o(o, g1_ok, Flag(eta.basis[ok])).coords
         dev["gromov_transformation"] = _peak(lhs_g - rhs_g)
     dev["cross_ratio_equality"] = _peak(gp + 0.5 * cross_ratio(flag_perp(o, eta), flag_perp(o, xi), xi, eta).coords)
-    lhs_p = np.stack(lhs_ps)
     rhs_raw = g1.entries.conj().swapaxes(1, 2) @ project_to_So(o, xi1) @ g1.entries
     rhs_p = rhs_raw * (d / np.trace(rhs_raw, axis1=1, axis2=2).real)[:, None, None]
     dev["projection_equivariance"] = float(np.max(np.max(np.abs(lhs_p - rhs_p), axis=(1, 2))
                                                   / np.max(np.abs(lhs_p), axis=(1, 2))))
-    return {"samples": len(drawn), "seed": seed, "max_deviations": dev}
+    return {"samples": samples, "seed": seed, "max_deviations": dev}

@@ -369,7 +369,8 @@ def phi_entropy(rep: Representation, phi, length_max: int, chamber: ChamberA):
         )
     hi = per_length_min[length_max]
     grid = np.linspace(0.0, hi, ENTROPY_GRID_POINTS)
-    counts = np.searchsorted(np.sort(vals), grid, side="right")
+    vals.sort()  # in place, past the witness's index: the array is class_periods' fresh result
+    counts = np.searchsorted(vals, grid, side="right")
     curve = CountCurve(grid, counts.astype(np.int64), "phi_lambda_classes",
                        shell_minima=dict(per_length_min))
     window = (0.5 * hi, hi)

@@ -8,7 +8,8 @@ invariant of the isometry group action).
 
 A ``Flag`` may hold a stack of (n, d, d) bases, and every function here takes
 stacks along leading axes, row by row, with the bits of one flag at a time:
-a margin, a verdict or a report field then holds one entry per row.
+a margin, a verdict or a report field then holds one entry per row.  A form
+may be a stack too, one form per flag.
 """
 
 from __future__ import annotations
@@ -30,6 +31,20 @@ class NonGenericFlagError(ValueError):
     """A flag degenerates against the form where an open condition is required."""
 
 
+def unit_basis(columns) -> tuple[np.ndarray, bool | np.ndarray]:
+    """``Flag.of``'s read-only basis with unit columns, and whether its condition is above FLAG_CONDITION_CAP.
+
+    It refuses nothing but a shape, so a caller screening a stack reads the verdict row by row."""
+    b = np.asarray(columns)
+    dtype = np.complex128 if np.iscomplexobj(b) else np.float64
+    b = b.astype(dtype)
+    if b.ndim < 2 or b.shape[-2] != b.shape[-1]:
+        raise ValueError(f"flag basis must be square, got {b.shape}")
+    b = b / np.linalg.norm(b, axis=-2, keepdims=True)
+    b.setflags(write=False)
+    return b, unstack(np.linalg.cond(b) > FLAG_CONDITION_CAP)
+
+
 @dataclass(frozen=True)
 class Flag:
     """Full flag as a basis matrix, or a stack of them; column j-1 completes the j-th subspace."""
@@ -38,15 +53,9 @@ class Flag:
 
     @staticmethod
     def of(columns) -> "Flag":
-        b = np.asarray(columns)
-        dtype = np.complex128 if np.iscomplexobj(b) else np.float64
-        b = b.astype(dtype)
-        if b.ndim < 2 or b.shape[-2] != b.shape[-1]:
-            raise ValueError(f"flag basis must be square, got {b.shape}")
-        b = b / np.linalg.norm(b, axis=-2, keepdims=True)
-        if np.any(np.linalg.cond(b) > FLAG_CONDITION_CAP):
+        b, over_cap = unit_basis(columns)
+        if np.any(over_cap):
             raise ValueError("flag basis condition number above cap")
-        b.setflags(write=False)
         return Flag(b)
 
     @staticmethod
@@ -154,7 +163,7 @@ def o_generic(o: Form, x: Flag) -> GenericityReport:
             vals[..., j] = np.real((row @ u[..., :, None])[..., 0, 0])
             rows.append(row)
             values.append((row @ lines[..., :, j, None])[..., 0, 0])
-    rel = np.abs(vals) / o.norm
+    rel = np.abs(vals) / np.expand_dims(o.norm, -1)
     rel[zero] = 0.0
     stops = rel < DEGENERACY_RTOL
     failed = np.where(stops.any(axis=-1), stops.argmax(axis=-1) + 1, 0)

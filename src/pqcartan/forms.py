@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import MAX_DIM, ScaledMatrix, minor_matrix, unstack
+from .numerics import MAX_DIM, ScaledMatrix, minor_matrix, unstack, vector_norm
 
 
 SELF_ADJOINT_TOL = 1e-12
@@ -35,45 +35,51 @@ class DegenerateFormError(ValueError):
 
 
 def _check_self_adjoint(gram: np.ndarray) -> None:
-    dev = np.linalg.norm(gram - gram.conj().T) / max(np.linalg.norm(gram), 1e-30)
-    if dev > SELF_ADJOINT_TOL:
-        raise ValueError(f"Gram matrix is not self-adjoint (relative deviation {dev:.2e})")
+    """Refuses a Gram matrix, or a stack's first one, off self-adjoint by more than SELF_ADJOINT_TOL (Frobenius)."""
+    def frobenius(m):
+        return vector_norm(m.reshape(*m.shape[:-2], m.shape[-2] * m.shape[-1]))
+    dev = frobenius(gram - gram.conj().swapaxes(-1, -2)) / np.maximum(frobenius(gram), 1e-30)
+    if np.any(dev > SELF_ADJOINT_TOL):
+        raise ValueError(f"Gram matrix is not self-adjoint (relative deviation {np.max(dev):.2e})")
 
 
 @dataclass(frozen=True)
 class Form:
-    """Gram matrix of a non-degenerate symmetric/Hermitian form."""
+    """Gram matrix of a non-degenerate symmetric/Hermitian form.
+
+    A stack of forms holds (n, d, d) Gram matrices, standard bases and inverses, and (n,) signature counts;
+    ``o_generic`` and ``project_to_So`` read one row of it against each flag of a stack."""
 
     gram: np.ndarray
     field_tag: str
-    signature: tuple[int, int]
+    signature: tuple[int, int] | tuple[np.ndarray, np.ndarray]
     gram_inv: np.ndarray = field(repr=False, default=None)
     standard_basis: np.ndarray = field(repr=False, default=None)
 
     @staticmethod
     def of(gram, field_tag: str | None = None) -> "Form":
+        """The form of a Gram matrix, or a stack of forms of an (n, d, d) stack, each with the bits of its own call."""
         g = np.asarray(gram)
         if field_tag is None:
             field_tag = "C" if np.iscomplexobj(g) else "R"
         dtype = np.complex128 if field_tag == "C" else np.float64
         g = g.astype(dtype)
-        if g.shape[0] > MAX_DIM:
-            raise ValueError(f"dimension {g.shape[0]} exceeds supported maximum {MAX_DIM}")
+        if g.shape[-1] > MAX_DIM:
+            raise ValueError(f"dimension {g.shape[-1]} exceeds supported maximum {MAX_DIM}")
         _check_self_adjoint(g)
-        g = (g + g.conj().T) / 2
+        g = (g + g.conj().swapaxes(-1, -2)) / 2
         evals, evecs = np.linalg.eigh(g)
-        if np.min(np.abs(evals)) < 1e-12 * np.max(np.abs(evals)):
+        size = np.abs(evals)
+        if np.any(np.min(size, axis=-1) < 1e-12 * np.max(size, axis=-1)):
             raise DegenerateFormError("Gram matrix is singular within tolerance")
-        p = int(np.sum(evals > 0))
-        q = int(np.sum(evals < 0))
+        p, q = (unstack(np.sum(side, axis=-1)) for side in (evals > 0, evals < 0))
         # Congruence to diag(I_p, -I_q): basis columns ordered positives first,
-        # each class by decreasing |eigenvalue|.  All chamber bookkeeping runs
-        # in these standard coordinates.
-        pos = np.argsort(-evals[evals > 0])
-        neg = np.argsort(-np.abs(evals[evals < 0]))
-        cols_pos = evecs[:, evals > 0][:, pos] / np.sqrt(evals[evals > 0][pos])
-        cols_neg = evecs[:, evals < 0][:, neg] / np.sqrt(-evals[evals < 0][neg])
-        basis = np.concatenate([cols_pos, cols_neg], axis=1)
+        # each class by decreasing |eigenvalue| (a stable sort keeps eigh's
+        # order among equal ones).  All chamber bookkeeping runs in these
+        # standard coordinates.
+        order = np.lexsort((-size, evals < 0), axis=-1)
+        basis = (np.take_along_axis(evecs, order[..., None, :], axis=-1)
+                 / np.sqrt(np.take_along_axis(size, order, axis=-1))[..., None, :])
         g.setflags(write=False)
         gi = np.linalg.inv(g)
         gi.setflags(write=False)
@@ -86,12 +92,12 @@ class Form:
 
     @property
     def dim(self) -> int:
-        return self.gram.shape[0]
+        return self.gram.shape[-1]
 
     @cached_property
-    def norm(self) -> float:
-        """Operator 2-norm of the Gram matrix, computed once per form."""
-        return float(np.linalg.norm(self.gram, 2))
+    def norm(self) -> float | np.ndarray:
+        """Operator 2-norm of the Gram matrix (of each of a stack), computed once per form."""
+        return unstack(np.linalg.norm(self.gram, 2, axis=(-2, -1)))
 
     @cached_property
     def level_grams(self) -> tuple[np.ndarray, ...]:
@@ -104,15 +110,15 @@ class Form:
         grams = []
         for j in range(1, self.dim):
             gram_j = minor_matrix(self.gram, j)
-            gram_j = (gram_j + gram_j.conj().T) / 2
+            gram_j = (gram_j + gram_j.conj().swapaxes(-1, -2)) / 2
             gram_j.setflags(write=False)
             grams.append(gram_j)
         return tuple(grams)
 
     def translate(self, g: np.ndarray) -> "Form":
-        """The form g.o, whose isometry group is g H g^{-1}."""
+        """The form g.o, whose isometry group is g H g^{-1}; a stack of matrices gives the stack of forms."""
         gi = np.linalg.inv(g)
-        return Form.of(gi.conj().T @ self.gram @ gi, self.field_tag)
+        return Form.of(gi.conj().swapaxes(-1, -2) @ self.gram @ gi, self.field_tag)
 
     def to_json(self) -> str:
         if self.field_tag == "C":
@@ -173,7 +179,7 @@ def sample_isometry(o: Form, rng, scale: float = 0.5) -> ScaledMatrix:
     map (X with adjoint(X) = -X) and exponentiates.
     """
     d = o.dim
-    a = gaussian_matrix(rng, d, o.field_tag)
+    a = gaussian_matrix(rng, (d, d), o.field_tag)
     x = (a - o.gram_inv @ a.conj().T @ o.gram) / 2
     x = x - np.trace(x) / d * np.eye(d, dtype=x.dtype)
     return ScaledMatrix.of(_expm(scale * x))
@@ -202,11 +208,15 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def gaussian_matrix(rng, d: int, field_tag: str) -> np.ndarray:
-    """A d x d standard Gaussian matrix over the field; a complex one draws its real part first."""
+def gaussian_matrix(rng, shape: tuple[int, ...], field_tag: str) -> np.ndarray:
+    """Standard Gaussian matrices of a (..., d, d) shape over the field.
+
+    A complex matrix draws its real part, then its imaginary part, so a stack
+    takes the rng stream of as many one-matrix draws in a row."""
     if field_tag == "C":
-        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return rng.standard_normal((d, d))
+        z = rng.standard_normal((*shape[:-2], 2, *shape[-2:]))
+        return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    return rng.standard_normal(shape)
 
 
 def restricted_signature(o: Form, columns: np.ndarray):

@@ -173,3 +173,78 @@ def subspace_from_wedge(w: np.ndarray, d: int, j: int) -> np.ndarray:
     if large > d - j:
         raise NumericsError("wedge vector is not decomposable within tolerance")
     return vh[d - j :, :].conj().T
+
+
+# the per-sample draw of cocycles.identity_suite, one candidate at a time, which the
+# stacked draw must reproduce: the same rng stream, checks, samples and refusals
+
+
+def gaussian_block(rng, d: int, field_tag: str) -> np.ndarray:
+    """One d x d standard Gaussian matrix over the field; a complex one draws its real part first."""
+    if field_tag == "C":
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return rng.standard_normal((d, d))
+
+
+def random_matrix(rng, d: int, field: str) -> ScaledMatrix:
+    """block + I for the first Gaussian block whose sum has condition at most 1e6."""
+    while True:
+        m = ScaledMatrix.of(gaussian_block(rng, d, field) + np.eye(d))
+        if np.linalg.cond(m.entries) <= 1e6:
+            return m
+
+
+def random_generic_flag(rng, o: Form) -> Flag:
+    """The flag of the first Gaussian block within the flag condition cap and GENERIC_MARGIN generic."""
+    from pqcartan import cocycles
+    from pqcartan.flags import o_generic
+
+    while True:
+        try:
+            f = Flag.of(gaussian_block(rng, o.dim, o.field_tag))
+        except ValueError:
+            continue
+        if o_generic(o, f).margin >= cocycles.GENERIC_MARGIN:
+            return f
+
+
+def identity_suite_draw(o: Form, samples: int, seed: int):
+    """(g1, g2, xi, eta, xi projected for the form moved by g1^-1) stacks, drawn one candidate at a time.
+
+    Reads ``GENERIC_MARGIN``, ``ATTEMPT_BUDGET_PER_SAMPLE`` and ``transverse``
+    from ``pqcartan.cocycles`` at call time, so a test patching them there
+    patches both draws.
+    """
+    from pqcartan import cocycles
+    from pqcartan.flags import NonGenericFlagError, o_generic, project_to_So
+    from pqcartan.numerics import HypothesisError
+
+    def moved_flags_generic(*flags):
+        return bool(np.all(o_generic(o, Flag(np.stack([f.basis for f in flags]))).margin
+                           >= cocycles.GENERIC_MARGIN))
+
+    rng = np.random.default_rng(seed)
+    d = o.dim
+    drawn, attempts = [], 0
+    while len(drawn) < samples:
+        if attempts == cocycles.ATTEMPT_BUDGET_PER_SAMPLE * samples:
+            raise HypothesisError(f"identity suite found {len(drawn)} of {samples} generic samples "
+                                  f"in {attempts} attempts")
+        attempts += 1
+        g1, g2 = (random_matrix(rng, d, o.field_tag) for _ in range(2))
+        xi, eta = (random_generic_flag(rng, o) for _ in range(2))
+        xi2 = xi.translate(g2)
+        if not (moved_flags_generic(xi2, xi.translate(g1 @ g2), xi2.translate(g1), eta.translate(g1))
+                and cocycles.transverse(xi, eta)):
+            continue
+        try:
+            lhs_p = project_to_So(o.translate(np.linalg.inv(g1.entries)), xi)
+        except NonGenericFlagError:
+            continue
+        if not o_generic(o, xi.translate(g1)).generic:
+            continue
+        drawn.append((g1, g2, xi.basis, eta.basis, lhs_p))
+    g1s, g2s, xis, etas, lhs_ps = zip(*drawn)
+    g1, g2 = (ScaledMatrix(np.stack([g.entries for g in gs]), np.array([g.log_scale for g in gs]))
+              for gs in (g1s, g2s))
+    return g1, g2, Flag(np.stack(xis)), Flag(np.stack(etas)), np.stack(lhs_ps)

@@ -12,21 +12,19 @@ from pqcartan.cocycles import (
     identity_suite,
     iota_a,
     potential,
-    _random_generic_flag,
-    _random_matrix,
 )
 from pqcartan.flags import Flag, NonGenericFlagError, flag_perp, o_generic, so_point_basis, transverse
 from pqcartan.forms import Form, sample_isometry
 from pqcartan.numerics import ScaledMatrix
 from pqcartan.projections import eigen_flag, jordan
 
-from conftest import inverse_word, sphere_words, word_image
+from conftest import identity_suite_draw, inverse_word, random_generic_flag, random_matrix, sphere_words, word_image
 
 
 def test_busemann_tau_isometry_vanishes(rng):
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     k = ScaledMatrix.of(q)
-    f = _random_generic_flag(rng, Form.standard(2, 1))
+    f = random_generic_flag(rng, Form.standard(2, 1))
     v = busemann_tau(k, f)
     assert np.max(np.abs(v.coords)) < 1e-10
 
@@ -42,9 +40,9 @@ def test_busemann_tau_diagonal_on_coordinate_flag():
 def test_busemann_tau_cocycle_identity(rng):
     o = Form.standard(2, 1)
     for _ in range(500):
-        g1 = _random_matrix(rng, 3, "R")
-        g2 = _random_matrix(rng, 3, "R")
-        f = _random_generic_flag(rng, o)
+        g1 = random_matrix(rng, 3, "R")
+        g2 = random_matrix(rng, 3, "R")
+        f = random_generic_flag(rng, o)
         lhs = busemann_tau(g1 @ g2, f).coords
         rhs = busemann_tau(g1, f.translate(g2)).coords + busemann_tau(g2, f).coords
         assert np.max(np.abs(lhs - rhs)) < 1e-9
@@ -53,7 +51,7 @@ def test_busemann_tau_cocycle_identity(rng):
 def test_busemann_o_isometry_vanishes(s1, rng):
     for _ in range(20):
         h = sample_isometry(s1, rng)
-        f = _random_generic_flag(rng, s1)
+        f = random_generic_flag(rng, s1)
         if o_generic(s1, f.translate(h)).margin < GENERIC_MARGIN:
             continue
         v = busemann_o(s1, h, f)
@@ -76,9 +74,9 @@ def test_busemann_o_refuses_non_generic(s1):
 def test_busemann_o_cocycle_identity(s1, rng):
     done = 0
     while done < 300:
-        g1 = _random_matrix(rng, 3, "R")
-        g2 = _random_matrix(rng, 3, "R")
-        f = _random_generic_flag(rng, s1)
+        g1 = random_matrix(rng, 3, "R")
+        g2 = random_matrix(rng, 3, "R")
+        f = random_generic_flag(rng, s1)
         flags_ok = all(
             o_generic(s1, fl).margin >= GENERIC_MARGIN
             for fl in (f, f.translate(g2), f.translate(g1 @ g2))
@@ -98,8 +96,8 @@ def test_potential_zero_on_standard_flag(s1):
 def test_potential_coboundary(s1, rng):
     done = 0
     while done < 300:
-        g = _random_matrix(rng, 3, "R")
-        f = _random_generic_flag(rng, s1)
+        g = random_matrix(rng, 3, "R")
+        f = random_generic_flag(rng, s1)
         if o_generic(s1, f.translate(g)).margin < GENERIC_MARGIN:
             continue
         done += 1
@@ -110,7 +108,7 @@ def test_potential_coboundary(s1, rng):
 
 def test_dual_busemann_isometry(s1, rng):
     h = sample_isometry(s1, rng)
-    f = _random_generic_flag(rng, s1)
+    f = random_generic_flag(rng, s1)
     if o_generic(s1, f.translate(h)).margin >= GENERIC_MARGIN:
         assert np.max(np.abs(dual_busemann(s1, h, f).coords)) < 1e-8
 
@@ -128,8 +126,8 @@ def test_dual_busemann_diagonal_example(s1):
 def test_duality_identity_random(s1, rng):
     done = 0
     while done < 300:
-        g = _random_matrix(rng, 3, "R")
-        f = _random_generic_flag(rng, s1)
+        g = random_matrix(rng, 3, "R")
+        f = random_generic_flag(rng, s1)
         if o_generic(s1, f.translate(g)).margin < GENERIC_MARGIN:
             continue
         done += 1
@@ -150,9 +148,9 @@ def test_gromov_product_dual_pair_vanishes(s1):
 def test_gromov_transformation_rule(s1, rng):
     done = 0
     while done < 300:
-        g = _random_matrix(rng, 3, "R")
-        xi = _random_generic_flag(rng, s1)
-        eta = _random_generic_flag(rng, s1)
+        g = random_matrix(rng, 3, "R")
+        xi = random_generic_flag(rng, s1)
+        eta = random_generic_flag(rng, s1)
         if not transverse(xi, eta):
             continue
         gxi, geta = xi.translate(g), eta.translate(g)
@@ -170,7 +168,7 @@ def test_gromov_transformation_rule(s1, rng):
 
 def test_gromov_product_and_cross_ratio_refuse_non_transverse_flags(s1, rng):
     x = Flag.standard(3)
-    y, z = (_random_generic_flag(rng, s1) for _ in range(2))
+    y, z = (random_generic_flag(rng, s1) for _ in range(2))
     with pytest.raises(ValueError, match="not transverse"):
         gromov_product(s1, x, x)
     with pytest.raises(ValueError, match="transversality pair fails"):
@@ -179,9 +177,9 @@ def test_gromov_product_and_cross_ratio_refuse_non_transverse_flags(s1, rng):
 
 def test_cross_ratio_degenerate_pair_vanishes(rng):
     o = Form.standard(2, 1)
-    xi1 = _random_generic_flag(rng, o)
-    xi3 = _random_generic_flag(rng, o)
-    xi2 = _random_generic_flag(rng, o)
+    xi1 = random_generic_flag(rng, o)
+    xi3 = random_generic_flag(rng, o)
+    xi2 = random_generic_flag(rng, o)
     if transverse(xi1, xi2) and transverse(xi3, xi2):
         v = cross_ratio(xi1, xi2, xi3, xi2)
         assert np.max(np.abs(v.coords)) < 1e-10
@@ -190,8 +188,8 @@ def test_cross_ratio_degenerate_pair_vanishes(rng):
 def test_cross_ratio_equals_gromov(s1, rng):
     done = 0
     while done < 300:
-        xi = _random_generic_flag(rng, s1)
-        eta = _random_generic_flag(rng, s1)
+        xi = random_generic_flag(rng, s1)
+        eta = random_generic_flag(rng, s1)
         if not transverse(xi, eta):
             continue
         done += 1
@@ -203,8 +201,8 @@ def test_cross_ratio_equals_gromov(s1, rng):
 def test_cross_ratio_projective_invariance(s1, rng):
     done = 0
     while done < 300:
-        g = _random_matrix(rng, 3, "R")
-        flags = [_random_generic_flag(rng, s1) for _ in range(4)]
+        g = random_matrix(rng, 3, "R")
+        flags = [random_generic_flag(rng, s1) for _ in range(4)]
         pairs = [(0, 1), (0, 3), (1, 2), (2, 3)]
         if not all(transverse(flags[i], flags[k]) for i, k in pairs):
             continue
@@ -222,8 +220,8 @@ def test_geometric_interpretation_via_projection(s1, rng):
     # projections of the flag for the moved and the base form
     done = 0
     while done < 100:
-        g = _random_matrix(rng, 3, "R")
-        f = _random_generic_flag(rng, s1)
+        g = random_matrix(rng, 3, "R")
+        f = random_generic_flag(rng, s1)
         if o_generic(s1, f.translate(g)).margin < GENERIC_MARGIN:
             continue
         o_moved = s1.translate(np.linalg.inv(g.entries))
@@ -245,7 +243,7 @@ def test_phi_cocycles_periods(s1, rng):
     # axis flag of the diagonal element is the standard flag
     assert abs(phi @ busemann_o(s1, g, Flag.standard(3)).coords - phi @ jordan(g).coords) < 1e-9
     h = sample_isometry(s1, rng)
-    f = _random_generic_flag(rng, s1)
+    f = random_generic_flag(rng, s1)
     if o_generic(s1, f.translate(h)).margin >= GENERIC_MARGIN:
         assert abs(phi @ busemann_o(s1, h, f).coords) < 1e-8
 
@@ -302,7 +300,7 @@ def test_identity_suite_caps_rejection_attempts(s1, monkeypatch):
     from pqcartan import cocycles
 
     monkeypatch.setattr(cocycles, "ATTEMPT_BUDGET_PER_SAMPLE", 3)
-    monkeypatch.setattr(cocycles, "_moved_flags_generic", lambda o, *flags: False)
+    monkeypatch.setattr(cocycles, "transverse", lambda x, y: np.zeros(len(x.basis), dtype=bool))
     with pytest.raises(ValueError, match="0 of 2 generic samples in 6 attempts"):
         identity_suite(s1, samples=2, seed=3)
 
@@ -341,9 +339,93 @@ def test_identity_suite_refuses_fewer_than_one_sample(s1, samples, monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew before refusing")
 
-    monkeypatch.setattr(cocycles, "_random_matrix", no_draw)
+    monkeypatch.setattr(cocycles, "gaussian_matrix", no_draw)
     with pytest.raises(ValueError, match=f"at least 1 sample, got {samples}"):
         identity_suite(s1, samples=samples, seed=3)
+
+
+DRAW_CONFIGS = [((2, 1, "R"), 100, 7), ((2, 1, "R"), 300, 0), ((2, 1, "R"), 100, 603), ((2, 2, "R"), 60, 3),
+                ((3, 2, "R"), 40, 3), ((1, 2, "R"), 60, 3), ((2, 1, "C"), 60, 3), ((3, 2, "C"), 30, 3)]
+
+
+def _draw_bytes(draw):
+    """The arrays of a drawn (g1, g2, xi, eta, projection) tuple, for a comparison by dtype, shape and bytes."""
+    g1, g2, xi, eta, projections = draw
+    arrays = [g1.entries, g1.log_scale, g2.entries, g2.log_scale, xi.basis, eta.basis, projections]
+    return [(a.dtype, a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
+
+
+def _outcome(draw, o, samples, seed):
+    """A draw's arrays, or the type and message of its refusal."""
+    try:
+        return _draw_bytes(draw(o, samples, seed))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("signature,samples,seed", DRAW_CONFIGS,
+                         ids=[f"{f}{p}{q}-{n}-{s}" for (p, q, f), n, s in DRAW_CONFIGS])
+def test_stacked_draw_equals_one_candidate_at_a_time(signature, samples, seed):
+    from pqcartan.cocycles import _draw_samples
+
+    o = Form.standard(*signature)
+    assert _draw_bytes(_draw_samples(o, samples, seed)) == _draw_bytes(identity_suite_draw(o, samples, seed))
+
+
+def test_stacked_draw_skips_the_blocks_the_per_sample_draw_skips(s1, monkeypatch):
+    # a stricter margin skips flag blocks the default one takes, and rejects more moved flags
+    from pqcartan import cocycles
+
+    default = _draw_bytes(cocycles._draw_samples(s1, 40, 7))
+    monkeypatch.setattr(cocycles, "GENERIC_MARGIN", 0.02)
+    stacked = _draw_bytes(cocycles._draw_samples(s1, 40, 7))
+    assert stacked == _draw_bytes(identity_suite_draw(s1, 40, 7))
+    assert stacked[4] != default[4]
+
+
+def test_stacked_draw_rejects_the_candidates_the_per_sample_draw_rejects(s1, monkeypatch):
+    # a stricter transversality rejects some candidates whose blocks all passed their own checks
+    from pqcartan import cocycles
+    from pqcartan.flags import transversality_margin
+
+    rejected = []
+
+    def strict(x, y):
+        ok = np.asarray(transversality_margin(x, y) > 0.05)
+        rejected.append(int(np.sum(~ok)))
+        return ok
+
+    monkeypatch.setattr(cocycles, "transverse", strict)
+    stacked = _draw_bytes(cocycles._draw_samples(s1, 60, 7))
+    assert sum(rejected) > 0
+    assert stacked == _draw_bytes(identity_suite_draw(s1, 60, 7))
+
+
+@pytest.mark.parametrize("samples", [1, 3, 10])
+def test_stacked_draw_refuses_where_the_per_sample_draw_refuses(s1, samples, monkeypatch):
+    # a low flag condition cap makes moved flags raise in Flag.of, and a patched Form.translate refuses
+    # moved forms; either draw raises only at a candidate drawing one at a time reaches
+    from pqcartan import cocycles, flags
+    from pqcartan.forms import DegenerateFormError
+
+    outcomes = set()
+    with monkeypatch.context() as patch:
+        patch.setattr(flags, "FLAG_CONDITION_CAP", 300.0)
+        stacked = _outcome(cocycles._draw_samples, s1, samples, 5)
+        assert stacked == _outcome(identity_suite_draw, s1, samples, 5)
+        outcomes.add(stacked[0] if isinstance(stacked, tuple) else "drawn")
+    translate = Form.translate
+
+    def refusing(o, g):
+        if np.any(np.linalg.cond(g) > 10.0):
+            raise DegenerateFormError("moved form refused")
+        return translate(o, g)
+
+    monkeypatch.setattr(Form, "translate", refusing)
+    stacked = _outcome(cocycles._draw_samples, s1, samples, 5)
+    assert stacked == _outcome(identity_suite_draw, s1, samples, 5)
+    outcomes.add(stacked[0] if isinstance(stacked, tuple) else "drawn")
+    assert outcomes == ({"drawn"} if samples < 10 else {ValueError, DegenerateFormError})
 
 
 def _stack_of(singles):
@@ -364,7 +446,7 @@ def test_stacks_equal_single_calls_bit_for_bit(p, q, field):
     rng = np.random.default_rng(11)
     drawn = []
     while len(drawn) < 5:
-        g, xi, eta = _random_matrix(rng, d, field), _random_generic_flag(rng, o), _random_generic_flag(rng, o)
+        g, xi, eta = random_matrix(rng, d, field), random_generic_flag(rng, o), random_generic_flag(rng, o)
         if transverse(xi, eta) and all(o_generic(o, f.translate(g)).margin >= GENERIC_MARGIN for f in (xi, eta)):
             drawn.append((g, xi, eta))
     gs, xis, etas = zip(*drawn)
@@ -373,6 +455,13 @@ def test_stacks_equal_single_calls_bit_for_bit(p, q, field):
 
     def matrix(m):
         return [m.entries, m.log_scale]
+
+    def moved(g):
+        """The form moved by g^-1, as the identity suite's projection family moves it."""
+        return o.translate(np.linalg.inv(g.entries))
+
+    def form(m):
+        return [m.gram, m.gram_inv, m.standard_basis, *m.signature, m.norm, *m.level_grams]
 
     levels = range(1, d)
     calls = {
@@ -397,6 +486,10 @@ def test_stacks_equal_single_calls_bit_for_bit(p, q, field):
         "line_hyperplane_distance": lambda g, xi, eta: [line_hyperplane_distance(v, w, gram) for v, w, gram in
                                                          zip(xi.wedges, eta.wedges, o.level_grams)],
         "project_to_So": lambda g, xi, eta: [project_to_So(o, xi)],
+        "Form.translate": lambda g, xi, eta: form(moved(g)),
+        "o_generic of a form stack": lambda g, xi, eta: [(r := o_generic(moved(g), xi)).generic, r.signs, r.margin,
+                                                         r.lines],
+        "project_to_So of a form stack": lambda g, xi, eta: [project_to_So(moved(g), xi)],
         "busemann_tau": lambda g, xi, eta: [busemann_tau(g, xi).coords],
         "busemann_o": lambda g, xi, eta: [busemann_o(o, g, xi).coords],
         "potential": lambda g, xi, eta: [potential(o, xi).coords],

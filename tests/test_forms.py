@@ -136,7 +136,7 @@ def test_expm_matches_scipy_on_the_isometry_algebra(p, q, field_tag, scale):
     o = Form.standard(p, q, field_tag)
     rng = np.random.default_rng(11)
     for _ in range(50):
-        a = gaussian_matrix(rng, o.dim, field_tag)
+        a = gaussian_matrix(rng, (o.dim, o.dim), field_tag)
         x = (a - o.gram_inv @ a.conj().T @ o.gram) / 2
         x = scale * (x - np.trace(x) / o.dim * np.eye(o.dim))
         got, want = forms._expm(x), expm(x)

@@ -16,7 +16,7 @@ from pqcartan.freegroup import (
 )
 from pqcartan.numerics import ScaledMatrix
 
-from conftest import sphere_rows
+from conftest import random_generic_flag, sphere_rows
 
 
 def test_cartan_additivity_defect_bounded():
@@ -162,10 +162,10 @@ def test_same_group_two_forms_different_weyl_sets():
 
 
 def test_busemann_scale_invariance(rng):
-    from pqcartan.cocycles import busemann_o, busemann_tau, _random_generic_flag
+    from pqcartan.cocycles import busemann_o, busemann_tau
 
     o = Form.standard(2, 1)
-    f = _random_generic_flag(rng, o)
+    f = random_generic_flag(rng, o)
     g = ScaledMatrix.of(np.diag([1.7, 0.9, 0.4]) + 0.1 * rng.standard_normal((3, 3)))
     g7 = g.rescaled(7.0)
     assert np.max(np.abs(busemann_tau(g, f).coords - busemann_tau(g7, f).coords)) < 1e-10
